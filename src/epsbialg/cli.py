@@ -57,11 +57,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
     common.add_argument(
-        "--cap", type=int, default=64,
+        "--cap", type=_count_arg, default=64,
         help="iteration cap for the antipode series (default 64)",
     )
     common.add_argument(
-        "--max-len", type=int, default=6,
+        "--max-len", type=_count_arg, default=6,
         help="bound for word-length / exponent sweeps (default 6)",
     )
     common.add_argument(
@@ -155,6 +155,14 @@ def _positive_int(text, what):
     if value < 1:
         raise ValueError(f"{what} must be >= 1, got {value}")
     return value
+
+
+def _count_arg(text):
+    """argparse type of --cap and --max-len: a bound below 1 would check nothing."""
+    try:
+        return _positive_int(text, "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _reject_weight(weight_text, which):

@@ -83,6 +83,7 @@ class AlgebraInstance:
         self.selector = selector or kind.selector()
         self.unit = Element._make(kind, kind.unit_terms())
         self._memo = {}
+        self._prelie_table = {}  # (key, key) -> {key: coeff}, filled by prelie
         self._validate_algebra(sweep_bound)
 
     def _validate_algebra(self, sweep_bound):
@@ -321,7 +322,7 @@ def nilpotency_index(A: AlgebraInstance, a: Element, cap: int = 64) -> int:
         cur = d_map(A, cur)
         if cur.is_zero():
             return k
-    raise NotNilpotentWithinCap(cap)
+    raise NotNilpotentWithinCap(cap, element=a)
 
 
 def antipode(A: AlgebraInstance, a: Element, cap: int = 64) -> Element:

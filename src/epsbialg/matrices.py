@@ -24,7 +24,7 @@ E[i,j] (product rule E[i,j]E[k,l] = delta_jk E[i,l]):
 from __future__ import annotations
 
 from .core import AlgebraInstance, coproduct_from_r
-from .errors import DimensionMismatch, LSquareNotZero
+from .errors import DimensionMismatch, KindMismatch, LSquareNotZero
 from .lincomb import Element, EMatrix, MatrixKind, TensorElement, act_left, act_right, tensor
 from .scalars import LambdaPoly, ONE, ZERO
 
@@ -124,8 +124,9 @@ def l_coproduct_instance(n: int, L: Element) -> AlgebraInstance:
     """M_n with Delta(M) = ML (x) L - L (x) LM for a fixed L with L^2 = 0.
 
     Identical to the derived coproduct attached to r = L (x) L at weight 0;
-    the identity ML (x) L - L (x) LM = M.(L (x) L) - (L (x) L).M is asserted
-    on every basis key at construction time.
+    the identity ML (x) L - L (x) LM = M.(L (x) L) - (L (x) L).M is checked
+    on every basis key at construction time, and a key that breaks it raises
+    ``KindMismatch``.
     """
     if not isinstance(L, Element) or not isinstance(L.kind, MatrixKind) or L.kind.n != n:
         raise DimensionMismatch(f"L must be an element of matrix:{n}")
@@ -137,7 +138,11 @@ def l_coproduct_instance(n: int, L: Element) -> AlgebraInstance:
     for key in inst.basis_keys():
         m = inst.element(key)
         direct = tensor(m * L, L) - tensor(L, L * m)
-        assert direct == act_left(m, r) - act_right(r, m), key
+        if direct != act_left(m, r) - act_right(r, m):
+            raise KindMismatch(
+                f"L-coproduct differs from the derived coproduct of L (x) L at "
+                f"{inst.kind.key_text(key)}"
+            )
     return inst
 
 

@@ -5,6 +5,16 @@ For a weight-zero unitary instance the Sweedler sandwich
     a |> b = sum b_(1) a b_(2)
 
 is a (left) pre-Lie product, and [a, b] = a |> b - b |> a is a Lie bracket.
+(Aguiar, "Infinitesimal Hopf algebras", Contemp. Math. 267, 2000.)
+
+``prelie_product`` is the bilinear extension of a structure-constant table:
+p |> q on each ordered pair of basis keys, kept per ``AlgebraInstance`` as a
+sparse map key -> coefficient and filled lazily at key level, with no
+``Element`` built per Sweedler term.  This is the idiom of GAP's
+``LieAlgebraByStructureConstants``.  The per-call Sweedler sum
+sum A.element(k1) * a * A.element(k2) lives on as the test oracle
+``sweedler_prelie_product`` in ``tests/support.py``.
+
 On the telescoping matrix instance the bracket admits two closed forms on
 elementary matrices, implemented as independent code paths:
 
@@ -38,15 +48,52 @@ def _require_weight_zero(A: AlgebraInstance):
         )
 
 
+def _prelie_on_keys(A: AlgebraInstance, p, q) -> dict:
+    """p |> q on basis keys as a sparse map key -> coefficient, tabulated on A.
+
+    Filled on first use: each term (k1, k2), c of Delta(q) contributes
+    c * k1 p k2 unless the product of keys vanishes.
+    """
+    row = A._prelie_table.get((p, q))
+    if row is None:
+        key_mul = A.kind.key_mul
+        row = {}
+        for (k1, k2), c in A.basis_coproduct(q).terms.items():
+            left = key_mul(k1, p)
+            key = None if left is None else key_mul(left, k2)
+            if key is None:
+                continue
+            s = row.get(key)
+            s = c if s is None else s + c
+            if s.is_zero():
+                row.pop(key, None)
+            else:
+                row[key] = s
+        A._prelie_table[(p, q)] = row
+    return row
+
+
 def prelie_product(A: AlgebraInstance, a: Element, b: Element) -> Element:
-    """a |> b = sum b_(1) a b_(2), extended bilinearly."""
+    """a |> b = sum b_(1) a b_(2), the bilinear extension of the basis-pair table."""
     _require_weight_zero(A)
     A._own(a)
     A._own(b)
-    out = Element.zero(A.kind)
-    for (k1, k2), c in A.coproduct(b).terms.items():
-        out = out + (A.element(k1) * a * A.element(k2)).scale(c)
-    return out
+    out = {}
+    for p, cp in a.terms.items():
+        for q, cq in b.terms.items():
+            row = _prelie_on_keys(A, p, q)
+            if not row:
+                continue
+            cpq = cp * cq
+            for key, c in row.items():
+                w = cpq * c
+                s = out.get(key)
+                s = w if s is None else s + w
+                if s.is_zero():
+                    out.pop(key, None)
+                else:
+                    out[key] = s
+    return Element._make(A.kind, out)
 
 
 def commutator_bracket(A: AlgebraInstance, a: Element, b: Element) -> Element:

@@ -79,6 +79,9 @@ class LambdaPoly:
         return self._c == other._c
 
     def __hash__(self):
+        # a constant, zero included, equals its Fraction, so it hashes like one
+        if self._c.keys() <= {0}:
+            return hash(self._c.get(0, _F0))
         return hash(frozenset(self._c.items()))
 
     def __add__(self, other):

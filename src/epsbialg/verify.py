@@ -30,7 +30,7 @@ from .core import (
     check_cocycle,
     d_map,
 )
-from .errors import KindMismatch, UnknownSuite, WeightNotZero
+from .errors import KindMismatch, NotNilpotentWithinCap, UnknownSuite, WeightNotZero
 from .lincomb import Element, EMatrix, MatrixKind, Word, act_left, act_right, tensor
 from .matrices import matrix_algebra, matrix_from_rows, random_integer_matrix
 from .parser import parse_expression
@@ -153,7 +153,25 @@ def _require_weight_zero(A, suite):
 
 
 def _suite_antipode(A, max_len, cap, seed):
+    """The antipode laws; a series that does not truncate is a failure, not an error.
+
+    The series is evaluated on the unit's keys first and then on the swept
+    basis keys in canonical order, so the key named is the first of them
+    whose series does not truncate, or else a product or coproduct leg of
+    swept keys that lies beyond the sweep.
+    """
     _require_weight_zero(A, "antipode")
+    try:
+        return _antipode_sweep(A, max_len, cap, seed)
+    except NotNilpotentWithinCap as exc:
+        return _failed(
+            "antipode",
+            f"series of {exc.element} does not truncate within cap {exc.cap}",
+            None,
+        )
+
+
+def _antipode_sweep(A, max_len, cap, seed):
     s = antipode_endo(A, cap)
     checks = 0
     if s(A.unit) != -A.unit:
@@ -222,9 +240,10 @@ def _suite_prelie(A, max_len, which):
         "jacobi": check_jacobi,
         "representation": check_left_representation,
     }[which]
+    elements = [A.element(key) for key in keys]
     count = 0
-    for p, q, r in itertools.product(keys, repeat=3):
-        report = checker(A, A.element(p), A.element(q), A.element(r))
+    for a, b, c in itertools.product(elements, repeat=3):
+        report = checker(A, a, b, c)
         if not report:
             return _failed(which, f"failure after {count} triples", report)
         count += 1

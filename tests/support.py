@@ -41,6 +41,18 @@ def element_from_dense(rows):
     return Element(kind, terms)
 
 
+# -- Sweedler oracle for the pre-Lie product ----------------------------------
+# The per-call sandwich sum b_(1) a b_(2) over the coproduct of b, with fresh
+# basis elements; knows nothing of the basis-pair table in ``prelie``.
+
+
+def sweedler_prelie_product(A, a, b):
+    out = Element.zero(A.kind)
+    for (k1, k2), c in A.coproduct(b).terms.items():
+        out = out + (A.element(k1) * a * A.element(k2)).scale(c)
+    return out
+
+
 # -- hypothesis strategies ----------------------------------------------------
 
 small_fractions = st.fractions(

@@ -219,7 +219,7 @@ def test_criterion_5_deconcat_and_univar():
 
 
 def test_criterion_6_prelie_family():
-    with criterion(6, "pre-Lie, Jacobi, representation, bracket conformance", 60.0):
+    with criterion(6, "pre-Lie, Jacobi, representation, bracket conformance", 10.0):
         for n, expected in ((3, 729), (4, 4096)):
             A = matrix_algebra(n)
             keys = list(A.basis_keys())

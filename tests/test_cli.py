@@ -209,3 +209,46 @@ def test_byte_identical_repeated_runs(capsys):
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv, failing_input, later_line",
+    [
+        (("-a", "rmatrix:2:E[1,1] (x) E[1,1]:0"), "E[1,2]",
+         "witness inputs (E[1,2]): difference = -E[1,1] (x) E[1,1] (x) E[1,2]"),
+        (("-a", "word:xy", "--weight", "0"), "x", "[PASS] prelie: 343 triples checked"),
+    ],
+    ids=["rmatrix", "word-weight-0"],
+)
+def test_verify_all_reports_non_truncating_antipode(capsys, argv, failing_input, later_line):
+    code, out, err = run(capsys, "verify", "--suite", "all", *argv)
+    assert code == 1
+    assert err == ""
+    assert (
+        f"[FAIL] antipode: series of {failing_input} does not truncate within cap 64\n"
+        in out
+    )
+    assert later_line in out
+    assert "[PASS] jacobi" in out and "[PASS] representation" in out
+    assert out.endswith("result: LAW VIOLATION\n")
+
+
+def test_verify_antipode_names_a_product_beyond_the_sweep(capsys):
+    # x^0..x^4 truncate within 5 steps, the product x^4 * x = x^5 does not
+    code, out, _ = run(
+        capsys, "verify", "--suite", "antipode", "-a", "univar", "--weight", "0",
+        "--max-len", "4", "--cap", "5",
+    )
+    assert code == 1
+    assert "[FAIL] antipode: series of x^5 does not truncate within cap 5" in out
+
+
+@pytest.mark.parametrize("flag", ["--max-len", "--cap"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_bounds_below_one_are_usage_errors(capsys, flag, value):
+    code, out, err = run(
+        capsys, "verify", "--suite", "all", "-a", "word:xy", f"{flag}={value}"
+    )
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: value must be >= 1, got {value}" in err

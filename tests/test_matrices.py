@@ -23,6 +23,7 @@ from epsbialg import (
     sgn,
     tensor,
 )
+from epsbialg import KindMismatch, TensorElement, matrices
 from epsbialg.scalars import ONE, ZERO
 
 M2 = matrix_algebra(2)
@@ -142,6 +143,15 @@ def test_l_coproduct_rejects_non_nilpotent():
     A = matrix_algebra(2)
     with pytest.raises(LSquareNotZero):
         l_coproduct_instance(2, parse_expression("E[1,1]", A))
+
+
+def test_l_coproduct_identity_check_raises(monkeypatch):
+    # a real check, not an assert that python -O strips: break the right
+    # action it compares against and construction must name the first key
+    monkeypatch.setattr(matrices, "act_right", lambda t, a: TensorElement.zero(t.kind))
+    A = matrix_algebra(2)
+    with pytest.raises(KindMismatch, match=r"at E\[2,1\]$"):
+        l_coproduct_instance(2, parse_expression("E[1,2]", A))
 
 
 def test_l_coproduct_laws():

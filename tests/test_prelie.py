@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given
 
 from epsbialg import (
     BracketTable,
@@ -25,8 +26,21 @@ from epsbialg import (
     prelie_product,
     word_algebra,
 )
+from epsbialg import prelie
+from epsbialg.cli import build_algebra
+from epsbialg.verify import run_suite
+
+from support import matrix_elements, sweedler_prelie_product, word_elements
 
 M2 = matrix_algebra(2)
+W0 = word_algebra("xy", 0)
+
+# derived r-coproducts at weight 0 that break a law early (negative controls)
+RMATRIX_CONTROLS = (
+    "rmatrix:2:E[1,1] (x) E[1,1]:0",
+    "rmatrix:3:E[1,1] (x) E[2,2]:0",
+    "rmatrix:3:E[1,1] (x) E[3,2]:0",
+)
 M3 = matrix_algebra(3)
 
 
@@ -106,6 +120,53 @@ def test_prelie_closed_form_table(n):
             assert prelie_product(A, A.element(p), A.element(q)) == matrix_prelie_table(p, q)
 
 
+def _assert_table_matches_oracle(A, keys):
+    for p in keys:
+        for q in keys:
+            a, b = A.element(p), A.element(q)
+            assert prelie_product(A, a, b) == sweedler_prelie_product(A, a, b), (p, q)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_table_matches_sweedler_oracle_on_matrix_pairs(n):
+    A = matrix_algebra(n)
+    _assert_table_matches_oracle(A, list(A.basis_keys()))
+
+
+@pytest.mark.parametrize("selector", RMATRIX_CONTROLS)
+def test_table_matches_sweedler_oracle_on_rmatrix_pairs(selector):
+    A = build_algebra(selector, None)
+    _assert_table_matches_oracle(A, list(A.basis_keys()))
+
+
+def test_table_matches_sweedler_oracle_on_weight_zero_words():
+    _assert_table_matches_oracle(W0, list(W0.basis_keys(3)))
+
+
+@given(matrix_elements(4), matrix_elements(4))
+def test_table_matches_sweedler_oracle_on_matrix_elements(a, b):
+    A = matrix_algebra(4)
+    assert prelie_product(A, a, b) == sweedler_prelie_product(A, a, b)
+
+
+@given(word_elements(), word_elements())
+def test_table_matches_sweedler_oracle_on_word_elements(a, b):
+    assert prelie_product(W0, a, b) == sweedler_prelie_product(W0, a, b)
+
+
+@pytest.mark.parametrize("selector", RMATRIX_CONTROLS)
+@pytest.mark.parametrize("suite", ["prelie", "jacobi", "representation"])
+def test_first_witness_matches_sweedler_oracle(selector, suite, monkeypatch):
+    A = build_algebra(selector, None)
+    fast = run_suite(suite, A)
+    # the checkers look prelie_product up in their module, so this reroutes
+    # every |> of the sweep through the oracle
+    monkeypatch.setattr(prelie, "prelie_product", sweedler_prelie_product)
+    slow = run_suite(suite, build_algebra(selector, None))
+    assert fast.line() == slow.line()
+    assert (fast.status, fast.detail) == (slow.status, slow.detail)
+
+
 def test_overlap_case_vanishes():
     # j = i+1 and l = k+1 at once: the sign form matches the table's
     # difference case, which collapses to zero unless the pairs coincide
@@ -156,7 +217,6 @@ def test_representation_explicit_pair():
 
 
 def test_prelie_identity_on_weight_zero_words():
-    W0 = word_algebra("xy", 0)
     keys = list(W0.basis_keys(2))
     for p, q, r in itertools.product(keys[:5], repeat=3):
         a, b, c = W0.element(p), W0.element(q), W0.element(r)

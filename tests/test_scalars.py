@@ -1,5 +1,6 @@
 """The coefficient ring Q[L]: exact arithmetic, specialization, text syntax."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -111,3 +112,17 @@ def test_parse_error_zero_denominator():
 def test_parse_error_unknown_symbol():
     with pytest.raises(ParseError):
         parse_scalar("q + 1")
+
+
+def test_constants_hash_like_their_rationals():
+    assert len({ONE, 1}) == 1
+    assert len({ZERO, 0, Fraction(0)}) == 1
+    assert {LambdaPoly.const(Fraction(-2, 3)): "x"}[Fraction(-2, 3)] == "x"
+
+
+@given(small_fractions, small_fractions)
+def test_equal_constants_hash_equal(p, q):
+    values = [LambdaPoly.const(p), LambdaPoly.const(q), p, q, p.numerator // p.denominator]
+    for a, b in itertools.product(values, repeat=2):
+        if a == b:
+            assert hash(a) == hash(b), (a, b)

@@ -77,6 +77,7 @@ from .prelie import (
     matrix_bracket_table,
     matrix_prelie_table,
     prelie_product,
+    prelie_support,
 )
 from .scalars import LAMBDA, MINUS_ONE, ONE, ZERO, LambdaPoly, parse_scalar, poly_text
 from .verify import SUITE_NAMES, SuiteOutcome, run_suite, run_verify

@@ -84,6 +84,7 @@ class AlgebraInstance:
         self.unit = Element._make(kind, kind.unit_terms())
         self._memo = {}
         self._prelie_table = {}  # (key, key) -> {key: coeff}, filled by prelie
+        self._antipode_endos = {}  # cap -> LinearEndomorphism, filled by antipode_endo
         self._validate_algebra(sweep_bound)
 
     def _validate_algebra(self, sweep_bound):
@@ -112,7 +113,7 @@ class AlgebraInstance:
         return Element.from_key(self.kind, key, LambdaPoly.coerce(coeff))
 
     def _own(self, v):
-        if v.kind != self.kind:
+        if v.kind is not self.kind and v.kind != self.kind:
             raise KindMismatch(
                 f"{self.selector} cannot operate on a value of kind {v.kind.selector()}"
             )
@@ -348,7 +349,16 @@ def antipode(A: AlgebraInstance, a: Element, cap: int = 64) -> Element:
 
 
 def antipode_endo(A: AlgebraInstance, cap: int = 64) -> LinearEndomorphism:
-    return LinearEndomorphism(A, lambda key: antipode(A, A.element(key), cap), "S")
+    """The antipode series as an endomorphism, one per instance and cap.
+
+    The checkers share it, so S is evaluated once per basis key.  A key whose
+    series does not truncate raises on every call and is never memoized.
+    """
+    s = A._antipode_endos.get(cap)
+    if s is None:
+        s = LinearEndomorphism(A, lambda key: antipode(A, A.element(key), cap), "S")
+        A._antipode_endos[cap] = s
+    return s
 
 
 def check_antipode_axiom(A: AlgebraInstance, a: Element, cap: int = 64) -> LawReport:

@@ -257,7 +257,7 @@ class UnivarKind:
 
 def ensure_same_kind(a, b):
     """Raise the most specific mismatch error unless a and b share a kind."""
-    if a.kind == b.kind:
+    if a.kind is b.kind or a.kind == b.kind:
         return
     if isinstance(a.kind, MatrixKind) and isinstance(b.kind, MatrixKind):
         raise DimensionMismatch(f"mixed matrix dimensions {a.kind.n} and {b.kind.n}")

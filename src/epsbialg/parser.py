@@ -17,6 +17,11 @@ Grammar (juxtaposition is never multiplication; ``*`` is mandatory):
 ``(x)`` acts as the tensor separator only in operator position (after a
 complete term), so it never collides with a parenthesised letter ``(x)``
 at operand position.  A bare scalar evaluates to scalar * unit.
+
+Parentheses nest at most ``MAX_NESTING`` deep and an exponent is at most
+``MAX_EXPONENT`` (both in ``scalars``, shared with the scalar parser);
+beyond either bound the parser raises ``ParseError``.  ``x^N`` is computed
+by repeated squaring.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from fractions import Fraction
 from .core import LawReport
 from .errors import DimensionMismatch, ParseError, UnknownAtom
 from .lincomb import Element, EMatrix, MatrixKind, TensorElement, UnivarKind, UnivarMonomial, Word, WordKind, tensor
-from .scalars import LAMBDA, LambdaPoly, ONE, poly_json, poly_text
+from .scalars import LAMBDA, MAX_NESTING, LambdaPoly, ONE, parsed_power, poly_json, poly_text
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()\[\],+\-*/^]))")
 
@@ -61,6 +66,7 @@ class _ExprParser:
         self.kind = algebra.kind
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -140,10 +146,8 @@ class _ExprParser:
             exp = self.expect_int("a non-negative integer exponent")
             if isinstance(value, TensorElement):
                 raise ParseError("cannot exponentiate a tensor", pos)
-            out = ONE if isinstance(value, LambdaPoly) else self.algebra.unit
-            for _ in range(exp):
-                out = self._mul(out, value, pos)
-            return out
+            one = ONE if isinstance(value, LambdaPoly) else self.algebra.unit
+            return parsed_power(value, exp, one, lambda x, y: self._mul(x, y, pos), pos)
         return value
 
     def base(self):
@@ -160,8 +164,12 @@ class _ExprParser:
         if kind == "name":
             return self.atom(val, pos)
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             value = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return value
         if kind == "op" and val == "[":
             return self.dense_matrix(pos)

@@ -15,6 +15,15 @@ sparse map key -> coefficient and filled lazily at key level, with no
 sum A.element(k1) * a * A.element(k2) lives on as the test oracle
 ``sweedler_prelie_product`` in ``tests/support.py``.
 
+The table is sparse (40 of 625 pairs are nonzero on M_5), and
+``prelie_support`` reads off which pairs of keys touch.  Every term of the
+pre-Lie, Jacobi and representation laws on a basis triple nests a |> or a
+bracket of two entries of the triple at distinct positions, so a triple
+whose three position pairs do not touch satisfies all three laws as 0 = 0.
+The ``verify`` sweeps run the checkers only on the other triples; the dense
+walk over every triple is the test oracle ``dense_law_sweep`` in
+``tests/support.py``.
+
 On the telescoping matrix instance the bracket admits two closed forms on
 elementary matrices, implemented as independent code paths:
 
@@ -71,6 +80,26 @@ def _prelie_on_keys(A: AlgebraInstance, p, q) -> dict:
                 row[key] = s
         A._prelie_table[(p, q)] = row
     return row
+
+
+def prelie_support(A: AlgebraInstance, keys) -> list:
+    """Which pairs of ``keys`` touch: ``touch[i][j]`` is whether keys[i] |> keys[j]
+    or keys[j] |> keys[i] is nonzero.  Fills the table on every pair of ``keys``.
+
+    The laws on a basis triple (a, b, c) nest |> only on pairs of entries at
+    distinct positions: pre-Lie on (a,b), (b,c), (b,a), (a,c); Jacobi, through
+    [a,b], [b,c], [c,a], on all six; representation [a,b] |> x on (a,b), (b,a),
+    (b,x), (a,x).  If none of the three position pairs touches, every inner
+    product is 0, so by bilinearity every term is 0 and the law holds as 0 = 0.
+    """
+    _require_weight_zero(A)
+    n = len(keys)
+    touch = [[False] * n for _ in range(n)]
+    for i, p in enumerate(keys):
+        for j, q in enumerate(keys):
+            if _prelie_on_keys(A, p, q):
+                touch[i][j] = touch[j][i] = True
+    return touch
 
 
 def prelie_product(A: AlgebraInstance, a: Element, b: Element) -> Element:

@@ -205,6 +205,32 @@ def poly_json(p: LambdaPoly) -> dict:
     return {"poly": [[deg, str(p._c[deg])] for deg in sorted(p._c)]}
 
 
+# Bounds shared by both expression parsers.  Each level of parentheses costs
+# the recursive descent a few Python frames, so the depth bound keeps parsing
+# well inside the interpreter's recursion limit.  The exponent bound lies far
+# above the exponents in use (the corpus goes up to ^5).
+MAX_NESTING = 100
+MAX_EXPONENT = 1000
+
+
+def parsed_power(value, exp: int, one, mul, pos: int):
+    """value^exp for the parsers, by repeated squaring under ``mul``.
+
+    Exact in an associative ring, so it equals the left-to-right product
+    one * value * ... * value.  An exponent above MAX_EXPONENT is a ParseError.
+    """
+    if exp > MAX_EXPONENT:
+        raise ParseError(f"exponent {exp} exceeds the limit {MAX_EXPONENT}", pos)
+    out = one
+    while exp:
+        if exp & 1:
+            out = mul(out, value)
+        exp >>= 1
+        if exp:
+            value = mul(value, value)
+    return out
+
+
 _SCALAR_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
 
 
@@ -242,6 +268,7 @@ class _ScalarParser:
     def __init__(self, text):
         self.tokens = _tokenize_scalar(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -297,10 +324,7 @@ class _ScalarParser:
             kind, exp, pos = self.take()
             if kind != "int":
                 raise ParseError("exponent must be a non-negative integer", pos)
-            out = ONE
-            for _ in range(exp):
-                out = out * value
-            return out
+            return parsed_power(value, exp, ONE, LambdaPoly.__mul__, pos)
         return value
 
     def base(self) -> LambdaPoly:
@@ -319,8 +343,12 @@ class _ScalarParser:
                 return LAMBDA
             raise ParseError(f"unknown scalar symbol {val!r}", pos)
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             value = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return value
         raise ParseError("expected a rational, 'L', or '('", pos)
 

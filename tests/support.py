@@ -1,10 +1,22 @@
 """Shared test helpers: independent oracles and hypothesis strategies."""
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from epsbialg import Element, EMatrix, LambdaPoly, MatrixKind, Word, WordKind
+from epsbialg import (
+    Element,
+    EMatrix,
+    LambdaPoly,
+    MatrixKind,
+    Word,
+    WordKind,
+    check_jacobi,
+    check_left_representation,
+    check_prelie_identity,
+)
+from epsbialg.verify import _failed, _passed, _require_weight_zero, _triple_keys
 
 # -- independent dense-matrix oracle ----------------------------------------
 # Classical row-by-column multiplication over Q[L]; knows nothing about the
@@ -51,6 +63,29 @@ def sweedler_prelie_product(A, a, b):
     for (k1, k2), c in A.coproduct(b).terms.items():
         out = out + (A.element(k1) * a * A.element(k2)).scale(c)
     return out
+
+
+# -- dense oracle for the triple-law sweeps ------------------------------------
+# The checker run on every basis triple in canonical order; knows nothing of
+# the |> support that lets ``verify`` skip triples where a law reads 0 = 0.
+
+
+def dense_law_sweep(A, max_len, which):
+    _require_weight_zero(A, which)
+    keys = _triple_keys(A, max_len)
+    checker = {
+        "prelie": check_prelie_identity,
+        "jacobi": check_jacobi,
+        "representation": check_left_representation,
+    }[which]
+    elements = [A.element(key) for key in keys]
+    count = 0
+    for a, b, c in itertools.product(elements, repeat=3):
+        report = checker(A, a, b, c)
+        if not report:
+            return _failed(which, f"failure after {count} triples", report)
+        count += 1
+    return _passed(which, f"{count} triples checked")
 
 
 # -- hypothesis strategies ----------------------------------------------------

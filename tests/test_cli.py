@@ -252,3 +252,53 @@ def test_bounds_below_one_are_usage_errors(capsys, flag, value):
     assert code == 2
     assert out == ""
     assert f"argument {flag}: value must be >= 1, got {value}" in err
+
+
+def nested(core, depth):
+    return "(" * depth + core + ")" * depth
+
+
+@pytest.mark.parametrize("depth", [200, 3000])
+def test_deep_nesting_is_a_parse_error(capsys, depth):
+    code, out, err = run(capsys, "coproduct", "-a", "matrix:2", "-e", nested("E[1,1]", depth))
+    assert (code, out) == (2, "")
+    assert "parentheses nested deeper than 100 (at position 100)" in err
+    code, out, err = run(
+        capsys, "coproduct", "-a", "word:xy", "--weight", nested("1", depth), "-e", "x*y"
+    )
+    assert (code, out) == (2, "")
+    assert "parentheses nested deeper than 100 (at position 100)" in err
+
+
+def test_nesting_at_the_bound_parses(capsys):
+    code, out, _ = run(capsys, "coproduct", "-a", "matrix:2", "-e", nested("E[1,2]+E[2,2]", 100))
+    assert (code, out) == (0, "E[1,1] (x) E[2,2]\n")
+    code, out, _ = run(
+        capsys, "coproduct", "-a", "word:xy", "--weight", nested("2", 100), "-e", "x*y"
+    )
+    assert (code, out) == (0, "2 * x (x) y + x (x) x*y + x*y (x) y\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("coproduct", "-a", "matrix:2", "-e", "E[1,1]^1000000000"),
+        ("coproduct", "-a", "word:xy", "--weight", "L^1000000000", "-e", "x"),
+    ],
+    ids=["expression", "scalar"],
+)
+def test_exponent_above_the_bound_is_a_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "exponent 1000000000 exceeds the limit 1000" in err
+
+
+def test_exponent_at_the_bound_is_computed(capsys):
+    code, out, _ = run(capsys, "multiply", "-a", "univar", "--lhs", "x^1000", "--rhs", "x")
+    assert (code, out) == (0, "x^1001\n")
+    code, out, _ = run(capsys, "multiply", "-a", "matrix:2", "--lhs", "E[1,2]^1000", "--rhs", "1")
+    assert (code, out) == (0, "0\n")
+    code, out, _ = run(
+        capsys, "coproduct", "-a", "word:xy", "--weight", "L^1000 - L^1000 + 1", "-e", "x*y"
+    )
+    assert (code, out) == (0, "x (x) y + x (x) x*y + x*y (x) y\n")

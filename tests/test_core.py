@@ -60,6 +60,15 @@ def test_multiply_concatenates_words():
     assert W.multiply(m_el(W, "x*y"), m_el(W, "y*x*y")) == m_el(W, "x*y*y*x*y")
 
 
+def test_multiply_mixes_separately_built_instances():
+    # equal kinds built apart compare equal, not only identical
+    A, B = matrix_algebra(3), matrix_algebra(3)
+    assert A.kind is not B.kind
+    a, b = m_el(A, "E[1,2] + E[2,2]"), m_el(B, "E[2,3]")
+    assert A.multiply(a, b) == m_el(A, "E[1,3] + E[2,3]")
+    assert b * a == B.multiply(b, a) == Element.zero(B.kind)
+
+
 def test_multiply_rejects_foreign_elements():
     with pytest.raises(KindMismatch):
         M2.multiply(m_el(M2, "E[1,1]"), m_el(M3, "E[1,1]"))
@@ -306,6 +315,46 @@ def test_antipode_involution():
     for key in M3.basis_keys():
         e = M3.element(key)
         assert antipode(M3, s(e)) == e
+
+
+def test_antipode_endo_is_memoized_per_cap():
+    A = matrix_algebra(3)
+    s = antipode_endo(A, 64)
+    assert antipode_endo(A, 64) is s
+    assert antipode_endo(A, 5) is not s
+    assert antipode_endo(A, 5) is antipode_endo(A, 5)
+    assert antipode_endo(matrix_algebra(3), 64) is not s
+
+
+def test_antipode_checkers_share_one_endomorphism(monkeypatch):
+    from epsbialg import core
+
+    A = matrix_algebra(3)
+    calls = []
+
+    def counting(algebra, a, cap=64):
+        calls.append(a)
+        return antipode(algebra, a, cap)
+
+    monkeypatch.setattr(core, "antipode", counting)
+    keys = list(A.basis_keys())
+    for p in keys:
+        assert check_antipode_axiom(A, A.element(p)).passed
+        for q in keys:
+            assert check_antipode_properties(A, A.element(p), A.element(q)).passed
+    assert len(calls) == len(keys)
+
+
+def test_antipode_endo_does_not_memoize_a_failing_series():
+    A = word_algebra("xy", 0)
+    s = antipode_endo(A, 8)
+    x = m_el(A, "x")
+    for _ in range(2):
+        with pytest.raises(NotNilpotentWithinCap) as exc:
+            s(x)
+        assert exc.value.cap == 8
+    assert antipode_endo(A, 8) is s
+    assert s._memo == {}
 
 
 def test_convolution_power_conformance():

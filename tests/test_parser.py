@@ -4,6 +4,7 @@ import json
 
 import pytest
 from hypothesis import example, given
+from hypothesis import strategies as st
 
 from epsbialg import (
     DimensionMismatch,
@@ -177,6 +178,23 @@ def test_random_matrix_elements_round_trip(v):
 @given(word_elements())
 def test_random_word_elements_round_trip(v):
     assert parse_value(str(v), W) == v
+
+
+def _left_to_right_power(v, n, algebra):
+    out = algebra.unit
+    for _ in range(n):
+        out = out * v
+    return out
+
+
+@given(matrix_elements(3), st.integers(min_value=0, max_value=12))
+def test_matrix_power_equals_left_to_right_product(v, n):
+    assert parse_value(f"({v})^{n}", M3) == _left_to_right_power(v, n, M3)
+
+
+@given(word_elements(max_len=2, max_terms=2), st.integers(min_value=0, max_value=5))
+def test_word_power_equals_left_to_right_product(v, n):
+    assert parse_value(f"({v})^{n}", W) == _left_to_right_power(v, n, W)
 
 
 @given(matrix_elements(2), matrix_elements(2))

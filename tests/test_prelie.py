@@ -12,6 +12,7 @@ from epsbialg import (
     DimensionMismatch,
     MatrixKind,
     WeightNotZero,
+    Word,
     bilinear_from_pairs,
     check_jacobi,
     check_left_representation,
@@ -24,13 +25,15 @@ from epsbialg import (
     matrix_prelie_table,
     parse_expression,
     prelie_product,
+    prelie_support,
+    univar_algebra,
     word_algebra,
 )
 from epsbialg import prelie
 from epsbialg.cli import build_algebra
 from epsbialg.verify import run_suite
 
-from support import matrix_elements, sweedler_prelie_product, word_elements
+from support import dense_law_sweep, matrix_elements, sweedler_prelie_product, word_elements
 
 M2 = matrix_algebra(2)
 W0 = word_algebra("xy", 0)
@@ -165,6 +168,45 @@ def test_first_witness_matches_sweedler_oracle(selector, suite, monkeypatch):
     slow = run_suite(suite, build_algebra(selector, None))
     assert fast.line() == slow.line()
     assert (fast.status, fast.detail) == (slow.status, slow.detail)
+
+
+LAW_SUITES = ("prelie", "jacobi", "representation")
+SPARSE_WALK_CASES = {
+    **{f"matrix:{n}": (lambda n=n: matrix_algebra(n)) for n in (2, 3, 4, 5)},
+    **{sel: (lambda sel=sel: build_algebra(sel, None)) for sel in RMATRIX_CONTROLS},
+    "word:xy weight 0": lambda: word_algebra("xy", 0),
+    "univar weight 0": lambda: univar_algebra(0),
+}
+
+
+@pytest.mark.parametrize("case", SPARSE_WALK_CASES)
+@pytest.mark.parametrize("suite", LAW_SUITES)
+def test_sparse_walk_matches_dense_oracle(case, suite):
+    make = SPARSE_WALK_CASES[case]
+    sparse = run_suite(suite, make())
+    dense = dense_law_sweep(make(), 6, suite)
+    assert sparse.line() == dense.line()
+    assert (sparse.status, sparse.detail) == (dense.status, dense.detail)
+
+
+@pytest.mark.parametrize("suite", LAW_SUITES)
+def test_sparse_walk_counts_every_triple(suite):
+    assert run_suite(suite, matrix_algebra(6)).line() == (
+        f"[PASS] {suite}: 46656 triples checked"
+    )
+
+
+def test_prelie_support_is_the_symmetric_nonzero_pattern():
+    A = matrix_algebra(4)
+    keys = list(A.basis_keys())
+    touch = prelie_support(A, keys)
+    for i, p in enumerate(keys):
+        for j, q in enumerate(keys):
+            nonzero = not matrix_prelie_table(p, q).is_zero()
+            mirror = not matrix_prelie_table(q, p).is_zero()
+            assert touch[i][j] == (nonzero or mirror), (p, q)
+    with pytest.raises(WeightNotZero):
+        prelie_support(word_algebra("xy"), [Word(())])
 
 
 def test_overlap_case_vanishes():

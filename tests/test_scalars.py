@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from epsbialg import LAMBDA, LambdaPoly, ONE, ZERO, ParseError, parse_scalar
 from epsbialg.scalars import poly_text
@@ -91,6 +92,14 @@ def test_parse_powers_and_signs():
     assert parse_scalar("L^3") == LAMBDA * LAMBDA * LAMBDA
     assert parse_scalar("-L + L") == ZERO
     assert parse_scalar("3/2") == LambdaPoly.const(Fraction(3, 2))
+
+
+@given(lambda_polys, st.integers(min_value=0, max_value=12))
+def test_power_equals_left_to_right_product(p, n):
+    want = ONE
+    for _ in range(n):
+        want = want * p
+    assert parse_scalar(f"({poly_text(p)})^{n}") == want
 
 
 def test_parse_error_position():

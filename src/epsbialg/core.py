@@ -19,6 +19,14 @@ in Q[L].  Everything downstream is generic in the instance:
 Checkers return a ``LawReport`` rather than raising: a failing law is a
 result, not an error.  Reports carry the first failing witness so that a
 broken instance reproduces deterministically.
+
+The two coalgebra law checkers work at key level: each adds every term of
+its difference straight into one sparse map through ``_accumulate``, reading
+the basis coproducts and the kind's ``key_mul``, and wraps that map in a
+``TensorElement`` only when the law fails.  No element, bimodule action or
+tensor is built per check.  The element-level forms of the same laws are
+kept as oracles in ``tests/support.py`` (``tensor_cocycle_oracle`` and
+``tensor_coassoc_oracle``).
 """
 
 from __future__ import annotations
@@ -182,28 +190,70 @@ class AlgebraInstance:
 # law checkers
 # ---------------------------------------------------------------------------
 
+def _accumulate(out: dict, terms, negate=False):
+    """Add (or, with ``negate``, subtract) each (keys, coeff) of ``terms``
+    into the sparse map ``out``, dropping a sum that cancels to zero."""
+    for keys, c in terms:
+        s = out.get(keys)
+        if s is None:
+            out[keys] = -c if negate else c
+            continue
+        s = s - c if negate else s + c
+        if s.is_zero():
+            del out[keys]
+        else:
+            out[keys] = s
+
+
 def check_cocycle(A: AlgebraInstance, p, q) -> LawReport:
     """The weighted-derivation law on a basis pair:
 
     Delta(ab) - a.Delta(b) - Delta(a).b - weight * (a (x) b) == 0 in Q[L].
     """
-    a = A.element(p)
-    b = A.element(q)
-    diff = A.coproduct(a * b) - act_left(a, A.coproduct(b)) - act_right(A.coproduct(a), b)
-    if not A.weight.is_zero():
-        diff = diff - tensor(a, b).scale(A.weight)
-    if diff.is_zero():
+    kind = A.kind
+    kind.validate_key(p)
+    kind.validate_key(q)
+    key_mul = kind.key_mul
+    diff = {}
+    pq = key_mul(p, q)
+    if pq is not None:  # + Delta(pq)
+        _accumulate(diff, A.basis_coproduct(pq).terms.items())
+    _accumulate(  # - p.Delta(q)
+        diff,
+        (((pk, k2), c) for (k1, k2), c in A.basis_coproduct(q).terms.items()
+         if (pk := key_mul(p, k1)) is not None),
+        negate=True,
+    )
+    _accumulate(  # - Delta(p).q
+        diff,
+        (((k1, kq), c) for (k1, k2), c in A.basis_coproduct(p).terms.items()
+         if (kq := key_mul(k2, q)) is not None),
+        negate=True,
+    )
+    if not A.weight.is_zero():  # - weight * (p (x) q)
+        _accumulate(diff, (((p, q), A.weight),), negate=True)
+    if not diff:
         return LawReport.ok("cocycle")
-    return LawReport.fail("cocycle", (A.kind.key_text(p), A.kind.key_text(q)), diff)
+    return LawReport.fail(
+        "cocycle", (kind.key_text(p), kind.key_text(q)), TensorElement._make(kind, 2, diff)
+    )
 
 
 def check_coassoc(A: AlgebraInstance, key) -> LawReport:
     """(Delta (x) id) Delta == (id (x) Delta) Delta on a basis key."""
-    t = A.basis_coproduct(key)
-    diff = A._expand_leg(t, 0) - A._expand_leg(t, 1)
-    if diff.is_zero():
+    delta = A.basis_coproduct
+    diff = {}
+    # + Delta(k1) (x) k2 and - k1 (x) Delta(k2), term by term of Delta(key)
+    for (k1, k2), c in delta(key).terms.items():
+        _accumulate(diff, (((u, v, k2), c * d) for (u, v), d in delta(k1).terms.items()))
+        _accumulate(
+            diff, (((k1, u, v), c * d) for (u, v), d in delta(k2).terms.items()), negate=True
+        )
+    if not diff:
         return LawReport.ok("coassoc")
-    return LawReport.fail("coassoc", (A.kind.key_text(key),), diff)
+    return LawReport.fail(
+        "coassoc", (A.kind.key_text(key),), TensorElement._make(A.kind, 3, diff)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ immutable by convention: nothing in this package mutates them after
 construction, so they can be shared freely between tasks.
 
 A ``Kind`` value identifies the owning algebra (dimension, alphabet, ...)
-and carries its product rule and unit.  Coproducts live elsewhere: several
-coalgebra structures can sit on top of the same kind.
+and carries its product rule, its unit and the size of a key (word length,
+degree in x; 0 for matrices), by which sweeps and parsed values are
+bounded.  Coproducts live elsewhere: several coalgebra structures can sit
+on top of the same kind.
 
 The tensor square A (x) A is an (A,A)-bimodule via
 
@@ -155,6 +157,12 @@ class MatrixKind:
     def key_text(self, key: EMatrix) -> str:
         return f"E[{key.i},{key.j}]"
 
+    # elementary matrices carry no size: every key has size 0
+    key_size_name = "size"
+
+    def key_size(self, key: EMatrix) -> int:
+        return 0
+
     finite_basis = True
 
     def basis_keys(self, bound=None):
@@ -207,6 +215,11 @@ class WordKind:
             return "1"
         return "*".join(self.alphabet[a] for a in key.letters)
 
+    key_size_name = "word length"
+
+    def key_size(self, key: Word) -> int:
+        return len(key.letters)
+
     finite_basis = False
 
     def basis_keys(self, bound=6):
@@ -247,6 +260,11 @@ class UnivarKind:
         if key.exponent == 1:
             return "x"
         return f"x^{key.exponent}"
+
+    key_size_name = "degree in x"
+
+    def key_size(self, key: UnivarMonomial) -> int:
+        return key.exponent
 
     finite_basis = False
 

@@ -18,10 +18,12 @@ Grammar (juxtaposition is never multiplication; ``*`` is mandatory):
 complete term), so it never collides with a parenthesised letter ``(x)``
 at operand position.  A bare scalar evaluates to scalar * unit.
 
-Parentheses nest at most ``MAX_NESTING`` deep and an exponent is at most
-``MAX_EXPONENT`` (both in ``scalars``, shared with the scalar parser);
-beyond either bound the parser raises ``ParseError``.  ``x^N`` is computed
-by repeated squaring.
+Parentheses nest at most ``MAX_NESTING`` deep, an exponent is at most
+``MAX_EXPONENT``, and every value the parser builds, intermediate values
+included, stays within the size bounds ``MAX_KEY_SIZE``, ``MAX_TERMS`` and
+``MAX_COEFF_BITS`` (all in ``scalars``, shared with the scalar parser);
+beyond any bound the parser raises ``ParseError`` naming the limit.
+``x^N`` is computed by repeated squaring.
 """
 
 from __future__ import annotations
@@ -33,7 +35,20 @@ from fractions import Fraction
 from .core import LawReport
 from .errors import DimensionMismatch, ParseError, UnknownAtom
 from .lincomb import Element, EMatrix, MatrixKind, TensorElement, UnivarKind, UnivarMonomial, Word, WordKind, tensor
-from .scalars import LAMBDA, MAX_NESTING, LambdaPoly, ONE, parsed_power, poly_json, poly_text
+from .scalars import (
+    LAMBDA,
+    MAX_KEY_SIZE,
+    MAX_NESTING,
+    MAX_TERMS,
+    LambdaPoly,
+    ONE,
+    bounded_poly,
+    check_bound,
+    check_product,
+    parsed_power,
+    poly_json,
+    poly_text,
+)
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()\[\],+\-*/^]))")
 
@@ -109,7 +124,7 @@ class _ExprParser:
         kind, _, pos = self.peek()
         if kind != "end":
             raise ParseError("trailing input after expression", pos)
-        return value
+        return self._promote(value, 0)
 
     def expr(self):
         if self.at_op("-"):
@@ -159,8 +174,8 @@ class _ExprParser:
                 den = self.expect_int("a denominator")
                 if den == 0:
                     raise ParseError("zero denominator", pos)
-                return LambdaPoly.const(Fraction(val, den))
-            return LambdaPoly.const(val)
+                return bounded_poly(LambdaPoly.const(Fraction(val, den)), pos)
+            return bounded_poly(LambdaPoly.const(val), pos)
         if kind == "name":
             return self.atom(val, pos)
         if kind == "op" and val == "(":
@@ -219,7 +234,7 @@ class _ExprParser:
             )
         from .matrices import matrix_from_rows
 
-        return matrix_from_rows(rows)
+        return self._bounded(matrix_from_rows(rows), pos)
 
     def dense_row(self):
         self.expect_op("[")
@@ -240,44 +255,72 @@ class _ExprParser:
 
     # -- value arithmetic ---------------------------------------------------
 
-    def _promote(self, v):
+    # Every value built here is checked against the size bounds of
+    # ``scalars`` (a product before it is computed), so an intermediate
+    # value can never grow past them.
+
+    def _bounded(self, value, pos):
+        """value itself, once its terms, keys and coefficients are within bounds."""
+        if isinstance(value, LambdaPoly):
+            return bounded_poly(value, pos)
+        check_bound("term count", _monomials(value), MAX_TERMS, pos)
+        kind = self.kind
+        single = isinstance(value, Element)
+        for keys, c in value.terms.items():
+            for key in (keys,) if single else keys:
+                check_bound(kind.key_size_name, kind.key_size(key), MAX_KEY_SIZE, pos)
+            bounded_poly(c, pos)
+        return value
+
+    def _promote(self, v, pos):
         if isinstance(v, LambdaPoly):
-            return self.algebra.unit.scale(v)
+            unit = self.algebra.unit
+            check_product(len(unit.terms), _monomials(v), pos)
+            return unit.scale(v)
         return v
 
     def _neg(self, v):
         return -v
 
     def _add(self, x, y, pos):
-        if isinstance(x, LambdaPoly) and isinstance(y, LambdaPoly):
-            return x + y
         if isinstance(x, TensorElement) != isinstance(y, TensorElement):
             raise ParseError("cannot add a tensor to a non-tensor", pos)
-        return self._promote(x) + self._promote(y)
+        if isinstance(x, LambdaPoly) and isinstance(y, LambdaPoly):
+            return bounded_poly(x + y, pos)
+        return self._bounded(self._promote(x, pos) + self._promote(y, pos), pos)
 
     def _mul(self, x, y, pos):
-        if isinstance(x, LambdaPoly) and isinstance(y, LambdaPoly):
-            return x * y
-        if isinstance(x, LambdaPoly):
-            return y.scale(x)
-        if isinstance(y, LambdaPoly):
-            return x.scale(y)
-        if isinstance(x, TensorElement) or isinstance(y, TensorElement):
+        x_scalar = isinstance(x, LambdaPoly)
+        y_scalar = isinstance(y, LambdaPoly)
+        tensors = isinstance(x, TensorElement) or isinstance(y, TensorElement)
+        if tensors and not (x_scalar or y_scalar):
             raise ParseError("cannot multiply tensors; use the '(x)' separator", pos)
-        return x * y
+        check_product(_monomials(x), _monomials(y), pos)
+        if x_scalar and not y_scalar:
+            value = y.scale(x)
+        elif y_scalar and not x_scalar:
+            value = x.scale(y)
+        else:
+            value = x * y
+        return self._bounded(value, pos)
 
     def _tensor(self, x, y, pos):
-        x = self._promote(x)
-        y = self._promote(y)
-        return tensor(x, y)
+        x = self._promote(x, pos)
+        y = self._promote(y, pos)
+        check_product(_monomials(x), _monomials(y), pos)
+        return self._bounded(tensor(x, y), pos)
+
+
+def _monomials(v) -> int:
+    """The number of (key, power of L) monomials of a value."""
+    if isinstance(v, LambdaPoly):
+        return len(v.items())
+    return sum(len(c.items()) for c in v.terms.values())
 
 
 def parse_value(text: str, algebra):
     """Parse to an Element or TensorElement (scalars promote via the unit)."""
-    value = _ExprParser(text, algebra).parse()
-    if isinstance(value, LambdaPoly):
-        return algebra.unit.scale(value)
-    return value
+    return _ExprParser(text, algebra).parse()
 
 
 def parse_expression(text: str, algebra) -> Element:

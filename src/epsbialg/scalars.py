@@ -6,27 +6,38 @@ identity that holds coefficient-wise in Q[L] holds for every numeric weight
 at once, so law sweeps are run at the generic weight and only specialised
 when a concrete instance demands it.
 
-Rationals are ``fractions.Fraction`` (arbitrary precision, normalised with a
-positive denominator).  ``LambdaPoly`` stores a finitely supported map from
-degree to Fraction; zero coefficients are never stored.
+``LambdaPoly`` stores a finitely supported map from degree to a nonzero
+rational coefficient; zero coefficients are never stored.  A coefficient is
+stored as a plain ``int`` when it is integral and as a ``fractions.Fraction``
+(normalised, positive denominator) only when it is not: 1/t! in the antipode
+series, or a weight such as 1/2.  Construction and every sum and product
+restore this form, so ``Fraction(1, 2) + Fraction(1, 2)`` is stored as ``1``.
+Nearly all arithmetic in the law sweeps is integral, and int arithmetic is
+several times cheaper than Fraction arithmetic.  Nothing observable depends
+on the form: ``n == Fraction(n)`` and ``hash(n) == hash(Fraction(n))``, so
+equality and hashing agree across both, ``str(n) == str(Fraction(n))``, so
+text and JSON output are the same, and ``coefficient`` and ``specialize``
+return a ``Fraction``.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
 from .errors import ParseError
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 class LambdaPoly:
-    """A sparse polynomial in the weight symbol L with Fraction coefficients.
+    """A sparse polynomial in the weight symbol L with rational coefficients.
 
     Immutable; all arithmetic returns new values.  Equality is
-    coefficient-wise, which is exact equality in Q[L].
+    coefficient-wise, which is exact equality in Q[L].  A coefficient is
+    stored as an ``int`` when it is integral and as a ``Fraction`` otherwise
+    (see the module docstring).
     """
 
     __slots__ = ("_c",)
@@ -35,8 +46,8 @@ class LambdaPoly:
         c = {}
         if coeffs:
             for deg, q in coeffs.items():
-                q = q if isinstance(q, Fraction) else Fraction(q)
-                if q != 0:
+                q = _stored(q)
+                if q:
                     if deg < 0:
                         raise ValueError(f"negative degree {deg}")
                     c[deg] = q
@@ -45,7 +56,7 @@ class LambdaPoly:
     @classmethod
     def const(cls, q) -> "LambdaPoly":
         """Embed a rational (or int) as a degree-0 polynomial."""
-        return cls({0: Fraction(q)})
+        return cls({0: q})
 
     @staticmethod
     def coerce(value) -> "LambdaPoly":
@@ -59,7 +70,7 @@ class LambdaPoly:
         return not self._c
 
     def coefficient(self, deg: int) -> Fraction:
-        return self._c.get(deg, _F0)
+        return Fraction(self._c.get(deg, 0))
 
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
@@ -79,30 +90,23 @@ class LambdaPoly:
         return self._c == other._c
 
     def __hash__(self):
-        # a constant, zero included, equals its Fraction, so it hashes like one
+        # a constant, zero included, equals its int or Fraction, so it hashes
+        # like one; hash(n) == hash(Fraction(n)) keeps the two forms agreeing
         if self._c.keys() <= {0}:
-            return hash(self._c.get(0, _F0))
+            return hash(self._c.get(0, 0))
         return hash(frozenset(self._c.items()))
 
     def __add__(self, other):
-        try:
-            other = LambdaPoly.coerce(other)
-        except TypeError:
-            return NotImplemented
+        if type(other) is not LambdaPoly:
+            try:
+                other = LambdaPoly.coerce(other)
+            except TypeError:
+                return NotImplemented
         if not self._c:
             return other
         if not other._c:
             return self
-        c = dict(self._c)
-        for deg, q in other._c.items():
-            s = c.get(deg, _F0) + q
-            if s:
-                c[deg] = s
-            else:
-                c.pop(deg, None)
-        out = LambdaPoly.__new__(LambdaPoly)
-        out._c = c
-        return out
+        return _combined(self._c, other._c, operator.add)
 
     __radd__ = __add__
 
@@ -112,37 +116,46 @@ class LambdaPoly:
         return out
 
     def __sub__(self, other):
-        try:
-            other = LambdaPoly.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not LambdaPoly:
+            try:
+                other = LambdaPoly.coerce(other)
+            except TypeError:
+                return NotImplemented
+        if not other._c:
+            return self
+        if not self._c:
+            return -other
+        return _combined(self._c, other._c, operator.sub)
 
     def __rsub__(self, other):
         try:
             other = LambdaPoly.coerce(other)
         except TypeError:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
-        try:
-            other = LambdaPoly.coerce(other)
-        except TypeError:
-            return NotImplemented
+        if type(other) is not LambdaPoly:
+            try:
+                other = LambdaPoly.coerce(other)
+            except TypeError:
+                return NotImplemented
         a, b = self._c, other._c
         if not a or not b:
             return ZERO
-        if a == {0: _F1}:
+        # the unit: the only stored coefficient is the int 1 at degree 0
+        if len(a) == 1 and a.get(0) == 1:
             return other
-        if b == {0: _F1}:
+        if len(b) == 1 and b.get(0) == 1:
             return self
         c = {}
         for da, qa in a.items():
             for db, qb in b.items():
                 deg = da + db
-                s = c.get(deg, _F0) + qa * qb
+                s = c.get(deg, 0) + qa * qb
                 if s:
+                    if type(s) is Fraction and s.denominator == 1:
+                        s = s.numerator
                     c[deg] = s
                 else:
                     del c[deg]
@@ -167,10 +180,35 @@ class LambdaPoly:
         return f"LambdaPoly({self._c!r})"
 
 
+def _combined(a: dict, b: dict, op) -> LambdaPoly:
+    """The polynomial with coefficients op(a[deg], b[deg]), op being + or -."""
+    c = dict(a)
+    for deg, q in b.items():
+        s = op(c.get(deg, 0), q)
+        if s:
+            if type(s) is Fraction and s.denominator == 1:
+                s = s.numerator
+            c[deg] = s
+        else:
+            del c[deg]
+    out = LambdaPoly.__new__(LambdaPoly)
+    out._c = c
+    return out
+
+
+def _stored(q):
+    """A rational in its stored form: an int when integral, else a Fraction."""
+    if type(q) is int:
+        return q
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
 ZERO = LambdaPoly()
 ONE = LambdaPoly.const(1)
 MINUS_ONE = LambdaPoly.const(-1)
-LAMBDA = LambdaPoly({1: _F1})
+LAMBDA = LambdaPoly({1: 1})
 
 
 def _monomial_text(deg: int, q: Fraction) -> str:
@@ -205,12 +243,52 @@ def poly_json(p: LambdaPoly) -> dict:
     return {"poly": [[deg, str(p._c[deg])] for deg in sorted(p._c)]}
 
 
-# Bounds shared by both expression parsers.  Each level of parentheses costs
-# the recursive descent a few Python frames, so the depth bound keeps parsing
-# well inside the interpreter's recursion limit.  The exponent bound lies far
-# above the exponents in use (the corpus goes up to ^5).
+# Bounds shared by both expression parsers; past one, a parser raises a
+# ParseError that names the limit.  Each level of parentheses costs the
+# recursive descent a few Python frames, so the depth bound keeps parsing
+# well inside the interpreter's recursion limit.  The size bounds hold for
+# every value a parser builds, intermediate values included:
+#
+# * MAX_KEY_SIZE: the size of a key (word length, degree in x) and the
+#   degree in L;
+# * MAX_TERMS: the number of terms, counting a key times a power of L as
+#   one term; a product is refused before it is computed when its operands'
+#   terms pair up past it, so no step of a parse does more than MAX_TERMS
+#   products of coefficients;
+# * MAX_COEFF_BITS: the bit length of a coefficient's numerator and
+#   denominator, below what the text output can print (4300 digits).
+#
+# All lie far above the values in use: the corpus goes up to ^5, 4 terms
+# and 5-letter words, and a dense 12x12 matrix has 144 terms.
 MAX_NESTING = 100
 MAX_EXPONENT = 1000
+MAX_KEY_SIZE = 1000
+MAX_TERMS = 4096
+MAX_COEFF_BITS = 10000
+
+
+def check_bound(what: str, size: int, limit: int, pos: int):
+    """Raise a ParseError naming the limit when size is past it."""
+    if size > limit:
+        raise ParseError(f"{what} {size} exceeds the limit {limit}", pos)
+
+
+def check_product(m: int, n: int, pos: int):
+    """Refuse, before it is computed, a product of m by n terms (monomials)
+    whose term pairs are more than MAX_TERMS."""
+    if m * n > MAX_TERMS:
+        raise ParseError(
+            f"product of {m} by {n} terms exceeds the limit of {MAX_TERMS} term pairs", pos
+        )
+
+
+def bounded_poly(p: LambdaPoly, pos: int) -> LambdaPoly:
+    """p itself, once its degree and its coefficients are within their bounds."""
+    check_bound("degree in L", p.degree(), MAX_KEY_SIZE, pos)
+    for q in p._c.values():
+        bits = max(q.numerator.bit_length(), q.denominator.bit_length())
+        check_bound("coefficient bit length", bits, MAX_COEFF_BITS, pos)
+    return p
 
 
 def parsed_power(value, exp: int, one, mul, pos: int):
@@ -298,23 +376,28 @@ class _ScalarParser:
         else:
             value = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
                 rhs = self.term()
-                value = value + rhs if val == "+" else value - rhs
+                value = bounded_poly(value + rhs if val == "+" else value - rhs, pos)
             else:
                 return value
 
     def term(self) -> LambdaPoly:
         value = self.factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                value = value * self.factor()
+                value = self._mul(value, self.factor(), pos)
             else:
                 return value
+
+    @staticmethod
+    def _mul(x: LambdaPoly, y: LambdaPoly, pos: int) -> LambdaPoly:
+        check_product(len(x.items()), len(y.items()), pos)
+        return bounded_poly(x * y, pos)
 
     def factor(self) -> LambdaPoly:
         value = self.base()
@@ -324,7 +407,7 @@ class _ScalarParser:
             kind, exp, pos = self.take()
             if kind != "int":
                 raise ParseError("exponent must be a non-negative integer", pos)
-            return parsed_power(value, exp, ONE, LambdaPoly.__mul__, pos)
+            return parsed_power(value, exp, ONE, lambda x, y: self._mul(x, y, pos), pos)
         return value
 
     def base(self) -> LambdaPoly:
@@ -336,8 +419,8 @@ class _ScalarParser:
                 dkind, den, dpos = self.take()
                 if dkind != "int" or den == 0:
                     raise ParseError("denominator must be a nonzero integer", dpos)
-                return LambdaPoly.const(Fraction(val, den))
-            return LambdaPoly.const(val)
+                return bounded_poly(LambdaPoly.const(Fraction(val, den)), pos)
+            return bounded_poly(LambdaPoly.const(val), pos)
         if kind == "name":
             if val.lower() in ("l", "lambda"):
                 return LAMBDA

@@ -106,12 +106,6 @@ def _keys(A: AlgebraInstance, max_len: int):
     return list(A.basis_keys(max_len))
 
 
-def _key_size(key):
-    if isinstance(key, Word):
-        return len(key.letters)
-    return getattr(key, "exponent", 0)
-
-
 def _cocycle_pairs(A: AlgebraInstance, max_len: int):
     """Ordered basis pairs: all of them for matrices, total-size-bounded otherwise."""
     if A.kind.finite_basis:
@@ -119,7 +113,7 @@ def _cocycle_pairs(A: AlgebraInstance, max_len: int):
         return [(p, q) for p in keys for q in keys]
     pairs = []
     for p in A.basis_keys(max_len):
-        for q in A.basis_keys(max_len - _key_size(p)):
+        for q in A.basis_keys(max_len - A.kind.key_size(p)):
             pairs.append((p, q))
     return pairs
 

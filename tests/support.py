@@ -9,12 +9,16 @@ from epsbialg import (
     Element,
     EMatrix,
     LambdaPoly,
+    LawReport,
     MatrixKind,
     Word,
     WordKind,
+    act_left,
+    act_right,
     check_jacobi,
     check_left_representation,
     check_prelie_identity,
+    tensor,
 )
 from epsbialg.verify import _failed, _passed, _require_weight_zero, _triple_keys
 
@@ -63,6 +67,39 @@ def sweedler_prelie_product(A, a, b):
     for (k1, k2), c in A.coproduct(b).terms.items():
         out = out + (A.element(k1) * a * A.element(k2)).scale(c)
     return out
+
+
+# derived r-coproducts at weight 0 that break a law early (negative controls)
+RMATRIX_CONTROLS = (
+    "rmatrix:2:E[1,1] (x) E[1,1]:0",
+    "rmatrix:3:E[1,1] (x) E[2,2]:0",
+    "rmatrix:3:E[1,1] (x) E[3,2]:0",
+)
+
+
+# -- element-level oracles for the coalgebra law checkers ---------------------
+# Each side of the law built as a whole Element or TensorElement through the
+# linear coproduct, the bimodule actions and tensor subtraction; knows nothing
+# of the key-level accumulation in ``core.check_cocycle``/``check_coassoc``.
+
+
+def tensor_cocycle_oracle(A, p, q):
+    a = A.element(p)
+    b = A.element(q)
+    diff = A.coproduct(a * b) - act_left(a, A.coproduct(b)) - act_right(A.coproduct(a), b)
+    if not A.weight.is_zero():
+        diff = diff - tensor(a, b).scale(A.weight)
+    if diff.is_zero():
+        return LawReport.ok("cocycle")
+    return LawReport.fail("cocycle", (A.kind.key_text(p), A.kind.key_text(q)), diff)
+
+
+def tensor_coassoc_oracle(A, key):
+    t = A.basis_coproduct(key)
+    diff = A._expand_leg(t, 0) - A._expand_leg(t, 1)
+    if diff.is_zero():
+        return LawReport.ok("coassoc")
+    return LawReport.fail("coassoc", (A.kind.key_text(key),), diff)
 
 
 # -- dense oracle for the triple-law sweeps ------------------------------------

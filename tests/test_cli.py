@@ -302,3 +302,66 @@ def test_exponent_at_the_bound_is_computed(capsys):
         capsys, "coproduct", "-a", "word:xy", "--weight", "L^1000 - L^1000 + 1", "-e", "x*y"
     )
     assert (code, out) == (0, "x (x) y + x (x) x*y + x*y (x) y\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("multiply", "-a", "word:xy", "--lhs", "(x^1000)^1000", "--rhs", "1"),
+            "word length 2000 exceeds the limit 1000",
+        ),
+        (
+            ("multiply", "-a", "univar", "--lhs", "(x^1000)^1000", "--rhs", "1"),
+            "degree in x 2000 exceeds the limit 1000",
+        ),
+        (
+            ("multiply", "-a", "word:xy", "--lhs", "(x+y)^16", "--rhs", "1"),
+            "product of 256 by 256 terms exceeds the limit of 4096 term pairs",
+        ),
+        (
+            ("coproduct", "-a", "word:xy", "--weight", "((1+L)^1000)^1000", "-e", "x"),
+            "product of 65 by 65 terms exceeds the limit of 4096 term pairs",
+        ),
+        (
+            ("coproduct", "-a", "word:xy", "--weight", "L^1000 * L", "-e", "x"),
+            "degree in L 1001 exceeds the limit 1000",
+        ),
+        (
+            ("coproduct", "-a", "word:xy", "--weight", "(10^1000)^1000", "-e", "x"),
+            "coefficient bit length 13288 exceeds the limit 10000",
+        ),
+        (
+            ("coproduct", "-a", "univar", "-e", "((1/3)^1000 * x)^7"),
+            "coefficient bit length 11095 exceeds the limit 10000",
+        ),
+        (
+            ("multiply", "-a", "word:xy", "--lhs", "(x+y)^12 + x^13", "--rhs", "1"),
+            "term count 4097 exceeds the limit 4096",
+        ),
+        (
+            ("coproduct", "-a", "word:xy", "-e", "(x+y)^6 (x) (x+y)^7"),
+            "product of 64 by 128 terms exceeds the limit of 4096 term pairs",
+        ),
+    ],
+    ids=[
+        "word-length", "univar-degree", "power-of-a-sum", "weight-power", "weight-degree",
+        "weight-coefficient", "expression-coefficient", "sum", "tensor",
+    ],
+)
+def test_parsed_values_past_a_size_bound_are_parse_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_parsed_values_at_the_size_bounds_are_computed(capsys):
+    code, out, _ = run(capsys, "multiply", "-a", "word:xy", "--lhs", "(x+y)^12", "--rhs", "1")
+    assert code == 0
+    assert out.count(" + ") == 4095
+    code, out, _ = run(capsys, "multiply", "-a", "word:xy", "--lhs", "(x*y)^500", "--rhs", "1")
+    assert (code, out) == (0, "*".join(["x*y"] * 500) + "\n")
+    code, out, _ = run(
+        capsys, "coproduct", "-a", "univar", "--weight", "(1+L)^63 - (1+L)^63", "-e", "x^2"
+    )
+    assert (code, out) == (0, "1 (x) x + x (x) 1\n")

@@ -1,10 +1,14 @@
 """Generic instance machinery: coproducts, law checkers, convolution, antipode."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from epsbialg import (
+    AlgebraInstance,
     Element,
     EMatrix,
     KindMismatch,
@@ -20,6 +24,7 @@ from epsbialg import (
     check_coassoc,
     check_cocycle,
     circular_convolution,
+    classical_comatrix_algebra,
     convolution,
     convolution_power_vanishes,
     coproduct_from_r,
@@ -36,7 +41,11 @@ from epsbialg import (
     word_algebra,
     zero_endo,
 )
+from epsbialg.cli import build_algebra
 from epsbialg.core import LinearEndomorphism
+from epsbialg.words import weighted_word_coproduct
+
+from support import RMATRIX_CONTROLS, tensor_coassoc_oracle, tensor_cocycle_oracle
 
 M2 = matrix_algebra(2)
 M3 = matrix_algebra(3)
@@ -420,3 +429,84 @@ def test_derived_coproduct_rejects_foreign_r():
     r = tensor(m_el(M3, "E[1,1]"), m_el(M3, "E[1,1]"))
     with pytest.raises(KindMismatch):
         coproduct_from_r(M2, r, 0)
+
+
+# -- key-level law checkers against the element-level oracles -----------------
+
+
+def assert_same_report(fast, slow):
+    assert (fast.passed, fast.law) == (slow.passed, slow.law)
+    if not slow.passed:
+        assert fast.witness.inputs == slow.witness.inputs
+        assert fast.witness.difference == slow.witness.difference
+    assert fast.summary() == slow.summary()
+
+
+@pytest.mark.parametrize(
+    "make, bound, failing",
+    [
+        (lambda: matrix_algebra(2), None, set()),
+        (lambda: matrix_algebra(3), None, set()),
+        (lambda: matrix_algebra(4), None, set()),
+        *[(lambda s=s: build_algebra(s, None), None, {"coassoc"}) for s in RMATRIX_CONTROLS],
+        (lambda: build_algebra("lmatrix:3:E[1,3]", None), None, set()),
+        (lambda: classical_comatrix_algebra(3), None, {"cocycle"}),
+        (lambda: deconcat_algebra("xy"), 4, set()),
+        (lambda: word_algebra("xy"), 4, set()),
+        (lambda: word_algebra("xy", 0), 4, set()),
+        (lambda: word_algebra("xy", Fraction(1, 2)), 4, set()),
+        (lambda: univar_algebra(), 6, set()),
+    ],
+    ids=[
+        "matrix2", "matrix3", "matrix4", "rmatrix1", "rmatrix2", "rmatrix3", "lmatrix3",
+        "classical3", "deconcat", "word-L", "word-0", "word-half", "univar",
+    ],
+)
+def test_key_level_checkers_match_the_element_level_oracles(make, bound, failing):
+    A = make()
+    keys = list(A.basis_keys(bound))  # a matrix basis ignores the bound
+    failed = set()
+    for key in keys:
+        slow = tensor_coassoc_oracle(A, key)
+        assert_same_report(check_coassoc(A, key), slow)
+        if not slow:
+            failed.add("coassoc")
+    for p in keys:
+        for q in keys:
+            slow = tensor_cocycle_oracle(A, p, q)
+            assert_same_report(check_cocycle(A, p, q), slow)
+            if not slow:
+                failed.add("cocycle")
+    # the laws that fail somewhere on the sweep, so witnesses were compared
+    assert failed == failing
+
+
+def _broken_word_algebra():
+    """The weight-L word coproduct declared at weight 0: cocycle fails on most pairs."""
+    A = word_algebra("xy")
+    return AlgebraInstance(
+        A.kind, 0, lambda key: weighted_word_coproduct(key, A.kind, LAMBDA), selector="broken"
+    )
+
+
+ORACLE_WORD_INSTANCES = (
+    word_algebra("xy"),
+    word_algebra("xy", 0),
+    word_algebra("xy", Fraction(1, 2)),
+    deconcat_algebra("xy"),
+    _broken_word_algebra(),
+)
+random_words = st.lists(st.integers(min_value=0, max_value=1), max_size=6).map(Word)
+
+
+@given(st.sampled_from(ORACLE_WORD_INSTANCES), random_words, random_words)
+def test_key_level_checkers_match_the_oracles_on_random_words(A, p, q):
+    assert_same_report(check_cocycle(A, p, q), tensor_cocycle_oracle(A, p, q))
+    assert_same_report(check_coassoc(A, p), tensor_coassoc_oracle(A, p))
+
+
+def test_key_level_cocycle_validates_its_keys():
+    with pytest.raises(KindMismatch):
+        check_cocycle(M2, EMatrix(1, 1, 2), EMatrix(1, 1, 3))
+    with pytest.raises(KindMismatch):
+        check_cocycle(W, Word((0,)), Word((2,)))

@@ -33,17 +33,16 @@ from epsbialg import prelie
 from epsbialg.cli import build_algebra
 from epsbialg.verify import run_suite
 
-from support import dense_law_sweep, matrix_elements, sweedler_prelie_product, word_elements
+from support import (
+    RMATRIX_CONTROLS,
+    dense_law_sweep,
+    matrix_elements,
+    sweedler_prelie_product,
+    word_elements,
+)
 
 M2 = matrix_algebra(2)
 W0 = word_algebra("xy", 0)
-
-# derived r-coproducts at weight 0 that break a law early (negative controls)
-RMATRIX_CONTROLS = (
-    "rmatrix:2:E[1,1] (x) E[1,1]:0",
-    "rmatrix:3:E[1,1] (x) E[2,2]:0",
-    "rmatrix:3:E[1,1] (x) E[3,2]:0",
-)
 M3 = matrix_algebra(3)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from epsbialg import LAMBDA, LambdaPoly, ONE, ZERO, ParseError, parse_scalar
-from epsbialg.scalars import poly_text
+from epsbialg.scalars import poly_json, poly_text
 
 from support import lambda_polys, small_fractions
 
@@ -135,3 +135,59 @@ def test_equal_constants_hash_equal(p, q):
     for a, b in itertools.product(values, repeat=2):
         if a == b:
             assert hash(a) == hash(b), (a, b)
+
+
+# -- storage form: integral coefficients are ints ------------------------------
+
+
+def stored(p):
+    return dict(p.items())
+
+
+def assert_canonical_storage(p):
+    for _, q in p.items():
+        if q.denominator == 1:
+            assert type(q) is int, p
+        else:
+            assert type(q) is Fraction, p
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    assert stored(LambdaPoly({0: Fraction(4, 2), 1: Fraction(1, 3)})) == {0: 2, 1: Fraction(1, 3)}
+    assert type(stored(LambdaPoly({0: Fraction(4, 2)}))[0]) is int
+    assert type(stored(LambdaPoly.const(Fraction(-6, 3)))[0]) is int
+    half = LambdaPoly.const(Fraction(1, 2))
+    assert type(stored(half)[0]) is Fraction
+    assert type(stored(half + half)[0]) is int
+    assert type(stored(half * LambdaPoly.const(4))[0]) is int
+    assert type(stored(LambdaPoly.const(Fraction(3, 2)) - half)[0]) is int
+    assert type(stored(parse_scalar("1/2 + 1/2 + L"))[0]) is int
+
+
+@given(lambda_polys, lambda_polys)
+def test_arithmetic_keeps_the_storage_form(p, q):
+    for value in (p, q, p + q, p - q, p * q, -p, 1 - p, 2 * p):
+        assert_canonical_storage(value)
+
+
+@pytest.mark.parametrize("n", [-3, 0, 1, 7, 10**30])
+def test_int_fraction_and_constant_agree_on_hash_and_equality(n):
+    values = (n, Fraction(n), LambdaPoly.const(n), LambdaPoly.const(Fraction(n)))
+    for a, b in itertools.product(values, repeat=2):
+        assert a == b
+        assert hash(a) == hash(b)
+    assert len(set(values)) == 1
+
+
+def test_coefficient_and_specialize_return_fractions():
+    p = parse_scalar("3*L^2 + 1/2")
+    assert type(p.coefficient(2)) is Fraction and p.coefficient(2) == 3
+    assert type(p.coefficient(1)) is Fraction and p.coefficient(1) == 0
+    assert type(p.specialize(2)) is Fraction and p.specialize(2) == Fraction(25, 2)
+    assert type(ONE.specialize(0)) is Fraction
+
+
+def test_text_and_json_of_int_coefficients():
+    p = LambdaPoly({2: Fraction(6, 2), 1: -1, 0: Fraction(1, 2)})
+    assert poly_text(p) == "3*L^2 - L + 1/2"
+    assert poly_json(p) == {"poly": [[0, "1/2"], [1, "-1"], [2, "3"]]}

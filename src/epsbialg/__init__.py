@@ -66,7 +66,6 @@ from .matrices import (
 )
 from .parser import emit, parse_expression, parse_tensor, parse_value
 from .prelie import (
-    BracketTable,
     bilinear_from_pairs,
     check_jacobi,
     check_left_representation,
@@ -77,7 +76,6 @@ from .prelie import (
     matrix_bracket_table,
     matrix_prelie_table,
     prelie_product,
-    prelie_support,
 )
 from .scalars import LAMBDA, MINUS_ONE, ONE, ZERO, LambdaPoly, parse_scalar, poly_text
 from .verify import SUITE_NAMES, SuiteOutcome, run_suite, run_verify

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .lincomb import MatrixKind
 from .matrices import l_coproduct_instance, matrix_algebra
-from .parser import emit, parse_expression, parse_tensor
+from .parser import emit, monomials, parse_expression, parse_tensor
 from .prelie import (
     bilinear_from_pairs,
     commutator_bracket,
@@ -39,7 +39,7 @@ from .prelie import (
     matrix_bracket_table,
     prelie_product,
 )
-from .scalars import parse_scalar
+from .scalars import check_product, parse_scalar
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_verify
 from .words import univar_algebra, word_algebra
 
@@ -186,25 +186,29 @@ def _cmd_antipode(args, algebra):
     return 0
 
 
+def _operands(args, algebra):
+    """--lhs and --rhs, refused before any product is computed when their
+    term pairs exceed the parser's bound, MAX_TERMS."""
+    lhs = parse_expression(args.lhs, algebra)
+    rhs = parse_expression(args.rhs, algebra)
+    check_product(monomials(lhs), monomials(rhs))
+    return lhs, rhs
+
+
 def _cmd_multiply(args, algebra):
-    value = algebra.multiply(
-        parse_expression(args.lhs, algebra), parse_expression(args.rhs, algebra)
-    )
+    value = algebra.multiply(*_operands(args, algebra))
     print(emit(value, _fmt(args), algebra))
     return 0
 
 
 def _cmd_prelie(args, algebra):
-    value = prelie_product(
-        algebra, parse_expression(args.lhs, algebra), parse_expression(args.rhs, algebra)
-    )
+    value = prelie_product(algebra, *_operands(args, algebra))
     print(emit(value, _fmt(args), algebra))
     return 0
 
 
 def _cmd_bracket(args, algebra):
-    lhs = parse_expression(args.lhs, algebra)
-    rhs = parse_expression(args.rhs, algebra)
+    lhs, rhs = _operands(args, algebra)
     if args.closed_form or args.table:
         if not isinstance(algebra.kind, MatrixKind):
             raise ValueError("--closed-form/--table apply to matrix algebras only")

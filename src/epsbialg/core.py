@@ -75,6 +75,21 @@ class LawReport:
         return f"FAIL: {self.law}; {self.witness}"
 
 
+def _accumulate(out: dict, terms, negate=False):
+    """Add (or, with ``negate``, subtract) each (keys, coeff) of ``terms``
+    into the sparse map ``out``, dropping a sum that cancels to zero."""
+    for keys, c in terms:
+        s = out.get(keys)
+        if s is None:
+            out[keys] = -c if negate else c
+            continue
+        s = s - c if negate else s + c
+        if s.is_zero():
+            del out[keys]
+        else:
+            out[keys] = s
+
+
 class AlgebraInstance:
     """One weighted unital algebra-and-coproduct bundle over Q[L].
 
@@ -143,29 +158,17 @@ class AlgebraInstance:
         self._own(a)
         out = {}
         for key, c in a.terms.items():
-            for keys, d in self.basis_coproduct(key).terms.items():
-                v = c * d
-                s = out.get(keys)
-                s = v if s is None else s + v
-                if s.is_zero():
-                    out.pop(keys, None)
-                else:
-                    out[keys] = s
+            _accumulate(out, ((k, c * d) for k, d in self.basis_coproduct(key).terms.items()))
         return TensorElement._make(self.kind, 2, out)
 
     def _expand_leg(self, t: TensorElement, pos: int) -> TensorElement:
         """Apply the coproduct to leg ``pos``, yielding one more leg."""
         out = {}
         for keys, c in t.terms.items():
-            for (u, v), d in self.basis_coproduct(keys[pos]).terms.items():
-                new = keys[:pos] + (u, v) + keys[pos + 1 :]
-                w = c * d
-                s = out.get(new)
-                s = w if s is None else s + w
-                if s.is_zero():
-                    out.pop(new, None)
-                else:
-                    out[new] = s
+            _accumulate(out, (
+                (keys[:pos] + uv + keys[pos + 1 :], c * d)
+                for uv, d in self.basis_coproduct(keys[pos]).terms.items()
+            ))
         return TensorElement._make(self.kind, t.legs + 1, out)
 
     def iterated_coproduct(self, a: Element, k: int) -> TensorElement:
@@ -189,21 +192,6 @@ class AlgebraInstance:
 # ---------------------------------------------------------------------------
 # law checkers
 # ---------------------------------------------------------------------------
-
-def _accumulate(out: dict, terms, negate=False):
-    """Add (or, with ``negate``, subtract) each (keys, coeff) of ``terms``
-    into the sparse map ``out``, dropping a sum that cancels to zero."""
-    for keys, c in terms:
-        s = out.get(keys)
-        if s is None:
-            out[keys] = -c if negate else c
-            continue
-        s = s - c if negate else s + c
-        if s.is_zero():
-            del out[keys]
-        else:
-            out[keys] = s
-
 
 def check_cocycle(A: AlgebraInstance, p, q) -> LawReport:
     """The weighted-derivation law on a basis pair:
@@ -284,14 +272,7 @@ class LinearEndomorphism:
         self.algebra._own(v)
         out = {}
         for key, c in v.terms.items():
-            for k2, d in self.on_key(key).terms.items():
-                w = c * d
-                s = out.get(k2)
-                s = w if s is None else s + w
-                if s.is_zero():
-                    out.pop(k2, None)
-                else:
-                    out[k2] = s
+            _accumulate(out, ((k2, c * d) for k2, d in self.on_key(key).terms.items()))
         return Element._make(v.kind, out)
 
 
@@ -331,17 +312,10 @@ def d_map(A: AlgebraInstance, a: Element) -> Element:
     key_mul = A.kind.key_mul
     out = {}
     for key, c in a.terms.items():
-        for (k1, k2), d in A.basis_coproduct(key).terms.items():
-            k = key_mul(k1, k2)
-            if k is None:
-                continue
-            w = c * d
-            s = out.get(k)
-            s = w if s is None else s + w
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+        _accumulate(out, (
+            (k, c * d) for (k1, k2), d in A.basis_coproduct(key).terms.items()
+            if (k := key_mul(k1, k2)) is not None
+        ))
     return Element._make(A.kind, out)
 
 

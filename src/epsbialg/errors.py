@@ -39,11 +39,12 @@ class NotNilpotentWithinCap(EpsBialgError):
 
 
 class ParseError(EpsBialgError):
-    """Expression text violates the grammar; carries the offending position."""
+    """Expression text violates the grammar or a size bound; carries the
+    offending position, or None when the bound is on a command's operands."""
 
-    def __init__(self, message, position):
+    def __init__(self, message, position=None):
         self.position = position
-        super().__init__(f"{message} (at position {position})")
+        super().__init__(message if position is None else f"{message} (at position {position})")
 
 
 class UnknownAtom(ParseError):

@@ -23,7 +23,7 @@ E[i,j] (product rule E[i,j]E[k,l] = delta_jk E[i,l]):
 
 from __future__ import annotations
 
-from .core import AlgebraInstance, coproduct_from_r
+from .core import AlgebraInstance, _accumulate, coproduct_from_r
 from .errors import DimensionMismatch, KindMismatch, LSquareNotZero
 from .lincomb import Element, EMatrix, MatrixKind, TensorElement, act_left, act_right, tensor
 from .scalars import LambdaPoly, ONE, ZERO
@@ -91,32 +91,14 @@ def classical_comatrix_algebra(n: int) -> AlgebraInstance:
 def counit_contract_left(t: TensorElement, counit=classical_counit) -> Element:
     """(eps (x) id) applied to a 2-leg tensor."""
     out = {}
-    for (k1, k2), c in t.terms.items():
-        v = c * counit(k1)
-        if v.is_zero():
-            continue
-        s = out.get(k2)
-        s = v if s is None else s + v
-        if s.is_zero():
-            out.pop(k2, None)
-        else:
-            out[k2] = s
+    _accumulate(out, ((k2, v) for (k1, k2), c in t.terms.items() if (v := c * counit(k1))))
     return Element._make(t.kind, out)
 
 
 def counit_contract_right(t: TensorElement, counit=classical_counit) -> Element:
     """(id (x) eps) applied to a 2-leg tensor."""
     out = {}
-    for (k1, k2), c in t.terms.items():
-        v = c * counit(k2)
-        if v.is_zero():
-            continue
-        s = out.get(k1)
-        s = v if s is None else s + v
-        if s.is_zero():
-            out.pop(k1, None)
-        else:
-            out[k1] = s
+    _accumulate(out, ((k1, v) for (k1, k2), c in t.terms.items() if (v := c * counit(k2))))
     return Element._make(t.kind, out)
 
 

@@ -263,7 +263,7 @@ class _ExprParser:
         """value itself, once its terms, keys and coefficients are within bounds."""
         if isinstance(value, LambdaPoly):
             return bounded_poly(value, pos)
-        check_bound("term count", _monomials(value), MAX_TERMS, pos)
+        check_bound("term count", monomials(value), MAX_TERMS, pos)
         kind = self.kind
         single = isinstance(value, Element)
         for keys, c in value.terms.items():
@@ -275,7 +275,7 @@ class _ExprParser:
     def _promote(self, v, pos):
         if isinstance(v, LambdaPoly):
             unit = self.algebra.unit
-            check_product(len(unit.terms), _monomials(v), pos)
+            check_product(len(unit.terms), monomials(v), pos)
             return unit.scale(v)
         return v
 
@@ -295,7 +295,7 @@ class _ExprParser:
         tensors = isinstance(x, TensorElement) or isinstance(y, TensorElement)
         if tensors and not (x_scalar or y_scalar):
             raise ParseError("cannot multiply tensors; use the '(x)' separator", pos)
-        check_product(_monomials(x), _monomials(y), pos)
+        check_product(monomials(x), monomials(y), pos)
         if x_scalar and not y_scalar:
             value = y.scale(x)
         elif y_scalar and not x_scalar:
@@ -307,11 +307,11 @@ class _ExprParser:
     def _tensor(self, x, y, pos):
         x = self._promote(x, pos)
         y = self._promote(y, pos)
-        check_product(_monomials(x), _monomials(y), pos)
+        check_product(monomials(x), monomials(y), pos)
         return self._bounded(tensor(x, y), pos)
 
 
-def _monomials(v) -> int:
+def monomials(v) -> int:
     """The number of (key, power of L) monomials of a value."""
     if isinstance(v, LambdaPoly):
         return len(v.items())

@@ -15,14 +15,15 @@ sparse map key -> coefficient and filled lazily at key level, with no
 sum A.element(k1) * a * A.element(k2) lives on as the test oracle
 ``sweedler_prelie_product`` in ``tests/support.py``.
 
-The table is sparse (40 of 625 pairs are nonzero on M_5), and
-``prelie_support`` reads off which pairs of keys touch.  Every term of the
-pre-Lie, Jacobi and representation laws on a basis triple nests a |> or a
-bracket of two entries of the triple at distinct positions, so a triple
-whose three position pairs do not touch satisfies all three laws as 0 = 0.
-The ``verify`` sweeps run the checkers only on the other triples; the dense
-walk over every triple is the test oracle ``dense_law_sweep`` in
-``tests/support.py``.
+The table is sparse (40 of 625 pairs are nonzero on M_5).  Every term of
+the pre-Lie, Jacobi and representation laws on a basis triple is a |> or a
+bracket applied to a key k of a |> or bracket of two entries and to the
+third entry, so it is nonzero only along a path of two nonzero table
+entries.  The ``verify`` sweeps follow these term paths at key level and
+evaluate only the triples they reach; every other triple satisfies the law
+as 0 = 0.  The element-level checkers below are the sweeps' oracles, run on
+every triple by ``dense_law_sweep`` and on every triple with a touching pair
+of entries by ``touch_law_sweep``, both in ``tests/support.py``.
 
 On the telescoping matrix instance the bracket admits two closed forms on
 elementary matrices, implemented as independent code paths:
@@ -41,10 +42,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import AlgebraInstance, LawReport
+from .core import AlgebraInstance, LawReport, _accumulate
 from .errors import DimensionMismatch, WeightNotZero
 from .lincomb import Element, EMatrix, MatrixKind
-from .matrices import matrix_algebra, sgn
+from .matrices import sgn
 from .scalars import ONE
 
 _HALF = Fraction(1, 2)
@@ -67,39 +68,12 @@ def _prelie_on_keys(A: AlgebraInstance, p, q) -> dict:
     if row is None:
         key_mul = A.kind.key_mul
         row = {}
-        for (k1, k2), c in A.basis_coproduct(q).terms.items():
-            left = key_mul(k1, p)
-            key = None if left is None else key_mul(left, k2)
-            if key is None:
-                continue
-            s = row.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                row.pop(key, None)
-            else:
-                row[key] = s
+        _accumulate(row, (
+            (key, c) for (k1, k2), c in A.basis_coproduct(q).terms.items()
+            if (left := key_mul(k1, p)) is not None and (key := key_mul(left, k2)) is not None
+        ))
         A._prelie_table[(p, q)] = row
     return row
-
-
-def prelie_support(A: AlgebraInstance, keys) -> list:
-    """Which pairs of ``keys`` touch: ``touch[i][j]`` is whether keys[i] |> keys[j]
-    or keys[j] |> keys[i] is nonzero.  Fills the table on every pair of ``keys``.
-
-    The laws on a basis triple (a, b, c) nest |> only on pairs of entries at
-    distinct positions: pre-Lie on (a,b), (b,c), (b,a), (a,c); Jacobi, through
-    [a,b], [b,c], [c,a], on all six; representation [a,b] |> x on (a,b), (b,a),
-    (b,x), (a,x).  If none of the three position pairs touches, every inner
-    product is 0, so by bilinearity every term is 0 and the law holds as 0 = 0.
-    """
-    _require_weight_zero(A)
-    n = len(keys)
-    touch = [[False] * n for _ in range(n)]
-    for i, p in enumerate(keys):
-        for j, q in enumerate(keys):
-            if _prelie_on_keys(A, p, q):
-                touch[i][j] = touch[j][i] = True
-    return touch
 
 
 def prelie_product(A: AlgebraInstance, a: Element, b: Element) -> Element:
@@ -110,18 +84,8 @@ def prelie_product(A: AlgebraInstance, a: Element, b: Element) -> Element:
     out = {}
     for p, cp in a.terms.items():
         for q, cq in b.terms.items():
-            row = _prelie_on_keys(A, p, q)
-            if not row:
-                continue
             cpq = cp * cq
-            for key, c in row.items():
-                w = cpq * c
-                s = out.get(key)
-                s = w if s is None else s + w
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+            _accumulate(out, ((key, cpq * c) for key, c in _prelie_on_keys(A, p, q).items()))
     return Element._make(A.kind, out)
 
 
@@ -236,44 +200,3 @@ def check_left_representation(A, a: Element, b: Element, x: Element) -> LawRepor
     if diff.is_zero():
         return LawReport.ok("representation")
     return LawReport.fail("representation", (str(a), str(b), str(x)), diff)
-
-
-# ---------------------------------------------------------------------------
-# structure-constant tables
-# ---------------------------------------------------------------------------
-
-class BracketTable:
-    """Structure constants pair-of-keys -> Element, antisymmetric by construction.
-
-    Construction validates [p,q] = -[q,p] term-wise on every stored pair and
-    rejects tables that break it.
-    """
-
-    def __init__(self, constants):
-        self.constants = dict(constants)
-        for (p, q), value in self.constants.items():
-            mirror = self.constants.get((q, p))
-            if mirror is None or mirror != -value:
-                raise ValueError(f"bracket table not antisymmetric at ({p!r}, {q!r})")
-
-    def __getitem__(self, pair):
-        return self.constants[pair]
-
-    def __len__(self):
-        return len(self.constants)
-
-    @classmethod
-    def for_matrix(cls, n: int, method: str = "table") -> "BracketTable":
-        """Full table for M_n via one of the three bracket code paths."""
-        if method == "commutator":
-            A = matrix_algebra(n)
-            bracket = lambda p, q: commutator_bracket(A, A.element(p), A.element(q))
-        elif method == "closed-form":
-            bracket = matrix_bracket_closed_form
-        elif method == "table":
-            bracket = matrix_bracket_table
-        else:
-            raise ValueError(f"unknown bracket method {method!r}")
-        kind = MatrixKind(n)
-        keys = list(kind.basis_keys())
-        return cls({(p, q): bracket(p, q) for p in keys for q in keys})

@@ -273,7 +273,7 @@ def check_bound(what: str, size: int, limit: int, pos: int):
         raise ParseError(f"{what} {size} exceeds the limit {limit}", pos)
 
 
-def check_product(m: int, n: int, pos: int):
+def check_product(m: int, n: int, pos=None):
     """Refuse, before it is computed, a product of m by n terms (monomials)
     whose term pairs are more than MAX_TERMS."""
     if m * n > MAX_TERMS:

@@ -5,13 +5,23 @@ stops at the first failing law, so a broken instance always reproduces the
 same witness.  ``run_verify`` maps a suite name (or ``all``) to outcomes;
 the caller turns them into text and an exit status.
 
-The pre-Lie, Jacobi and representation sweeps walk every basis triple in
-canonical order but run the checker only where some pair of the triple's
-entries touches under |> (``prelie.prelie_support``).  Each term of the
-three laws nests a |> of two entries, so on every other triple the law
-holds as 0 = 0 by bilinearity; such a triple passes and counts as checked.
-Counts and first witnesses are those of the dense walk over every triple,
-which is kept as the test oracle ``dense_law_sweep`` in ``tests/support.py``.
+The pre-Lie, Jacobi and representation sweeps are term-driven.  Each law is
+a signed sum of terms outer(inner(x, y), z) or outer(z, inner(x, y)) over
+the positions of the triple, with inner and outer either the |> table T or
+the bracket table B = T - T^t (``_LAW_TERMS``).  A term is nonzero only
+along a path in the tables: inner(x, y) != 0, and outer is nonzero on some
+key k of inner(x, y) and the entry at z.  So the engine takes every nonzero
+inner entry on the swept keys, follows the out- or in-neighbours of each of
+its keys, and evaluates only the triples so reached, once each, in canonical
+order, at key level in one sparse map; a nonzero value is confirmed, and its
+witness built, by the element-level checker.  On every other triple each
+term is 0, so the law holds as 0 = 0 by bilinearity; such a triple counts as
+checked.  A failing triple has a nonzero term, so it is always evaluated:
+counts, ``failure after N triples`` (N is the triple's canonical index) and
+first witnesses are those of the walk over every triple.  Two oracles in
+``tests/support.py`` keep this honest: ``dense_law_sweep`` runs the
+element-level checker on every triple, and ``touch_law_sweep`` on every
+triple where some pair of entries touches under |>.
 
 Applicability: the antipode and pre-Lie family need weight 0, and the
 bracket conformance sweep compares against closed forms specific to the
@@ -22,7 +32,6 @@ explicitly raises instead, which the CLI reports as a usage error.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -30,6 +39,7 @@ from typing import Optional
 from .core import (
     AlgebraInstance,
     LawReport,
+    _accumulate,
     antipode,
     antipode_endo,
     check_antipode_axiom,
@@ -43,6 +53,7 @@ from .lincomb import Element, EMatrix, MatrixKind, Word, act_left, act_right, te
 from .matrices import matrix_algebra, matrix_from_rows, random_integer_matrix
 from .parser import parse_expression
 from .prelie import (
+    _prelie_on_keys,
     bilinear_from_pairs,
     check_jacobi,
     check_left_representation,
@@ -51,7 +62,6 @@ from .prelie import (
     matrix_bracket_closed_form,
     matrix_bracket_table,
     prelie_product,
-    prelie_support,
 )
 from .scalars import LAMBDA
 from .words import subword, word_algebra
@@ -73,10 +83,16 @@ DEFAULT_SEED = 12345
 
 @dataclass
 class SuiteOutcome:
+    """One suite's result.  ``checked`` is the count the detail reports (for a
+    failure, the inputs before the failing one); ``evaluated`` is how many
+    inputs a checker actually ran on, the failing one included."""
+
     suite: str
     status: str  # "pass" | "fail" | "skip"
     detail: str
     failure: Optional[LawReport] = None
+    checked: int = 0
+    evaluated: int = 0
 
     def line(self) -> str:
         tag = {"pass": "[PASS]", "fail": "[FAIL]", "skip": "[SKIP]"}[self.status]
@@ -86,12 +102,16 @@ class SuiteOutcome:
         return text
 
 
-def _passed(suite, detail):
-    return SuiteOutcome(suite, "pass", detail)
+def _passed(suite, detail, checked, evaluated=None):
+    return SuiteOutcome(
+        suite, "pass", detail, None, checked, checked if evaluated is None else evaluated
+    )
 
 
-def _failed(suite, detail, report):
-    return SuiteOutcome(suite, "fail", detail, report)
+def _failed(suite, detail, report, checked, evaluated=None):
+    return SuiteOutcome(
+        suite, "fail", detail, report, checked, checked + 1 if evaluated is None else evaluated
+    )
 
 
 def _skipped(suite, reason):
@@ -133,9 +153,9 @@ def _suite_coassoc(A, max_len):
     for key in A.basis_keys(max_len):
         report = check_coassoc(A, key)
         if not report:
-            return _failed("coassoc", f"failure after {count} keys", report)
+            return _failed("coassoc", f"failure after {count} keys", report, count)
         count += 1
-    return _passed("coassoc", f"{count} keys checked")
+    return _passed("coassoc", f"{count} keys checked", count)
 
 
 def _suite_cocycle(A, max_len):
@@ -143,9 +163,9 @@ def _suite_cocycle(A, max_len):
     for p, q in _cocycle_pairs(A, max_len):
         report = check_cocycle(A, p, q)
         if not report:
-            return _failed("cocycle", f"failure after {count} pairs", report)
+            return _failed("cocycle", f"failure after {count} pairs", report, count)
         count += 1
-    return _passed("cocycle", f"{count} pairs checked")
+    return _passed("cocycle", f"{count} pairs checked", count)
 
 
 def _require_weight_zero(A, suite):
@@ -167,11 +187,8 @@ def _suite_antipode(A, max_len, cap, seed):
     try:
         return _antipode_sweep(A, max_len, cap, seed)
     except NotNilpotentWithinCap as exc:
-        return _failed(
-            "antipode",
-            f"series of {exc.element} does not truncate within cap {exc.cap}",
-            None,
-        )
+        detail = f"series of {exc.element} does not truncate within cap {exc.cap}"
+        return _failed("antipode", detail, None, 0)
 
 
 def _antipode_sweep(A, max_len, cap, seed):
@@ -181,6 +198,7 @@ def _antipode_sweep(A, max_len, cap, seed):
         return _failed(
             "antipode", "S(unit) != -unit",
             LawReport.fail("antipode-unit", ("unit",), s(A.unit) + A.unit),
+            checks,
         )
     keys = _keys(A, max_len)
     d_vanishes = True
@@ -190,7 +208,7 @@ def _antipode_sweep(A, max_len, cap, seed):
             d_vanishes = False
         report = check_antipode_axiom(A, e, cap)
         if not report:
-            return _failed("antipode", f"axiom failure after {checks} checks", report)
+            return _failed("antipode", f"axiom failure after {checks} checks", report, checks)
         checks += 1
     if len(keys) ** 2 <= 2500:
         pairs = [(p, q) for p in keys for q in keys]
@@ -199,7 +217,9 @@ def _antipode_sweep(A, max_len, cap, seed):
     for p, q in pairs:
         report = check_antipode_properties(A, A.element(p), A.element(q), cap)
         if not report:
-            return _failed("antipode", f"property failure after {checks} checks", report)
+            return _failed(
+                "antipode", f"property failure after {checks} checks", report, checks
+            )
         checks += 1
     if d_vanishes:
         # with D = 0 on the basis the series collapses to S = -id, so the
@@ -211,6 +231,7 @@ def _antipode_sweep(A, max_len, cap, seed):
                 return _failed(
                     "antipode", "S(S(a)) != a",
                     LawReport.fail("antipode-involution", (str(e),), back - e),
+                    checks,
                 )
             checks += 1
     if isinstance(A.kind, MatrixKind):
@@ -220,39 +241,130 @@ def _antipode_sweep(A, max_len, cap, seed):
             m = random_integer_matrix(A.kind.n, rng)
             report = check_antipode_axiom(A, m, cap)
             if not report:
-                return _failed("antipode", "axiom failure on a random matrix", report)
+                return _failed("antipode", "axiom failure on a random matrix", report, checks)
             partner = previous if previous is not None else m
             report = check_antipode_properties(A, m, partner, cap)
             if not report:
-                return _failed("antipode", "property failure on a random matrix", report)
+                return _failed(
+                    "antipode", "property failure on a random matrix", report, checks
+                )
             if d_vanishes and s(m) != -m:
                 return _failed(
                     "antipode", "S != -id on a random matrix",
                     LawReport.fail("antipode-negation", (str(m),), s(m) + m),
+                    checks,
                 )
             previous = m
             checks += 2
-    return _passed("antipode", f"{checks} checks")
+    return _passed("antipode", f"{checks} checks", checks)
+
+
+# Each law as a signed sum of terms outer(inner(x, y), z), or outer(z, inner(x, y))
+# when the inner value is not on the left, over the triple's positions 0, 1, 2;
+# "T" is the |> table and "B" the bracket table.  A row is
+# (negate, inner, x, y, outer, inner_on_left, z).
+_LAW_TERMS = {
+    "prelie": (  # (a|>b)|>c - a|>(b|>c) - (b|>a)|>c + b|>(a|>c)
+        (False, "T", 0, 1, "T", True, 2),
+        (True, "T", 1, 2, "T", False, 0),
+        (True, "T", 1, 0, "T", True, 2),
+        (False, "T", 0, 2, "T", False, 1),
+    ),
+    "representation": (  # [a,b]|>x - a|>(b|>x) + b|>(a|>x)
+        (False, "B", 0, 1, "T", True, 2),
+        (True, "T", 1, 2, "T", False, 0),
+        (False, "T", 0, 2, "T", False, 1),
+    ),
+    "jacobi": (  # [[a,b],c] + [[b,c],a] + [[c,a],b]
+        (False, "B", 0, 1, "B", True, 2),
+        (False, "B", 1, 2, "B", True, 0),
+        (False, "B", 2, 0, "B", True, 1),
+    ),
+}
+
+
+class _LawTables:
+    """The |> and bracket rows of one sweep, with neighbour lists over its keys.
+
+    A row is a sparse map key -> coefficient.  ``neighbours(op, k, k_first)``
+    lists the indices r of swept keys with op(k, keys[r]) != 0, or with
+    op(keys[r], k) != 0 when not ``k_first``; it is built on first use, so a
+    key reached outside the sweep (a longer word) gets its lists on demand.
+    """
+
+    def __init__(self, A, keys):
+        self.A = A
+        self.keys = keys
+        self._brackets = {}
+        self._neighbours = {}
+        self.row = {"T": lambda p, q: _prelie_on_keys(A, p, q), "B": self._bracket}
+
+    def _bracket(self, p, q):
+        row = self._brackets.get((p, q))
+        if row is None:
+            row = dict(_prelie_on_keys(self.A, p, q))
+            _accumulate(row, _prelie_on_keys(self.A, q, p).items(), negate=True)
+            self._brackets[(p, q)] = row
+        return row
+
+    def neighbours(self, op, k, k_first):
+        found = self._neighbours.get((op, k, k_first))
+        if found is None:
+            keys, row = self.keys, self.row[op]
+            if op == "B":  # B(k, r) != 0 needs T(k, r) != 0 or T(r, k) != 0
+                near = set(self.neighbours("T", k, True)).union(self.neighbours("T", k, False))
+            else:
+                near = range(len(keys))
+            found = [r for r in near if (row(k, keys[r]) if k_first else row(keys[r], k))]
+            self._neighbours[(op, k, k_first)] = found
+        return found
+
+    def candidates(self, terms):
+        """Sorted canonical indices of the triples on which some term can be nonzero."""
+        keys, n = self.keys, len(self.keys)
+        found = set()
+        for _negate, inner, x, y, outer, inner_on_left, z in terms:
+            for i in range(n):
+                for j in self.neighbours(inner, keys[i], True):
+                    for k in self.row[inner](keys[i], keys[j]):
+                        for r in self.neighbours(outer, k, inner_on_left):
+                            triple = [0, 0, 0]
+                            triple[x], triple[y], triple[z] = i, j, r
+                            found.add((triple[0] * n + triple[1]) * n + triple[2])
+        return sorted(found)
+
+    def law_value(self, terms, triple):
+        """The law on a triple of keys, as one sparse map key -> coefficient."""
+        out = {}
+        for negate, inner, x, y, outer, inner_on_left, z in terms:
+            row, r = self.row[outer], triple[z]
+            for k, c in self.row[inner](triple[x], triple[y]).items():
+                value = row(k, r) if inner_on_left else row(r, k)
+                _accumulate(out, ((key, c * d) for key, d in value.items()), negate)
+        return out
 
 
 def _suite_prelie(A, max_len, which):
     _require_weight_zero(A, which)
     keys = _triple_keys(A, max_len)
+    n = len(keys)
+    tables = _LawTables(A, keys)
+    terms = _LAW_TERMS[which]
     checker = {
         "prelie": check_prelie_identity,
         "jacobi": check_jacobi,
         "representation": check_left_representation,
     }[which]
-    elements = [A.element(key) for key in keys]
-    touch = prelie_support(A, keys)
-    count = 0
-    for i, j, k in itertools.product(range(len(keys)), repeat=3):
-        if touch[i][j] or touch[j][k] or touch[i][k]:
-            report = checker(A, elements[i], elements[j], elements[k])
+    evaluated = 0
+    for index in tables.candidates(terms):
+        evaluated += 1
+        triple = (keys[index // (n * n)], keys[index // n % n], keys[index % n])
+        if tables.law_value(terms, triple):
+            # the element-level checker confirms the failure and builds its witness
+            report = checker(A, *(A.element(key) for key in triple))
             if not report:
-                return _failed(which, f"failure after {count} triples", report)
-        count += 1
-    return _passed(which, f"{count} triples checked")
+                return _failed(which, f"failure after {index} triples", report, index, evaluated)
+    return _passed(which, f"{n ** 3} triples checked", n ** 3, evaluated)
 
 
 def _suite_bracket_closed_form(A, max_len):
@@ -273,19 +385,22 @@ def _suite_bracket_closed_form(A, max_len):
                 return _failed(
                     "bracket-closed-form", f"sign form disagrees after {count} pairs",
                     LawReport.fail("bracket-closed-vs-table", pair, closed - table),
+                    count,
                 )
             if comm != table:
                 return _failed(
                     "bracket-closed-form", f"commutator disagrees after {count} pairs",
                     LawReport.fail("bracket-commutator-vs-table", pair, comm - table),
+                    count,
                 )
             if matrix_bracket_table(q, p) != -table:
                 return _failed(
                     "bracket-closed-form", f"antisymmetry broken after {count} pairs",
                     LawReport.fail("bracket-antisymmetry", pair, matrix_bracket_table(q, p) + table),
+                    count,
                 )
             count += 1
-    return _passed("bracket-closed-form", f"{count} pairs checked across 3 code paths")
+    return _passed("bracket-closed-form", f"{count} pairs checked across 3 code paths", count)
 
 
 def _suite_worked_examples(_A, _max_len):
@@ -392,8 +507,9 @@ def _suite_worked_examples(_A, _max_len):
         return _failed(
             "paper-examples", f"{len(failures)} of {total} golden examples mismatched",
             LawReport.fail(label, (f"got {got}", f"want {want}"), None),
+            total, total,
         )
-    return _passed("paper-examples", f"{total} golden examples checked")
+    return _passed("paper-examples", f"{total} golden examples checked", total)
 
 
 # ---------------------------------------------------------------------------

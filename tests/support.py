@@ -20,7 +20,9 @@ from epsbialg import (
     check_prelie_identity,
     tensor,
 )
-from epsbialg.verify import _failed, _passed, _require_weight_zero, _triple_keys
+from epsbialg.prelie import _prelie_on_keys, _require_weight_zero
+from epsbialg.verify import _failed, _passed, _triple_keys
+from epsbialg.verify import _require_weight_zero as _require_suite_weight_zero
 
 # -- independent dense-matrix oracle ----------------------------------------
 # Classical row-by-column multiplication over Q[L]; knows nothing about the
@@ -102,27 +104,67 @@ def tensor_coassoc_oracle(A, key):
     return LawReport.fail("coassoc", (A.kind.key_text(key),), diff)
 
 
-# -- dense oracle for the triple-law sweeps ------------------------------------
-# The checker run on every basis triple in canonical order; knows nothing of
-# the |> support that lets ``verify`` skip triples where a law reads 0 = 0.
+# -- oracles for the triple-law sweeps -----------------------------------------
+# The element-level checker run in canonical order on every basis triple
+# (dense), or on every triple where some pair of entries touches under |>
+# (touch); both know nothing of the term paths that ``verify`` follows.
+
+_LAW_CHECKERS = {
+    "prelie": check_prelie_identity,
+    "jacobi": check_jacobi,
+    "representation": check_left_representation,
+}
 
 
 def dense_law_sweep(A, max_len, which):
-    _require_weight_zero(A, which)
+    _require_suite_weight_zero(A, which)
     keys = _triple_keys(A, max_len)
-    checker = {
-        "prelie": check_prelie_identity,
-        "jacobi": check_jacobi,
-        "representation": check_left_representation,
-    }[which]
+    checker = _LAW_CHECKERS[which]
     elements = [A.element(key) for key in keys]
     count = 0
     for a, b, c in itertools.product(elements, repeat=3):
         report = checker(A, a, b, c)
         if not report:
-            return _failed(which, f"failure after {count} triples", report)
+            return _failed(which, f"failure after {count} triples", report, count)
         count += 1
-    return _passed(which, f"{count} triples checked")
+    return _passed(which, f"{count} triples checked", count)
+
+
+def prelie_support(A, keys) -> list:
+    """Which pairs of ``keys`` touch: ``touch[i][j]`` is whether keys[i] |> keys[j]
+    or keys[j] |> keys[i] is nonzero.  Fills the table on every pair of ``keys``.
+
+    The laws on a basis triple (a, b, c) nest |> only on pairs of entries at
+    distinct positions: pre-Lie on (a,b), (b,c), (b,a), (a,c); Jacobi, through
+    [a,b], [b,c], [c,a], on all six; representation [a,b] |> x on (a,b), (b,a),
+    (b,x), (a,x).  If none of the three position pairs touches, every inner
+    product is 0, so by bilinearity every term is 0 and the law holds as 0 = 0.
+    """
+    _require_weight_zero(A)
+    n = len(keys)
+    touch = [[False] * n for _ in range(n)]
+    for i, p in enumerate(keys):
+        for j, q in enumerate(keys):
+            if _prelie_on_keys(A, p, q):
+                touch[i][j] = touch[j][i] = True
+    return touch
+
+
+def touch_law_sweep(A, max_len, which):
+    _require_suite_weight_zero(A, which)
+    keys = _triple_keys(A, max_len)
+    checker = _LAW_CHECKERS[which]
+    elements = [A.element(key) for key in keys]
+    touch = prelie_support(A, keys)
+    count = evaluated = 0
+    for i, j, k in itertools.product(range(len(keys)), repeat=3):
+        if touch[i][j] or touch[j][k] or touch[i][k]:
+            evaluated += 1
+            report = checker(A, elements[i], elements[j], elements[k])
+            if not report:
+                return _failed(which, f"failure after {count} triples", report, count, evaluated)
+        count += 1
+    return _passed(which, f"{count} triples checked", count, evaluated)
 
 
 # -- hypothesis strategies ----------------------------------------------------

@@ -1,10 +1,16 @@
 """The command-line contract: dispatch, selectors, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from epsbialg.cli import main
+from epsbialg import matrix_algebra
+from epsbialg.cli import build_algebra, main
+from epsbialg.verify import run_verify
 
 
 def run(capsys, *argv):
@@ -365,3 +371,62 @@ def test_parsed_values_at_the_size_bounds_are_computed(capsys):
         capsys, "coproduct", "-a", "univar", "--weight", "(1+L)^63 - (1+L)^63", "-e", "x^2"
     )
     assert (code, out) == (0, "1 (x) x + x (x) 1\n")
+
+
+@pytest.mark.parametrize("command", ["multiply", "prelie", "bracket"])
+def test_operands_past_the_term_bound_are_refused(capsys, command):
+    # 256 by 256 terms is 65,536 term pairs, past MAX_TERMS = 4096
+    code, out, err = run(
+        capsys, command, "-a", "word:xy", "--weight", "0",
+        "--lhs", "(x+y)^8", "--rhs", "(x+y)^8",
+    )
+    assert (code, out) == (2, "")
+    assert "exceeds the limit of 4096 term pairs" in err
+
+
+# Grammar characters make the fuzz reach the parsers past their first token.
+_FUZZ_TEXT = st.one_of(
+    st.text(max_size=20),
+    st.text(alphabet="xyzLE[],0123456789()+-*/^ .", max_size=20),
+)
+_FUZZ_SELECTORS = st.one_of(
+    _FUZZ_TEXT,
+    st.sampled_from(["matrix:1", "matrix:2", "matrix:3", "word:xy", "univar"]),
+    # alphabets stay short: construction checks associativity on every
+    # triple of words of length <= 2
+    st.builds("word:{}".format, st.text(max_size=4)),
+    st.builds("lmatrix:2:{}".format, _FUZZ_TEXT),
+    st.builds("rmatrix:2:{}:{}".format, _FUZZ_TEXT, _FUZZ_TEXT),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["coproduct", "antipode", "multiply", "prelie", "bracket"]),
+    _FUZZ_SELECTORS, _FUZZ_TEXT, _FUZZ_TEXT, st.none() | _FUZZ_TEXT,
+)
+def test_arbitrary_text_ends_in_an_exit_code(command, selector, first, second, weight):
+    if command in ("coproduct", "antipode"):
+        argv = [command, "-a", selector, "-e", first]
+    else:
+        argv = [command, "-a", selector, "--lhs", first, "--rhs", second]
+    if weight is not None:
+        argv += ["--weight", weight]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)
+
+
+def test_outcomes_report_checked_and_evaluated():
+    term_driven = {"prelie": 2, "jacobi": 3, "representation": 2}  # evaluated on M_2
+    _, outcomes = run_verify("all", matrix_algebra(2))
+    for o in outcomes:
+        if o.suite in term_driven:
+            assert (o.checked, o.evaluated) == (64, term_driven[o.suite])
+        else:
+            assert o.checked == o.evaluated == int(o.detail.split()[0]) > 0, o.suite
+    _, [o] = run_verify("coassoc", build_algebra("rmatrix:2:E[1,1] (x) E[1,1]:0", None))
+    assert o.status == "fail"
+    assert o.evaluated == o.checked + 1
+    _, outcomes = run_verify("all", build_algebra("word:xy", None))
+    assert [(o.checked, o.evaluated) for o in outcomes if o.status == "skip"] == [(0, 0)] * 5

@@ -3,10 +3,10 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsbialg import (
-    BracketTable,
     Element,
     EMatrix,
     DimensionMismatch,
@@ -25,19 +25,20 @@ from epsbialg import (
     matrix_prelie_table,
     parse_expression,
     prelie_product,
-    prelie_support,
     univar_algebra,
     word_algebra,
 )
 from epsbialg import prelie
 from epsbialg.cli import build_algebra
-from epsbialg.verify import run_suite
+from epsbialg.verify import _LAW_TERMS, _LawTables, _triple_keys, run_suite
 
 from support import (
     RMATRIX_CONTROLS,
     dense_law_sweep,
     matrix_elements,
+    prelie_support,
     sweedler_prelie_product,
+    touch_law_sweep,
     word_elements,
 )
 
@@ -162,40 +163,138 @@ def test_first_witness_matches_sweedler_oracle(selector, suite, monkeypatch):
     A = build_algebra(selector, None)
     fast = run_suite(suite, A)
     # the checkers look prelie_product up in their module, so this reroutes
-    # every |> of the sweep through the oracle
+    # every |> of the element-level oracle sweep through the Sweedler oracle
     monkeypatch.setattr(prelie, "prelie_product", sweedler_prelie_product)
-    slow = run_suite(suite, build_algebra(selector, None))
+    slow = touch_law_sweep(build_algebra(selector, None), 6, suite)
     assert fast.line() == slow.line()
     assert (fast.status, fast.detail) == (slow.status, slow.detail)
 
 
 LAW_SUITES = ("prelie", "jacobi", "representation")
+# On M_n every |> of keys is a multiple of its right entry, so some term
+# paths reach the same triples as others there; on this instance each of the
+# ten paths reaches a triple that no other path of its law reaches.
+PATH_WITNESS = "rmatrix:3:-E[3,1] (x) E[2,3] + E[3,2] (x) E[2,2]:0"
 SPARSE_WALK_CASES = {
-    **{f"matrix:{n}": (lambda n=n: matrix_algebra(n)) for n in (2, 3, 4, 5)},
+    **{f"matrix:{n}": (lambda n=n: matrix_algebra(n)) for n in (1, 2, 3, 4, 5)},
     **{sel: (lambda sel=sel: build_algebra(sel, None)) for sel in RMATRIX_CONTROLS},
+    "lmatrix:3:E[1,3]": lambda: build_algebra("lmatrix:3:E[1,3]", None),
+    PATH_WITNESS: lambda: build_algebra(PATH_WITNESS, None),
     "word:xy weight 0": lambda: word_algebra("xy", 0),
     "univar weight 0": lambda: univar_algebra(0),
 }
+
+
+def _assert_same_outcome(fast, oracle):
+    assert fast.line() == oracle.line()
+    assert (fast.status, fast.detail) == (oracle.status, oracle.detail)
+    assert fast.failure == oracle.failure  # law, inputs and difference
 
 
 @pytest.mark.parametrize("case", SPARSE_WALK_CASES)
 @pytest.mark.parametrize("suite", LAW_SUITES)
 def test_sparse_walk_matches_dense_oracle(case, suite):
     make = SPARSE_WALK_CASES[case]
-    sparse = run_suite(suite, make())
-    dense = dense_law_sweep(make(), 6, suite)
-    assert sparse.line() == dense.line()
-    assert (sparse.status, sparse.detail) == (dense.status, dense.detail)
+    engine = run_suite(suite, make())
+    _assert_same_outcome(engine, dense_law_sweep(make(), 6, suite))
+    _assert_same_outcome(engine, touch_law_sweep(make(), 6, suite))
 
 
 @pytest.mark.parametrize("suite", LAW_SUITES)
 def test_sparse_walk_counts_every_triple(suite):
-    assert run_suite(suite, matrix_algebra(6)).line() == (
-        f"[PASS] {suite}: 46656 triples checked"
-    )
+    engine = run_suite(suite, matrix_algebra(6))
+    assert engine.line() == f"[PASS] {suite}: 46656 triples checked"
+    _assert_same_outcome(engine, touch_law_sweep(matrix_algebra(6), 6, suite))
+
+
+_R_TERMS = st.lists(
+    st.tuples(st.sampled_from([1, -1, 2, -3]), *[st.integers(1, 3)] * 4),
+    min_size=1, max_size=3,
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_R_TERMS, st.sampled_from(LAW_SUITES))
+def test_engine_matches_both_oracles_on_random_rmatrix(terms, suite):
+    r = " + ".join(f"({c}) * E[{i},{j}] (x) E[{k},{l}]" for c, i, j, k, l in terms)
+    selector = f"rmatrix:3:{r}:0"
+    engine = run_suite(suite, build_algebra(selector, None))
+    _assert_same_outcome(engine, dense_law_sweep(build_algebra(selector, None), 6, suite))
+    _assert_same_outcome(engine, touch_law_sweep(build_algebra(selector, None), 6, suite))
+
+
+def _element_term_paths(A, suite, a, b, c):
+    """Each term of the law on (a, b, c) as (inner value, outer map), built at
+    element level: the term is outer(inner), and it has a path when outer is
+    nonzero on some key of inner."""
+    rhd = lambda u, v: prelie_product(A, u, v)
+    br = lambda u, v: commutator_bracket(A, u, v)
+    if suite == "prelie":
+        return [(rhd(a, b), lambda k: rhd(k, c)), (rhd(b, c), lambda k: rhd(a, k)),
+                (rhd(b, a), lambda k: rhd(k, c)), (rhd(a, c), lambda k: rhd(b, k))]
+    if suite == "representation":
+        return [(br(a, b), lambda k: rhd(k, c)), (rhd(b, c), lambda k: rhd(a, k)),
+                (rhd(a, c), lambda k: rhd(b, k))]
+    return [(br(a, b), lambda k: br(k, c)), (br(b, c), lambda k: br(k, a)),
+            (br(c, a), lambda k: br(k, b))]
+
+
+ZERO_TERM_CASES = {
+    "matrix:3": lambda: matrix_algebra(3),
+    **{sel: (lambda sel=sel: build_algebra(sel, None)) for sel in RMATRIX_CONTROLS},
+    PATH_WITNESS: lambda: build_algebra(PATH_WITNESS, None),
+    "lmatrix:3:E[1,3]": lambda: build_algebra("lmatrix:3:E[1,3]", None),
+    "word:xy weight 0": lambda: word_algebra("xy", 0),
+}
+
+
+@pytest.mark.parametrize("case", ZERO_TERM_CASES)
+@pytest.mark.parametrize("suite", LAW_SUITES)
+def test_candidates_are_the_triples_with_a_term_path(case, suite):
+    # the 0 = 0 argument itself: the engine evaluates exactly the triples on
+    # which some term has a path, and a term without a path is zero
+    A = ZERO_TERM_CASES[case]()
+    keys = _triple_keys(A, 6)
+    elements = [A.element(key) for key in keys]
+    with_path = set()
+    for index, (a, b, c) in enumerate(itertools.product(elements, repeat=3)):
+        for inner, outer in _element_term_paths(A, suite, a, b, c):
+            if any(not outer(A.element(k)).is_zero() for k in inner.terms):
+                with_path.add(index)
+            else:
+                assert outer(inner).is_zero(), (index, a, b, c)
+    candidates = _LawTables(A, keys).candidates(_LAW_TERMS[suite])
+    assert candidates == sorted(with_path)
+    assert len(candidates) < len(keys) ** 3
+
+
+@pytest.mark.parametrize(
+    "n, evaluated", [(1, (0, 0, 0)), (5, (100, 288, 100))]
+)
+def test_evaluated_candidates_on_matrices(n, evaluated):
+    for suite, count in zip(LAW_SUITES, evaluated):
+        outcome = run_suite(suite, matrix_algebra(n))
+        assert (outcome.status, outcome.checked) == ("pass", n ** 6)
+        assert outcome.evaluated == count, suite
+
+
+@pytest.mark.parametrize("selector", RMATRIX_CONTROLS)
+@pytest.mark.parametrize("suite", LAW_SUITES)
+def test_control_witness_is_an_evaluated_candidate(selector, suite):
+    A = build_algebra(selector, None)
+    outcome = run_suite(suite, A)
+    candidates = _LawTables(A, _triple_keys(A, 6)).candidates(_LAW_TERMS[suite])
+    if outcome.status == "pass":
+        assert outcome.evaluated == len(candidates) > 0
+        return
+    # the witness sits at canonical index `checked`; it is the last candidate run
+    assert outcome.checked in candidates
+    assert outcome.evaluated == candidates.index(outcome.checked) + 1
+    assert outcome.detail == f"failure after {outcome.checked} triples"
 
 
 def test_prelie_support_is_the_symmetric_nonzero_pattern():
+    # the touch pattern behind the ``touch_law_sweep`` oracle
     A = matrix_algebra(4)
     keys = list(A.basis_keys())
     touch = prelie_support(A, keys)
@@ -269,24 +368,3 @@ def test_bilinear_from_pairs_matches_commutator():
     n = parse_expression("E[1,2] + E[2,2]", M2)
     assert bilinear_from_pairs(m, n, matrix_bracket_table) == e(2, 1, 2)
     assert bilinear_from_pairs(m, n, matrix_bracket_closed_form) == e(2, 1, 2)
-
-
-def test_bracket_table_construction():
-    table = BracketTable.for_matrix(3, "table")
-    assert len(table) == 81
-    assert table[(EMatrix(2, 1, 3), EMatrix(1, 2, 3))] == e(2, 1, 3)
-    for method in ("closed-form", "commutator"):
-        other = BracketTable.for_matrix(3, method)
-        assert other.constants == table.constants
-
-
-def test_bracket_table_rejects_asymmetric_data():
-    k = EMatrix(1, 2, 2)
-    j = EMatrix(2, 1, 2)
-    with pytest.raises(ValueError):
-        BracketTable({(k, j): e(1, 1, 2), (j, k): e(1, 1, 2)})
-
-
-def test_bracket_table_unknown_method():
-    with pytest.raises(ValueError):
-        BracketTable.for_matrix(2, "nope")

@@ -27,6 +27,15 @@ the basis coproducts and the kind's ``key_mul``, and wraps that map in a
 tensor is built per check.  The element-level forms of the same laws are
 kept as oracles in ``tests/support.py`` (``tensor_cocycle_oracle`` and
 ``tensor_coassoc_oracle``).
+
+The antipode checkers work at key level too.  Each side of a law is one
+sparse map, filled from ``antipode_endo(A, cap).on_key``, the basis
+coproducts and the kind's product index; S is evaluated on keys in the
+order of the law's terms, so a series that does not truncate is named by
+the same key as the element-level forms would name.  Those forms, which
+add whole elements and tensors term by term, are the test oracles
+``element_antipode_axiom_oracle`` and ``element_antipode_properties_oracle``
+in ``tests/support.py``.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import KindMismatch, NotNilpotentWithinCap, WeightNotZero
-from .lincomb import Element, TensorElement, act_left, act_right, tensor
+from .lincomb import Element, TensorElement, _accumulate, act_left, act_right, products, tensor
 from .scalars import LambdaPoly
 
 
@@ -73,21 +82,6 @@ class LawReport:
         if self.passed:
             return f"pass: {self.law}"
         return f"FAIL: {self.law}; {self.witness}"
-
-
-def _accumulate(out: dict, terms, negate=False):
-    """Add (or, with ``negate``, subtract) each (keys, coeff) of ``terms``
-    into the sparse map ``out``, dropping a sum that cancels to zero."""
-    for keys, c in terms:
-        s = out.get(keys)
-        if s is None:
-            out[keys] = -c if negate else c
-            continue
-        s = s - c if negate else s + c
-        if s.is_zero():
-            del out[keys]
-        else:
-            out[keys] = s
 
 
 class AlgebraInstance:
@@ -157,8 +151,10 @@ class AlgebraInstance:
         """Linear extension of the basis coproduct; Delta(0) = 0."""
         self._own(a)
         out = {}
-        for key, c in a.terms.items():
-            _accumulate(out, ((k, c * d) for k, d in self.basis_coproduct(key).terms.items()))
+        _accumulate(out, (
+            (k, c * d) for key, c in a.terms.items()
+            for k, d in self.basis_coproduct(key).terms.items()
+        ))
         return TensorElement._make(self.kind, 2, out)
 
     def _expand_leg(self, t: TensorElement, pos: int) -> TensorElement:
@@ -271,8 +267,9 @@ class LinearEndomorphism:
     def __call__(self, v: Element) -> Element:
         self.algebra._own(v)
         out = {}
-        for key, c in v.terms.items():
-            _accumulate(out, ((k2, c * d) for k2, d in self.on_key(key).terms.items()))
+        _accumulate(out, (
+            (k2, c * d) for key, c in v.terms.items() for k2, d in self.on_key(key).terms.items()
+        ))
         return Element._make(v.kind, out)
 
 
@@ -288,10 +285,11 @@ def convolution(A, f: LinearEndomorphism, g: LinearEndomorphism) -> LinearEndomo
     """f * g = m (f (x) g) Delta, i.e. (f*g)(a) = sum f(a_(1)) g(a_(2))."""
 
     def rule(key):
-        out = Element.zero(A.kind)
+        out = {}
         for (k1, k2), c in A.basis_coproduct(key).terms.items():
-            out = out + (f.on_key(k1) * g.on_key(k2)).scale(c)
-        return out
+            fg = products(A.kind, f.on_key(k1).terms, g.on_key(k2).terms)
+            _accumulate(out, ((k, d * c) for k, d in fg))
+        return Element._make(A.kind, out)
 
     return LinearEndomorphism(A, rule, f"({f.name} * {g.name})")
 
@@ -311,11 +309,11 @@ def d_map(A: AlgebraInstance, a: Element) -> Element:
     A._own(a)
     key_mul = A.kind.key_mul
     out = {}
-    for key, c in a.terms.items():
-        _accumulate(out, (
-            (k, c * d) for (k1, k2), d in A.basis_coproduct(key).terms.items()
-            if (k := key_mul(k1, k2)) is not None
-        ))
+    _accumulate(out, (
+        (k, c * d) for key, c in a.terms.items()
+        for (k1, k2), d in A.basis_coproduct(key).terms.items()
+        if (k := key_mul(k1, k2)) is not None
+    ))
     return Element._make(A.kind, out)
 
 
@@ -327,49 +325,55 @@ def convolution_power_vanishes(A: AlgebraInstance, f, a: Element, n: int) -> boo
     of the cheaper D-power criterion used to truncate the antipode series.
     """
     t = A.iterated_coproduct(a, n)
-    out = Element.zero(A.kind)
+    out = {}
     for keys, c in t.terms.items():
         prod = f.on_key(keys[0])
         for key in keys[1:]:
             if prod.is_zero():
                 break
             prod = prod * f.on_key(key)
-        out = out + prod.scale(c)
-    return out.is_zero()
+        _accumulate(out, ((k, d * c) for k, d in prod.terms.items()))
+    return not out
+
+
+def _d_powers(A: AlgebraInstance, a: Element, cap: int) -> list:
+    """[D(a), D^2(a), ..., D^(k-1)(a)] for the least k <= cap with D^k(a) = 0;
+    raises NotNilpotentWithinCap when there is no such k."""
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+    powers = []
+    cur = a
+    for _ in range(cap):
+        cur = d_map(A, cur)
+        if cur.is_zero():
+            return powers
+        powers.append(cur)
+    raise NotNilpotentWithinCap(cap, element=a)
 
 
 def nilpotency_index(A: AlgebraInstance, a: Element, cap: int = 64) -> int:
     """Least k <= cap with D^k(a) = 0; raises NotNilpotentWithinCap otherwise."""
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    cur = a
-    for k in range(1, cap + 1):
-        cur = d_map(A, cur)
-        if cur.is_zero():
-            return k
-    raise NotNilpotentWithinCap(cap, element=a)
+    return len(_d_powers(A, a, cap)) + 1
 
 
 def antipode(A: AlgebraInstance, a: Element, cap: int = 64) -> Element:
     """The antipode series S(a) = -sum_{t>=0} (1/t!) (-D)^t (a).
 
     Defined for weight-zero instances only; the series is truncated at the
-    nilpotency index of a, where it is exact.
+    nilpotency index of a, where it is exact, and D^t(a) is computed once.
     """
     if not A.weight.is_zero():
         raise WeightNotZero(f"antipode needs weight 0, instance has weight {A.weight}")
     A._own(a)
-    index = nilpotency_index(A, a, cap)
-    acc = -a
-    cur = a
+    out = {}
+    _accumulate(out, a.terms.items(), negate=True)
     factorial = 1
-    for t in range(1, index):
-        cur = d_map(A, cur)
+    for t, cur in enumerate(_d_powers(A, a, cap), start=1):
         factorial *= t
         # -(1/t!)(-1)^t = (-1)^(t+1)/t!
-        coeff = Fraction(1 if t % 2 else -1, factorial)
-        acc = acc + cur.scale(LambdaPoly.const(coeff))
-    return acc
+        coeff = LambdaPoly.const(Fraction(1 if t % 2 else -1, factorial))
+        _accumulate(out, ((k, c * coeff) for k, c in cur.terms.items()))
+    return Element._make(A.kind, out)
 
 
 def antipode_endo(A: AlgebraInstance, cap: int = 64) -> LinearEndomorphism:
@@ -388,29 +392,51 @@ def antipode_endo(A: AlgebraInstance, cap: int = 64) -> LinearEndomorphism:
 def check_antipode_axiom(A: AlgebraInstance, a: Element, cap: int = 64) -> LawReport:
     """sum S(a_(1)) a_(2) + S(a) + a == 0 == sum a_(1) S(a_(2)) + a + S(a)."""
     s = antipode_endo(A, cap)
-    sa = s(a)
-    left = sa + a
-    right = sa + a
-    for (k1, k2), c in A.coproduct(a).terms.items():
-        left = left + (s.on_key(k1) * A.element(k2)).scale(c)
-        right = right + (A.element(k1) * s.on_key(k2)).scale(c)
+    key_mul = A.kind.key_mul
+    left = dict(s(a).terms)
+    _accumulate(left, a.terms.items())
+    right = dict(left)
+    # S on the legs of Delta(a), term by term: k1 then k2
+    legs = [(k1, k2, c, s.on_key(k1).terms, s.on_key(k2).terms)
+            for (k1, k2), c in A.coproduct(a).terms.items()]
+    _accumulate(left, (  # + S(k1) k2
+        (k, d * c) for k1, k2, c, s1, _ in legs for u, d in s1.items()
+        if (k := key_mul(u, k2)) is not None
+    ))
+    _accumulate(right, (  # + k1 S(k2)
+        (k, d * c) for k1, k2, c, _, s2 in legs for v, d in s2.items()
+        if (k := key_mul(k1, v)) is not None
+    ))
     for side, value in (("left", left), ("right", right)):
-        if not value.is_zero():
-            return LawReport.fail(f"antipode-axiom-{side}", (str(a),), value)
+        if value:
+            difference = Element._make(A.kind, value)
+            return LawReport.fail(f"antipode-axiom-{side}", (str(a),), difference)
     return LawReport.ok("antipode-axiom")
 
 
 def check_antipode_properties(A: AlgebraInstance, x: Element, y: Element, cap: int = 64) -> LawReport:
     """S(xy) = -S(x)S(y), and Delta(S(x)) = -(S (x) S) Delta(x)."""
     s = antipode_endo(A, cap)
-    diff = s(x * y) + s(x) * s(y)
-    if not diff.is_zero():
-        return LawReport.fail("antipode-multiplicativity", (str(x), str(y)), diff)
-    both = A.coproduct(s(x))
-    for (k1, k2), c in A.coproduct(x).terms.items():
-        both = both + tensor(s.on_key(k1), s.on_key(k2)).scale(c)
-    if not both.is_zero():
-        return LawReport.fail("antipode-comultiplicativity", (str(x),), both)
+    diff = dict(s(x * y).terms)
+    sx = s(x).terms
+    _accumulate(diff, products(A.kind, sx, s(y).terms))
+    if diff:
+        return LawReport.fail(
+            "antipode-multiplicativity", (str(x), str(y)), Element._make(A.kind, diff)
+        )
+    both = {}
+    _accumulate(both, (  # + Delta(S(x))
+        (k, c * d) for key, c in sx.items() for k, d in A.basis_coproduct(key).terms.items()
+    ))
+    legs = [(c, s.on_key(k1).terms, s.on_key(k2).terms)
+            for (k1, k2), c in A.coproduct(x).terms.items()]
+    _accumulate(both, (  # + S(k1) (x) S(k2)
+        ((u, v), d * e * c) for c, s1, s2 in legs for u, d in s1.items() for v, e in s2.items()
+    ))
+    if both:
+        return LawReport.fail(
+            "antipode-comultiplicativity", (str(x),), TensorElement._make(A.kind, 2, both)
+        )
     return LawReport.ok("antipode-properties")
 
 

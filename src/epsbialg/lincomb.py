@@ -19,6 +19,15 @@ degree in x; 0 for matrices), by which sweeps and parsed values are
 bounded.  Coproducts live elsewhere: several coalgebra structures can sit
 on top of the same kind.
 
+Each kind also gives a product index: ``product_index(terms)`` maps a left
+key p to the right-hand terms (q, c) whose product pq may be nonzero.  On
+M_n the terms are grouped by row, since E[i,j]E[k,l] vanishes unless k = j,
+so a dense-by-dense product visits n^3 pairs rather than n^4; words and
+monomials have a single bucket.  ``products`` walks a product through the
+index, and ``_accumulate`` adds a stream of terms into one sparse map: sums
+and products of elements go through these two, and so do the key-level
+checkers, which never build an element per term.
+
 The tensor square A (x) A is an (A,A)-bimodule via
 
     a . (b (x) c) = ab (x) c        (``act_left``)
@@ -121,6 +130,12 @@ class UnivarMonomial:
 # kinds: the underlying algebras
 # ---------------------------------------------------------------------------
 
+def _single_bucket(terms):
+    """The product index of a kind whose keys never multiply to zero."""
+    items = terms.items()
+    return lambda p: items
+
+
 class MatrixKind:
     """The matrix algebra M_n over Q[L], in the elementary-matrix basis."""
 
@@ -145,6 +160,13 @@ class MatrixKind:
         if p.j != q.i:
             return None
         return EMatrix(p.i, q.j, self.n)
+
+    def product_index(self, terms):
+        """Right-hand terms grouped by row: E[i,j] meets only the terms E[j,l]."""
+        rows = {}
+        for q, c in terms.items():
+            rows.setdefault(q.i, []).append((q, c))
+        return lambda p: rows.get(p.j, ())
 
     def unit_terms(self):
         # the identity matrix, expanded eagerly into basis terms
@@ -201,6 +223,8 @@ class WordKind:
     def key_mul(self, p: Word, q: Word):
         return Word(p.letters + q.letters)
 
+    product_index = staticmethod(_single_bucket)
+
     def unit_terms(self):
         return {Word(): ONE}
 
@@ -247,6 +271,8 @@ class UnivarKind:
     def key_mul(self, p: UnivarMonomial, q: UnivarMonomial):
         return UnivarMonomial(p.exponent + q.exponent)
 
+    product_index = staticmethod(_single_bucket)
+
     def unit_terms(self):
         return {UnivarMonomial(0): ONE}
 
@@ -287,8 +313,38 @@ def ensure_same_kind(a, b):
 
 
 # ---------------------------------------------------------------------------
-# elements
+# sparse maps
 # ---------------------------------------------------------------------------
+
+def _accumulate(out: dict, terms, negate=False):
+    """Add (or, with ``negate``, subtract) each (keys, coeff) of ``terms``
+    into the sparse map ``out``, dropping a sum that cancels to zero."""
+    for keys, c in terms:
+        s = out.get(keys)
+        if s is None:
+            out[keys] = -c if negate else c
+            continue
+        s = s - c if negate else s + c
+        if s.is_zero():
+            del out[keys]
+        else:
+            out[keys] = s
+
+
+def products(kind, left: dict, right: dict):
+    """Each nonzero (key, coeff) of the product of two term maps, pair by pair.
+
+    Pairs come in the order of ``left``, then of ``right``; the kind's
+    product index skips the right-hand terms a left key cannot meet.
+    """
+    key_mul = kind.key_mul
+    meets = kind.product_index(right)
+    for p, cp in left.items():
+        for q, cq in meets(p):
+            key = key_mul(p, q)
+            if key is not None:
+                yield key, cp * cq
+
 
 def _normalized(terms):
     return {k: c for k, c in terms.items() if not c.is_zero()}
@@ -344,13 +400,7 @@ class Element:
             return NotImplemented
         ensure_same_kind(self, other)
         terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = s
+        _accumulate(terms, other.terms.items())
         return Element._make(self.kind, terms)
 
     def __sub__(self, other):
@@ -372,20 +422,8 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             ensure_same_kind(self, other)
-            key_mul = self.kind.key_mul
             terms = {}
-            for p, cp in self.terms.items():
-                for q, cq in other.terms.items():
-                    key = key_mul(p, q)
-                    if key is None:
-                        continue
-                    c = cp * cq
-                    s = terms.get(key)
-                    s = c if s is None else s + c
-                    if s.is_zero():
-                        terms.pop(key, None)
-                    else:
-                        terms[key] = s
+            _accumulate(terms, products(self.kind, self.terms, other.terms))
             return Element._make(self.kind, terms)
         if isinstance(other, (int, LambdaPoly)):
             return self.scale(other)
@@ -467,13 +505,7 @@ class TensorElement:
             return NotImplemented
         self._check_compatible(other)
         terms = dict(self.terms)
-        for keys, c in other.terms.items():
-            s = terms.get(keys)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(keys, None)
-            else:
-                terms[keys] = s
+        _accumulate(terms, other.terms.items())
         return TensorElement._make(self.kind, self.legs, terms)
 
     def __sub__(self, other):
@@ -546,19 +578,10 @@ def act_left(a: Element, t: TensorElement) -> TensorElement:
         raise KindMismatch(f"bimodule action needs 2 legs, got {t.legs}")
     key_mul = a.kind.key_mul
     terms = {}
-    for p, cp in a.terms.items():
-        for (k1, k2), ct in t.terms.items():
-            key = key_mul(p, k1)
-            if key is None:
-                continue
-            c = cp * ct
-            keys = (key, k2)
-            s = terms.get(keys)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(keys, None)
-            else:
-                terms[keys] = s
+    _accumulate(terms, (
+        ((key, k2), cp * ct) for p, cp in a.terms.items() for (k1, k2), ct in t.terms.items()
+        if (key := key_mul(p, k1)) is not None
+    ))
     return TensorElement._make(a.kind, 2, terms)
 
 
@@ -569,19 +592,10 @@ def act_right(t: TensorElement, a: Element) -> TensorElement:
         raise KindMismatch(f"bimodule action needs 2 legs, got {t.legs}")
     key_mul = a.kind.key_mul
     terms = {}
-    for (k1, k2), ct in t.terms.items():
-        for q, cq in a.terms.items():
-            key = key_mul(k2, q)
-            if key is None:
-                continue
-            c = ct * cq
-            keys = (k1, key)
-            s = terms.get(keys)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(keys, None)
-            else:
-                terms[keys] = s
+    _accumulate(terms, (
+        ((k1, key), ct * cq) for (k1, k2), ct in t.terms.items() for q, cq in a.terms.items()
+        if (key := key_mul(k2, q)) is not None
+    ))
     return TensorElement._make(t.kind, 2, terms)
 
 

@@ -23,9 +23,11 @@ E[i,j] (product rule E[i,j]E[k,l] = delta_jk E[i,l]):
 
 from __future__ import annotations
 
-from .core import AlgebraInstance, _accumulate, coproduct_from_r
+from .core import AlgebraInstance, coproduct_from_r
 from .errors import DimensionMismatch, KindMismatch, LSquareNotZero
-from .lincomb import Element, EMatrix, MatrixKind, TensorElement, act_left, act_right, tensor
+from .lincomb import (
+    Element, EMatrix, MatrixKind, TensorElement, _accumulate, act_left, act_right, tensor,
+)
 from .scalars import LambdaPoly, ONE, ZERO
 
 

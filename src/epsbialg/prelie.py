@@ -42,9 +42,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import AlgebraInstance, LawReport, _accumulate
+from .core import AlgebraInstance, LawReport
 from .errors import DimensionMismatch, WeightNotZero
-from .lincomb import Element, EMatrix, MatrixKind
+from .lincomb import Element, EMatrix, MatrixKind, _accumulate
 from .matrices import sgn
 from .scalars import ONE
 
@@ -152,11 +152,12 @@ def matrix_bracket_closed_form(p: EMatrix, q: EMatrix) -> Element:
 
 def bilinear_from_pairs(a: Element, b: Element, rule) -> Element:
     """Extend a basis-pair rule (key, key) -> Element bilinearly to elements."""
-    out = Element.zero(a.kind)
+    out = {}
     for p, cp in a.terms.items():
         for q, cq in b.terms.items():
-            out = out + rule(p, q).scale(cp * cq)
-    return out
+            cpq = cp * cq
+            _accumulate(out, ((key, c * cpq) for key, c in rule(p, q).terms.items()))
+    return Element._make(a.kind, out)
 
 
 def classical_matrix_bracket(p: EMatrix, q: EMatrix) -> Element:

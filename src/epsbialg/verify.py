@@ -39,7 +39,6 @@ from typing import Optional
 from .core import (
     AlgebraInstance,
     LawReport,
-    _accumulate,
     antipode,
     antipode_endo,
     check_antipode_axiom,
@@ -49,7 +48,7 @@ from .core import (
     d_map,
 )
 from .errors import KindMismatch, NotNilpotentWithinCap, UnknownSuite, WeightNotZero
-from .lincomb import Element, EMatrix, MatrixKind, Word, act_left, act_right, tensor
+from .lincomb import Element, EMatrix, MatrixKind, Word, _accumulate, act_left, act_right, tensor
 from .matrices import matrix_algebra, matrix_from_rows, random_integer_matrix
 from .parser import parse_expression
 from .prelie import (

@@ -11,10 +11,13 @@ from epsbialg import (
     LambdaPoly,
     LawReport,
     MatrixKind,
+    UnivarKind,
+    UnivarMonomial,
     Word,
     WordKind,
     act_left,
     act_right,
+    antipode_endo,
     check_jacobi,
     check_left_representation,
     check_prelie_identity,
@@ -102,6 +105,40 @@ def tensor_coassoc_oracle(A, key):
     if diff.is_zero():
         return LawReport.ok("coassoc")
     return LawReport.fail("coassoc", (A.kind.key_text(key),), diff)
+
+
+# -- element-level oracles for the antipode checkers ---------------------------
+# Each side of the law built as a whole Element or TensorElement, adding one
+# product or tensor per Sweedler term; knows nothing of the key-level sparse
+# maps in ``core.check_antipode_axiom``/``check_antipode_properties``.  S is
+# evaluated on keys in the order of the law's terms, as there.
+
+
+def element_antipode_axiom_oracle(A, a, cap=64):
+    s = antipode_endo(A, cap)
+    sa = s(a)
+    left = sa + a
+    right = sa + a
+    for (k1, k2), c in A.coproduct(a).terms.items():
+        left = left + (s.on_key(k1) * A.element(k2)).scale(c)
+        right = right + (A.element(k1) * s.on_key(k2)).scale(c)
+    for side, value in (("left", left), ("right", right)):
+        if not value.is_zero():
+            return LawReport.fail(f"antipode-axiom-{side}", (str(a),), value)
+    return LawReport.ok("antipode-axiom")
+
+
+def element_antipode_properties_oracle(A, x, y, cap=64):
+    s = antipode_endo(A, cap)
+    diff = s(x * y) + s(x) * s(y)
+    if not diff.is_zero():
+        return LawReport.fail("antipode-multiplicativity", (str(x), str(y)), diff)
+    both = A.coproduct(s(x))
+    for (k1, k2), c in A.coproduct(x).terms.items():
+        both = both + tensor(s.on_key(k1), s.on_key(k2)).scale(c)
+    if not both.is_zero():
+        return LawReport.fail("antipode-comultiplicativity", (str(x),), both)
+    return LawReport.ok("antipode-properties")
 
 
 # -- oracles for the triple-law sweeps -----------------------------------------
@@ -193,6 +230,14 @@ def word_elements(alphabet="xy", max_len=3, max_terms=3):
     kind = WordKind(alphabet)
     letters = st.integers(min_value=0, max_value=len(kind.alphabet) - 1)
     keys = st.builds(Word, st.lists(letters, max_size=max_len).map(tuple))
+    return st.dictionaries(keys, lambda_polys, max_size=max_terms).map(
+        lambda terms: Element(kind, terms)
+    )
+
+
+def univar_elements(max_degree=4, max_terms=3):
+    kind = UnivarKind()
+    keys = st.builds(UnivarMonomial, st.integers(min_value=0, max_value=max_degree))
     return st.dictionaries(keys, lambda_polys, max_size=max_terms).map(
         lambda terms: Element(kind, terms)
     )

@@ -322,3 +322,8 @@ def test_criterion_10_law_sweeps_scale():
         A = matrix_algebra(10)
         for suite in ("prelie", "jacobi", "representation"):
             assert run_suite(suite, A).line() == f"[PASS] {suite}: 1000000 triples checked"
+
+
+def test_criterion_11_antipode_suite_scales():
+    with criterion(11, "antipode laws on M_10, basis and 100 random matrices", 2.5):
+        assert run_suite("antipode", matrix_algebra(10)).line() == "[PASS] antipode: 500 checks"

@@ -249,6 +249,29 @@ def test_verify_antipode_names_a_product_beyond_the_sweep(capsys):
     assert "[FAIL] antipode: series of x^5 does not truncate within cap 5" in out
 
 
+@pytest.mark.parametrize(
+    "selector, detail, witness",
+    [
+        ("rmatrix:2:E[1,1] (x) E[1,2]:0", "property failure after 4 checks",
+         "inputs (E[1,1]): difference = -E[1,2] (x) E[1,2]"),
+        ("rmatrix:2:E[1,1] (x) E[1,2] + E[1,1] (x) E[2,2]:0", "axiom failure after 0 checks",
+         "inputs (E[1,1]): difference = E[1,2]"),
+    ],
+    ids=["property", "axiom"],
+)
+def test_verify_antipode_pins_the_failure_witness(capsys, selector, detail, witness):
+    code, out, err = run(capsys, "verify", "--suite", "antipode", "-a", selector)
+    assert (code, err) == (1, "")
+    assert out == f"[FAIL] antipode: {detail}\n       witness {witness}\nresult: LAW VIOLATION\n"
+    code, out, err = run(capsys, "verify", "--suite", "antipode", "-a", selector, "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "algebra": selector,
+        "suites": [{"suite": "antipode", "status": "fail", "detail": detail, "witness": witness}],
+        "passed": False,
+    }
+
+
 @pytest.mark.parametrize("flag", ["--max-len", "--cap"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_bounds_below_one_are_usage_errors(capsys, flag, value):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epsbialg import (
@@ -13,6 +13,7 @@ from epsbialg import (
     EMatrix,
     KindMismatch,
     LAMBDA,
+    MatrixKind,
     NotNilpotentWithinCap,
     UnivarMonomial,
     WeightNotZero,
@@ -36,16 +37,26 @@ from epsbialg import (
     nilpotency_index,
     parse_expression,
     random_integer_matrix,
+    TensorElement,
     tensor,
     univar_algebra,
     word_algebra,
     zero_endo,
 )
+from epsbialg import core
 from epsbialg.cli import build_algebra
 from epsbialg.core import LinearEndomorphism
 from epsbialg.words import weighted_word_coproduct
 
-from support import RMATRIX_CONTROLS, tensor_coassoc_oracle, tensor_cocycle_oracle
+from support import (
+    RMATRIX_CONTROLS,
+    element_antipode_axiom_oracle,
+    element_antipode_properties_oracle,
+    matrix_elements,
+    tensor_coassoc_oracle,
+    tensor_cocycle_oracle,
+    univar_elements,
+)
 
 M2 = matrix_algebra(2)
 M3 = matrix_algebra(3)
@@ -510,3 +521,111 @@ def test_key_level_cocycle_validates_its_keys():
         check_cocycle(M2, EMatrix(1, 1, 2), EMatrix(1, 1, 3))
     with pytest.raises(KindMismatch):
         check_cocycle(W, Word((0,)), Word((2,)))
+
+
+# -- key-level antipode checkers against the element-level oracles -------------
+
+# the two weight-0 r-coproducts whose antipode failures `verify` pins
+RMATRIX_PROPERTY = "rmatrix:2:E[1,1] (x) E[1,2]:0"
+RMATRIX_AXIOM = "rmatrix:2:E[1,1] (x) E[1,2] + E[1,1] (x) E[2,2]:0"
+
+
+def _coproduct_table_algebra():
+    """M_2 at weight 0 with an arbitrary coproduct table, not a derivation.
+
+    D is nilpotent on it, and the antipode axiom (right side), multiplicativity
+    and comultiplicativity fail on basis keys, so every witness path is reached.
+    """
+    kind = MatrixKind(2)
+    e = lambda i, j: EMatrix(i, j, 2)
+    table = {
+        e(1, 1): {(e(2, 1), e(1, 1)): -1, (e(1, 2), e(1, 1)): -1},
+        e(2, 2): {(e(1, 2), e(2, 2)): -1},
+    }
+    return AlgebraInstance(
+        kind, 0, lambda key: TensorElement(kind, 2, table.get(key, {})), selector="table"
+    )
+
+
+# case -> (instance factory, its elements, what fails on its basis: the antipode
+# laws, and the keys whose series does not truncate)
+ANTIPODE_CASES = {
+    "matrix:2": (lambda: matrix_algebra(2), matrix_elements(2), set()),
+    "matrix:3": (lambda: matrix_algebra(3), matrix_elements(3), set()),
+    "matrix:4": (lambda: matrix_algebra(4), matrix_elements(4, max_terms=6), set()),
+    "rmatrix-property": (
+        lambda: build_algebra(RMATRIX_PROPERTY, None), matrix_elements(2),
+        {"antipode-comultiplicativity"},
+    ),
+    "rmatrix-axiom": (
+        lambda: build_algebra(RMATRIX_AXIOM, None), matrix_elements(2),
+        {"antipode-axiom-left", "antipode-comultiplicativity"},
+    ),
+    "rmatrix-no-truncation": (
+        lambda: build_algebra(RMATRIX_CONTROLS[0], None), matrix_elements(2),
+        {"E[1,2]", "E[2,1]"},
+    ),
+    "table": (
+        _coproduct_table_algebra, matrix_elements(2),
+        {"antipode-axiom-right", "antipode-multiplicativity", "antipode-comultiplicativity"},
+    ),
+    "univar-0": (lambda: univar_algebra(0), univar_elements(), set()),
+}
+
+
+def _antipode_outcome(check, A, *args, cap=64):
+    """The report of ``check`` (or the key whose series does not truncate),
+    with the keys S was evaluated on, in order, starting from an empty memo."""
+    order = []
+
+    def recording(algebra, a, cap=64):
+        order.append(tuple(a.terms))
+        return antipode(algebra, a, cap)
+
+    A._antipode_endos.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "antipode", recording)
+        try:
+            result = check(A, *args, cap)
+        except NotNilpotentWithinCap as exc:
+            result = ("does not truncate", str(exc.element), exc.cap)
+    return result, order
+
+
+def _same_antipode_outcomes(A, x, y, cap=64):
+    """Both key-level checkers against their oracles; returns the two results."""
+    results = []
+    for fast, slow, args in (
+        (check_antipode_axiom, element_antipode_axiom_oracle, (x,)),
+        (check_antipode_properties, element_antipode_properties_oracle, (x, y)),
+    ):
+        got = _antipode_outcome(fast, A, *args, cap=cap)
+        assert got == _antipode_outcome(slow, A, *args, cap=cap)
+        results.append(got[0])
+    return results
+
+
+@pytest.mark.parametrize("case", sorted(ANTIPODE_CASES))
+def test_key_level_antipode_checkers_match_the_oracles_on_the_basis(case):
+    make, _, failing = ANTIPODE_CASES[case]
+    A = make()
+    elements = [A.element(key) for key in A.basis_keys(4)]
+    seen = set()
+    for x in elements:
+        for y in elements:
+            for result in _same_antipode_outcomes(A, x, y):
+                if isinstance(result, tuple):
+                    seen.add(result[1])
+                elif not result:
+                    seen.add(result.law)
+    # the failures met on the basis, so witnesses were compared
+    assert seen == failing
+
+
+@pytest.mark.parametrize("case", sorted(ANTIPODE_CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_key_level_antipode_checkers_match_the_oracles_on_random_elements(case, data):
+    make, elements, _ = ANTIPODE_CASES[case]
+    cap = data.draw(st.sampled_from([1, 2, 3, 64]), label="cap")
+    _same_antipode_outcomes(make(), data.draw(elements), data.draw(elements), cap)

@@ -1,7 +1,8 @@
 """Linear combinations, tensors, and the bimodule actions on the tensor square."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsbialg import (
     AlphabetMismatch,
@@ -22,7 +23,13 @@ from epsbialg import (
 )
 from epsbialg.scalars import LambdaPoly
 
-from support import dense_from_element, dense_mul, element_from_dense, matrix_elements
+from support import (
+    dense_from_element,
+    dense_mul,
+    element_from_dense,
+    matrix_elements,
+    nonzero_polys,
+)
 
 M2 = MatrixKind(2)
 M3 = MatrixKind(3)
@@ -116,11 +123,29 @@ def test_bimodule_compatibility(a, b, c, d):
     assert act_right(act_left(a, t), d) == act_left(a, act_right(t, d))
 
 
-@given(matrix_elements(3), matrix_elements(3))
-def test_product_matches_dense_oracle(a, b):
-    got = a * b
-    want = element_from_dense(dense_mul(dense_from_element(a, 3), dense_from_element(b, 3)))
-    assert got == want
+def matrix_operands(n):
+    """Single-term, sparse and dense elements of M_n, so that the row index
+    meets empty, partial and full buckets."""
+    kind = MatrixKind(n)
+    keys = [EMatrix(i, j, n) for i in range(1, n + 1) for j in range(1, n + 1)]
+    single = st.tuples(st.sampled_from(keys), nonzero_polys).map(
+        lambda kc: Element(kind, {kc[0]: kc[1]})
+    )
+    entries = st.integers(min_value=-9, max_value=8).map(lambda v: v if v < 0 else v + 1)
+    dense = st.lists(entries, min_size=n * n, max_size=n * n).map(
+        lambda cs: Element(kind, dict(zip(keys, cs)))
+    )
+    return st.one_of(single, matrix_elements(n, max_terms=n + 1), dense)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_product_matches_dense_oracle(data):
+    for n in range(1, 7):
+        a = data.draw(matrix_operands(n), label=f"a{n}")
+        b = data.draw(matrix_operands(n), label=f"b{n}")
+        want = element_from_dense(dense_mul(dense_from_element(a, n), dense_from_element(b, n)))
+        assert a * b == want
 
 
 @given(matrix_elements(2), matrix_elements(2), matrix_elements(2))

@@ -11,6 +11,10 @@ Subcommands: ``coproduct``, ``antipode``, ``prelie``, ``bracket``,
     rmatrix:N:<r-expr>:<w>   derived coproduct for the 2-leg tensor <r-expr>
                              at weight <w>; <r-expr> may be 0, the zero tensor
 
+A matrix dimension N is at most 64, so that the N^2 basis keys stay within
+the parsers' term bound MAX_TERMS = 4096; a larger N exits 2 before anything
+is built.
+
 Exit codes: 0 success, 1 law violation (including a non-truncating antipode
 series), 2 usage or parse errors (including unconstructible selectors).
 Output is deterministic: identical invocations print identical bytes.
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import isqrt
 
 from .core import antipode, coproduct_from_r
 from .errors import (
@@ -39,7 +44,7 @@ from .prelie import (
     matrix_bracket_table,
     prelie_product,
 )
-from .scalars import check_product, parse_scalar
+from .scalars import MAX_TERMS, check_product, parse_scalar
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_verify
 from .words import univar_algebra, word_algebra
 
@@ -114,7 +119,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def build_algebra(selector: str, weight_text):
     if selector.startswith("matrix:"):
         _reject_weight(weight_text, "matrix")
-        return matrix_algebra(_positive_int(selector.split(":", 1)[1], "matrix dimension"))
+        return matrix_algebra(_matrix_dimension(selector.split(":", 1)[1]))
     if selector.startswith("word:"):
         letters = selector.split(":", 1)[1]
         alphabet = letters.split(",") if "," in letters else list(letters)
@@ -128,7 +133,7 @@ def build_algebra(selector: str, weight_text):
         parts = selector.split(":", 2)
         if len(parts) != 3:
             raise ValueError(f"malformed selector {selector!r}; want lmatrix:N:<expr>")
-        n = _positive_int(parts[1], "matrix dimension")
+        n = _matrix_dimension(parts[1])
         base = matrix_algebra(n)
         return l_coproduct_instance(n, parse_expression(parts[2], base))
     if selector.startswith("rmatrix:"):
@@ -138,7 +143,7 @@ def build_algebra(selector: str, weight_text):
             raise ValueError(
                 f"malformed selector {selector!r}; want rmatrix:N:<r-expr>:<weight>"
             )
-        n = _positive_int(parts[1], "matrix dimension")
+        n = _matrix_dimension(parts[1])
         weight = parse_scalar(parts[-1])
         r_text = ":".join(parts[2:-1])
         base = matrix_algebra(n)
@@ -155,6 +160,16 @@ def _positive_int(text, what):
     if value < 1:
         raise ValueError(f"{what} must be >= 1, got {value}")
     return value
+
+
+def _matrix_dimension(text):
+    n = _positive_int(text, "matrix dimension")
+    if n * n > MAX_TERMS:
+        raise ValueError(
+            f"matrix dimension must be at most {isqrt(MAX_TERMS)}, so that its basis "
+            f"stays within {MAX_TERMS} terms; got {n}"
+        )
+    return n
 
 
 def _count_arg(text):

@@ -23,10 +23,14 @@ Each kind also gives a product index: ``product_index(terms)`` maps a left
 key p to the right-hand terms (q, c) whose product pq may be nonzero.  On
 M_n the terms are grouped by row, since E[i,j]E[k,l] vanishes unless k = j,
 so a dense-by-dense product visits n^3 pairs rather than n^4; words and
-monomials have a single bucket.  ``products`` walks a product through the
-index, and ``_accumulate`` adds a stream of terms into one sparse map: sums
-and products of elements go through these two, and so do the key-level
-checkers, which never build an element per term.
+monomials have a single bucket.  ``left_index(terms)`` is its mirror: it
+maps a right key q to the left-hand terms (p, c) whose product pq may be
+nonzero, grouped by column on M_n.  Either index may list a term whose
+product is zero, but never leaves out one whose product is not.
+``products`` walks a product through the index, and ``_accumulate`` adds a
+stream of terms into one sparse map: sums and products of elements go
+through these two, and so do the key-level checkers, which never build an
+element per term.
 
 The tensor square A (x) A is an (A,A)-bimodule via
 
@@ -131,7 +135,7 @@ class UnivarMonomial:
 # ---------------------------------------------------------------------------
 
 def _single_bucket(terms):
-    """The product index of a kind whose keys never multiply to zero."""
+    """The product index, right or left, of a kind whose keys never multiply to zero."""
     items = terms.items()
     return lambda p: items
 
@@ -167,6 +171,13 @@ class MatrixKind:
         for q, c in terms.items():
             rows.setdefault(q.i, []).append((q, c))
         return lambda p: rows.get(p.j, ())
+
+    def left_index(self, terms):
+        """Left-hand terms grouped by column: E[k,l] is met only by the terms E[i,k]."""
+        columns = {}
+        for p, c in terms.items():
+            columns.setdefault(p.j, []).append((p, c))
+        return lambda q: columns.get(q.i, ())
 
     def unit_terms(self):
         # the identity matrix, expanded eagerly into basis terms
@@ -223,7 +234,7 @@ class WordKind:
     def key_mul(self, p: Word, q: Word):
         return Word(p.letters + q.letters)
 
-    product_index = staticmethod(_single_bucket)
+    product_index = left_index = staticmethod(_single_bucket)
 
     def unit_terms(self):
         return {Word(): ONE}
@@ -271,7 +282,7 @@ class UnivarKind:
     def key_mul(self, p: UnivarMonomial, q: UnivarMonomial):
         return UnivarMonomial(p.exponent + q.exponent)
 
-    product_index = staticmethod(_single_bucket)
+    product_index = left_index = staticmethod(_single_bucket)
 
     def unit_terms(self):
         return {UnivarMonomial(0): ONE}

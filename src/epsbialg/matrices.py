@@ -56,10 +56,15 @@ def newtonian_coproduct(key: EMatrix) -> TensorElement:
     return TensorElement._make(kind, 2, terms)
 
 
+# The tag ``matrix_algebra`` declares: the paper's closed forms for the
+# bracket hold on such an instance.
+TELESCOPING = "telescoping"
+
+
 def matrix_algebra(n: int) -> AlgebraInstance:
     """M_n with the telescoping coproduct; a weight-zero unitary instance."""
     return AlgebraInstance(
-        MatrixKind(n), ZERO, newtonian_coproduct, selector=f"matrix:{n}"
+        MatrixKind(n), ZERO, newtonian_coproduct, selector=f"matrix:{n}", tags=(TELESCOPING,)
     )
 
 

@@ -143,11 +143,20 @@ class LambdaPoly:
         a, b = self._c, other._c
         if not a or not b:
             return ZERO
-        # the unit: the only stored coefficient is the int 1 at degree 0
-        if len(a) == 1 and a.get(0) == 1:
-            return other
-        if len(b) == 1 and b.get(0) == 1:
-            return self
+        # the unit and its negative: the only stored coefficient is the int
+        # 1 or -1 at degree 0
+        if len(a) == 1:
+            q = a.get(0)
+            if q == 1:
+                return other
+            if q == -1:
+                return -other
+        if len(b) == 1:
+            q = b.get(0)
+            if q == 1:
+                return self
+            if q == -1:
+                return -self
         c = {}
         for da, qa in a.items():
             for db, qb in b.items():

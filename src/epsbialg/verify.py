@@ -5,6 +5,20 @@ stops at the first failing law, so a broken instance always reproduces the
 same witness.  ``run_verify`` maps a suite name (or ``all``) to outcomes;
 the caller turns them into text and an exit status.
 
+The ``algebra`` suite runs first under ``all`` and is never skipped: the
+other suites take the kind's product and unit on trust.  It checks 1.e = e
+= e.1 on every swept key, then (pq)r = p(qr) on every triple of them.  A
+triple with (pq)r = 0 and p(qr) = 0 holds as 0 = 0, so only the triples
+with a nonzero side are evaluated: the kind's product index lists, for a
+left key, every right key whose product with it may be nonzero, and its left
+index does the same the other way round, so the walk from p to q to r after
+pq and the walk from q to r to p before qr reach every such triple
+(``_associativity_walk``).  On M_n that is n^4 of the n^6 triples.  The
+walk runs to its end, so every candidate is evaluated, and the failure
+reported is the one at the least canonical index, as in a walk over every
+triple in order; ``tests/support.py::dense_associativity_oracle`` is that
+walk.
+
 The pre-Lie, Jacobi and representation sweeps are term-driven.  Each law is
 a signed sum of terms outer(inner(x, y), z) or outer(z, inner(x, y)) over
 the positions of the triple, with inner and outer either the |> table T or
@@ -25,9 +39,10 @@ triple where some pair of entries touches under |>.
 
 Applicability: the antipode and pre-Lie family need weight 0, and the
 bracket conformance sweep compares against closed forms specific to the
-telescoping matrix instance, so under ``all`` these are skipped (with a
-printed reason) wherever they do not apply.  Requesting such a suite
-explicitly raises instead, which the CLI reports as a usage error.
+telescoping matrix instance (the instances tagged ``telescoping``), so
+under ``all`` these are skipped (with a printed reason) wherever they do
+not apply.  Requesting such a suite explicitly raises instead, which the
+CLI reports as a usage error.
 """
 
 from __future__ import annotations
@@ -49,7 +64,7 @@ from .core import (
 )
 from .errors import KindMismatch, NotNilpotentWithinCap, UnknownSuite, WeightNotZero
 from .lincomb import Element, EMatrix, MatrixKind, Word, _accumulate, act_left, act_right, tensor
-from .matrices import matrix_algebra, matrix_from_rows, random_integer_matrix
+from .matrices import TELESCOPING, matrix_algebra, matrix_from_rows, random_integer_matrix
 from .parser import parse_expression
 from .prelie import (
     _prelie_on_keys,
@@ -62,10 +77,11 @@ from .prelie import (
     matrix_bracket_table,
     prelie_product,
 )
-from .scalars import LAMBDA
+from .scalars import LAMBDA, MINUS_ONE, ONE
 from .words import subword, word_algebra
 
 SUITE_NAMES = (
+    "algebra",
     "coassoc",
     "cocycle",
     "antipode",
@@ -146,6 +162,81 @@ def _triple_keys(A: AlgebraInstance, max_len: int):
 # ---------------------------------------------------------------------------
 # individual suites
 # ---------------------------------------------------------------------------
+
+def _associativity_walk(kind, keys):
+    """Each triple of ``keys`` with a nonzero side of (pq)r = p(qr), once, as
+    (canonical index, (pq)r, p(qr)), a side that is zero being None.
+
+    The nonzero products of pairs of keys are tabulated first, through the
+    product index.  The triples with (pq)r != 0 follow from them through the
+    product index (p, then q, then r after pq); those with p(qr) != 0 but
+    (pq)r = 0 through the left index (q, then r, then p before qr).  Neither
+    walk is in canonical order.
+    """
+    m = len(keys)
+    mul = kind.key_mul
+    positions = {key: i for i, key in enumerate(keys)}
+    right, left = kind.product_index(positions), kind.left_index(positions)
+    pairs = {}  # i * m + j -> keys[i] keys[j], for the nonzero products
+    for i, p in enumerate(keys):
+        for q, j in right(p):
+            pq = mul(p, q)
+            if pq is not None:
+                pairs[i * m + j] = pq
+    for ij, pq in pairs.items():
+        p, j = keys[ij // m], ij % m
+        for r, k in right(pq):
+            pq_r = mul(pq, r)
+            if pq_r is not None:
+                qr = pairs.get(j * m + k)
+                yield ij * m + k, pq_r, None if qr is None else mul(p, qr)
+    for jk, qr in pairs.items():
+        j, r = jk // m, keys[jk % m]
+        for p, i in left(qr):
+            pq = pairs.get(i * m + j)
+            if pq is not None and mul(pq, r) is not None:
+                continue  # (pq)r != 0: the first walk yielded it
+            p_qr = mul(p, qr)
+            if p_qr is not None:
+                yield i * m * m + jk, None, p_qr
+
+
+def _suite_algebra(A, max_len):
+    """The unit on both sides of every swept key, then associativity on every
+    triple of them; see the module docstring for the triples it skips."""
+    kind = A.kind
+    mul = kind.key_mul
+    keys = _triple_keys(A, max_len)
+    left_unit, right_unit = kind.left_index(A.unit.terms), kind.product_index(A.unit.terms)
+    for count, p in enumerate(keys):
+        for side in (  # 1.p, then p.1
+            ((k, c) for u, c in left_unit(p) if (k := mul(u, p)) is not None),
+            ((k, c) for u, c in right_unit(p) if (k := mul(p, u)) is not None),
+        ):
+            diff = {p: MINUS_ONE}
+            _accumulate(diff, side)
+            if diff:
+                report = LawReport.fail("unit", (kind.key_text(p),), Element._make(kind, diff))
+                return _failed("algebra", f"unit failure after {count} keys", report, count)
+    # the walk is not in canonical order: it runs to the end, keeping the
+    # least failing index
+    m = len(keys)
+    first, evaluated = None, 0
+    for index, pq_r, p_qr in _associativity_walk(kind, keys):
+        evaluated += 1
+        if pq_r != p_qr and (first is None or index < first[0]):
+            first = (index, pq_r, p_qr)
+    if first is None:
+        return _passed("algebra", f"{m ** 3} triples checked", m ** 3, evaluated)
+    index, pq_r, p_qr = first
+    # the two sides differ, so they are two distinct keys or one key and zero
+    diff = {k: c for k, c in ((pq_r, ONE), (p_qr, MINUS_ONE)) if k is not None}
+    triple = (keys[index // (m * m)], keys[index // m % m], keys[index % m])
+    report = LawReport.fail(
+        "associativity", tuple(kind.key_text(k) for k in triple), Element._make(kind, diff)
+    )
+    return _failed("algebra", f"failure after {index} triples", report, index, evaluated)
+
 
 def _suite_coassoc(A, max_len):
     count = 0
@@ -367,7 +458,7 @@ def _suite_prelie(A, max_len, which):
 
 
 def _suite_bracket_closed_form(A, max_len):
-    if not isinstance(A.kind, MatrixKind) or not A.selector.startswith("matrix:"):
+    if TELESCOPING not in A.tags:
         raise KindMismatch(
             "suite 'bracket-closed-form' applies to the telescoping matrix instance only"
         )
@@ -520,12 +611,14 @@ def _applicable(suite, A):
         if not A.weight.is_zero():
             return f"weight {A.weight} != 0"
     if suite == "bracket-closed-form":
-        if not (isinstance(A.kind, MatrixKind) and A.selector.startswith("matrix:")):
+        if TELESCOPING not in A.tags:
             return "telescoping matrix instances only"
     return None
 
 
 def run_suite(suite, A, max_len=6, cap=64, seed=DEFAULT_SEED):
+    if suite == "algebra":
+        return _suite_algebra(A, max_len)
     if suite == "coassoc":
         return _suite_coassoc(A, max_len)
     if suite == "cocycle":

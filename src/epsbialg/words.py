@@ -120,5 +120,4 @@ def univar_algebra(weight=None) -> AlgebraInstance:
         w,
         lambda key: univar_coproduct(key, w),
         selector="univar",
-        sweep_bound=4,
     )

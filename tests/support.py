@@ -204,6 +204,59 @@ def touch_law_sweep(A, max_len, which):
     return _passed(which, f"{count} triples checked", count, evaluated)
 
 
+# -- oracle for the algebra suite ----------------------------------------------
+# The unit checked by whole-element products, and associativity on every basis
+# triple in canonical order; knows nothing of the product indexes that
+# ``verify._associativity_walk`` follows.
+
+
+def _key_element(kind, key):
+    return Element.zero(kind) if key is None else Element.from_key(kind, key)
+
+
+def dense_associativity_oracle(A, max_len):
+    kind = A.kind
+    keys = _triple_keys(A, max_len)
+    key_mul = kind.key_mul
+    for count, p in enumerate(keys):
+        e = Element.from_key(kind, p)
+        for side in (A.unit * e, e * A.unit):
+            if side != e:
+                report = LawReport.fail("unit", (kind.key_text(p),), side - e)
+                return _failed("algebra", f"unit failure after {count} keys", report, count)
+    count = 0
+    for p in keys:
+        for q in keys:
+            pq = key_mul(p, q)
+            for r in keys:
+                qr = key_mul(q, r)
+                left = key_mul(pq, r) if pq is not None else None
+                right = key_mul(p, qr) if qr is not None else None
+                if left != right:
+                    report = LawReport.fail(
+                        "associativity",
+                        tuple(kind.key_text(k) for k in (p, q, r)),
+                        _key_element(kind, left) - _key_element(kind, right),
+                    )
+                    return _failed("algebra", f"failure after {count} triples", report, count)
+                count += 1
+    return _passed("algebra", f"{count} triples checked", count)
+
+
+def nonzero_associativity_sides(A, max_len):
+    """{canonical index: ((pq)r, p(qr))} over every triple with a nonzero side."""
+    keys = _triple_keys(A, max_len)
+    key_mul = A.kind.key_mul
+    sides = {}
+    for index, (p, q, r) in enumerate(itertools.product(keys, repeat=3)):
+        pq, qr = key_mul(p, q), key_mul(q, r)
+        left = key_mul(pq, r) if pq is not None else None
+        right = key_mul(p, qr) if qr is not None else None
+        if left is not None or right is not None:
+            sides[index] = (left, right)
+    return sides
+
+
 # -- hypothesis strategies ----------------------------------------------------
 
 small_fractions = st.fractions(

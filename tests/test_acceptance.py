@@ -56,7 +56,7 @@ from epsbialg import (
     univar_algebra,
     word_algebra,
 )
-from epsbialg.cli import main
+from epsbialg.cli import build_algebra, main
 from epsbialg.prelie import bilinear_from_pairs
 from epsbialg.verify import run_suite
 
@@ -327,3 +327,11 @@ def test_criterion_10_law_sweeps_scale():
 def test_criterion_11_antipode_suite_scales():
     with criterion(11, "antipode laws on M_10, basis and 100 random matrices", 2.5):
         assert run_suite("antipode", matrix_algebra(10)).line() == "[PASS] antipode: 500 checks"
+
+
+def test_criterion_12_construction_is_constant_and_the_algebra_suite_scales():
+    with criterion(12, "matrix:64 construction, the largest the CLI accepts", 0.05):
+        build_algebra("matrix:64", None)
+    with criterion(12, "unit and associativity on M_16, 16^6 triples", 1.0):
+        line = run_suite("algebra", matrix_algebra(16)).line()
+        assert line == "[PASS] algebra: 16777216 triples checked"

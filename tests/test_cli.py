@@ -82,7 +82,8 @@ def test_verify_all_matrix3(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "all", "--algebra", "matrix:3")
     assert code == 0
     assert "result: ok" in out
-    assert out.count("[PASS]") == 8
+    assert out.startswith("[PASS] algebra: 729 triples checked\n")
+    assert out.count("[PASS]") == 9
 
 
 def test_verify_word_coassoc(capsys):
@@ -91,6 +92,22 @@ def test_verify_word_coassoc(capsys):
     )
     assert code == 0
     assert "[PASS] coassoc: 127 keys checked" in out
+
+
+def test_verify_algebra_text_and_json(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "algebra", "--algebra", "matrix:2")
+    assert (code, out) == (0, "[PASS] algebra: 64 triples checked\nresult: ok\n")
+    code, out, _ = run(
+        capsys, "verify", "--suite", "algebra", "--algebra", "matrix:2", "--json"
+    )
+    assert code == 0
+    assert out == json.dumps({
+        "algebra": "matrix:2",
+        "suites": [{
+            "suite": "algebra", "status": "pass", "detail": "64 triples checked", "witness": None,
+        }],
+        "passed": True,
+    }, indent=2) + "\n"
 
 
 def test_verify_all_skips_inapplicable_on_words(capsys):
@@ -193,6 +210,21 @@ def test_unknown_selector_exit_code(capsys):
     code, _, err = run(capsys, "coproduct", "--algebra", "octonion:2", "--expr", "1")
     assert code == 2
     assert "unknown algebra selector" in err
+
+
+@pytest.mark.parametrize("selector", [
+    "matrix:65", "matrix:1000000", "lmatrix:65:E[1,2]", "rmatrix:65:0:0",
+])
+def test_matrix_dimension_past_the_bound_is_refused_before_building(
+    capsys, monkeypatch, selector
+):
+    def refuse(n):
+        raise AssertionError(f"built M_{n}")
+
+    monkeypatch.setattr("epsbialg.cli.matrix_algebra", refuse)
+    code, out, err = run(capsys, "coproduct", "--algebra", selector, "--expr", "E[1,2]")
+    assert (code, out) == (2, "")
+    assert "matrix dimension must be at most 64" in err
 
 
 def test_missing_flag_exit_code(capsys):
@@ -415,9 +447,8 @@ _FUZZ_TEXT = st.one_of(
 _FUZZ_SELECTORS = st.one_of(
     _FUZZ_TEXT,
     st.sampled_from(["matrix:1", "matrix:2", "matrix:3", "word:xy", "univar"]),
-    # alphabets stay short: construction checks associativity on every
-    # triple of words of length <= 2
-    st.builds("word:{}".format, st.text(max_size=4)),
+    st.builds("matrix:{}".format, st.integers(min_value=0, max_value=10**6)),
+    st.builds("word:{}".format, st.text(max_size=12)),
     st.builds("lmatrix:2:{}".format, _FUZZ_TEXT),
     st.builds("rmatrix:2:{}:{}".format, _FUZZ_TEXT, _FUZZ_TEXT),
 )
@@ -441,7 +472,8 @@ def test_arbitrary_text_ends_in_an_exit_code(command, selector, first, second, w
 
 
 def test_outcomes_report_checked_and_evaluated():
-    term_driven = {"prelie": 2, "jacobi": 3, "representation": 2}  # evaluated on M_2
+    # evaluated on M_2
+    term_driven = {"algebra": 16, "prelie": 2, "jacobi": 3, "representation": 2}
     _, outcomes = run_verify("all", matrix_algebra(2))
     for o in outcomes:
         if o.suite in term_driven:

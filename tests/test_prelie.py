@@ -10,6 +10,7 @@ from epsbialg import (
     Element,
     EMatrix,
     DimensionMismatch,
+    KindMismatch,
     MatrixKind,
     WeightNotZero,
     Word,
@@ -17,20 +18,23 @@ from epsbialg import (
     check_jacobi,
     check_left_representation,
     check_prelie_identity,
+    classical_comatrix_algebra,
     classical_matrix_bracket,
     commutator_bracket,
+    coproduct_from_r,
     matrix_algebra,
     matrix_bracket_closed_form,
     matrix_bracket_table,
     matrix_prelie_table,
     parse_expression,
+    parse_value,
     prelie_product,
     univar_algebra,
     word_algebra,
 )
 from epsbialg import prelie
 from epsbialg.cli import build_algebra
-from epsbialg.verify import _LAW_TERMS, _LawTables, _triple_keys, run_suite
+from epsbialg.verify import _LAW_TERMS, _LawTables, _applicable, _triple_keys, run_suite
 
 from support import (
     RMATRIX_CONTROLS,
@@ -88,6 +92,24 @@ def test_closed_form_values():
 def test_closed_form_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         matrix_bracket_closed_form(EMatrix(1, 2, 2), EMatrix(1, 2, 3))
+
+
+NOT_TELESCOPING = {
+    "rmatrix": lambda: build_algebra(RMATRIX_CONTROLS[0], None),
+    "lmatrix": lambda: build_algebra("lmatrix:3:E[1,3]", None),
+    "comatrix": lambda: classical_comatrix_algebra(3),
+    # its default selector, matrix:2:r-coproduct, does not make it telescoping
+    "r-coproduct": lambda: coproduct_from_r(M2, parse_value("E[1,1] (x) E[1,1]", M2), 0),
+}
+
+
+@pytest.mark.parametrize("case", NOT_TELESCOPING)
+def test_bracket_closed_form_applies_to_the_telescoping_tag_only(case):
+    A = NOT_TELESCOPING[case]()
+    assert _applicable("bracket-closed-form", A) == "telescoping matrix instances only"
+    with pytest.raises(KindMismatch, match="applies to the telescoping matrix instance only"):
+        run_suite("bracket-closed-form", A)
+    assert _applicable("bracket-closed-form", M2) is None
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from epsbialg import LambdaPoly
@@ -31,7 +31,15 @@ def assert_matches(p: LambdaPoly, want):
         assert type(q) is (int if q.denominator == 1 else Fraction)
 
 
+# -1 at degree 0 takes a fast path in the product, on either side
+MINUS_ONE = {0: Fraction(-1)}
+
+
 @given(polys, polys)
+@example(MINUS_ONE, {0: Fraction(3), 2: Fraction(-5, 2)})
+@example({1: Fraction(4), 3: Fraction(1, 6)}, MINUS_ONE)
+@example(MINUS_ONE, MINUS_ONE)
+@example(MINUS_ONE, {})
 def test_ring_operations_match_sympy(a, b):
     p, q = LambdaPoly(a), LambdaPoly(b)
     sp, sq = to_sympy(a), to_sympy(b)

@@ -70,7 +70,6 @@ from .prelie import (
     check_jacobi,
     check_left_representation,
     check_prelie_identity,
-    classical_matrix_bracket,
     commutator_bracket,
     matrix_bracket_closed_form,
     matrix_bracket_table,

@@ -1,12 +1,20 @@
 """Finitely supported linear combinations over basis keys, and tensor powers.
 
-Three basis-key families are supported:
+A basis key is a plain builtin value, hashed and compared in C:
 
-* ``EMatrix(i, j, n)`` -- elementary matrices of the n-by-n matrix algebra,
-  with the delta product rule E[i,j]E[k,l] = delta_jk E[i,l];
-* ``Word(letters)`` -- words over a finite ordered alphabet, multiplied by
-  concatenation, the empty word being the unit;
-* ``UnivarMonomial(e)`` -- powers x^e of a single commuting variable.
+* on M_n, the tuple ``(i, j)`` (1-based) for the elementary matrix E[i,j],
+  with the delta product rule E[i,j]E[k,l] = delta_jk E[i,l]; n is kept on
+  the kind, not on the key;
+* on words over a finite ordered alphabet, the tuple of 0-based letter
+  indices, multiplied by concatenation, the empty tuple being the unit;
+* on the one-variable polynomial algebra, the int exponent e of x^e.
+
+``EMatrix(i, j, n)``, ``Word(letters)`` and ``UnivarMonomial(e)`` are
+checked constructors that return these keys.  A key means nothing without
+its kind: the kind owns its text (``key_text``), its validation
+(``validate_key``), its order (``sort_key``, used by ``sorted_terms``: words
+by length, then letters; matrices and monomials in their natural tuple or
+int order) and its size.
 
 An ``Element`` is a map key -> LambdaPoly; a ``TensorElement`` is a map from
 k-tuples of keys (k >= 2, the tensor legs) to LambdaPoly.  Both are
@@ -16,8 +24,9 @@ construction, so they can be shared freely between tasks.
 A ``Kind`` value identifies the owning algebra (dimension, alphabet, ...)
 and carries its product rule, its unit and the size of a key (word length,
 degree in x; 0 for matrices), by which sweeps and parsed values are
-bounded.  Coproducts live elsewhere: several coalgebra structures can sit
-on top of the same kind.
+bounded; ``count_keys(bound)`` is the number of keys of size <= bound, in
+closed form.  Coproducts live elsewhere: several coalgebra structures can
+sit on top of the same kind.
 
 Each kind also gives a product index: ``product_index(terms)`` maps a left
 key p to the right-hand terms (q, c) whose product pq may be nonzero.  On
@@ -41,6 +50,7 @@ The tensor square A (x) A is an (A,A)-bimodule via
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .errors import AlphabetMismatch, DimensionMismatch, KindMismatch
 from .scalars import LambdaPoly, ONE, poly_text
@@ -50,84 +60,23 @@ from .scalars import LambdaPoly, ONE, poly_text
 # basis keys
 # ---------------------------------------------------------------------------
 
-class EMatrix:
-    """Elementary matrix E[i,j] of M_n: single 1 in row i, column j (1-based)."""
-
-    __slots__ = ("i", "j", "n", "_hash")
-
-    def __init__(self, i: int, j: int, n: int):
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise DimensionMismatch(f"E[{i},{j}] out of range for dimension {n}")
-        self.i = i
-        self.j = j
-        self.n = n
-        self._hash = hash((i, j, n))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EMatrix)
-            and self.i == other.i
-            and self.j == other.j
-            and self.n == other.n
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def sort_key(self):
-        return (self.i, self.j)
-
-    def __repr__(self):
-        return f"EMatrix({self.i}, {self.j}, {self.n})"
+def EMatrix(i: int, j: int, n: int) -> tuple:
+    """The key (i, j) of the elementary matrix E[i,j] of M_n (1-based)."""
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise DimensionMismatch(f"E[{i},{j}] out of range for dimension {n}")
+    return (i, j)
 
 
-class Word:
-    """A word over a finite alphabet, stored as a tuple of 0-based letter indices."""
-
-    __slots__ = ("letters", "_hash")
-
-    def __init__(self, letters=()):
-        self.letters = tuple(letters)
-        self._hash = hash(self.letters)
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self):
-        return self._hash
-
-    def __len__(self):
-        return len(self.letters)
-
-    def sort_key(self):
-        return (len(self.letters), self.letters)
-
-    def __repr__(self):
-        return f"Word({self.letters!r})"
+def Word(letters=()) -> tuple:
+    """The key of a word: the tuple of its 0-based letter indices."""
+    return tuple(letters)
 
 
-class UnivarMonomial:
-    """The monomial x^exponent of the one-variable polynomial algebra."""
-
-    __slots__ = ("exponent", "_hash")
-
-    def __init__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError(f"negative exponent {exponent}")
-        self.exponent = exponent
-        self._hash = hash(exponent)
-
-    def __eq__(self, other):
-        return isinstance(other, UnivarMonomial) and self.exponent == other.exponent
-
-    def __hash__(self):
-        return self._hash
-
-    def sort_key(self):
-        return (self.exponent,)
-
-    def __repr__(self):
-        return f"UnivarMonomial({self.exponent})"
+def UnivarMonomial(exponent: int) -> int:
+    """The key of the monomial x^exponent: the exponent itself."""
+    if exponent < 0:
+        raise ValueError(f"negative exponent {exponent}")
+    return exponent
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +87,10 @@ def _single_bucket(terms):
     """The product index, right or left, of a kind whose keys never multiply to zero."""
     items = terms.items()
     return lambda p: items
+
+
+def _itself(key):
+    return key
 
 
 class MatrixKind:
@@ -159,49 +112,55 @@ class MatrixKind:
     def selector(self) -> str:
         return f"matrix:{self.n}"
 
-    def key_mul(self, p: EMatrix, q: EMatrix):
+    @staticmethod
+    def key_mul(p, q):
         """Delta rule: E[i,j]E[k,l] = E[i,l] if j = k, else zero (None)."""
-        if p.j != q.i:
-            return None
-        return EMatrix(p.i, q.j, self.n)
+        return (p[0], q[1]) if p[1] == q[0] else None
 
     def product_index(self, terms):
         """Right-hand terms grouped by row: E[i,j] meets only the terms E[j,l]."""
         rows = {}
         for q, c in terms.items():
-            rows.setdefault(q.i, []).append((q, c))
-        return lambda p: rows.get(p.j, ())
+            rows.setdefault(q[0], []).append((q, c))
+        return lambda p: rows.get(p[1], ())
 
     def left_index(self, terms):
         """Left-hand terms grouped by column: E[k,l] is met only by the terms E[i,k]."""
         columns = {}
         for p, c in terms.items():
-            columns.setdefault(p.j, []).append((p, c))
-        return lambda q: columns.get(q.i, ())
+            columns.setdefault(p[1], []).append((p, c))
+        return lambda q: columns.get(q[0], ())
 
     def unit_terms(self):
         # the identity matrix, expanded eagerly into basis terms
-        return {EMatrix(i, i, self.n): ONE for i in range(1, self.n + 1)}
+        return {(i, i): ONE for i in range(1, self.n + 1)}
 
     def validate_key(self, key):
-        if not isinstance(key, EMatrix) or key.n != self.n:
+        if not (
+            type(key) is tuple and len(key) == 2
+            and all(type(x) is int and 1 <= x <= self.n for x in key)
+        ):
             raise KindMismatch(f"{key!r} is not a basis key of {self.selector()}")
 
-    def key_text(self, key: EMatrix) -> str:
-        return f"E[{key.i},{key.j}]"
+    def key_text(self, key) -> str:
+        return f"E[{key[0]},{key[1]}]"
+
+    # row-major order
+    sort_key = staticmethod(_itself)
 
     # elementary matrices carry no size: every key has size 0
     key_size_name = "size"
 
-    def key_size(self, key: EMatrix) -> int:
+    def key_size(self, key) -> int:
         return 0
 
     finite_basis = True
 
+    def count_keys(self, bound=None) -> int:
+        return self.n * self.n
+
     def basis_keys(self, bound=None):
-        for i in range(1, self.n + 1):
-            for j in range(1, self.n + 1):
-                yield EMatrix(i, j, self.n)
+        return itertools.product(range(1, self.n + 1), repeat=2)
 
 
 class WordKind:
@@ -231,38 +190,46 @@ class WordKind:
             return "word:" + "".join(self.alphabet)
         return "word:" + ",".join(self.alphabet)
 
-    def key_mul(self, p: Word, q: Word):
-        return Word(p.letters + q.letters)
+    # concatenation
+    key_mul = staticmethod(operator.add)
 
     product_index = left_index = staticmethod(_single_bucket)
 
     def unit_terms(self):
-        return {Word(): ONE}
+        return {(): ONE}
 
     def validate_key(self, key):
-        if not isinstance(key, Word) or any(
-            not (0 <= a < len(self.alphabet)) for a in key.letters
+        if type(key) is not tuple or not all(
+            type(a) is int and 0 <= a < len(self.alphabet) for a in key
         ):
             raise KindMismatch(f"{key!r} is not a basis key of {self.selector()}")
 
-    def key_text(self, key: Word) -> str:
-        if not key.letters:
+    def key_text(self, key) -> str:
+        if not key:
             return "1"
-        return "*".join(self.alphabet[a] for a in key.letters)
+        return "*".join(self.alphabet[a] for a in key)
+
+    @staticmethod
+    def sort_key(key):
+        """Words sort by length, then letters."""
+        return (len(key), key)
 
     key_size_name = "word length"
 
-    def key_size(self, key: Word) -> int:
-        return len(key.letters)
+    key_size = staticmethod(len)
 
     finite_basis = False
+
+    def count_keys(self, bound=6) -> int:
+        """The number of words of length <= bound."""
+        m = len(self.alphabet)
+        return bound + 1 if m == 1 else (m ** (bound + 1) - 1) // (m - 1)
 
     def basis_keys(self, bound=6):
         """All words of length <= bound, in length-then-lexicographic order."""
         indices = range(len(self.alphabet))
         for length in range(bound + 1):
-            for letters in itertools.product(indices, repeat=length):
-                yield Word(letters)
+            yield from itertools.product(indices, repeat=length)
 
 
 class UnivarKind:
@@ -279,35 +246,38 @@ class UnivarKind:
     def selector(self) -> str:
         return "univar"
 
-    def key_mul(self, p: UnivarMonomial, q: UnivarMonomial):
-        return UnivarMonomial(p.exponent + q.exponent)
+    # exponents add
+    key_mul = staticmethod(operator.add)
 
     product_index = left_index = staticmethod(_single_bucket)
 
     def unit_terms(self):
-        return {UnivarMonomial(0): ONE}
+        return {0: ONE}
 
     def validate_key(self, key):
-        if not isinstance(key, UnivarMonomial):
+        if type(key) is not int or key < 0:
             raise KindMismatch(f"{key!r} is not a basis key of univar")
 
-    def key_text(self, key: UnivarMonomial) -> str:
-        if key.exponent == 0:
+    def key_text(self, key) -> str:
+        if key == 0:
             return "1"
-        if key.exponent == 1:
+        if key == 1:
             return "x"
-        return f"x^{key.exponent}"
+        return f"x^{key}"
+
+    sort_key = staticmethod(_itself)
 
     key_size_name = "degree in x"
 
-    def key_size(self, key: UnivarMonomial) -> int:
-        return key.exponent
+    key_size = staticmethod(_itself)
 
     finite_basis = False
 
+    def count_keys(self, bound=6) -> int:
+        return bound + 1
+
     def basis_keys(self, bound=6):
-        for e in range(bound + 1):
-            yield UnivarMonomial(e)
+        return range(bound + 1)
 
 
 def ensure_same_kind(a, b):
@@ -446,7 +416,8 @@ class Element:
         return NotImplemented
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
+        sort_key = self.kind.sort_key
+        return sorted(self.terms.items(), key=lambda kv: sort_key(kv[0]))
 
     def __str__(self):
         return _combo_text(
@@ -545,10 +516,8 @@ class TensorElement:
     __rmul__ = __mul__
 
     def sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: tuple(key.sort_key() for key in kv[0]),
-        )
+        sort_key = self.kind.sort_key
+        return sorted(self.terms.items(), key=lambda kv: tuple(map(sort_key, kv[0])))
 
     def __str__(self):
         return _combo_text(self.kind, self.sorted_terms(), single_leg=False)

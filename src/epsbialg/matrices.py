@@ -26,7 +26,7 @@ from __future__ import annotations
 from .core import AlgebraInstance, coproduct_from_r
 from .errors import DimensionMismatch, KindMismatch, LSquareNotZero
 from .lincomb import (
-    Element, EMatrix, MatrixKind, TensorElement, _accumulate, act_left, act_right, tensor,
+    Element, MatrixKind, TensorElement, _accumulate, act_left, act_right, tensor,
 )
 from .scalars import LambdaPoly, ONE, ZERO
 
@@ -40,19 +40,16 @@ def sgn(x: int) -> int:
     return 0
 
 
-def newtonian_coproduct(key: EMatrix) -> TensorElement:
-    """The signed telescoping coproduct on an elementary matrix."""
-    i, j, n = key.i, key.j, key.n
-    kind = MatrixKind(n)
+def newtonian_coproduct(key, kind: MatrixKind) -> TensorElement:
+    """The signed telescoping coproduct on the elementary matrix ``key`` of ``kind``."""
+    i, j = key
     if i == j:
         return TensorElement.zero(kind)
     if i < j:
         sign, lo, hi = ONE, i, j - 1
     else:
         sign, lo, hi = -ONE, j, i - 1
-    terms = {
-        (EMatrix(i, s, n), EMatrix(s + 1, j, n)): sign for s in range(lo, hi + 1)
-    }
+    terms = {((i, s), (s + 1, j)): sign for s in range(lo, hi + 1)}
     return TensorElement._make(kind, 2, terms)
 
 
@@ -63,22 +60,23 @@ TELESCOPING = "telescoping"
 
 def matrix_algebra(n: int) -> AlgebraInstance:
     """M_n with the telescoping coproduct; a weight-zero unitary instance."""
+    kind = MatrixKind(n)
     return AlgebraInstance(
-        MatrixKind(n), ZERO, newtonian_coproduct, selector=f"matrix:{n}", tags=(TELESCOPING,)
+        kind, ZERO, lambda key: newtonian_coproduct(key, kind), selector=f"matrix:{n}",
+        tags=(TELESCOPING,),
     )
 
 
-def classical_comatrix_coproduct(key: EMatrix) -> TensorElement:
+def classical_comatrix_coproduct(key, kind: MatrixKind) -> TensorElement:
     """Delta(E[i,j]) = sum_{s=1}^{n} E[i,s] (x) E[s,j]."""
-    i, j, n = key.i, key.j, key.n
-    kind = MatrixKind(n)
-    terms = {(EMatrix(i, s, n), EMatrix(s, j, n)): ONE for s in range(1, n + 1)}
+    i, j = key
+    terms = {((i, s), (s, j)): ONE for s in range(1, kind.n + 1)}
     return TensorElement._make(kind, 2, terms)
 
 
-def classical_counit(key: EMatrix) -> LambdaPoly:
+def classical_counit(key) -> LambdaPoly:
     """eps(E[i,j]) = delta_ij."""
-    return ONE if key.i == key.j else ZERO
+    return ONE if key[0] == key[1] else ZERO
 
 
 def classical_comatrix_algebra(n: int) -> AlgebraInstance:
@@ -87,11 +85,9 @@ def classical_comatrix_algebra(n: int) -> AlgebraInstance:
     Coassociative and counital, but not a weighted derivation for any
     weight; only the coalgebra-side checkers are meaningful on it.
     """
+    kind = MatrixKind(n)
     return AlgebraInstance(
-        MatrixKind(n),
-        ZERO,
-        classical_comatrix_coproduct,
-        selector=f"comatrix:{n}",
+        kind, ZERO, lambda key: classical_comatrix_coproduct(key, kind), selector=f"comatrix:{n}"
     )
 
 
@@ -146,7 +142,7 @@ def matrix_from_rows(rows) -> Element:
         for j, value in enumerate(row, start=1):
             c = LambdaPoly.coerce(value)
             if not c.is_zero():
-                terms[EMatrix(i, j, n)] = c
+                terms[(i, j)] = c
     return Element._make(kind, terms)
 
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .core import LawReport
 from .errors import DimensionMismatch, ParseError, UnknownAtom
-from .lincomb import Element, EMatrix, MatrixKind, TensorElement, UnivarKind, UnivarMonomial, Word, WordKind, tensor
+from .lincomb import Element, MatrixKind, TensorElement, UnivarKind, WordKind, tensor
 from .scalars import (
     LAMBDA,
     MAX_KEY_SIZE,
@@ -196,11 +196,11 @@ class _ExprParser:
         k = self.kind
         if isinstance(k, WordKind):
             if name in k.alphabet:
-                return Element.from_key(k, Word((k.alphabet.index(name),)))
+                return Element.from_key(k, (k.alphabet.index(name),))
             raise UnknownAtom(f"unknown letter {name!r} in {k.selector()}", pos)
         if isinstance(k, UnivarKind):
             if name == "x":
-                return Element.from_key(k, UnivarMonomial(1))
+                return Element.from_key(k, 1)
             raise UnknownAtom(f"unknown atom {name!r} in univar", pos)
         if isinstance(k, MatrixKind):
             if name == "E":
@@ -214,7 +214,7 @@ class _ExprParser:
                         raise DimensionMismatch(
                             f"E[{i},{j}] out of range for {k.selector()}"
                         )
-                    return Element.from_key(k, EMatrix(i, j, k.n))
+                    return Element.from_key(k, (i, j))
                 return self.algebra.unit
             raise UnknownAtom(f"unknown atom {name!r} in {k.selector()}", pos)
         raise UnknownAtom(f"unknown atom {name!r}", pos)

@@ -33,9 +33,13 @@ elementary matrices, implemented as independent code paths:
   evaluated in rational arithmetic;
 * ``matrix_bracket_table`` -- the five-case table it sums up.
 
+These, and the closed form ``matrix_prelie_table`` of |>, take the kind
+first, since a key (i, j) does not carry n.
+
 The table is the oracle and the sign form the formula under test: any
 disagreement between the paths is a finding to report, never to patch over.
-Both differ from the classical commutator delta_jk E[i,l] - delta_li E[k,j].
+Both differ from the classical commutator delta_jk E[i,l] - delta_li E[k,j]
+(the test oracle ``classical_matrix_bracket`` in ``tests/support.py``).
 """
 
 from __future__ import annotations
@@ -43,8 +47,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import AlgebraInstance, LawReport
-from .errors import DimensionMismatch, WeightNotZero
-from .lincomb import Element, EMatrix, MatrixKind, _accumulate
+from .errors import WeightNotZero
+from .lincomb import Element, MatrixKind, _accumulate, ensure_same_kind
 from .matrices import sgn
 from .scalars import ONE
 
@@ -94,19 +98,12 @@ def commutator_bracket(A: AlgebraInstance, a: Element, b: Element) -> Element:
     return prelie_product(A, a, b) - prelie_product(A, b, a)
 
 
-def _check_same_n(p: EMatrix, q: EMatrix):
-    if p.n != q.n:
-        raise DimensionMismatch(f"mixed matrix dimensions {p.n} and {q.n}")
-
-
-def matrix_prelie_table(p: EMatrix, q: EMatrix) -> Element:
+def matrix_prelie_table(kind: MatrixKind, p, q) -> Element:
     """Closed form of E[i,j] |> E[k,l] on the telescoping matrix instance:
 
     E[k,l] if k < j = i+1 <= l;  -E[k,l] if l < j = i+1 <= k;  else 0.
     """
-    _check_same_n(p, q)
-    i, j, k, l = p.i, p.j, q.i, q.j
-    kind = MatrixKind(p.n)
+    (i, j), (k, l) = p, q
     if j == i + 1 and k < j <= l:
         return Element._make(kind, {q: ONE})
     if j == i + 1 and l < j <= k:
@@ -114,11 +111,9 @@ def matrix_prelie_table(p: EMatrix, q: EMatrix) -> Element:
     return Element.zero(kind)
 
 
-def matrix_bracket_table(p: EMatrix, q: EMatrix) -> Element:
+def matrix_bracket_table(kind: MatrixKind, p, q) -> Element:
     """Five-case table for [E[i,j], E[k,l]] on the telescoping matrix instance."""
-    _check_same_n(p, q)
-    i, j, k, l = p.i, p.j, q.i, q.j
-    kind = MatrixKind(p.n)
+    (i, j), (k, l) = p, q
     if j == i + 1 and l == k + 1 and j == l:
         return Element._make(kind, {q: ONE}) - Element._make(kind, {p: ONE})
     if k < j == i + 1 <= l and l != k + 1:
@@ -132,11 +127,9 @@ def matrix_bracket_table(p: EMatrix, q: EMatrix) -> Element:
     return Element.zero(kind)
 
 
-def matrix_bracket_closed_form(p: EMatrix, q: EMatrix) -> Element:
+def matrix_bracket_closed_form(kind: MatrixKind, p, q) -> Element:
     """Summarised sign form of the same bracket, with half-integer conditions."""
-    _check_same_n(p, q)
-    i, j, k, l = p.i, p.j, q.i, q.j
-    kind = MatrixKind(p.n)
+    (i, j), (k, l) = p, q
     if j == i + 1 and l != k + 1 and (i - k + _HALF) * (i - l + _HALF) < 0:
         s = sgn(l - k)
         if s:
@@ -151,25 +144,15 @@ def matrix_bracket_closed_form(p: EMatrix, q: EMatrix) -> Element:
 
 
 def bilinear_from_pairs(a: Element, b: Element, rule) -> Element:
-    """Extend a basis-pair rule (key, key) -> Element bilinearly to elements."""
+    """Extend a basis-pair rule (kind, key, key) -> Element bilinearly to elements."""
+    ensure_same_kind(a, b)
+    kind = a.kind
     out = {}
     for p, cp in a.terms.items():
         for q, cq in b.terms.items():
             cpq = cp * cq
-            _accumulate(out, ((key, c * cpq) for key, c in rule(p, q).terms.items()))
-    return Element._make(a.kind, out)
-
-
-def classical_matrix_bracket(p: EMatrix, q: EMatrix) -> Element:
-    """The classical commutator [E[i,j], E[k,l]] = delta_jk E[i,l] - delta_li E[k,j]."""
-    _check_same_n(p, q)
-    kind = MatrixKind(p.n)
-    out = Element.zero(kind)
-    if p.j == q.i:
-        out = out + Element.from_key(kind, EMatrix(p.i, q.j, p.n))
-    if q.j == p.i:
-        out = out - Element.from_key(kind, EMatrix(q.i, p.j, p.n))
-    return out
+            _accumulate(out, ((key, c * cpq) for key, c in rule(kind, p, q).terms.items()))
+    return Element._make(kind, out)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,12 @@ SUITE_NAMES = (
 
 DEFAULT_SEED = 12345
 
+# The most basis pairs one verify run may sweep.  The cocycle pairs are its
+# largest keyed sweep (the coassoc keys are the pairs with the size-0 key);
+# ``run_verify`` counts them before any suite runs and refuses a run past this
+# bound, which words reach quickly: there are |alphabet|^max-len of each length.
+MAX_SWEEP = 2 ** 17
+
 
 @dataclass
 class SuiteOutcome:
@@ -151,6 +157,27 @@ def _cocycle_pairs(A: AlgebraInstance, max_len: int):
         for q in A.basis_keys(max_len - A.kind.key_size(p)):
             pairs.append((p, q))
     return pairs
+
+
+def _cocycle_pair_count(kind, max_len: int) -> int:
+    """How many pairs ``_cocycle_pairs`` sweeps, in closed form from the kind's
+    ``count_keys``: m^2 on a finite basis of m keys, and otherwise the sum over
+    sizes t of (keys of size t) * (keys of size <= max_len - t).
+
+    An infinite basis has one key of size 0 and keys of every size, so once
+    the keys of size <= t number more than MAX_SWEEP, so do the pairs (each
+    with the size-0 key): that count, a lower bound, is returned at once.
+    """
+    if kind.finite_basis:
+        return kind.count_keys(max_len) ** 2
+    upto = []  # upto[t]: the keys of size <= t
+    for t in range(max_len + 1):
+        upto.append(kind.count_keys(t))
+        if upto[t] > MAX_SWEEP:
+            return upto[t]
+    return sum(
+        (upto[t] - (upto[t - 1] if t else 0)) * upto[max_len - t] for t in range(max_len + 1)
+    )
 
 
 def _triple_keys(A: AlgebraInstance, max_len: int):
@@ -463,14 +490,15 @@ def _suite_bracket_closed_form(A, max_len):
             "suite 'bracket-closed-form' applies to the telescoping matrix instance only"
         )
     _require_weight_zero(A, "bracket-closed-form")
+    kind = A.kind
     keys = _keys(A, max_len)
     count = 0
     for p in keys:
         for q in keys:
-            table = matrix_bracket_table(p, q)
-            closed = matrix_bracket_closed_form(p, q)
+            table = matrix_bracket_table(kind, p, q)
+            closed = matrix_bracket_closed_form(kind, p, q)
             comm = commutator_bracket(A, A.element(p), A.element(q))
-            pair = (A.kind.key_text(p), A.kind.key_text(q))
+            pair = (kind.key_text(p), kind.key_text(q))
             if closed != table:
                 return _failed(
                     "bracket-closed-form", f"sign form disagrees after {count} pairs",
@@ -483,10 +511,12 @@ def _suite_bracket_closed_form(A, max_len):
                     LawReport.fail("bracket-commutator-vs-table", pair, comm - table),
                     count,
                 )
-            if matrix_bracket_table(q, p) != -table:
+            if matrix_bracket_table(kind, q, p) != -table:
                 return _failed(
                     "bracket-closed-form", f"antisymmetry broken after {count} pairs",
-                    LawReport.fail("bracket-antisymmetry", pair, matrix_bracket_table(q, p) + table),
+                    LawReport.fail(
+                        "bracket-antisymmetry", pair, matrix_bracket_table(kind, q, p) + table
+                    ),
                     count,
                 )
             count += 1
@@ -635,7 +665,20 @@ def run_suite(suite, A, max_len=6, cap=64, seed=DEFAULT_SEED):
 
 
 def run_verify(suite, A, max_len=6, cap=64, seed=DEFAULT_SEED):
-    """Run one suite (or ``all``); returns (passed, [SuiteOutcome])."""
+    """Run one suite (or ``all``); returns (passed, [SuiteOutcome]).
+
+    A run whose cocycle sweep has more than MAX_SWEEP pairs is refused with
+    ``ValueError`` before any suite runs.
+    """
+    if suite not in SUITE_NAMES:
+        raise UnknownSuite(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
+    pairs = _cocycle_pair_count(A.kind, max_len)
+    if pairs > MAX_SWEEP:
+        where = A.selector if A.kind.finite_basis else f"{A.selector} at max-len {max_len}"
+        raise ValueError(
+            f"verify on {where} sweeps at least {pairs} cocycle pairs, "
+            f"more than MAX_SWEEP = {MAX_SWEEP}"
+        )
     if suite == "all":
         outcomes = []
         for name in SUITE_NAMES[:-1]:
@@ -645,7 +688,5 @@ def run_verify(suite, A, max_len=6, cap=64, seed=DEFAULT_SEED):
                 continue
             outcomes.append(run_suite(name, A, max_len=max_len, cap=cap, seed=seed))
         return all(o.status != "fail" for o in outcomes), outcomes
-    if suite not in SUITE_NAMES:
-        raise UnknownSuite(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
     outcome = run_suite(suite, A, max_len=max_len, cap=cap, seed=seed)
     return outcome.status != "fail", [outcome]

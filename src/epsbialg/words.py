@@ -29,56 +29,48 @@ from __future__ import annotations
 
 from .core import AlgebraInstance
 from .errors import IndexOutOfRange
-from .lincomb import TensorElement, UnivarKind, UnivarMonomial, Word, WordKind
+from .lincomb import TensorElement, UnivarKind, WordKind
 from .scalars import LAMBDA, LambdaPoly, MINUS_ONE, ONE
 
 
-def concat(w1: Word, w2: Word) -> Word:
-    return Word(w1.letters + w2.letters)
+def concat(w1: tuple, w2: tuple) -> tuple:
+    return w1 + w2
 
 
-def subword(w: Word, i: int, j: int) -> Word:
+def subword(w: tuple, i: int, j: int) -> tuple:
     """w[i,j]: letters i through j, 1-indexed inclusive; requires 1 <= i <= j <= l(w)."""
-    if not (1 <= i <= j <= len(w.letters)):
-        raise IndexOutOfRange(f"w[{i},{j}] undefined for a word of length {len(w.letters)}")
-    return Word(w.letters[i - 1 : j])
+    if not (1 <= i <= j <= len(w)):
+        raise IndexOutOfRange(f"w[{i},{j}] undefined for a word of length {len(w)}")
+    return w[i - 1 : j]
 
 
-def weighted_word_coproduct(w: Word, kind: WordKind, weight: LambdaPoly = LAMBDA) -> TensorElement:
+def weighted_word_coproduct(w: tuple, kind: WordKind, weight: LambdaPoly = LAMBDA) -> TensorElement:
     """The weighted splitting with shared letters; see the module docstring."""
-    letters = w.letters
-    n = len(letters)
+    n = len(w)
     if n == 0:
         return TensorElement._make(kind, 2, _unit_square(kind, -weight))
-    terms = {}
-    for i in range(1, n + 1):
-        terms[(Word(letters[:i]), Word(letters[i - 1 :]))] = ONE
+    terms = {(w[:i], w[i - 1 :]): ONE for i in range(1, n + 1)}
     if not weight.is_zero():
         for i in range(1, n):
-            terms[(Word(letters[:i]), Word(letters[i:]))] = weight
+            terms[(w[:i], w[i:])] = weight
     return TensorElement._make(kind, 2, terms)
 
 
-def deconcat_coproduct(w: Word, kind: WordKind) -> TensorElement:
+def deconcat_coproduct(w: tuple, kind: WordKind) -> TensorElement:
     """All prefix/suffix splits, including the two trivial ones."""
-    letters = w.letters
-    terms = {}
-    for i in range(len(letters) + 1):
-        terms[(Word(letters[:i]), Word(letters[i:]))] = ONE
+    terms = {(w[:i], w[i:]): ONE for i in range(len(w) + 1)}
     return TensorElement._make(kind, 2, terms)
 
 
-def univar_coproduct(m: UnivarMonomial, weight: LambdaPoly = LAMBDA) -> TensorElement:
+def univar_coproduct(n: int, weight: LambdaPoly = LAMBDA) -> TensorElement:
+    """The one-variable coproduct of x^n; see the module docstring."""
     kind = UnivarKind()
-    n = m.exponent
     if n == 0:
         return TensorElement._make(kind, 2, _unit_square(kind, -weight))
-    terms = {}
-    for i in range(n):
-        terms[(UnivarMonomial(i), UnivarMonomial(n - 1 - i))] = ONE
+    terms = {(i, n - 1 - i): ONE for i in range(n)}
     if not weight.is_zero():
         for i in range(1, n):
-            terms[(UnivarMonomial(i), UnivarMonomial(n - i))] = weight
+            terms[(i, n - i)] = weight
     return TensorElement._make(kind, 2, terms)
 
 

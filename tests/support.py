@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 from epsbialg import (
     Element,
-    EMatrix,
     LambdaPoly,
     LawReport,
     MatrixKind,
     UnivarKind,
-    UnivarMonomial,
-    Word,
     WordKind,
     act_left,
     act_right,
@@ -34,8 +31,8 @@ from epsbialg.verify import _require_weight_zero as _require_suite_weight_zero
 
 def dense_from_element(e, n):
     rows = [[LambdaPoly() for _ in range(n)] for _ in range(n)]
-    for key, c in e.terms.items():
-        rows[key.i - 1][key.j - 1] = rows[key.i - 1][key.j - 1] + c
+    for (i, j), c in e.terms.items():
+        rows[i - 1][j - 1] = rows[i - 1][j - 1] + c
     return rows
 
 
@@ -58,8 +55,23 @@ def element_from_dense(rows):
     for i in range(n):
         for j in range(n):
             if not rows[i][j].is_zero():
-                terms[EMatrix(i + 1, j + 1, n)] = rows[i][j]
+                terms[(i + 1, j + 1)] = rows[i][j]
     return Element(kind, terms)
+
+
+# -- the classical commutator --------------------------------------------------
+# [E[i,j], E[k,l]] = delta_jk E[i,l] - delta_li E[k,j], the bracket of the
+# associative product on M_n, for contrast with the paper's bracket.
+
+
+def classical_matrix_bracket(kind, p, q):
+    (i, j), (k, l) = p, q
+    out = Element.zero(kind)
+    if j == k:
+        out = out + Element.from_key(kind, (i, l))
+    if l == i:
+        out = out - Element.from_key(kind, (k, j))
+    return out
 
 
 # -- Sweedler oracle for the pre-Lie product ----------------------------------
@@ -273,7 +285,7 @@ nonzero_polys = lambda_polys.filter(lambda p: not p.is_zero())
 def matrix_elements(n, max_terms=3):
     kind = MatrixKind(n)
     idx = st.integers(min_value=1, max_value=n)
-    keys = st.builds(EMatrix, idx, idx, st.just(n))
+    keys = st.tuples(idx, idx)
     return st.dictionaries(keys, lambda_polys, max_size=max_terms).map(
         lambda terms: Element(kind, terms)
     )
@@ -282,7 +294,7 @@ def matrix_elements(n, max_terms=3):
 def word_elements(alphabet="xy", max_len=3, max_terms=3):
     kind = WordKind(alphabet)
     letters = st.integers(min_value=0, max_value=len(kind.alphabet) - 1)
-    keys = st.builds(Word, st.lists(letters, max_size=max_len).map(tuple))
+    keys = st.lists(letters, max_size=max_len).map(tuple)
     return st.dictionaries(keys, lambda_polys, max_size=max_terms).map(
         lambda terms: Element(kind, terms)
     )
@@ -290,7 +302,7 @@ def word_elements(alphabet="xy", max_len=3, max_terms=3):
 
 def univar_elements(max_degree=4, max_terms=3):
     kind = UnivarKind()
-    keys = st.builds(UnivarMonomial, st.integers(min_value=0, max_value=max_degree))
+    keys = st.integers(min_value=0, max_value=max_degree)
     return st.dictionaries(keys, lambda_polys, max_size=max_terms).map(
         lambda terms: Element(kind, terms)
     )

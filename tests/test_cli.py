@@ -3,14 +3,15 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epsbialg import matrix_algebra
+from epsbialg import classical_comatrix_algebra, deconcat_algebra, matrix_algebra
 from epsbialg.cli import build_algebra, main
-from epsbialg.verify import run_verify
+from epsbialg.verify import MAX_SWEEP, _cocycle_pair_count, _cocycle_pairs, run_verify
 
 
 def run(capsys, *argv):
@@ -485,3 +486,53 @@ def test_outcomes_report_checked_and_evaluated():
     assert o.evaluated == o.checked + 1
     _, outcomes = run_verify("all", build_algebra("word:xy", None))
     assert [(o.checked, o.evaluated) for o in outcomes if o.status == "skip"] == [(0, 0)] * 5
+
+
+SWEEP_COUNT_CASES = [
+    *((f"matrix:{n}", 1) for n in range(1, 5)),
+    ("comatrix:3", 1),
+    *(("word:x", L) for L in range(6)),
+    *(("word:xy", L) for L in range(8)),
+    *(("word:xyz", L) for L in range(5)),
+    ("deconcat:xy", 5),
+    *(("univar", L) for L in range(10)),
+]
+
+
+def _sweep_algebra(selector):
+    if selector == "comatrix:3":
+        return classical_comatrix_algebra(3)
+    if selector == "deconcat:xy":
+        return deconcat_algebra("xy")
+    return build_algebra(selector, None)
+
+
+@pytest.mark.parametrize("selector,max_len", SWEEP_COUNT_CASES)
+def test_closed_form_counts_match_the_sweeps(selector, max_len):
+    A = _sweep_algebra(selector)
+    assert A.kind.count_keys(max_len) == len(list(A.basis_keys(max_len)))
+    assert _cocycle_pair_count(A.kind, max_len) == len(_cocycle_pairs(A, max_len))
+
+
+@pytest.mark.parametrize("selector,max_len,pairs", [
+    ("word:xy", 9, 9217),
+    ("matrix:16", 6, 65536),
+    ("matrix:19", 6, 130321),
+    ("word:abcdefghijkm", 4, 111049),
+])
+def test_every_workload_sweep_is_within_the_bound(selector, max_len, pairs):
+    assert _cocycle_pair_count(build_algebra(selector, None).kind, max_len) == pairs <= MAX_SWEEP
+
+
+@pytest.mark.parametrize("argv,count", [
+    (("--suite", "coassoc", "-a", "word:abcdefghijkm"), 271453),
+    (("--suite", "all", "-a", "univar", "--max-len", "1000000"), 131073),
+    (("--suite", "all", "-a", "word:xy", "--max-len", "100000000"), 262143),
+    (("--suite", "paper-examples", "-a", "matrix:20"), 160000),
+])
+def test_verify_past_the_sweep_bound_exits_2_at_once(capsys, argv, count):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert f"sweeps at least {count} cocycle pairs, more than MAX_SWEEP = {MAX_SWEEP}" in err

@@ -518,7 +518,7 @@ def test_key_level_checkers_match_the_oracles_on_random_words(A, p, q):
 
 def test_key_level_cocycle_validates_its_keys():
     with pytest.raises(KindMismatch):
-        check_cocycle(M2, EMatrix(1, 1, 2), EMatrix(1, 1, 3))
+        check_cocycle(M2, (1, 1), EMatrix(3, 1, 3))
     with pytest.raises(KindMismatch):
         check_cocycle(W, Word((0,)), Word((2,)))
 

@@ -1,5 +1,7 @@
 """Linear combinations, tensors, and the bimodule actions on the tensor square."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,8 @@ from epsbialg import (
     MINUS_ONE,
     ONE,
     TensorElement,
+    UnivarKind,
+    UnivarMonomial,
     Word,
     WordKind,
     act_left,
@@ -29,6 +33,8 @@ from support import (
     element_from_dense,
     matrix_elements,
     nonzero_polys,
+    univar_elements,
+    word_elements,
 )
 
 M2 = MatrixKind(2)
@@ -186,8 +192,31 @@ def test_tensor_needs_two_legs():
 def test_keys_validated_on_construction():
     with pytest.raises(DimensionMismatch):
         EMatrix(3, 1, 2)
+    with pytest.raises(ValueError):
+        UnivarMonomial(-1)
     with pytest.raises(KindMismatch):
         Element(M2, {Word((0,)): ONE})
+
+
+U = UnivarKind()
+
+
+@pytest.mark.parametrize("kind,key", [
+    (M2, (0, 1)), (M2, (3, 1)), (M2, (1, 3)), (M2, (1,)), (M2, (1, 2, 1)), (M2, 1),
+    (M2, [1, 2]), (M2, (1.0, 2)), (M2, (True, 1)), (M2, "E[1,2]"),
+    (WXY, (2,)), (WXY, (0, -1)), (WXY, [0, 1]), (WXY, (0.0,)), (WXY, 0), (WXY, "xy"),
+    (U, -1), (U, 1.0), (U, True), (U, (1,)), (U, "x"),
+], ids=repr)
+def test_validate_key_rejects_wrong_shape_type_and_range(kind, key):
+    with pytest.raises(KindMismatch):
+        kind.validate_key(key)
+
+
+def test_validate_key_accepts_plain_keys():
+    plain = ((M2, (1, 1)), (M2, (2, 1)), (M3, (3, 3)), (WXY, ()), (WXY, (1, 0)), (U, 0), (U, 7))
+    for kind, key in plain:
+        kind.validate_key(key)
+        assert Element.from_key(kind, key).terms == {key: ONE}
 
 
 def test_no_zero_coefficients_stored():
@@ -198,7 +227,41 @@ def test_no_zero_coefficients_stored():
 
 def test_canonical_term_order():
     v = e(2, 1) + e(1, 2) + e(1, 1)
-    assert [k.sort_key() for k, _ in v.sorted_terms()] == [(1, 1), (1, 2), (2, 1)]
+    assert [k for k, _ in v.sorted_terms()] == [(1, 1), (1, 2), (2, 1)]
+    words = w(1) + w(0, 0) + w() + w(0)
+    assert [k for k, _ in words.sorted_terms()] == [(), (0,), (1,), (0, 0)]
+
+
+# Reference orders, enumerated here: matrices row-major, words by length then
+# letters, monomials by exponent.  A key's rank is its place in the enumeration.
+_REFERENCE_RANKS = {
+    "matrix:3": {key: r for r, key in enumerate(
+        (i, j) for i in range(1, 4) for j in range(1, 4)
+    )},
+    "word:xyz": {key: r for r, key in enumerate(
+        letters for length in range(5) for letters in itertools.product(range(3), repeat=length)
+    )},
+    "univar": {key: r for r, key in enumerate(range(13))},
+}
+_ORDERED_ELEMENTS = {
+    "matrix:3": matrix_elements(3, max_terms=8),
+    "word:xyz": word_elements("xyz", max_len=4, max_terms=8),
+    "univar": univar_elements(max_degree=12, max_terms=8),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("selector", sorted(_ORDERED_ELEMENTS))
+def test_sorted_terms_follow_the_reference_order(selector, data):
+    rank = _REFERENCE_RANKS[selector]
+    u = data.draw(_ORDERED_ELEMENTS[selector], label="u")
+    v = data.draw(_ORDERED_ELEMENTS[selector], label="v")
+    ranks = [rank[k] for k, _ in u.sorted_terms()]
+    assert ranks == sorted(ranks) and len(ranks) == len(u.terms)
+    if u.terms and v.terms:
+        pairs = [(rank[a], rank[b]) for (a, b), _ in tensor(u, v).sorted_terms()]
+        assert pairs == sorted(pairs) and len(pairs) == len(u.terms) * len(v.terms)
 
 
 def test_text_forms():

@@ -49,14 +49,14 @@ def test_parse_worked_matrix_sum():
 
 def test_parse_word_concatenation():
     got = parse_expression("x*y*y*x*y", W)
-    assert [len(k.letters) for k in got.terms] == [5]
+    assert [len(k) for k in got.terms] == [5]
 
 
 def test_parse_scalar_coefficient():
     got = parse_expression("(2*L - 1/3)*E[1,2]", M2)
     ((key, coeff),) = got.terms.items()
     assert coeff == parse_scalar("2*L - 1/3")
-    assert (key.i, key.j) == (1, 2)
+    assert key == (1, 2)
 
 
 def test_parse_unary_minus_and_powers():

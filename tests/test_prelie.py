@@ -13,13 +13,11 @@ from epsbialg import (
     KindMismatch,
     MatrixKind,
     WeightNotZero,
-    Word,
     bilinear_from_pairs,
     check_jacobi,
     check_left_representation,
     check_prelie_identity,
     classical_comatrix_algebra,
-    classical_matrix_bracket,
     commutator_bracket,
     coproduct_from_r,
     matrix_algebra,
@@ -38,6 +36,7 @@ from epsbialg.verify import _LAW_TERMS, _LawTables, _applicable, _triple_keys, r
 
 from support import (
     RMATRIX_CONTROLS,
+    classical_matrix_bracket,
     dense_law_sweep,
     matrix_elements,
     prelie_support,
@@ -84,14 +83,15 @@ def test_bracket_e21_e12():
 
 
 def test_closed_form_values():
-    assert matrix_bracket_closed_form(EMatrix(2, 1, 2), EMatrix(1, 2, 2)) == e(2, 1, 2)
-    assert matrix_bracket_closed_form(EMatrix(1, 1, 2), EMatrix(2, 2, 2)).is_zero()
-    assert matrix_bracket_closed_form(EMatrix(1, 2, 2), EMatrix(2, 1, 2)) == -e(2, 1, 2)
+    kind = M2.kind
+    assert matrix_bracket_closed_form(kind, (2, 1), (1, 2)) == e(2, 1, 2)
+    assert matrix_bracket_closed_form(kind, (1, 1), (2, 2)).is_zero()
+    assert matrix_bracket_closed_form(kind, (1, 2), (2, 1)) == -e(2, 1, 2)
 
 
 def test_closed_form_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        matrix_bracket_closed_form(EMatrix(1, 2, 2), EMatrix(1, 2, 3))
+        bilinear_from_pairs(e(1, 2, 2), e(1, 2, 3), matrix_bracket_closed_form)
 
 
 NOT_TELESCOPING = {
@@ -118,8 +118,8 @@ def test_three_bracket_paths_agree(n):
     keys = list(A.basis_keys())
     for p in keys:
         for q in keys:
-            table = matrix_bracket_table(p, q)
-            assert matrix_bracket_closed_form(p, q) == table, (p, q)
+            table = matrix_bracket_table(A.kind, p, q)
+            assert matrix_bracket_closed_form(A.kind, p, q) == table, (p, q)
             assert commutator_bracket(A, A.element(p), A.element(q)) == table, (p, q)
 
 
@@ -129,8 +129,10 @@ def test_bracket_antisymmetry_all_paths(n):
     keys = list(A.basis_keys())
     for p in keys:
         for q in keys:
-            assert matrix_bracket_table(q, p) == -matrix_bracket_table(p, q)
-            assert matrix_bracket_closed_form(q, p) == -matrix_bracket_closed_form(p, q)
+            assert matrix_bracket_table(A.kind, q, p) == -matrix_bracket_table(A.kind, p, q)
+            assert matrix_bracket_closed_form(A.kind, q, p) == -matrix_bracket_closed_form(
+                A.kind, p, q
+            )
             assert commutator_bracket(A, A.element(q), A.element(p)) == -commutator_bracket(
                 A, A.element(p), A.element(q)
             )
@@ -142,7 +144,8 @@ def test_prelie_closed_form_table(n):
     keys = list(A.basis_keys())
     for p in keys:
         for q in keys:
-            assert prelie_product(A, A.element(p), A.element(q)) == matrix_prelie_table(p, q)
+            closed = matrix_prelie_table(A.kind, p, q)
+            assert prelie_product(A, A.element(p), A.element(q)) == closed
 
 
 def _assert_table_matches_oracle(A, keys):
@@ -322,30 +325,31 @@ def test_prelie_support_is_the_symmetric_nonzero_pattern():
     touch = prelie_support(A, keys)
     for i, p in enumerate(keys):
         for j, q in enumerate(keys):
-            nonzero = not matrix_prelie_table(p, q).is_zero()
-            mirror = not matrix_prelie_table(q, p).is_zero()
+            nonzero = not matrix_prelie_table(A.kind, p, q).is_zero()
+            mirror = not matrix_prelie_table(A.kind, q, p).is_zero()
             assert touch[i][j] == (nonzero or mirror), (p, q)
     with pytest.raises(WeightNotZero):
-        prelie_support(word_algebra("xy"), [Word(())])
+        prelie_support(word_algebra("xy"), [()])
 
 
 def test_overlap_case_vanishes():
     # j = i+1 and l = k+1 at once: the sign form matches the table's
     # difference case, which collapses to zero unless the pairs coincide
     for n in (2, 3, 4):
+        kind = MatrixKind(n)
         for i in range(1, n):
             for k in range(1, n):
-                p, q = EMatrix(i, i + 1, n), EMatrix(k, k + 1, n)
-                assert matrix_bracket_closed_form(p, q).is_zero()
-                assert matrix_bracket_table(p, q).is_zero()
+                p, q = (i, i + 1), (k, k + 1)
+                assert matrix_bracket_closed_form(kind, p, q).is_zero()
+                assert matrix_bracket_table(kind, p, q).is_zero()
 
 
 def test_differs_from_classical_bracket():
     for n in range(2, 7):
-        p, q = EMatrix(1, 2, n), EMatrix(2, 1, n)
-        classical = classical_matrix_bracket(p, q)
+        kind, p, q = MatrixKind(n), (1, 2), (2, 1)
+        classical = classical_matrix_bracket(kind, p, q)
         assert classical == e(1, 1, n) - e(2, 2, n)
-        eps = matrix_bracket_table(p, q)
+        eps = matrix_bracket_table(kind, p, q)
         assert eps == -e(2, 1, n)
         assert classical != eps
 

@@ -3,7 +3,11 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import epsbialg
+from epsbialg import parse_expression
+from epsbialg.cli import build_algebra
 
 PACKAGE_DIR = Path(epsbialg.__file__).parent
 
@@ -48,3 +52,30 @@ def test_no_loop_copies_a_growing_sum():
         if _rebinds_to_a_sum_of_itself(node)
     })
     assert found == []
+
+
+def _is_plain_key(key):
+    return type(key) is int or (type(key) is tuple and all(type(x) is int for x in key))
+
+
+@pytest.mark.parametrize("selector,text", [
+    ("matrix:3", "E[1,2] + 2*E[3,1] - [[0,1,0],[0,0,0],[1,0,0]] + E"),
+    ("word:xy", "x*y*y + 3*y - 1"),
+    ("univar", "x^3 + 2*x - 1"),
+])
+def test_keys_are_plain_builtins(selector, text):
+    # basis keys are hashed and compared in C: a key class with a Python-level
+    # __eq__/__hash__ must not come back onto the hot path
+    A = build_algebra(selector, None)
+    kind = A.kind
+    keys = list(A.basis_keys(3))
+    sources = {
+        "basis_keys": keys,
+        "unit_terms": list(kind.unit_terms()),
+        "key_mul": [k for p in keys for q in keys if (k := kind.key_mul(p, q)) is not None],
+        "coproduct legs": [k for p in keys for legs in A.basis_coproduct(p).terms for k in legs],
+        "parse_expression": list(parse_expression(text, A).terms),
+    }
+    for source, found in sources.items():
+        assert found, source
+        assert [k for k in found if not _is_plain_key(k)] == [], source

@@ -33,6 +33,7 @@ from .errors import (
     LSquareNotZero,
     NotNilpotentWithinCap,
     ParseError,
+    TooManyTerms,
     UnknownAtom,
     UnknownSuite,
     WeightNotZero,
@@ -64,7 +65,7 @@ from .matrices import (
     random_integer_matrix,
     sgn,
 )
-from .parser import emit, parse_expression, parse_tensor, parse_value
+from .parser import emit, parse_expression, parse_scalar, parse_tensor, parse_value
 from .prelie import (
     bilinear_from_pairs,
     check_jacobi,
@@ -76,7 +77,7 @@ from .prelie import (
     matrix_prelie_table,
     prelie_product,
 )
-from .scalars import LAMBDA, MINUS_ONE, ONE, ZERO, LambdaPoly, parse_scalar, poly_text
+from .scalars import LAMBDA, MINUS_ONE, ONE, ZERO, LambdaPoly, poly_text
 from .verify import SUITE_NAMES, SuiteOutcome, run_suite, run_verify
 from .words import (
     concat,

@@ -12,7 +12,7 @@ Subcommands: ``coproduct``, ``antipode``, ``prelie``, ``bracket``,
                              at weight <w>; <r-expr> may be 0, the zero tensor
 
 A matrix dimension N is at most 64, so that the N^2 basis keys stay within
-the parsers' term bound MAX_TERMS = 4096; a larger N exits 2 before anything
+the parser's term bound MAX_TERMS = 4096; a larger N exits 2 before anything
 is built.
 
 Exit codes: 0 success, 1 law violation (including a non-truncating antipode
@@ -36,7 +36,7 @@ from .errors import (
 )
 from .lincomb import MatrixKind
 from .matrices import l_coproduct_instance, matrix_algebra
-from .parser import emit, monomials, parse_expression, parse_tensor
+from .parser import check_product, emit, monomials, parse_expression, parse_scalar, parse_tensor
 from .prelie import (
     bilinear_from_pairs,
     commutator_bracket,
@@ -44,7 +44,7 @@ from .prelie import (
     matrix_bracket_table,
     prelie_product,
 )
-from .scalars import MAX_TERMS, check_product, parse_scalar
+from .scalars import MAX_TERMS
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_verify
 from .words import univar_algebra, word_algebra
 

@@ -44,9 +44,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import KindMismatch, NotNilpotentWithinCap, WeightNotZero
+from .errors import KindMismatch, NotNilpotentWithinCap, TooManyTerms, WeightNotZero
 from .lincomb import Element, TensorElement, _accumulate, act_left, act_right, products, tensor
-from .scalars import LambdaPoly
+from .scalars import MAX_TERMS, LambdaPoly
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,11 @@ class AlgebraInstance:
 
     def element(self, key, coeff=1) -> Element:
         return Element.from_key(self.kind, key, LambdaPoly.coerce(coeff))
+
+    def require_weight_zero(self, what: str):
+        """Raise WeightNotZero, saying that ``what`` needs weight 0, unless it is 0."""
+        if not self.weight.is_zero():
+            raise WeightNotZero(f"{what} needs weight 0, instance has weight {self.weight}")
 
     def _own(self, v):
         if v.kind is not self.kind and v.kind != self.kind:
@@ -321,15 +326,21 @@ def convolution_power_vanishes(A: AlgebraInstance, f, a: Element, n: int) -> boo
 
 def _d_powers(A: AlgebraInstance, a: Element, cap: int) -> list:
     """[D(a), D^2(a), ..., D^(k-1)(a)] for the least k <= cap with D^k(a) = 0;
-    raises NotNilpotentWithinCap when there is no such k."""
+    raises NotNilpotentWithinCap when there is no such k, and TooManyTerms
+    once a power has more than MAX_TERMS terms."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     powers = []
     cur = a
-    for _ in range(cap):
+    for k in range(1, cap + 1):
         cur = d_map(A, cur)
         if cur.is_zero():
             return powers
+        if len(cur.terms) > MAX_TERMS:
+            raise TooManyTerms(
+                f"antipode series: D^{k}(a) has {len(cur.terms)} terms, "
+                f"more than the limit {MAX_TERMS}"
+            )
         powers.append(cur)
     raise NotNilpotentWithinCap(cap, element=a)
 
@@ -345,8 +356,7 @@ def antipode(A: AlgebraInstance, a: Element, cap: int = 64) -> Element:
     Defined for weight-zero instances only; the series is truncated at the
     nilpotency index of a, where it is exact, and D^t(a) is computed once.
     """
-    if not A.weight.is_zero():
-        raise WeightNotZero(f"antipode needs weight 0, instance has weight {A.weight}")
+    A.require_weight_zero("antipode")
     A._own(a)
     out = {}
     _accumulate(out, a.terms.items(), negate=True)

@@ -38,6 +38,10 @@ class NotNilpotentWithinCap(EpsBialgError):
         super().__init__(message or f"element not annihilated by D within {cap} iterations")
 
 
+class TooManyTerms(EpsBialgError):
+    """A computed value has more terms than the bound MAX_TERMS."""
+
+
 class ParseError(EpsBialgError):
     """Expression text violates the grammar or a size bound; carries the
     offending position, or None when the bound is on a command's operands."""

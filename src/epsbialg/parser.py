@@ -18,12 +18,15 @@ Grammar (juxtaposition is never multiplication; ``*`` is mandatory):
 complete term), so it never collides with a parenthesised letter ``(x)``
 at operand position.  A bare scalar evaluates to scalar * unit.
 
+Scalar text (a weight) is read by the same parser run without an algebra:
+its only atom is ``L``, it has no ``(x)`` and no dense rows, and a bare
+scalar stays a ``LambdaPoly``.
+
 Parentheses nest at most ``MAX_NESTING`` deep, an exponent is at most
 ``MAX_EXPONENT``, and every value the parser builds, intermediate values
 included, stays within the size bounds ``MAX_KEY_SIZE``, ``MAX_TERMS`` and
-``MAX_COEFF_BITS`` (all in ``scalars``, shared with the scalar parser);
-beyond any bound the parser raises ``ParseError`` naming the limit.
-``x^N`` is computed by repeated squaring.
+``MAX_COEFF_BITS`` (all in ``scalars``); beyond any bound the parser raises
+``ParseError`` naming the limit.  ``x^N`` is computed by repeated squaring.
 """
 
 from __future__ import annotations
@@ -37,15 +40,13 @@ from .errors import DimensionMismatch, ParseError, UnknownAtom
 from .lincomb import Element, MatrixKind, TensorElement, UnivarKind, WordKind, tensor
 from .scalars import (
     LAMBDA,
+    MAX_COEFF_BITS,
+    MAX_EXPONENT,
     MAX_KEY_SIZE,
     MAX_NESTING,
     MAX_TERMS,
     LambdaPoly,
     ONE,
-    bounded_poly,
-    check_bound,
-    check_product,
-    parsed_power,
     poly_json,
     poly_text,
 )
@@ -75,10 +76,56 @@ def _tokenize(text: str):
     return tokens
 
 
+def check_bound(what: str, size: int, limit: int, pos: int):
+    """Raise a ParseError naming the limit when size is past it."""
+    if size > limit:
+        raise ParseError(f"{what} {size} exceeds the limit {limit}", pos)
+
+
+def check_product(m: int, n: int, pos=None):
+    """Refuse, before it is computed, a product of m by n terms (monomials)
+    whose term pairs are more than MAX_TERMS."""
+    if m * n > MAX_TERMS:
+        raise ParseError(
+            f"product of {m} by {n} terms exceeds the limit of {MAX_TERMS} term pairs", pos
+        )
+
+
+def bounded_poly(p: LambdaPoly, pos: int) -> LambdaPoly:
+    """p itself, once its degree and its coefficients are within their bounds."""
+    check_bound("degree in L", p.degree(), MAX_KEY_SIZE, pos)
+    for _, q in p.items():
+        bits = max(q.numerator.bit_length(), q.denominator.bit_length())
+        check_bound("coefficient bit length", bits, MAX_COEFF_BITS, pos)
+    return p
+
+
+def parsed_power(value, exp: int, one, mul, pos: int):
+    """value^exp by repeated squaring under ``mul``.
+
+    Exact in an associative ring, so it equals the left-to-right product
+    one * value * ... * value.  An exponent above MAX_EXPONENT is a ParseError.
+    """
+    if exp > MAX_EXPONENT:
+        raise ParseError(f"exponent {exp} exceeds the limit {MAX_EXPONENT}", pos)
+    out = one
+    while exp:
+        if exp & 1:
+            out = mul(out, value)
+        exp >>= 1
+        if exp:
+            value = mul(value, value)
+    return out
+
+
 class _ExprParser:
-    def __init__(self, text: str, algebra):
+    """Recursive descent over the grammar above.  Without an algebra it reads
+    scalar text: any atom but ``L`` is an ``UnknownAtom`` and ``parse``
+    returns a ``LambdaPoly``."""
+
+    def __init__(self, text: str, algebra=None):
         self.algebra = algebra
-        self.kind = algebra.kind
+        self.kind = algebra.kind if algebra is not None else None
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
@@ -113,7 +160,8 @@ class _ExprParser:
         k1, v1, _ = self.peek(1)
         k2, v2, _ = self.peek(2)
         return (
-            k0 == "op" and v0 == "(" and k1 == "name" and v1 == "x"
+            self.kind is not None
+            and k0 == "op" and v0 == "(" and k1 == "name" and v1 == "x"
             and k2 == "op" and v2 == ")"
         )
 
@@ -124,18 +172,18 @@ class _ExprParser:
         kind, _, pos = self.peek()
         if kind != "end":
             raise ParseError("trailing input after expression", pos)
-        return self._promote(value, 0)
+        return value if self.kind is None else self._promote(value, 0)
 
     def expr(self):
         if self.at_op("-"):
             self.take()
-            value = self._neg(self.tensor_term())
+            value = -self.tensor_term()
         else:
             value = self.tensor_term()
         while self.at_op("+", "-"):
             _, op, pos = self.take()
             rhs = self.tensor_term()
-            value = self._add(value, rhs if op == "+" else self._neg(rhs), pos)
+            value = self._add(value, rhs if op == "+" else -rhs, pos)
         return value
 
     def tensor_term(self):
@@ -279,9 +327,6 @@ class _ExprParser:
             return unit.scale(v)
         return v
 
-    def _neg(self, v):
-        return -v
-
     def _add(self, x, y, pos):
         if isinstance(x, TensorElement) != isinstance(y, TensorElement):
             raise ParseError("cannot add a tensor to a non-tensor", pos)
@@ -316,6 +361,13 @@ def monomials(v) -> int:
     if isinstance(v, LambdaPoly):
         return len(v.items())
     return sum(len(c.items()) for c in v.terms.values())
+
+
+def parse_scalar(text: str) -> LambdaPoly:
+    """Parse scalar syntax: integers ``3``, rationals ``3/2``, the weight
+    literal ``L`` (alias ``lambda``, case-insensitive), and their sums,
+    products and powers, e.g. ``2*L - 1/3``."""
+    return _ExprParser(text).parse()
 
 
 def parse_value(text: str, algebra):

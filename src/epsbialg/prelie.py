@@ -47,19 +47,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import AlgebraInstance, LawReport
-from .errors import WeightNotZero
 from .lincomb import Element, MatrixKind, _accumulate, ensure_same_kind
 from .matrices import sgn
 from .scalars import ONE
 
 _HALF = Fraction(1, 2)
-
-
-def _require_weight_zero(A: AlgebraInstance):
-    if not A.weight.is_zero():
-        raise WeightNotZero(
-            f"pre-Lie structure needs weight 0, instance has weight {A.weight}"
-        )
 
 
 def _prelie_on_keys(A: AlgebraInstance, p, q) -> dict:
@@ -82,7 +74,7 @@ def _prelie_on_keys(A: AlgebraInstance, p, q) -> dict:
 
 def prelie_product(A: AlgebraInstance, a: Element, b: Element) -> Element:
     """a |> b = sum b_(1) a b_(2), the bilinear extension of the basis-pair table."""
-    _require_weight_zero(A)
+    A.require_weight_zero("pre-Lie structure")
     A._own(a)
     A._own(b)
     out = {}

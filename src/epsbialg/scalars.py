@@ -18,15 +18,15 @@ on the form: ``n == Fraction(n)`` and ``hash(n) == hash(Fraction(n))``, so
 equality and hashing agree across both, ``str(n) == str(Fraction(n))``, so
 text and JSON output are the same, and ``coefficient`` and ``specialize``
 return a ``Fraction``.
+
+This module holds the arithmetic, the text and JSON forms, and the size
+bounds; scalar text such as ``2*L - 1/3`` is read by ``parser.parse_scalar``.
 """
 
 from __future__ import annotations
 
 import operator
-import re
 from fractions import Fraction
-
-from .errors import ParseError
 
 _F0 = Fraction(0)
 
@@ -252,11 +252,13 @@ def poly_json(p: LambdaPoly) -> dict:
     return {"poly": [[deg, str(p._c[deg])] for deg in sorted(p._c)]}
 
 
-# Bounds shared by both expression parsers; past one, a parser raises a
-# ParseError that names the limit.  Each level of parentheses costs the
-# recursive descent a few Python frames, so the depth bound keeps parsing
-# well inside the interpreter's recursion limit.  The size bounds hold for
-# every value a parser builds, intermediate values included:
+# Bounds of the expression parser; past one, it raises a ParseError that
+# names the limit.  They sit here, not in ``parser`` (which imports
+# ``core``), because ``core`` bounds the antipode series by MAX_TERMS too.
+# Each level of parentheses costs the recursive descent a few Python
+# frames, so the depth bound keeps parsing well inside the interpreter's
+# recursion limit.  The size bounds hold for every value the parser
+# builds, intermediate values included:
 #
 # * MAX_KEY_SIZE: the size of a key (word length, degree in x) and the
 #   degree in L;
@@ -274,179 +276,3 @@ MAX_EXPONENT = 1000
 MAX_KEY_SIZE = 1000
 MAX_TERMS = 4096
 MAX_COEFF_BITS = 10000
-
-
-def check_bound(what: str, size: int, limit: int, pos: int):
-    """Raise a ParseError naming the limit when size is past it."""
-    if size > limit:
-        raise ParseError(f"{what} {size} exceeds the limit {limit}", pos)
-
-
-def check_product(m: int, n: int, pos=None):
-    """Refuse, before it is computed, a product of m by n terms (monomials)
-    whose term pairs are more than MAX_TERMS."""
-    if m * n > MAX_TERMS:
-        raise ParseError(
-            f"product of {m} by {n} terms exceeds the limit of {MAX_TERMS} term pairs", pos
-        )
-
-
-def bounded_poly(p: LambdaPoly, pos: int) -> LambdaPoly:
-    """p itself, once its degree and its coefficients are within their bounds."""
-    check_bound("degree in L", p.degree(), MAX_KEY_SIZE, pos)
-    for q in p._c.values():
-        bits = max(q.numerator.bit_length(), q.denominator.bit_length())
-        check_bound("coefficient bit length", bits, MAX_COEFF_BITS, pos)
-    return p
-
-
-def parsed_power(value, exp: int, one, mul, pos: int):
-    """value^exp for the parsers, by repeated squaring under ``mul``.
-
-    Exact in an associative ring, so it equals the left-to-right product
-    one * value * ... * value.  An exponent above MAX_EXPONENT is a ParseError.
-    """
-    if exp > MAX_EXPONENT:
-        raise ParseError(f"exponent {exp} exceeds the limit {MAX_EXPONENT}", pos)
-    out = one
-    while exp:
-        if exp & 1:
-            out = mul(out, value)
-        exp >>= 1
-        if exp:
-            value = mul(value, value)
-    return out
-
-
-_SCALAR_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
-
-
-def _tokenize_scalar(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _SCALAR_TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            rest = text[pos:]
-            if rest.strip():
-                offset = len(rest) - len(rest.lstrip())
-                raise ParseError(f"unexpected character {rest.strip()[0]!r}", pos + offset)
-            break
-        if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1)), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2), m.start(2)))
-        else:
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
-    tokens.append(("end", None, len(text)))
-    return tokens
-
-
-class _ScalarParser:
-    """Recursive descent over: sums and products of rationals and L.
-
-    expr   := ['-'] term (('+'|'-') term)*
-    term   := factor ('*' factor)*
-    factor := base ['^' int]
-    base   := int ['/' int] | 'L' | '(' expr ')'
-    """
-
-    def __init__(self, text):
-        self.tokens = _tokenize_scalar(text)
-        self.i = 0
-        self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val, pos = self.take()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
-
-    def parse(self) -> LambdaPoly:
-        value = self.expr()
-        kind, _, pos = self.peek()
-        if kind != "end":
-            raise ParseError("trailing input after scalar", pos)
-        return value
-
-    def expr(self) -> LambdaPoly:
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.take()
-            value = -self.term()
-        else:
-            value = self.term()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                value = bounded_poly(value + rhs if val == "+" else value - rhs, pos)
-            else:
-                return value
-
-    def term(self) -> LambdaPoly:
-        value = self.factor()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                value = self._mul(value, self.factor(), pos)
-            else:
-                return value
-
-    @staticmethod
-    def _mul(x: LambdaPoly, y: LambdaPoly, pos: int) -> LambdaPoly:
-        check_product(len(x.items()), len(y.items()), pos)
-        return bounded_poly(x * y, pos)
-
-    def factor(self) -> LambdaPoly:
-        value = self.base()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            kind, exp, pos = self.take()
-            if kind != "int":
-                raise ParseError("exponent must be a non-negative integer", pos)
-            return parsed_power(value, exp, ONE, lambda x, y: self._mul(x, y, pos), pos)
-        return value
-
-    def base(self) -> LambdaPoly:
-        kind, val, pos = self.take()
-        if kind == "int":
-            nkind, nval, _ = self.peek()
-            if nkind == "op" and nval == "/":
-                self.take()
-                dkind, den, dpos = self.take()
-                if dkind != "int" or den == 0:
-                    raise ParseError("denominator must be a nonzero integer", dpos)
-                return bounded_poly(LambdaPoly.const(Fraction(val, den)), pos)
-            return bounded_poly(LambdaPoly.const(val), pos)
-        if kind == "name":
-            if val.lower() in ("l", "lambda"):
-                return LAMBDA
-            raise ParseError(f"unknown scalar symbol {val!r}", pos)
-        if kind == "op" and val == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
-            self.depth += 1
-            value = self.expr()
-            self.expect_op(")")
-            self.depth -= 1
-            return value
-        raise ParseError("expected a rational, 'L', or '('", pos)
-
-
-def parse_scalar(text: str) -> LambdaPoly:
-    """Parse scalar syntax: integers ``3``, rationals ``3/2``, the weight
-    literal ``L`` (alias ``lambda``, case-insensitive), and their sums and
-    products, e.g. ``2*L - 1/3``."""
-    return _ScalarParser(text).parse()

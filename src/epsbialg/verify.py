@@ -62,7 +62,7 @@ from .core import (
     check_cocycle,
     d_map,
 )
-from .errors import KindMismatch, NotNilpotentWithinCap, UnknownSuite, WeightNotZero
+from .errors import KindMismatch, NotNilpotentWithinCap, UnknownSuite
 from .lincomb import Element, EMatrix, MatrixKind, Word, _accumulate, act_left, act_right, tensor
 from .matrices import TELESCOPING, matrix_algebra, matrix_from_rows, random_integer_matrix
 from .parser import parse_expression
@@ -285,13 +285,6 @@ def _suite_cocycle(A, max_len):
     return _passed("cocycle", f"{count} pairs checked", count)
 
 
-def _require_weight_zero(A, suite):
-    if not A.weight.is_zero():
-        raise WeightNotZero(
-            f"suite {suite!r} needs a weight-0 instance, got weight {A.weight}"
-        )
-
-
 def _suite_antipode(A, max_len, cap, seed):
     """The antipode laws; a series that does not truncate is a failure, not an error.
 
@@ -300,7 +293,7 @@ def _suite_antipode(A, max_len, cap, seed):
     whose series does not truncate, or else a product or coproduct leg of
     swept keys that lies beyond the sweep.
     """
-    _require_weight_zero(A, "antipode")
+    A.require_weight_zero("suite 'antipode'")
     try:
         return _antipode_sweep(A, max_len, cap, seed)
     except NotNilpotentWithinCap as exc:
@@ -462,7 +455,7 @@ class _LawTables:
 
 
 def _suite_prelie(A, max_len, which):
-    _require_weight_zero(A, which)
+    A.require_weight_zero(f"suite {which!r}")
     keys = _triple_keys(A, max_len)
     n = len(keys)
     tables = _LawTables(A, keys)
@@ -489,7 +482,7 @@ def _suite_bracket_closed_form(A, max_len):
         raise KindMismatch(
             "suite 'bracket-closed-form' applies to the telescoping matrix instance only"
         )
-    _require_weight_zero(A, "bracket-closed-form")
+    A.require_weight_zero("suite 'bracket-closed-form'")
     kind = A.kind
     keys = _keys(A, max_len)
     count = 0

@@ -20,9 +20,8 @@ from epsbialg import (
     check_prelie_identity,
     tensor,
 )
-from epsbialg.prelie import _prelie_on_keys, _require_weight_zero
+from epsbialg.prelie import _prelie_on_keys
 from epsbialg.verify import _failed, _passed, _triple_keys
-from epsbialg.verify import _require_weight_zero as _require_suite_weight_zero
 
 # -- independent dense-matrix oracle ----------------------------------------
 # Classical row-by-column multiplication over Q[L]; knows nothing about the
@@ -166,7 +165,7 @@ _LAW_CHECKERS = {
 
 
 def dense_law_sweep(A, max_len, which):
-    _require_suite_weight_zero(A, which)
+    A.require_weight_zero(f"suite {which!r}")
     keys = _triple_keys(A, max_len)
     checker = _LAW_CHECKERS[which]
     elements = [A.element(key) for key in keys]
@@ -189,7 +188,7 @@ def prelie_support(A, keys) -> list:
     (b,x), (a,x).  If none of the three position pairs touches, every inner
     product is 0, so by bilinearity every term is 0 and the law holds as 0 = 0.
     """
-    _require_weight_zero(A)
+    A.require_weight_zero("pre-Lie structure")
     n = len(keys)
     touch = [[False] * n for _ in range(n)]
     for i, p in enumerate(keys):
@@ -200,7 +199,7 @@ def prelie_support(A, keys) -> list:
 
 
 def touch_law_sweep(A, max_len, which):
-    _require_suite_weight_zero(A, which)
+    A.require_weight_zero(f"suite {which!r}")
     keys = _triple_keys(A, max_len)
     checker = _LAW_CHECKERS[which]
     elements = [A.element(key) for key in keys]

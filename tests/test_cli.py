@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from epsbialg import classical_comatrix_algebra, deconcat_algebra, matrix_algebra
 from epsbialg.cli import build_algebra, main
-from epsbialg.verify import MAX_SWEEP, _cocycle_pair_count, _cocycle_pairs, run_verify
+from epsbialg.verify import (
+    MAX_SWEEP,
+    SUITE_NAMES,
+    _cocycle_pair_count,
+    _cocycle_pairs,
+    run_verify,
+)
 
 
 def run(capsys, *argv):
@@ -470,6 +476,57 @@ def test_arbitrary_text_ends_in_an_exit_code(command, selector, first, second, w
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2)
+
+
+def _algebra_argv(selector, weight=None):
+    return ["-a", selector] + ([] if weight is None else ["--weight", weight])
+
+
+# Mostly constructible instances, so that the suites themselves run.
+_VERIFY_ALGEBRAS = st.one_of(
+    st.builds(_algebra_argv, st.builds("matrix:{}".format, st.integers(min_value=1, max_value=4))),
+    st.builds(
+        _algebra_argv,
+        st.sampled_from(["word:x", "word:xy", "word:xyz", "univar"]),
+        st.none() | st.sampled_from(["0", "L", "-1", "1/2", "2*L - 1/3"]) | _FUZZ_TEXT,
+    ),
+    st.builds(_algebra_argv, st.sampled_from([
+        "lmatrix:2:E[1,2]", "lmatrix:3:E[1,3] - E[2,3]", "rmatrix:2:0:L",
+        "rmatrix:2:E[1,1] (x) E[1,1]:0", "rmatrix:3:E[1,2] (x) E[2,3]:0",
+        "rmatrix:2:E[1,1] (x) E[1,2] + E[1,1] (x) E[2,2]:0",
+    ])),
+    st.builds(_algebra_argv, st.builds("rmatrix:2:{}:{}".format, _FUZZ_TEXT, _FUZZ_TEXT)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(SUITE_NAMES),
+    _VERIFY_ALGEBRAS,
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=8),
+)
+def test_verify_on_drawn_inputs_ends_in_an_exit_code(suite, algebra, max_len, cap):
+    argv = ["verify", "--suite", suite, *algebra, "--max-len", str(max_len), "--cap", str(cap)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)
+
+
+@pytest.mark.parametrize("expr, k, terms", [("(x+y)^6", 8, 4760), ("x*y*x*y*x*y*x*y", 8, 6435)])
+def test_antipode_series_past_the_term_bound_exits_2(capsys, expr, k, terms):
+    code, out, err = run(capsys, "antipode", "-a", "word:xy", "--weight", "0", "-e", expr)
+    assert (code, out) == (2, "")
+    assert err == f"error: antipode series: D^{k}(a) has {terms} terms, more than the limit 4096\n"
+
+
+@pytest.mark.parametrize("expr, cap", [("x*y", "64"), ("(x+y)^2", "64"), ("x*y*x", "8")])
+def test_antipode_series_within_the_term_bound_still_fails_to_truncate(capsys, expr, cap):
+    code, out, err = run(
+        capsys, "antipode", "-a", "word:xy", "--weight", "0", "--cap", cap, "-e", expr
+    )
+    assert (code, out) == (1, "")
+    assert err == f"law failure: element not annihilated by D within {cap} iterations\n"
 
 
 def test_outcomes_report_checked_and_evaluated():

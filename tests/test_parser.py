@@ -1,5 +1,7 @@
 """Expression grammar, canonical emission, and round-trip guarantees."""
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -10,6 +12,7 @@ from epsbialg import (
     DimensionMismatch,
     Element,
     LAMBDA,
+    LambdaPoly,
     ParseError,
     TensorElement,
     UnknownAtom,
@@ -23,6 +26,7 @@ from epsbialg import (
     univar_algebra,
     word_algebra,
 )
+from epsbialg.cli import main
 
 from expression_corpus import CORPUS
 from support import matrix_elements, word_elements
@@ -115,6 +119,38 @@ def test_unknown_atom():
         parse_expression("z + x", W)
     with pytest.raises(UnknownAtom):
         parse_expression("y", U)
+
+
+# Element syntax that scalar text (a weight) does not have: the parser run
+# without an algebra has no atom but L, no dense rows and no '(x)'.
+NOT_SCALARS = ["x", "E", "E[1,1]", "[[1]]", "1 (x) 1"]
+
+
+@pytest.mark.parametrize("text", NOT_SCALARS)
+def test_parse_scalar_rejects_element_syntax(text):
+    with pytest.raises(ParseError):
+        parse_scalar(text)
+
+
+@pytest.mark.parametrize("text", NOT_SCALARS)
+def test_element_syntax_as_a_weight_exits_2(text):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["coproduct", "-a", "word:xy", "--weight", text, "-e", "x"])
+    assert code == 2
+    assert err.getvalue().startswith("error: ")
+
+
+@given(st.one_of(st.text(max_size=20), st.text(alphabet="L0123456789()+-*/^ xE[],", max_size=20)))
+@example("2*L - 1/3")
+@example("(L+1)^3")
+def test_scalar_text_parses_as_the_scaled_unit(text):
+    try:
+        value = parse_scalar(text)
+    except ParseError:
+        return
+    assert isinstance(value, LambdaPoly)
+    assert parse_expression(text, W) == W.unit.scale(value)
 
 
 def test_dimension_mismatch():

@@ -26,6 +26,32 @@ def test_no_check_sits_behind_assert():
     assert found == []
 
 
+def _is_re_compile(node):
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "compile"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "re"
+    )
+
+
+def test_one_parser():
+    # parser.py holds the only tokenizer and recursive descent; scalar text
+    # is read by the same parser run without an algebra
+    modules = sorted(PACKAGE_DIR.rglob("*.py"))
+    assert PACKAGE_DIR / "parser.py" in modules
+    found = sorted(
+        f"{path.relative_to(PACKAGE_DIR)}:{node.lineno}"
+        for path in modules if path.name != "parser.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _is_re_compile(node)
+        or (isinstance(node, ast.ClassDef)
+            and any(isinstance(f, ast.FunctionDef) and f.name == "expr" for f in node.body))
+    )
+    assert found == []
+
+
 def _rebinds_to_a_sum_of_itself(node):
     return (
         isinstance(node, ast.Assign)

@@ -49,7 +49,9 @@ from .lincomb import (
     WordKind,
     act_left,
     act_right,
+    bilinear_extend,
     ensure_same_kind,
+    linear_extend,
     tensor,
 )
 from .matrices import (
@@ -80,7 +82,6 @@ from .prelie import (
 from .scalars import LAMBDA, MINUS_ONE, ONE, ZERO, LambdaPoly, poly_text
 from .verify import SUITE_NAMES, SuiteOutcome, run_suite, run_verify
 from .words import (
-    concat,
     deconcat_algebra,
     deconcat_coproduct,
     subword,

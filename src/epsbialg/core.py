@@ -4,7 +4,8 @@ An ``AlgebraInstance`` packages one coalgebra structure sitting on top of a
 ``Kind``: the kind's product and unit, a basis coproduct rule, and a weight
 in Q[L].  Everything downstream is generic in the instance:
 
-* linear extension of the coproduct and its iterates;
+* linear extension (``lincomb.linear_extend``) of the coproduct and its
+  iterates, as of every linear map below: D, endomorphisms, convolution;
 * the weighted-derivation law checker
       Delta(ab) = a.Delta(b) + Delta(a).b + weight * (a (x) b)
   and the coassociativity checker (Delta (x) id) Delta = (id (x) Delta) Delta;
@@ -45,7 +46,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import KindMismatch, NotNilpotentWithinCap, TooManyTerms, WeightNotZero
-from .lincomb import Element, TensorElement, _accumulate, act_left, act_right, products, tensor
+from .lincomb import (
+    Element, TensorElement, _accumulate, act_left, act_right, linear_extend, products, tensor,
+)
 from .scalars import MAX_TERMS, LambdaPoly
 
 
@@ -138,22 +141,20 @@ class AlgebraInstance:
     def coproduct(self, a: Element) -> TensorElement:
         """Linear extension of the basis coproduct; Delta(0) = 0."""
         self._own(a)
-        out = {}
-        _accumulate(out, (
-            (k, c * d) for key, c in a.terms.items()
-            for k, d in self.basis_coproduct(key).terms.items()
-        ))
-        return TensorElement._make(self.kind, 2, out)
+        delta = self.basis_coproduct
+        return TensorElement._make(
+            self.kind, 2, linear_extend(a.terms, lambda key: delta(key).terms.items())
+        )
 
     def _expand_leg(self, t: TensorElement, pos: int) -> TensorElement:
         """Apply the coproduct to leg ``pos``, yielding one more leg."""
-        out = {}
-        for keys, c in t.terms.items():
-            _accumulate(out, (
-                (keys[:pos] + uv + keys[pos + 1 :], c * d)
-                for uv, d in self.basis_coproduct(keys[pos]).terms.items()
-            ))
-        return TensorElement._make(self.kind, t.legs + 1, out)
+        delta = self.basis_coproduct
+
+        def rule(keys):
+            head, tail = keys[:pos], keys[pos + 1 :]
+            return ((head + uv + tail, d) for uv, d in delta(keys[pos]).terms.items())
+
+        return TensorElement._make(self.kind, t.legs + 1, linear_extend(t.terms, rule))
 
     def iterated_coproduct(self, a: Element, k: int) -> TensorElement:
         """Delta applied k times (k >= 1), always expanding the leftmost leg.
@@ -254,11 +255,8 @@ class LinearEndomorphism:
 
     def __call__(self, v: Element) -> Element:
         self.algebra._own(v)
-        out = {}
-        _accumulate(out, (
-            (k2, c * d) for key, c in v.terms.items() for k2, d in self.on_key(key).terms.items()
-        ))
-        return Element._make(v.kind, out)
+        on_key = self.on_key
+        return Element._make(v.kind, linear_extend(v.terms, lambda key: on_key(key).terms.items()))
 
 
 def identity_endo(A: AlgebraInstance) -> LinearEndomorphism:
@@ -273,11 +271,10 @@ def convolution(A, f: LinearEndomorphism, g: LinearEndomorphism) -> LinearEndomo
     """f * g = m (f (x) g) Delta, i.e. (f*g)(a) = sum f(a_(1)) g(a_(2))."""
 
     def rule(key):
-        out = {}
-        for (k1, k2), c in A.basis_coproduct(key).terms.items():
-            fg = products(A.kind, f.on_key(k1).terms, g.on_key(k2).terms)
-            _accumulate(out, ((k, d * c) for k, d in fg))
-        return Element._make(A.kind, out)
+        return Element._make(A.kind, linear_extend(
+            A.basis_coproduct(key).terms,
+            lambda legs: products(A.kind, f.on_key(legs[0]).terms, g.on_key(legs[1]).terms),
+        ))
 
     return LinearEndomorphism(A, rule, f"({f.name} * {g.name})")
 
@@ -296,13 +293,10 @@ def d_map(A: AlgebraInstance, a: Element) -> Element:
     """D(a) = m Delta(a) = sum a_(1) a_(2)."""
     A._own(a)
     key_mul = A.kind.key_mul
-    out = {}
-    _accumulate(out, (
-        (k, c * d) for key, c in a.terms.items()
-        for (k1, k2), d in A.basis_coproduct(key).terms.items()
+    return Element._make(A.kind, linear_extend(a.terms, lambda key: (
+        (k, d) for (k1, k2), d in A.basis_coproduct(key).terms.items()
         if (k := key_mul(k1, k2)) is not None
-    ))
-    return Element._make(A.kind, out)
+    )))
 
 
 def convolution_power_vanishes(A: AlgebraInstance, f, a: Element, n: int) -> bool:
@@ -312,16 +306,15 @@ def convolution_power_vanishes(A: AlgebraInstance, f, a: Element, n: int) -> boo
     the (n+1)-leg Sweedler expansion; it is kept as an independent cross-check
     of the cheaper D-power criterion used to truncate the antipode series.
     """
-    t = A.iterated_coproduct(a, n)
-    out = {}
-    for keys, c in t.terms.items():
+    def rule(keys):
         prod = f.on_key(keys[0])
         for key in keys[1:]:
             if prod.is_zero():
                 break
             prod = prod * f.on_key(key)
-        _accumulate(out, ((k, d * c) for k, d in prod.terms.items()))
-    return not out
+        return prod.terms.items()
+
+    return not linear_extend(A.iterated_coproduct(a, n).terms, rule)
 
 
 def _d_powers(A: AlgebraInstance, a: Element, cap: int) -> list:
@@ -417,10 +410,7 @@ def check_antipode_properties(A: AlgebraInstance, x: Element, y: Element, cap: i
         return LawReport.fail(
             "antipode-multiplicativity", (str(x), str(y)), Element._make(A.kind, diff)
         )
-    both = {}
-    _accumulate(both, (  # + Delta(S(x))
-        (k, c * d) for key, c in sx.items() for k, d in A.basis_coproduct(key).terms.items()
-    ))
+    both = linear_extend(sx, lambda key: A.basis_coproduct(key).terms.items())  # + Delta(S(x))
     legs = [(c, s.on_key(k1).terms, s.on_key(k2).terms)
             for (k1, k2), c in A.coproduct(x).terms.items()]
     _accumulate(both, (  # + S(k1) (x) S(k2)

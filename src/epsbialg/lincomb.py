@@ -39,7 +39,9 @@ product is zero, but never leaves out one whose product is not.
 ``products`` walks a product through the index, and ``_accumulate`` adds a
 stream of terms into one sparse map: sums and products of elements go
 through these two, and so do the key-level checkers, which never build an
-element per term.
+element per term.  Every other linear or bilinear map of the package (the
+coproducts, D, endomorphisms, bimodule actions, counit contractions, |>) is a
+rule on keys extended by ``linear_extend`` or, on key pairs, ``bilinear_extend``.
 
 The tensor square A (x) A is an (A,A)-bimodule via
 
@@ -312,6 +314,27 @@ def _accumulate(out: dict, terms, negate=False):
             out[keys] = s
 
 
+def linear_extend(terms: dict, rule) -> dict:
+    """The sparse map sum c * rule(key) over the terms (key, c) of ``terms``.
+
+    ``rule(key)`` gives the image of a basis key as (key, coefficient) pairs;
+    the map is filled in the order of ``terms``, then of each image.  A rule
+    yields only nonzero coefficients, so no zero is ever stored: Q[L] has no
+    zero divisors, so each c * d is nonzero, and ``_accumulate`` drops a sum
+    that cancels.
+    """
+    out = {}
+    _accumulate(out, ((k, c * d) for key, c in terms.items() for k, d in rule(key)))
+    return out
+
+
+def bilinear_extend(left: dict, right: dict, rule) -> dict:
+    """The sparse map sum cp * cq * rule(p, q) over the terms (p, cp) of ``left``
+    and (q, cq) of ``right``: the linear extension of ``rule`` over left (x) right."""
+    pairs = {(p, q): cp * cq for p, cp in left.items() for q, cq in right.items()}
+    return linear_extend(pairs, lambda pq: rule(*pq))
+
+
 def products(kind, left: dict, right: dict):
     """Each nonzero (key, coeff) of the product of two term maps, pair by pair.
 
@@ -557,12 +580,10 @@ def act_left(a: Element, t: TensorElement) -> TensorElement:
     if t.legs != 2:
         raise KindMismatch(f"bimodule action needs 2 legs, got {t.legs}")
     key_mul = a.kind.key_mul
-    terms = {}
-    _accumulate(terms, (
-        ((key, k2), cp * ct) for p, cp in a.terms.items() for (k1, k2), ct in t.terms.items()
+    return TensorElement._make(a.kind, 2, linear_extend(a.terms, lambda p: (
+        ((key, k2), ct) for (k1, k2), ct in t.terms.items()
         if (key := key_mul(p, k1)) is not None
-    ))
-    return TensorElement._make(a.kind, 2, terms)
+    )))
 
 
 def act_right(t: TensorElement, a: Element) -> TensorElement:
@@ -571,12 +592,10 @@ def act_right(t: TensorElement, a: Element) -> TensorElement:
     if t.legs != 2:
         raise KindMismatch(f"bimodule action needs 2 legs, got {t.legs}")
     key_mul = a.kind.key_mul
-    terms = {}
-    _accumulate(terms, (
-        ((k1, key), ct * cq) for (k1, k2), ct in t.terms.items() for q, cq in a.terms.items()
-        if (key := key_mul(k2, q)) is not None
-    ))
-    return TensorElement._make(t.kind, 2, terms)
+    return TensorElement._make(t.kind, 2, linear_extend(t.terms, lambda keys: (
+        ((keys[0], key), cq) for q, cq in a.terms.items()
+        if (key := key_mul(keys[1], q)) is not None
+    )))
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,13 @@ For a weight-zero unitary instance the Sweedler sandwich
 is a (left) pre-Lie product, and [a, b] = a |> b - b |> a is a Lie bracket.
 (Aguiar, "Infinitesimal Hopf algebras", Contemp. Math. 267, 2000.)
 
-``prelie_product`` is the bilinear extension of a structure-constant table:
-p |> q on each ordered pair of basis keys, kept per ``AlgebraInstance`` as a
-sparse map key -> coefficient and filled lazily at key level, with no
-``Element`` built per Sweedler term.  This is the idiom of GAP's
-``LieAlgebraByStructureConstants``.  The per-call Sweedler sum
-sum A.element(k1) * a * A.element(k2) lives on as the test oracle
-``sweedler_prelie_product`` in ``tests/support.py``.
+``prelie_product`` is the bilinear extension (``lincomb.bilinear_extend``)
+of a structure-constant table: p |> q on each ordered pair of basis keys,
+kept per ``AlgebraInstance`` as a sparse map key -> coefficient and filled
+lazily at key level, with no ``Element`` built per Sweedler term.  This is
+the idiom of GAP's ``LieAlgebraByStructureConstants``.  The per-call
+Sweedler sum sum A.element(k1) * a * A.element(k2) lives on as the test
+oracle ``sweedler_prelie_product`` in ``tests/support.py``.
 
 The table is sparse (40 of 625 pairs are nonzero on M_5).  Every term of
 the pre-Lie, Jacobi and representation laws on a basis triple is a |> or a
@@ -47,7 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import AlgebraInstance, LawReport
-from .lincomb import Element, MatrixKind, _accumulate, ensure_same_kind
+from .lincomb import Element, MatrixKind, _accumulate, bilinear_extend, ensure_same_kind
 from .matrices import sgn
 from .scalars import ONE
 
@@ -77,12 +77,9 @@ def prelie_product(A: AlgebraInstance, a: Element, b: Element) -> Element:
     A.require_weight_zero("pre-Lie structure")
     A._own(a)
     A._own(b)
-    out = {}
-    for p, cp in a.terms.items():
-        for q, cq in b.terms.items():
-            cpq = cp * cq
-            _accumulate(out, ((key, cpq * c) for key, c in _prelie_on_keys(A, p, q).items()))
-    return Element._make(A.kind, out)
+    return Element._make(
+        A.kind, bilinear_extend(a.terms, b.terms, lambda p, q: _prelie_on_keys(A, p, q).items())
+    )
 
 
 def commutator_bracket(A: AlgebraInstance, a: Element, b: Element) -> Element:
@@ -136,15 +133,13 @@ def matrix_bracket_closed_form(kind: MatrixKind, p, q) -> Element:
 
 
 def bilinear_from_pairs(a: Element, b: Element, rule) -> Element:
-    """Extend a basis-pair rule (kind, key, key) -> Element bilinearly to elements."""
+    """Extend a basis-pair rule (kind, key, key) -> Element, such as the bracket
+    closed forms below, bilinearly to elements through ``bilinear_extend``."""
     ensure_same_kind(a, b)
     kind = a.kind
-    out = {}
-    for p, cp in a.terms.items():
-        for q, cq in b.terms.items():
-            cpq = cp * cq
-            _accumulate(out, ((key, c * cpq) for key, c in rule(kind, p, q).terms.items()))
-    return Element._make(kind, out)
+    return Element._make(
+        kind, bilinear_extend(a.terms, b.terms, lambda p, q: rule(kind, p, q).terms.items())
+    )
 
 
 # ---------------------------------------------------------------------------

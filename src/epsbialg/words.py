@@ -33,10 +33,6 @@ from .lincomb import TensorElement, UnivarKind, WordKind
 from .scalars import LAMBDA, LambdaPoly, MINUS_ONE, ONE
 
 
-def concat(w1: tuple, w2: tuple) -> tuple:
-    return w1 + w2
-
-
 def subword(w: tuple, i: int, j: int) -> tuple:
     """w[i,j]: letters i through j, 1-indexed inclusive; requires 1 <= i <= j <= l(w)."""
     if not (1 <= i <= j <= len(w)):

@@ -20,6 +20,8 @@ from epsbialg import (
     check_prelie_identity,
     tensor,
 )
+from epsbialg import matrix_algebra, univar_algebra, word_algebra
+from epsbialg.cli import build_algebra
 from epsbialg.prelie import _prelie_on_keys
 from epsbialg.verify import _failed, _passed, _triple_keys
 
@@ -82,6 +84,19 @@ def sweedler_prelie_product(A, a, b):
     out = Element.zero(A.kind)
     for (k1, k2), c in A.coproduct(b).terms.items():
         out = out + (A.element(k1) * a * A.element(k2)).scale(c)
+    return out
+
+
+# -- termwise oracle for linear maps ---------------------------------------------
+# A linear map on v as the sum of the images of its terms, each image built
+# as a whole Element or TensorElement and scaled by its coefficient; knows
+# nothing of ``lincomb.linear_extend``.
+
+
+def termwise_oracle(v, image, zero):
+    out = zero
+    for key, c in v.terms.items():
+        out = out + image(key).scale(c)
     return out
 
 
@@ -305,3 +320,18 @@ def univar_elements(max_degree=4, max_terms=3):
     return st.dictionaries(keys, lambda_polys, max_size=max_terms).map(
         lambda terms: Element(kind, terms)
     )
+
+
+def linear_map_cases():
+    """{name: (instance, its elements)} on which the linear maps are checked:
+    M_3, words and univar at weight L, and the rmatrix controls, whose
+    coproduct images cancel across keys (Delta_r(1) = 0 at weight 0)."""
+    cases = {
+        "matrix3": (matrix_algebra(3), matrix_elements(3)),
+        "word-L": (word_algebra("xy"), word_elements()),
+        "univar-L": (univar_algebra(), univar_elements()),
+    }
+    for i, selector in enumerate(RMATRIX_CONTROLS, start=1):
+        n = int(selector.split(":")[1])
+        cases[f"rmatrix{i}"] = (build_algebra(selector, None), matrix_elements(n))
+    return cases

@@ -52,9 +52,11 @@ from support import (
     RMATRIX_CONTROLS,
     element_antipode_axiom_oracle,
     element_antipode_properties_oracle,
+    linear_map_cases,
     matrix_elements,
     tensor_coassoc_oracle,
     tensor_cocycle_oracle,
+    termwise_oracle,
     univar_elements,
 )
 
@@ -514,6 +516,32 @@ random_words = st.lists(st.integers(min_value=0, max_value=1), max_size=6).map(W
 def test_key_level_checkers_match_the_oracles_on_random_words(A, p, q):
     assert_same_report(check_cocycle(A, p, q), tensor_cocycle_oracle(A, p, q))
     assert_same_report(check_coassoc(A, p), tensor_coassoc_oracle(A, p))
+
+
+# -- linear maps extended from key rules against the termwise oracle -----------
+
+LINEAR_MAP_CASES = linear_map_cases()
+
+
+@pytest.mark.parametrize("case", sorted(LINEAR_MAP_CASES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_linear_maps_match_the_termwise_oracle(case, data):
+    # the coproduct, _expand_leg, D = m Delta, an endomorphism and the
+    # convolution id * id = D, each against the sum of its images on terms
+    A, elements = LINEAR_MAP_CASES[case]
+    a = data.draw(elements, label="a")
+    e, zero = A.element, Element.zero(A.kind)
+    delta = termwise_oracle(a, A.basis_coproduct, TensorElement.zero(A.kind))
+    assert A.coproduct(a) == delta
+    assert A.iterated_coproduct(a, 2) == termwise_oracle(
+        delta, lambda k: tensor(A.basis_coproduct(k[0]), e(k[1])), TensorElement.zero(A.kind, 3)
+    )
+    d = termwise_oracle(delta, lambda k: e(k[0]) * e(k[1]), zero)
+    assert d_map(A, a) == d
+    ident = identity_endo(A)
+    assert convolution(A, ident, ident)(a) == d
+    assert LinearEndomorphism(A, lambda key: d_map(A, e(key)))(a) == d
 
 
 def test_key_level_cocycle_validates_its_keys():

@@ -23,6 +23,8 @@ from epsbialg import (
     WordKind,
     act_left,
     act_right,
+    bilinear_extend,
+    linear_extend,
     tensor,
 )
 from epsbialg.scalars import LambdaPoly
@@ -31,8 +33,11 @@ from support import (
     dense_from_element,
     dense_mul,
     element_from_dense,
+    lambda_polys,
+    linear_map_cases,
     matrix_elements,
     nonzero_polys,
+    termwise_oracle,
     univar_elements,
     word_elements,
 )
@@ -127,6 +132,65 @@ def test_act_right_concatenates():
 def test_bimodule_compatibility(a, b, c, d):
     t = tensor(b, c)
     assert act_right(act_left(a, t), d) == act_left(a, act_right(t, d))
+
+
+# -- linear_extend, bilinear_extend and the bimodule actions -------------------
+
+LINEAR_MAP_CASES = linear_map_cases()
+
+
+def _coproduct_rule(A):
+    return lambda key: A.basis_coproduct(key).terms.items()
+
+
+def _key_product_rule(kind):
+    key_mul = kind.key_mul
+    return lambda p, q: () if (k := key_mul(p, q)) is None else ((k, ONE),)
+
+
+@pytest.mark.parametrize("case", sorted(LINEAR_MAP_CASES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_linear_extend_is_linear_and_stores_no_zero(case, data):
+    A, elements = LINEAR_MAP_CASES[case]
+    a, b = data.draw(elements, label="a"), data.draw(elements, label="b")
+    c = data.draw(lambda_polys, label="c")
+
+    def extend(v):
+        out = linear_extend(v.terms, _coproduct_rule(A))
+        assert not [d for d in out.values() if d.is_zero()]
+        return TensorElement._make(A.kind, 2, out)
+
+    assert extend(a + b) == extend(a) + extend(b)
+    assert extend(a.scale(c)) == extend(a).scale(c)
+    assert extend(a) == termwise_oracle(a, A.basis_coproduct, TensorElement.zero(A.kind))
+    # the product, as the bilinear extension of the key product
+    product = bilinear_extend(a.terms, b.terms, _key_product_rule(A.kind))
+    assert not [d for d in product.values() if d.is_zero()]
+    assert product == (a * b).terms
+
+
+def test_linear_extend_drops_images_that_cancel_across_keys():
+    # at weight 0, Delta_r(1) = 1.r - r.1 = 0 although the unit's diagonal keys
+    # can have nonzero images: those images cancel in the sum
+    cancelled = 0
+    for name, (A, _) in LINEAR_MAP_CASES.items():
+        if name.startswith("rmatrix"):
+            assert linear_extend(A.unit.terms, _coproduct_rule(A)) == {}
+            cancelled += any(A.basis_coproduct(key).terms for key in A.unit.terms)
+    assert cancelled
+
+
+@pytest.mark.parametrize("case", sorted(LINEAR_MAP_CASES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_bimodule_actions_match_the_termwise_oracle(case, data):
+    A, elements = LINEAR_MAP_CASES[case]
+    a, b, c = (data.draw(elements, label=name) for name in "abc")
+    t = tensor(b, c) + A.coproduct(a)
+    e, zero = A.element, TensorElement.zero(A.kind)
+    assert act_left(a, t) == termwise_oracle(t, lambda k: tensor(a * e(k[0]), e(k[1])), zero)
+    assert act_right(t, a) == termwise_oracle(t, lambda k: tensor(e(k[0]), e(k[1]) * a), zero)
 
 
 def matrix_operands(n):

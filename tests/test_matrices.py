@@ -1,6 +1,7 @@
 """Matrix instances: telescoping coproduct, classical contrast, L-coproduct."""
 
 import pytest
+from hypothesis import given, settings
 
 from epsbialg import (
     DimensionMismatch,
@@ -13,6 +14,7 @@ from epsbialg import (
     classical_comatrix_algebra,
     classical_comatrix_coproduct,
     classical_counit,
+    coproduct_from_r,
     counit_contract_left,
     counit_contract_right,
     l_coproduct_instance,
@@ -23,8 +25,9 @@ from epsbialg import (
     sgn,
     tensor,
 )
-from epsbialg import KindMismatch, TensorElement, matrices
 from epsbialg.scalars import ONE, ZERO
+
+from support import matrix_elements, termwise_oracle
 
 M2 = matrix_algebra(2)
 
@@ -125,6 +128,25 @@ def test_classical_instance_coassociative_and_counital(n):
         assert counit_contract_right(t) == back
 
 
+@settings(max_examples=30, deadline=None)
+@given(matrix_elements(3), matrix_elements(3), matrix_elements(3))
+def test_counit_contractions_match_the_termwise_oracle(a, b, c):
+    # images that cancel across keys: (E[1,1] - E[2,2]) (x) E[1,2] contracts to 0
+    cancelling = tensor(e(1, 1) - e(2, 2), e(1, 2))
+    assert counit_contract_left(cancelling).terms == {}
+    assert counit_contract_right(tensor(e(1, 2), e(1, 1) - e(2, 2))).terms == {}
+    t = tensor(a, b) + tensor(b, c)
+    kind, zero = t.kind, Element.zero(t.kind)
+    left = termwise_oracle(
+        t, lambda k: Element.from_key(kind, k[1]).scale(classical_counit(k[0])), zero
+    )
+    right = termwise_oracle(
+        t, lambda k: Element.from_key(kind, k[0]).scale(classical_counit(k[1])), zero
+    )
+    assert counit_contract_left(t) == left
+    assert counit_contract_right(t) == right
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_telescoping_differs_from_classical(n):
     key, kind = EMatrix(1, 2, n), MatrixKind(n)
@@ -145,13 +167,31 @@ def test_l_coproduct_rejects_non_nilpotent():
         l_coproduct_instance(2, parse_expression("E[1,1]", A))
 
 
-def test_l_coproduct_identity_check_raises(monkeypatch):
-    # a real check, not an assert that python -O strips: break the right
-    # action it compares against and construction must name the first key
-    monkeypatch.setattr(matrices, "act_right", lambda t, a: TensorElement.zero(t.kind))
-    A = matrix_algebra(2)
-    with pytest.raises(KindMismatch, match=r"at E\[2,1\]$"):
-        l_coproduct_instance(2, parse_expression("E[1,2]", A))
+def _dense_nilpotent(n):
+    """The dense L whose every row is (1, -1, 1, ...); L^2 = 0 for even n."""
+    return "[[" + "],[".join([",".join(["1", "-1"] * (n // 2))] * n) + "]]"
+
+
+@pytest.mark.parametrize("n,text", [
+    (2, "E[1,2]"),
+    (2, _dense_nilpotent(2)),
+    (3, "E[1,3]"),
+    (3, "L * E[1,3] - 1/2 * E[2,3]"),
+    (3, "[[1,1,-1],[0,0,0],[1,1,-1]]"),
+    (4, "E[1,3] + E[2,4] - E[1,4]"),
+    (4, _dense_nilpotent(4)),
+])
+def test_l_coproduct_is_the_derived_coproduct_of_l_tensor_l(n, text):
+    # the closed form ML (x) L - L (x) LM, key by key, against M.r - r.M, r = L (x) L
+    base = matrix_algebra(n)
+    L = parse_expression(text, base)
+    inst = l_coproduct_instance(n, L)
+    derived = coproduct_from_r(base, tensor(L, L), 0)
+    nonzero = 0
+    for key in inst.basis_keys():
+        assert inst.basis_coproduct(key) == derived.basis_coproduct(key), key
+        nonzero += not inst.basis_coproduct(key).is_zero()
+    assert nonzero
 
 
 def test_l_coproduct_laws():

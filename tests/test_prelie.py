@@ -42,6 +42,7 @@ from support import (
     prelie_support,
     sweedler_prelie_product,
     touch_law_sweep,
+    univar_elements,
     word_elements,
 )
 
@@ -177,9 +178,15 @@ def test_table_matches_sweedler_oracle_on_matrix_elements(a, b):
     assert prelie_product(A, a, b) == sweedler_prelie_product(A, a, b)
 
 
-@given(word_elements(), word_elements())
-def test_table_matches_sweedler_oracle_on_word_elements(a, b):
-    assert prelie_product(W0, a, b) == sweedler_prelie_product(W0, a, b)
+@pytest.mark.parametrize(
+    "A, elements",
+    [(W0, word_elements()), (univar_algebra(0), univar_elements())],
+    ids=["word", "univar"],
+)
+@given(data=st.data())
+def test_table_matches_sweedler_oracle_on_word_and_univar_elements(A, elements, data):
+    a, b = data.draw(elements, label="a"), data.draw(elements, label="b")
+    assert prelie_product(A, a, b) == sweedler_prelie_product(A, a, b)
 
 
 @pytest.mark.parametrize("selector", RMATRIX_CONTROLS)
@@ -389,8 +396,17 @@ def test_prelie_identity_on_weight_zero_words():
         assert check_prelie_identity(W0, a, b, c).passed
 
 
-def test_bilinear_from_pairs_matches_commutator():
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_bilinear_from_pairs_matches_commutator(data):
     m = parse_expression("E[1,1] + E[2,1]", M2)
     n = parse_expression("E[1,2] + E[2,2]", M2)
     assert bilinear_from_pairs(m, n, matrix_bracket_table) == e(2, 1, 2)
     assert bilinear_from_pairs(m, n, matrix_bracket_closed_form) == e(2, 1, 2)
+    # on elements of M_2..M_4, against the Sweedler commutator
+    size = data.draw(st.integers(min_value=2, max_value=4), label="n")
+    A = matrix_algebra(size)
+    a, b = data.draw(matrix_elements(size), label="a"), data.draw(matrix_elements(size), label="b")
+    want = sweedler_prelie_product(A, a, b) - sweedler_prelie_product(A, b, a)
+    for rule in (matrix_bracket_table, matrix_bracket_closed_form):
+        assert bilinear_from_pairs(a, b, rule) == want

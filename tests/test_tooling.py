@@ -1,6 +1,7 @@
 """Source-level rules for the package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from epsbialg import parse_expression
 from epsbialg.cli import build_algebra
 
 PACKAGE_DIR = Path(epsbialg.__file__).parent
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def test_no_check_sits_behind_assert():
@@ -105,3 +107,41 @@ def test_keys_are_plain_builtins(selector, text):
     for source, found in sources.items():
         assert found, source
         assert [k for k in found if not _is_plain_key(k)] == [], source
+
+
+def _tracer_layers():
+    """``LAYERS`` of the benchmark tracer, read from its source without importing it."""
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    (value,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"]
+    ]
+    return ast.literal_eval(value)
+
+
+def _traced_target(layer, qualname):
+    """The object the tracer wraps for ``layer.qualname``, resolved as it does; None if absent."""
+    module = importlib.import_module(f"epsbialg.{layer}")
+    if "." not in qualname:
+        return getattr(module, qualname, None)
+    cls_name, attr = qualname.split(".")
+    owner = getattr(module, cls_name, None)
+    raw = vars(owner).get(attr) if owner is not None else None
+    return raw.__func__ if isinstance(raw, (staticmethod, classmethod)) else raw
+
+
+def test_every_traced_name_has_its_own_definition():
+    # the benchmark's tracer wraps each of these names; one that is dropped is
+    # reported missing, and two that alias one object share one wrapper
+    targets = {
+        f"{layer}.{qualname}": _traced_target(layer, qualname)
+        for layer, names in _tracer_layers().items()
+        for qualname in names
+    }
+    assert len(targets) == 38
+    assert [name for name, obj in targets.items() if obj is None] == []
+    by_object = {}
+    for name, obj in targets.items():
+        by_object.setdefault(id(obj), []).append(name)
+    assert [names for names in by_object.values() if len(names) > 1] == []

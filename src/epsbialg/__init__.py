@@ -79,7 +79,7 @@ from .prelie import (
     matrix_prelie_table,
     prelie_product,
 )
-from .scalars import LAMBDA, MINUS_ONE, ONE, ZERO, LambdaPoly, poly_text
+from .scalars import LAMBDA, MINUS_ONE, ONE, ZERO, LambdaPoly, poly_text, scalar
 from .verify import SUITE_NAMES, SuiteOutcome, run_suite, run_verify
 from .words import (
     deconcat_algebra,

@@ -49,7 +49,7 @@ from .errors import KindMismatch, NotNilpotentWithinCap, TooManyTerms, WeightNot
 from .lincomb import (
     Element, TensorElement, _accumulate, act_left, act_right, linear_extend, products, tensor,
 )
-from .scalars import MAX_TERMS, LambdaPoly
+from .scalars import MAX_TERMS, scalar
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class AlgebraInstance:
 
     def __init__(self, kind, weight, basis_coproduct, selector=None, tags=()):
         self.kind = kind
-        self.weight = LambdaPoly.coerce(weight)
+        self.weight = scalar(weight)
         self._rule = basis_coproduct
         self.selector = selector or kind.selector()
         self.tags = frozenset(tags)
@@ -113,11 +113,11 @@ class AlgebraInstance:
         return self.kind.basis_keys(bound)
 
     def element(self, key, coeff=1) -> Element:
-        return Element.from_key(self.kind, key, LambdaPoly.coerce(coeff))
+        return Element.from_key(self.kind, key, coeff)
 
     def require_weight_zero(self, what: str):
         """Raise WeightNotZero, saying that ``what`` needs weight 0, unless it is 0."""
-        if not self.weight.is_zero():
+        if self.weight:
             raise WeightNotZero(f"{what} needs weight 0, instance has weight {self.weight}")
 
     def _own(self, v):
@@ -203,7 +203,7 @@ def check_cocycle(A: AlgebraInstance, p, q) -> LawReport:
          if (kq := key_mul(k2, q)) is not None),
         negate=True,
     )
-    if not A.weight.is_zero():  # - weight * (p (x) q)
+    if A.weight:  # - weight * (p (x) q)
         _accumulate(diff, (((p, q), A.weight),), negate=True)
     if not diff:
         return LawReport.ok("cocycle")
@@ -357,7 +357,7 @@ def antipode(A: AlgebraInstance, a: Element, cap: int = 64) -> Element:
     for t, cur in enumerate(_d_powers(A, a, cap), start=1):
         factorial *= t
         # -(1/t!)(-1)^t = (-1)^(t+1)/t!
-        coeff = LambdaPoly.const(Fraction(1 if t % 2 else -1, factorial))
+        coeff = scalar(Fraction(1 if t % 2 else -1, factorial))
         _accumulate(out, ((k, c * coeff) for k, c in cur.terms.items()))
     return Element._make(A.kind, out)
 
@@ -440,13 +440,13 @@ def coproduct_from_r(A: AlgebraInstance, r: TensorElement, weight, selector=None
         raise KindMismatch(
             f"r has kind {r.kind.selector()}, algebra is {A.kind.selector()}"
         )
-    weight = LambdaPoly.coerce(weight)
+    weight = scalar(weight)
     unit = A.unit
 
     def rule(key):
         e = Element.from_key(A.kind, key)
         t = act_left(e, r) - act_right(r, e)
-        if not weight.is_zero():
+        if weight:
             t = t - tensor(e, unit).scale(weight)
         return t
 

@@ -16,10 +16,11 @@ its kind: the kind owns its text (``key_text``), its validation
 by length, then letters; matrices and monomials in their natural tuple or
 int order) and its size.
 
-An ``Element`` is a map key -> LambdaPoly; a ``TensorElement`` is a map from
-k-tuples of keys (k >= 2, the tensor legs) to LambdaPoly.  Both are
-immutable by convention: nothing in this package mutates them after
-construction, so they can be shared freely between tasks.
+An ``Element`` is a map key -> coefficient; a ``TensorElement`` is a map
+from k-tuples of keys (k >= 2, the tensor legs) to coefficients, each nonzero
+and in the canonical form of ``scalars``.  Both are immutable by convention:
+nothing in this package mutates them after construction, so they can be
+shared freely between tasks.
 
 A ``Kind`` value identifies the owning algebra (dimension, alphabet, ...)
 and carries its product rule, its unit and the size of a key (word length,
@@ -53,9 +54,10 @@ from __future__ import annotations
 
 import itertools
 import operator
+from fractions import Fraction
 
 from .errors import AlphabetMismatch, DimensionMismatch, KindMismatch
-from .scalars import LambdaPoly, ONE, poly_text
+from .scalars import SCALAR_TYPES, poly_text, scalar, scalar_items
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +137,7 @@ class MatrixKind:
 
     def unit_terms(self):
         # the identity matrix, expanded eagerly into basis terms
-        return {(i, i): ONE for i in range(1, self.n + 1)}
+        return {(i, i): 1 for i in range(1, self.n + 1)}
 
     def validate_key(self, key):
         if not (
@@ -198,7 +200,7 @@ class WordKind:
     product_index = left_index = staticmethod(_single_bucket)
 
     def unit_terms(self):
-        return {(): ONE}
+        return {(): 1}
 
     def validate_key(self, key):
         if type(key) is not tuple or not all(
@@ -254,7 +256,7 @@ class UnivarKind:
     product_index = left_index = staticmethod(_single_bucket)
 
     def unit_terms(self):
-        return {0: ONE}
+        return {0: 1}
 
     def validate_key(self, key):
         if type(key) is not int or key < 0:
@@ -301,17 +303,20 @@ def ensure_same_kind(a, b):
 
 def _accumulate(out: dict, terms, negate=False):
     """Add (or, with ``negate``, subtract) each (keys, coeff) of ``terms``
-    into the sparse map ``out``, dropping a sum that cancels to zero."""
+    into the sparse map ``out``, dropping a sum that cancels to zero.  A sum
+    or product of Fractions can be integral: it is stored as its int."""
     for keys, c in terms:
         s = out.get(keys)
         if s is None:
-            out[keys] = -c if negate else c
-            continue
-        s = s - c if negate else s + c
-        if s.is_zero():
-            del out[keys]
+            s = -c if negate else c
         else:
-            out[keys] = s
+            s = s - c if negate else s + c
+            if not s:
+                del out[keys]
+                continue
+        if type(s) is Fraction and s.denominator == 1:
+            s = s.numerator
+        out[keys] = s
 
 
 def linear_extend(terms: dict, rule) -> dict:
@@ -350,10 +355,6 @@ def products(kind, left: dict, right: dict):
                 yield key, cp * cq
 
 
-def _normalized(terms):
-    return {k: c for k, c in terms.items() if not c.is_zero()}
-
-
 class Element:
     """A finitely supported linear combination of basis keys over Q[L]."""
 
@@ -365,8 +366,8 @@ class Element:
         if terms:
             for key, c in terms.items():
                 kind.validate_key(key)
-                c = LambdaPoly.coerce(c)
-                if not c.is_zero():
+                c = scalar(c)
+                if c:
                     clean[key] = c
         self.terms = clean
 
@@ -383,10 +384,10 @@ class Element:
         return cls._make(kind, {})
 
     @classmethod
-    def from_key(cls, kind, key, coeff=ONE):
+    def from_key(cls, kind, key, coeff=1):
         kind.validate_key(key)
-        coeff = LambdaPoly.coerce(coeff)
-        return cls._make(kind, {} if coeff.is_zero() else {key: coeff})
+        coeff = scalar(coeff)
+        return cls._make(kind, {key: coeff} if coeff else {})
 
     def is_zero(self):
         return not self.terms
@@ -416,12 +417,10 @@ class Element:
         return Element._make(self.kind, {k: -c for k, c in self.terms.items()})
 
     def scale(self, c) -> "Element":
-        c = LambdaPoly.coerce(c)
-        if c.is_zero():
+        c = scalar(c)
+        if not c:
             return Element.zero(self.kind)
-        return Element._make(
-            self.kind, _normalized({k: v * c for k, v in self.terms.items()})
-        )
+        return Element._make(self.kind, {k: scalar(v * c) for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -429,12 +428,12 @@ class Element:
             terms = {}
             _accumulate(terms, products(self.kind, self.terms, other.terms))
             return Element._make(self.kind, terms)
-        if isinstance(other, (int, LambdaPoly)):
+        if isinstance(other, SCALAR_TYPES):
             return self.scale(other)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, LambdaPoly)):
+        if isinstance(other, SCALAR_TYPES):
             return self.scale(other)
         return NotImplemented
 
@@ -468,8 +467,8 @@ class TensorElement:
                     raise KindMismatch(f"tuple {keys!r} does not have {legs} legs")
                 for key in keys:
                     kind.validate_key(key)
-                c = LambdaPoly.coerce(c)
-                if not c.is_zero():
+                c = scalar(c)
+                if c:
                     clean[tuple(keys)] = c
         self.terms = clean
 
@@ -524,15 +523,14 @@ class TensorElement:
         )
 
     def scale(self, c) -> "TensorElement":
-        c = LambdaPoly.coerce(c)
-        if c.is_zero():
+        c = scalar(c)
+        if not c:
             return TensorElement.zero(self.kind, self.legs)
-        return TensorElement._make(
-            self.kind, self.legs, _normalized({k: v * c for k, v in self.terms.items()})
-        )
+        terms = {k: scalar(v * c) for k, v in self.terms.items()}
+        return TensorElement._make(self.kind, self.legs, terms)
 
     def __mul__(self, other):
-        if isinstance(other, (int, LambdaPoly)):
+        if isinstance(other, SCALAR_TYPES):
             return self.scale(other)
         return NotImplemented
 
@@ -565,12 +563,8 @@ def tensor(u, v) -> TensorElement:
     ensure_same_kind(u, v)
     lu, tu = _as_tuples(u)
     lv, tv = _as_tuples(v)
-    terms = {}
-    for ku, cu in tu.items():
-        for kv, cv in tv.items():
-            c = cu * cv
-            if not c.is_zero():
-                terms[ku + kv] = c
+    # Q[L] has no zero divisors, so no product of stored coefficients is zero
+    terms = {ku + kv: scalar(cu * cv) for ku, cu in tu.items() for kv, cv in tv.items()}
     return TensorElement._make(u.kind, lu + lv, terms)
 
 
@@ -602,9 +596,9 @@ def act_right(t: TensorElement, a: Element) -> TensorElement:
 # canonical text form
 # ---------------------------------------------------------------------------
 
-def _coeff_prefix(c: LambdaPoly):
+def _coeff_prefix(c):
     """Render a coefficient as (sign, prefix-text); prefix '' means coefficient 1."""
-    items = list(c.items())
+    items = list(scalar_items(c))
     if len(items) == 1:
         deg, q = items[0]
         sign = "-" if q < 0 else "+"

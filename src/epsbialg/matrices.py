@@ -29,7 +29,7 @@ from __future__ import annotations
 from .core import AlgebraInstance
 from .errors import DimensionMismatch, LSquareNotZero
 from .lincomb import Element, MatrixKind, TensorElement, linear_extend, tensor
-from .scalars import LambdaPoly, ONE, ZERO
+from .scalars import scalar
 
 
 def sgn(x: int) -> int:
@@ -47,9 +47,9 @@ def newtonian_coproduct(key, kind: MatrixKind) -> TensorElement:
     if i == j:
         return TensorElement.zero(kind)
     if i < j:
-        sign, lo, hi = ONE, i, j - 1
+        sign, lo, hi = 1, i, j - 1
     else:
-        sign, lo, hi = -ONE, j, i - 1
+        sign, lo, hi = -1, j, i - 1
     terms = {((i, s), (s + 1, j)): sign for s in range(lo, hi + 1)}
     return TensorElement._make(kind, 2, terms)
 
@@ -63,7 +63,7 @@ def matrix_algebra(n: int) -> AlgebraInstance:
     """M_n with the telescoping coproduct; a weight-zero unitary instance."""
     kind = MatrixKind(n)
     return AlgebraInstance(
-        kind, ZERO, lambda key: newtonian_coproduct(key, kind), selector=f"matrix:{n}",
+        kind, 0, lambda key: newtonian_coproduct(key, kind), selector=f"matrix:{n}",
         tags=(TELESCOPING,),
     )
 
@@ -71,13 +71,13 @@ def matrix_algebra(n: int) -> AlgebraInstance:
 def classical_comatrix_coproduct(key, kind: MatrixKind) -> TensorElement:
     """Delta(E[i,j]) = sum_{s=1}^{n} E[i,s] (x) E[s,j]."""
     i, j = key
-    terms = {((i, s), (s, j)): ONE for s in range(1, kind.n + 1)}
+    terms = {((i, s), (s, j)): 1 for s in range(1, kind.n + 1)}
     return TensorElement._make(kind, 2, terms)
 
 
-def classical_counit(key) -> LambdaPoly:
+def classical_counit(key) -> int:
     """eps(E[i,j]) = delta_ij."""
-    return ONE if key[0] == key[1] else ZERO
+    return 1 if key[0] == key[1] else 0
 
 
 def classical_comatrix_algebra(n: int) -> AlgebraInstance:
@@ -88,7 +88,7 @@ def classical_comatrix_algebra(n: int) -> AlgebraInstance:
     """
     kind = MatrixKind(n)
     return AlgebraInstance(
-        kind, ZERO, lambda key: classical_comatrix_coproduct(key, kind), selector=f"comatrix:{n}"
+        kind, 0, lambda key: classical_comatrix_coproduct(key, kind), selector=f"comatrix:{n}"
     )
 
 
@@ -121,10 +121,10 @@ def l_coproduct_instance(n: int, L: Element) -> AlgebraInstance:
     kind = L.kind
 
     def rule(key):
-        m = Element._make(kind, {key: ONE})
+        m = Element._make(kind, {key: 1})
         return tensor(m * L, L) - tensor(L, L * m)
 
-    return AlgebraInstance(kind, ZERO, rule, selector=f"lmatrix:{n}:{L}")
+    return AlgebraInstance(kind, 0, rule, selector=f"lmatrix:{n}:{L}")
 
 
 def matrix_from_rows(rows) -> Element:
@@ -136,8 +136,8 @@ def matrix_from_rows(rows) -> Element:
     terms = {}
     for i, row in enumerate(rows, start=1):
         for j, value in enumerate(row, start=1):
-            c = LambdaPoly.coerce(value)
-            if not c.is_zero():
+            c = scalar(value)
+            if c:
                 terms[(i, j)] = c
     return Element._make(kind, terms)
 

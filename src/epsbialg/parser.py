@@ -20,7 +20,7 @@ at operand position.  A bare scalar evaluates to scalar * unit.
 
 Scalar text (a weight) is read by the same parser run without an algebra:
 its only atom is ``L``, it has no ``(x)`` and no dense rows, and a bare
-scalar stays a ``LambdaPoly``.
+scalar stays a scalar, in the canonical form of ``scalars``.
 
 Parentheses nest at most ``MAX_NESTING`` deep, an exponent is at most
 ``MAX_EXPONENT``, and every value the parser builds, intermediate values
@@ -45,10 +45,11 @@ from .scalars import (
     MAX_KEY_SIZE,
     MAX_NESTING,
     MAX_TERMS,
-    LambdaPoly,
-    ONE,
+    SCALAR_TYPES,
     poly_json,
     poly_text,
+    scalar,
+    scalar_items,
 )
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()\[\],+\-*/^]))")
@@ -91,10 +92,11 @@ def check_product(m: int, n: int, pos=None):
         )
 
 
-def bounded_poly(p: LambdaPoly, pos: int) -> LambdaPoly:
-    """p itself, once its degree and its coefficients are within their bounds."""
-    check_bound("degree in L", p.degree(), MAX_KEY_SIZE, pos)
-    for _, q in p.items():
+def bounded_poly(p, pos: int):
+    """The scalar p itself, once its degree and its coefficients are within their bounds."""
+    items = scalar_items(p)
+    check_bound("degree in L", max((deg for deg, _ in items), default=-1), MAX_KEY_SIZE, pos)
+    for _, q in items:
         bits = max(q.numerator.bit_length(), q.denominator.bit_length())
         check_bound("coefficient bit length", bits, MAX_COEFF_BITS, pos)
     return p
@@ -121,7 +123,7 @@ def parsed_power(value, exp: int, one, mul, pos: int):
 class _ExprParser:
     """Recursive descent over the grammar above.  Without an algebra it reads
     scalar text: any atom but ``L`` is an ``UnknownAtom`` and ``parse``
-    returns a ``LambdaPoly``."""
+    returns a scalar."""
 
     def __init__(self, text: str, algebra=None):
         self.algebra = algebra
@@ -209,7 +211,7 @@ class _ExprParser:
             exp = self.expect_int("a non-negative integer exponent")
             if isinstance(value, TensorElement):
                 raise ParseError("cannot exponentiate a tensor", pos)
-            one = ONE if isinstance(value, LambdaPoly) else self.algebra.unit
+            one = 1 if isinstance(value, SCALAR_TYPES) else self.algebra.unit
             return parsed_power(value, exp, one, lambda x, y: self._mul(x, y, pos), pos)
         return value
 
@@ -222,8 +224,8 @@ class _ExprParser:
                 den = self.expect_int("a denominator")
                 if den == 0:
                     raise ParseError("zero denominator", pos)
-                return bounded_poly(LambdaPoly.const(Fraction(val, den)), pos)
-            return bounded_poly(LambdaPoly.const(val), pos)
+                return bounded_poly(scalar(Fraction(val, den)), pos)
+            return bounded_poly(val, pos)
         if kind == "name":
             return self.atom(val, pos)
         if kind == "op" and val == "(":
@@ -309,7 +311,7 @@ class _ExprParser:
 
     def _bounded(self, value, pos):
         """value itself, once its terms, keys and coefficients are within bounds."""
-        if isinstance(value, LambdaPoly):
+        if isinstance(value, SCALAR_TYPES):
             return bounded_poly(value, pos)
         check_bound("term count", monomials(value), MAX_TERMS, pos)
         kind = self.kind
@@ -321,7 +323,7 @@ class _ExprParser:
         return value
 
     def _promote(self, v, pos):
-        if isinstance(v, LambdaPoly):
+        if isinstance(v, SCALAR_TYPES):
             unit = self.algebra.unit
             check_product(len(unit.terms), monomials(v), pos)
             return unit.scale(v)
@@ -330,13 +332,13 @@ class _ExprParser:
     def _add(self, x, y, pos):
         if isinstance(x, TensorElement) != isinstance(y, TensorElement):
             raise ParseError("cannot add a tensor to a non-tensor", pos)
-        if isinstance(x, LambdaPoly) and isinstance(y, LambdaPoly):
-            return bounded_poly(x + y, pos)
+        if isinstance(x, SCALAR_TYPES) and isinstance(y, SCALAR_TYPES):
+            return bounded_poly(scalar(x + y), pos)
         return self._bounded(self._promote(x, pos) + self._promote(y, pos), pos)
 
     def _mul(self, x, y, pos):
-        x_scalar = isinstance(x, LambdaPoly)
-        y_scalar = isinstance(y, LambdaPoly)
+        x_scalar = isinstance(x, SCALAR_TYPES)
+        y_scalar = isinstance(y, SCALAR_TYPES)
         tensors = isinstance(x, TensorElement) or isinstance(y, TensorElement)
         if tensors and not (x_scalar or y_scalar):
             raise ParseError("cannot multiply tensors; use the '(x)' separator", pos)
@@ -345,6 +347,8 @@ class _ExprParser:
             value = y.scale(x)
         elif y_scalar and not x_scalar:
             value = x.scale(y)
+        elif x_scalar:  # an int or Fraction product is put into canonical form
+            value = scalar(x * y)
         else:
             value = x * y
         return self._bounded(value, pos)
@@ -358,15 +362,16 @@ class _ExprParser:
 
 def monomials(v) -> int:
     """The number of (key, power of L) monomials of a value."""
-    if isinstance(v, LambdaPoly):
-        return len(v.items())
-    return sum(len(c.items()) for c in v.terms.values())
+    if isinstance(v, SCALAR_TYPES):
+        return len(scalar_items(v))
+    return sum(len(scalar_items(c)) for c in v.terms.values())
 
 
-def parse_scalar(text: str) -> LambdaPoly:
+def parse_scalar(text: str):
     """Parse scalar syntax: integers ``3``, rationals ``3/2``, the weight
     literal ``L`` (alias ``lambda``, case-insensitive), and their sums,
-    products and powers, e.g. ``2*L - 1/3``."""
+    products and powers, e.g. ``2*L - 1/3``.  The value is in canonical
+    form: an int, a Fraction, or a LambdaPoly of positive degree."""
     return _ExprParser(text).parse()
 
 
@@ -436,13 +441,13 @@ def emit(value, fmt: str = "text", algebra=None) -> str:
     if fmt == "text":
         if isinstance(value, LawReport):
             return value.summary()
-        if isinstance(value, LambdaPoly):
+        if isinstance(value, SCALAR_TYPES):
             return poly_text(value)
         return str(value)
     if fmt == "json":
         if isinstance(value, LawReport):
             obj = _report_json(value)
-        elif isinstance(value, LambdaPoly):
+        elif isinstance(value, SCALAR_TYPES):
             obj = poly_json(value)
         else:
             obj = _value_json(value, algebra)

@@ -49,7 +49,6 @@ from fractions import Fraction
 from .core import AlgebraInstance, LawReport
 from .lincomb import Element, MatrixKind, _accumulate, bilinear_extend, ensure_same_kind
 from .matrices import sgn
-from .scalars import ONE
 
 _HALF = Fraction(1, 2)
 
@@ -94,9 +93,9 @@ def matrix_prelie_table(kind: MatrixKind, p, q) -> Element:
     """
     (i, j), (k, l) = p, q
     if j == i + 1 and k < j <= l:
-        return Element._make(kind, {q: ONE})
+        return Element._make(kind, {q: 1})
     if j == i + 1 and l < j <= k:
-        return Element._make(kind, {q: -ONE})
+        return Element._make(kind, {q: -1})
     return Element.zero(kind)
 
 
@@ -104,15 +103,15 @@ def matrix_bracket_table(kind: MatrixKind, p, q) -> Element:
     """Five-case table for [E[i,j], E[k,l]] on the telescoping matrix instance."""
     (i, j), (k, l) = p, q
     if j == i + 1 and l == k + 1 and j == l:
-        return Element._make(kind, {q: ONE}) - Element._make(kind, {p: ONE})
+        return Element._make(kind, {q: 1}) - Element._make(kind, {p: 1})
     if k < j == i + 1 <= l and l != k + 1:
-        return Element._make(kind, {q: ONE})
+        return Element._make(kind, {q: 1})
     if l < j == i + 1 <= k:
-        return Element._make(kind, {q: -ONE})
+        return Element._make(kind, {q: -1})
     if i < l == k + 1 <= j and j != i + 1:
-        return Element._make(kind, {p: -ONE})
+        return Element._make(kind, {p: -1})
     if j < l == k + 1 <= i:
-        return Element._make(kind, {p: ONE})
+        return Element._make(kind, {p: 1})
     return Element.zero(kind)
 
 
@@ -121,14 +120,10 @@ def matrix_bracket_closed_form(kind: MatrixKind, p, q) -> Element:
     (i, j), (k, l) = p, q
     if j == i + 1 and l != k + 1 and (i - k + _HALF) * (i - l + _HALF) < 0:
         s = sgn(l - k)
-        if s:
-            return Element._make(kind, {q: ONE if s > 0 else -ONE})
-        return Element.zero(kind)
+        return Element._make(kind, {q: s} if s else {})
     if j != i + 1 and l == k + 1 and (k - i + _HALF) * (k - j + _HALF) < 0:
         s = sgn(i - j)
-        if s:
-            return Element._make(kind, {p: ONE if s > 0 else -ONE})
-        return Element.zero(kind)
+        return Element._make(kind, {p: s} if s else {})
     return Element.zero(kind)
 
 

@@ -6,18 +6,20 @@ identity that holds coefficient-wise in Q[L] holds for every numeric weight
 at once, so law sweeps are run at the generic weight and only specialised
 when a concrete instance demands it.
 
-``LambdaPoly`` stores a finitely supported map from degree to a nonzero
-rational coefficient; zero coefficients are never stored.  A coefficient is
-stored as a plain ``int`` when it is integral and as a ``fractions.Fraction``
-(normalised, positive denominator) only when it is not: 1/t! in the antipode
-series, or a weight such as 1/2.  Construction and every sum and product
-restore this form, so ``Fraction(1, 2) + Fraction(1, 2)`` is stored as ``1``.
-Nearly all arithmetic in the law sweeps is integral, and int arithmetic is
-several times cheaper than Fraction arithmetic.  Nothing observable depends
-on the form: ``n == Fraction(n)`` and ``hash(n) == hash(Fraction(n))``, so
-equality and hashing agree across both, ``str(n) == str(Fraction(n))``, so
-text and JSON output are the same, and ``coefficient`` and ``specialize``
-return a ``Fraction``.
+A coefficient has exactly one canonical form: an ``int`` when it is an
+integral constant (zero is ``0``), a ``Fraction`` when it is a constant that
+is not integral (1/t! in the antipode series, a weight of 1/2), and a
+``LambdaPoly`` only when it has positive degree in L.  The paper's matrix
+structure constants are integers, so most coefficient arithmetic is int
+arithmetic, done in C.  ``LambdaPoly`` stores a map degree -> nonzero
+rational, an ``int`` when integral; its arithmetic takes operands in all
+three forms and returns the canonical form (``(L + 1) - L`` is ``1``), into
+which ``scalar`` puts any accepted value.  Equality and hashing agree across
+the forms.  ``const`` and ``coerce`` build a ``LambdaPoly`` of any degree,
+for callers that want its methods (``specialize``); they are not canonical.
+Only ``scalar_items`` (the degree and coefficient pairs of any form) tells
+the forms apart: ``poly_text``, ``poly_json``, the coefficient prefix of an
+element's text and the parser's bounds go through it.
 
 This module holds the arithmetic, the text and JSON forms, and the size
 bounds; scalar text such as ``2*L - 1/3`` is read by ``parser.parse_scalar``.
@@ -28,16 +30,14 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-_F0 = Fraction(0)
-
 
 class LambdaPoly:
     """A sparse polynomial in the weight symbol L with rational coefficients.
 
-    Immutable; all arithmetic returns new values.  Equality is
-    coefficient-wise, which is exact equality in Q[L].  A coefficient is
-    stored as an ``int`` when it is integral and as a ``Fraction`` otherwise
-    (see the module docstring).
+    Immutable; all arithmetic returns new values, in canonical form (see the
+    module docstring).  Equality is coefficient-wise, which is exact
+    equality in Q[L].  A coefficient is stored as an ``int`` when it is
+    integral and as a ``Fraction`` otherwise.
     """
 
     __slots__ = ("_c",)
@@ -60,14 +60,12 @@ class LambdaPoly:
 
     @staticmethod
     def coerce(value) -> "LambdaPoly":
+        """``value`` as a ``LambdaPoly`` object, whatever its degree."""
         if isinstance(value, LambdaPoly):
             return value
         if isinstance(value, (int, Fraction)):
             return LambdaPoly.const(value)
         raise TypeError(f"cannot coerce {value!r} into Q[L]")
-
-    def is_zero(self) -> bool:
-        return not self._c
 
     def coefficient(self, deg: int) -> Fraction:
         return Fraction(self._c.get(deg, 0))
@@ -83,11 +81,10 @@ class LambdaPoly:
         return bool(self._c)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LambdaPoly.coerce(other)
-        if not isinstance(other, LambdaPoly):
+        b = _coeffs(other)
+        if b is None:
             return NotImplemented
-        return self._c == other._c
+        return self._c == b
 
     def __hash__(self):
         # a constant, zero included, equals its int or Fraction, so it hashes
@@ -97,87 +94,56 @@ class LambdaPoly:
         return hash(frozenset(self._c.items()))
 
     def __add__(self, other):
-        if type(other) is not LambdaPoly:
-            try:
-                other = LambdaPoly.coerce(other)
-            except TypeError:
-                return NotImplemented
-        if not self._c:
-            return other
-        if not other._c:
-            return self
-        return _combined(self._c, other._c, operator.add)
+        b = other._c if type(other) is LambdaPoly else _coeffs(other)
+        if b is None:
+            return NotImplemented
+        return _combined(self._c, b, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LambdaPoly.__new__(LambdaPoly)
-        out._c = {deg: -q for deg, q in self._c.items()}
-        return out
+        return _canonical({deg: -q for deg, q in self._c.items()})
 
     def __sub__(self, other):
-        if type(other) is not LambdaPoly:
-            try:
-                other = LambdaPoly.coerce(other)
-            except TypeError:
-                return NotImplemented
-        if not other._c:
-            return self
-        if not self._c:
-            return -other
-        return _combined(self._c, other._c, operator.sub)
+        b = other._c if type(other) is LambdaPoly else _coeffs(other)
+        if b is None:
+            return NotImplemented
+        return _combined(self._c, b, operator.sub)
 
     def __rsub__(self, other):
-        try:
-            other = LambdaPoly.coerce(other)
-        except TypeError:
+        b = _coeffs(other)
+        if b is None:
             return NotImplemented
-        return other - self
+        return _combined(b, self._c, operator.sub)
 
     def __mul__(self, other):
-        if type(other) is not LambdaPoly:
-            try:
-                other = LambdaPoly.coerce(other)
-            except TypeError:
-                return NotImplemented
-        a, b = self._c, other._c
-        if not a or not b:
-            return ZERO
-        # the unit and its negative: the only stored coefficient is the int
-        # 1 or -1 at degree 0
-        if len(a) == 1:
-            q = a.get(0)
-            if q == 1:
-                return other
-            if q == -1:
-                return -other
-        if len(b) == 1:
-            q = b.get(0)
-            if q == 1:
-                return self
-            if q == -1:
-                return -self
         c = {}
-        for da, qa in a.items():
-            for db, qb in b.items():
-                deg = da + db
-                s = c.get(deg, 0) + qa * qb
-                if s:
-                    if type(s) is Fraction and s.denominator == 1:
-                        s = s.numerator
-                    c[deg] = s
-                else:
-                    del c[deg]
-        out = LambdaPoly.__new__(LambdaPoly)
-        out._c = c
-        return out
+        if isinstance(other, (int, Fraction)):
+            # a nonzero constant scales every coefficient, none to zero
+            if not other:
+                return 0
+            for deg, q in self._c.items():
+                q *= other
+                c[deg] = q.numerator if type(q) is Fraction and q.denominator == 1 else q
+        elif isinstance(other, LambdaPoly):
+            for da, qa in self._c.items():
+                for db, qb in other._c.items():
+                    deg = da + db
+                    q = c.get(deg, 0) + qa * qb
+                    if q:
+                        c[deg] = q.numerator if type(q) is Fraction and q.denominator == 1 else q
+                    else:
+                        del c[deg]
+        else:
+            return NotImplemented
+        return _canonical(c)
 
     __rmul__ = __mul__
 
     def specialize(self, value) -> Fraction:
         """Evaluate at L = value (a ring homomorphism Q[L] -> Q)."""
         v = Fraction(value)
-        total = _F0
+        total = Fraction(0)
         for deg, q in self._c.items():
             total += q * v**deg
         return total
@@ -189,20 +155,38 @@ class LambdaPoly:
         return f"LambdaPoly({self._c!r})"
 
 
-def _combined(a: dict, b: dict, op) -> LambdaPoly:
-    """The polynomial with coefficients op(a[deg], b[deg]), op being + or -."""
-    c = dict(a)
-    for deg, q in b.items():
-        s = op(c.get(deg, 0), q)
-        if s:
-            if type(s) is Fraction and s.denominator == 1:
-                s = s.numerator
-            c[deg] = s
-        else:
-            del c[deg]
+SCALAR_TYPES = (int, Fraction, LambdaPoly)
+
+
+def _canonical(c: dict):
+    """The canonical form of the polynomial with the stored coefficients ``c``."""
+    if not c or (len(c) == 1 and 0 in c):
+        return c.get(0, 0)
     out = LambdaPoly.__new__(LambdaPoly)
     out._c = c
     return out
+
+
+def _coeffs(value):
+    """The map degree -> stored coefficient of a scalar in any form; None for
+    a value that is not a scalar."""
+    if isinstance(value, LambdaPoly):
+        return value._c
+    if isinstance(value, (int, Fraction)):
+        return {0: _stored(value)} if value else {}
+    return None
+
+
+def _combined(a: dict, b: dict, op):
+    """The polynomial with coefficients op(a[deg], b[deg]), op being + or -."""
+    c = dict(a)
+    for deg, q in b.items():
+        q = op(c.get(deg, 0), q)
+        if q:
+            c[deg] = q.numerator if type(q) is Fraction and q.denominator == 1 else q
+        else:
+            del c[deg]
+    return _canonical(c)
 
 
 def _stored(q):
@@ -214,9 +198,25 @@ def _stored(q):
     return q.numerator if q.denominator == 1 else q
 
 
-ZERO = LambdaPoly()
-ONE = LambdaPoly.const(1)
-MINUS_ONE = LambdaPoly.const(-1)
+def scalar(value):
+    """``value`` (an int, a Fraction or a LambdaPoly) in canonical form: an
+    int or a Fraction when it is constant, else a LambdaPoly."""
+    if type(value) is int:
+        return value
+    if isinstance(value, LambdaPoly):
+        return _canonical(value._c)
+    if isinstance(value, (int, Fraction)):
+        return _stored(value)
+    raise TypeError(f"cannot coerce {value!r} into Q[L]")
+
+
+def scalar_items(c):
+    """The (degree, nonzero coefficient) pairs of a scalar in any form."""
+    return _coeffs(c).items()
+
+
+# the exported constants, in canonical form
+ZERO, ONE, MINUS_ONE = 0, 1, -1
 LAMBDA = LambdaPoly({1: 1})
 
 
@@ -231,25 +231,23 @@ def _monomial_text(deg: int, q: Fraction) -> str:
     return f"{q}*{sym}"
 
 
-def poly_text(p: LambdaPoly) -> str:
-    """Canonical text form, highest degree first, e.g. ``2*L - 1/3``."""
-    if p.is_zero():
-        return "0"
+def poly_text(p) -> str:
+    """Canonical text form of a scalar, highest degree first, e.g. ``2*L - 1/3``."""
     parts = []
-    for deg in sorted(p._c, reverse=True):
-        mono = _monomial_text(deg, p._c[deg])
+    for deg, q in sorted(scalar_items(p), reverse=True):
+        mono = _monomial_text(deg, q)
         if not parts:
             parts.append(mono)
         elif mono.startswith("-"):
             parts.append(f" - {mono[1:]}")
         else:
             parts.append(f" + {mono}")
-    return "".join(parts)
+    return "".join(parts) or "0"
 
 
-def poly_json(p: LambdaPoly) -> dict:
-    """JSON form: {"poly": [[degree, "num/den"], ...]} sorted by degree."""
-    return {"poly": [[deg, str(p._c[deg])] for deg in sorted(p._c)]}
+def poly_json(p) -> dict:
+    """JSON form of a scalar: {"poly": [[degree, "num/den"], ...]} sorted by degree."""
+    return {"poly": [[deg, str(q)] for deg, q in sorted(scalar_items(p))]}
 
 
 # Bounds of the expression parser; past one, it raises a ParseError that

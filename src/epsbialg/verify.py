@@ -77,7 +77,7 @@ from .prelie import (
     matrix_bracket_table,
     prelie_product,
 )
-from .scalars import LAMBDA, MINUS_ONE, ONE
+from .scalars import LAMBDA
 from .words import subword, word_algebra
 
 SUITE_NAMES = (
@@ -124,6 +124,9 @@ class SuiteOutcome:
 
 
 def _passed(suite, detail, checked, evaluated=None):
+    """A pass; one on zero inputs would assert nothing, so it is refused."""
+    if checked == 0:
+        raise ValueError(f"suite {suite!r} checked no input, so it cannot pass")
     return SuiteOutcome(
         suite, "pass", detail, None, checked, checked if evaluated is None else evaluated
     )
@@ -240,7 +243,7 @@ def _suite_algebra(A, max_len):
             ((k, c) for u, c in left_unit(p) if (k := mul(u, p)) is not None),
             ((k, c) for u, c in right_unit(p) if (k := mul(p, u)) is not None),
         ):
-            diff = {p: MINUS_ONE}
+            diff = {p: -1}
             _accumulate(diff, side)
             if diff:
                 report = LawReport.fail("unit", (kind.key_text(p),), Element._make(kind, diff))
@@ -257,7 +260,7 @@ def _suite_algebra(A, max_len):
         return _passed("algebra", f"{m ** 3} triples checked", m ** 3, evaluated)
     index, pq_r, p_qr = first
     # the two sides differ, so they are two distinct keys or one key and zero
-    diff = {k: c for k, c in ((pq_r, ONE), (p_qr, MINUS_ONE)) if k is not None}
+    diff = {k: c for k, c in ((pq_r, 1), (p_qr, -1)) if k is not None}
     triple = (keys[index // (m * m)], keys[index // m % m], keys[index % m])
     report = LawReport.fail(
         "associativity", tuple(kind.key_text(k) for k in triple), Element._make(kind, diff)
@@ -631,7 +634,7 @@ def _suite_worked_examples(_A, _max_len):
 
 def _applicable(suite, A):
     if suite in ("antipode", "prelie", "jacobi", "representation"):
-        if not A.weight.is_zero():
+        if A.weight:
             return f"weight {A.weight} != 0"
     if suite == "bracket-closed-form":
         if TELESCOPING not in A.tags:
@@ -640,6 +643,10 @@ def _applicable(suite, A):
 
 
 def run_suite(suite, A, max_len=6, cap=64, seed=DEFAULT_SEED):
+    """Run one suite.  A ``max_len`` below 1 would sweep no key: as the CLI's
+    --max-len does, it is refused with ``ValueError``."""
+    if max_len < 1:
+        raise ValueError(f"max-len must be >= 1, got {max_len}")
     if suite == "algebra":
         return _suite_algebra(A, max_len)
     if suite == "coassoc":
@@ -661,7 +668,8 @@ def run_verify(suite, A, max_len=6, cap=64, seed=DEFAULT_SEED):
     """Run one suite (or ``all``); returns (passed, [SuiteOutcome]).
 
     A run whose cocycle sweep has more than MAX_SWEEP pairs is refused with
-    ``ValueError`` before any suite runs.
+    ``ValueError`` before any suite runs, and so, by ``run_suite``, is a
+    ``max_len`` below 1.
     """
     if suite not in SUITE_NAMES:
         raise UnknownSuite(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")

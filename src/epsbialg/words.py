@@ -30,7 +30,7 @@ from __future__ import annotations
 from .core import AlgebraInstance
 from .errors import IndexOutOfRange
 from .lincomb import TensorElement, UnivarKind, WordKind
-from .scalars import LAMBDA, LambdaPoly, MINUS_ONE, ONE
+from .scalars import LAMBDA, scalar
 
 
 def subword(w: tuple, i: int, j: int) -> tuple:
@@ -40,13 +40,13 @@ def subword(w: tuple, i: int, j: int) -> tuple:
     return w[i - 1 : j]
 
 
-def weighted_word_coproduct(w: tuple, kind: WordKind, weight: LambdaPoly = LAMBDA) -> TensorElement:
+def weighted_word_coproduct(w: tuple, kind: WordKind, weight=LAMBDA) -> TensorElement:
     """The weighted splitting with shared letters; see the module docstring."""
     n = len(w)
     if n == 0:
         return TensorElement._make(kind, 2, _unit_square(kind, -weight))
-    terms = {(w[:i], w[i - 1 :]): ONE for i in range(1, n + 1)}
-    if not weight.is_zero():
+    terms = {(w[:i], w[i - 1 :]): 1 for i in range(1, n + 1)}
+    if weight:
         for i in range(1, n):
             terms[(w[:i], w[i:])] = weight
     return TensorElement._make(kind, 2, terms)
@@ -54,24 +54,24 @@ def weighted_word_coproduct(w: tuple, kind: WordKind, weight: LambdaPoly = LAMBD
 
 def deconcat_coproduct(w: tuple, kind: WordKind) -> TensorElement:
     """All prefix/suffix splits, including the two trivial ones."""
-    terms = {(w[:i], w[i:]): ONE for i in range(len(w) + 1)}
+    terms = {(w[:i], w[i:]): 1 for i in range(len(w) + 1)}
     return TensorElement._make(kind, 2, terms)
 
 
-def univar_coproduct(n: int, weight: LambdaPoly = LAMBDA) -> TensorElement:
+def univar_coproduct(n: int, weight=LAMBDA) -> TensorElement:
     """The one-variable coproduct of x^n; see the module docstring."""
     kind = UnivarKind()
     if n == 0:
         return TensorElement._make(kind, 2, _unit_square(kind, -weight))
-    terms = {(i, n - 1 - i): ONE for i in range(n)}
-    if not weight.is_zero():
+    terms = {(i, n - 1 - i): 1 for i in range(n)}
+    if weight:
         for i in range(1, n):
             terms[(i, n - i)] = weight
     return TensorElement._make(kind, 2, terms)
 
 
-def _unit_square(kind, coeff: LambdaPoly):
-    if coeff.is_zero():
+def _unit_square(kind, coeff):
+    if not coeff:
         return {}
     (unit_key,) = kind.unit_terms()
     return {(unit_key, unit_key): coeff}
@@ -80,7 +80,7 @@ def _unit_square(kind, coeff: LambdaPoly):
 def word_algebra(alphabet, weight=None) -> AlgebraInstance:
     """The free algebra on the alphabet with the weighted word coproduct."""
     kind = WordKind(alphabet)
-    w = LAMBDA if weight is None else LambdaPoly.coerce(weight)
+    w = LAMBDA if weight is None else scalar(weight)
     return AlgebraInstance(
         kind,
         w,
@@ -94,7 +94,7 @@ def deconcat_algebra(alphabet) -> AlgebraInstance:
     kind = WordKind(alphabet)
     return AlgebraInstance(
         kind,
-        MINUS_ONE,
+        -1,
         lambda key: deconcat_coproduct(key, kind),
         selector="deconcat:" + kind.selector().split(":", 1)[1],
     )
@@ -102,7 +102,7 @@ def deconcat_algebra(alphabet) -> AlgebraInstance:
 
 def univar_algebra(weight=None) -> AlgebraInstance:
     """Q[L][x] with the weighted one-variable coproduct."""
-    w = LAMBDA if weight is None else LambdaPoly.coerce(weight)
+    w = LAMBDA if weight is None else scalar(weight)
     return AlgebraInstance(
         UnivarKind(),
         w,

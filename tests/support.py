@@ -55,7 +55,7 @@ def element_from_dense(rows):
     terms = {}
     for i in range(n):
         for j in range(n):
-            if not rows[i][j].is_zero():
+            if rows[i][j]:
                 terms[(i + 1, j + 1)] = rows[i][j]
     return Element(kind, terms)
 
@@ -118,7 +118,7 @@ def tensor_cocycle_oracle(A, p, q):
     a = A.element(p)
     b = A.element(q)
     diff = A.coproduct(a * b) - act_left(a, A.coproduct(b)) - act_right(A.coproduct(a), b)
-    if not A.weight.is_zero():
+    if A.weight:
         diff = diff - tensor(a, b).scale(A.weight)
     if diff.is_zero():
         return LawReport.ok("cocycle")
@@ -283,6 +283,24 @@ def nonzero_associativity_sides(A, max_len):
     return sides
 
 
+# -- the canonical coefficient form --------------------------------------------
+
+
+def is_canonical(c):
+    """Whether c is a coefficient in canonical form: an int, a Fraction that is
+    not integral, or a LambdaPoly of positive degree whose coefficients are
+    ints when integral and Fractions otherwise."""
+    if type(c) is int:
+        return True
+    if type(c) is Fraction:
+        return c.denominator != 1
+    return (
+        type(c) is LambdaPoly
+        and c.degree() > 0
+        and all(type(q) is (int if q.denominator == 1 else Fraction) and q for _, q in c.items())
+    )
+
+
 # -- hypothesis strategies ----------------------------------------------------
 
 small_fractions = st.fractions(
@@ -293,7 +311,7 @@ lambda_polys = st.dictionaries(
     st.integers(min_value=0, max_value=3), small_fractions, max_size=3
 ).map(LambdaPoly)
 
-nonzero_polys = lambda_polys.filter(lambda p: not p.is_zero())
+nonzero_polys = lambda_polys.filter(bool)
 
 
 def matrix_elements(n, max_terms=3):

@@ -16,6 +16,8 @@ from epsbialg.verify import (
     SUITE_NAMES,
     _cocycle_pair_count,
     _cocycle_pairs,
+    _passed,
+    run_suite,
     run_verify,
 )
 
@@ -543,6 +545,22 @@ def test_outcomes_report_checked_and_evaluated():
     assert o.evaluated == o.checked + 1
     _, outcomes = run_verify("all", build_algebra("word:xy", None))
     assert [(o.checked, o.evaluated) for o in outcomes if o.status == "skip"] == [(0, 0)] * 5
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_no_suite_passes_on_zero_inputs(suite):
+    # a bound below 1 sweeps no key: refused in process as on the command line
+    instances = (("word:xy", None), ("word:xy", "0"), ("univar", "0"), ("matrix:2", None))
+    for selector, weight in instances:
+        A = build_algebra(selector, weight)
+        for max_len in (0, -1):
+            with pytest.raises(ValueError, match=f"max-len must be >= 1, got {max_len}"):
+                run_verify(suite, A, max_len=max_len)
+            if suite != "all":
+                with pytest.raises(ValueError, match=f"max-len must be >= 1, got {max_len}"):
+                    run_suite(suite, A, max_len=max_len)
+    with pytest.raises(ValueError, match=f"suite {suite!r} checked no input"):
+        _passed(suite, "0 checks", 0)
 
 
 SWEEP_COUNT_CASES = [

@@ -46,12 +46,14 @@ from epsbialg import (
 from epsbialg import core
 from epsbialg.cli import build_algebra
 from epsbialg.core import LinearEndomorphism
+from epsbialg.verify import run_verify
 from epsbialg.words import weighted_word_coproduct
 
 from support import (
     RMATRIX_CONTROLS,
     element_antipode_axiom_oracle,
     element_antipode_properties_oracle,
+    is_canonical,
     linear_map_cases,
     matrix_elements,
     tensor_coassoc_oracle,
@@ -657,3 +659,28 @@ def test_key_level_antipode_checkers_match_the_oracles_on_random_elements(case, 
     make, elements, _ = ANTIPODE_CASES[case]
     cap = data.draw(st.sampled_from([1, 2, 3, 64]), label="cap")
     _same_antipode_outcomes(make(), data.draw(elements), data.draw(elements), cap)
+
+
+# After a full sweep, every coefficient the instance memoized is canonical: in
+# particular none is a constant LambdaPoly, which would put LambdaPoly
+# arithmetic back on the hot path of the next sweep.
+CANONICAL_GUARD_CASES = {
+    "matrix4": lambda: matrix_algebra(4),
+    "word-L": lambda: word_algebra("xy"),
+    "word-0": lambda: word_algebra("xy", 0),
+    "univar-L": lambda: univar_algebra(),
+    "univar-0": lambda: univar_algebra(0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CANONICAL_GUARD_CASES))
+def test_memoized_coefficients_are_canonical_after_a_sweep(case):
+    A = CANONICAL_GUARD_CASES[case]()
+    run_verify("all", A)
+    stored = [c for t in A._memo.values() for c in t.terms.values()]
+    stored += [
+        c for s in A._antipode_endos.values() for e in s._memo.values() for c in e.terms.values()
+    ]
+    stored += [c for row in A._prelie_table.values() for c in row.values()]
+    assert stored
+    assert [c for c in stored if not is_canonical(c)] == []

@@ -1,4 +1,10 @@
-"""LambdaPoly arithmetic cross-checked against sympy's polynomials over QQ."""
+"""Scalar arithmetic cross-checked against sympy's polynomials over QQ.
+
+Operands come in every form a coefficient can take: an int, a Fraction, and
+a LambdaPoly, constant or not.  A LambdaPoly built by its constructor may be
+constant, which is not canonical; every result must be canonical all the
+same, a number exactly when it is constant.
+"""
 
 from fractions import Fraction
 
@@ -6,53 +12,59 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from epsbialg import LambdaPoly
+from epsbialg import LAMBDA, LambdaPoly
+
+from support import is_canonical
 
 sympy = pytest.importorskip("sympy")
 
 L = sympy.Symbol("L")
 
 # Small denominators, so that sums and products often cancel to integers
-# and the int storage form is exercised on the way.
+# and the int form is exercised on the way.
 coefficients = st.builds(
     Fraction, st.integers(min_value=-12, max_value=12), st.sampled_from([1, 2, 3, 4, 6])
 )
 polys = st.dictionaries(st.integers(min_value=0, max_value=4), coefficients, max_size=4)
 
+poly_operands = st.one_of(coefficients.map(LambdaPoly.const), polys.map(LambdaPoly))
+operands = st.one_of(st.integers(min_value=-12, max_value=12), coefficients, poly_operands)
 
-def to_sympy(coeffs):
-    terms = {(deg,): sympy.Rational(q.numerator, q.denominator) for deg, q in coeffs.items()}
+
+def to_sympy(value):
+    coeffs = LambdaPoly.coerce(value).items()
+    terms = {(deg,): sympy.Rational(q.numerator, q.denominator) for deg, q in coeffs}
     return sympy.Poly.from_dict(terms, L, domain=sympy.QQ)
 
 
-def assert_matches(p: LambdaPoly, want):
-    assert to_sympy(dict(p.items())) == want
-    for _, q in p.items():
-        assert type(q) is (int if q.denominator == 1 else Fraction)
+def assert_matches(value, want):
+    assert to_sympy(value) == want
+    assert is_canonical(value), value
+    assert isinstance(value, LambdaPoly) == (want.degree() > 0), value
 
 
-# -1 at degree 0 takes a fast path in the product, on either side
-MINUS_ONE = {0: Fraction(-1)}
-
-
-@given(polys, polys)
-@example(MINUS_ONE, {0: Fraction(3), 2: Fraction(-5, 2)})
-@example({1: Fraction(4), 3: Fraction(1, 6)}, MINUS_ONE)
-@example(MINUS_ONE, MINUS_ONE)
-@example(MINUS_ONE, {})
-def test_ring_operations_match_sympy(a, b):
-    p, q = LambdaPoly(a), LambdaPoly(b)
-    sp, sq = to_sympy(a), to_sympy(b)
-    assert_matches(p, sp)
-    assert_matches(p + q, sp + sq)
-    assert_matches(p - q, sp - sq)
-    assert_matches(p * q, sp * sq)
+@given(poly_operands, operands)
+@example(LambdaPoly({1: 4, 3: Fraction(1, 6)}), -1)
+@example(LAMBDA, 1)
+@example(LAMBDA, LAMBDA)
+@example(LambdaPoly.const(-1), LambdaPoly.const(-1))
+@example(LambdaPoly(), 0)
+@example(LambdaPoly({0: Fraction(1, 2), 1: 3}), 2)
+@example(LambdaPoly({0: Fraction(1, 2), 1: 3}), Fraction(1, 2))
+def test_ring_operations_match_sympy(p, x):
+    sp, sx = to_sympy(p), to_sympy(x)
+    assert_matches(p + x, sp + sx)
+    assert_matches(x + p, sp + sx)
+    assert_matches(p - x, sp - sx)
+    assert_matches(x - p, sx - sp)
+    assert_matches(p * x, sp * sx)
+    assert_matches(x * p, sp * sx)
     assert_matches(-p, -sp)
 
 
 @given(polys, coefficients)
 def test_specialize_matches_sympy(a, v):
-    want = to_sympy(a).eval(sympy.Rational(v.numerator, v.denominator))
+    want = to_sympy(LambdaPoly(a)).eval(sympy.Rational(v.numerator, v.denominator))
     got = LambdaPoly(a).specialize(v)
     assert type(got) is Fraction
     assert got == Fraction(int(want.p), int(want.q))

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from epsbialg import LAMBDA, LambdaPoly, ONE, ZERO, ParseError, parse_scalar
+from epsbialg import LAMBDA, MINUS_ONE, LambdaPoly, ONE, ZERO, ParseError, parse_scalar, scalar
 from epsbialg.scalars import poly_json, poly_text
 
-from support import lambda_polys, small_fractions
+from support import is_canonical, lambda_polys, small_fractions
 
 
 def test_additive_inverse():
@@ -64,8 +64,9 @@ def test_ring_axioms(p, q, r):
 
 @given(lambda_polys, lambda_polys, small_fractions)
 def test_specialize_is_a_ring_homomorphism(p, q, v):
-    assert (p + q).specialize(v) == p.specialize(v) + q.specialize(v)
-    assert (p * q).specialize(v) == p.specialize(v) * q.specialize(v)
+    # a sum or product may be a number; coerce gives it the LambdaPoly methods
+    assert LambdaPoly.coerce(p + q).specialize(v) == p.specialize(v) + q.specialize(v)
+    assert LambdaPoly.coerce(p * q).specialize(v) == p.specialize(v) * q.specialize(v)
 
 
 @given(lambda_polys)
@@ -137,37 +138,46 @@ def test_equal_constants_hash_equal(p, q):
             assert hash(a) == hash(b), (a, b)
 
 
-# -- storage form: integral coefficients are ints ------------------------------
+# -- canonical form: a constant is a number, an integral one an int -----------
 
 
 def stored(p):
     return dict(p.items())
 
 
-def assert_canonical_storage(p):
-    for _, q in p.items():
-        if q.denominator == 1:
-            assert type(q) is int, p
-        else:
-            assert type(q) is Fraction, p
-
-
 def test_integral_coefficients_are_stored_as_ints():
+    # a constant is an int when integral and a Fraction otherwise
+    half = Fraction(1, 2)
+    for value, want in (
+        (Fraction(-6, 3), -2), (LambdaPoly({0: Fraction(4, 2)}), 2), (LambdaPoly(), 0),
+        (True, 1), (half, half), (LambdaPoly.const(half), half),
+    ):
+        c = scalar(value)
+        assert c == want and type(c) is type(want), value
+    # a constant LambdaPoly is not canonical, but arithmetic on it returns a number
+    const_half = LambdaPoly.const(half)
+    assert type(const_half + const_half) is int and const_half + const_half == 1
+    assert type(const_half * 4) is int and type(4 * const_half) is int
+    assert type(LambdaPoly.const(Fraction(3, 2)) - const_half) is int
+    assert type(parse_scalar("1/2 + 1/2")) is int
+    assert type((LAMBDA + half) - LAMBDA) is Fraction
+    assert type((LAMBDA + 1) * (LAMBDA - 1) - LAMBDA * LAMBDA) is int
+    assert LAMBDA - LAMBDA == 0 and type(LAMBDA - LAMBDA) is int
+    # a polynomial of positive degree stores its integral coefficients as ints
     assert stored(LambdaPoly({0: Fraction(4, 2), 1: Fraction(1, 3)})) == {0: 2, 1: Fraction(1, 3)}
-    assert type(stored(LambdaPoly({0: Fraction(4, 2)}))[0]) is int
-    assert type(stored(LambdaPoly.const(Fraction(-6, 3)))[0]) is int
-    half = LambdaPoly.const(Fraction(1, 2))
-    assert type(stored(half)[0]) is Fraction
-    assert type(stored(half + half)[0]) is int
-    assert type(stored(half * LambdaPoly.const(4))[0]) is int
-    assert type(stored(LambdaPoly.const(Fraction(3, 2)) - half)[0]) is int
     assert type(stored(parse_scalar("1/2 + 1/2 + L"))[0]) is int
+    assert type(stored(LAMBDA * half * 2)[1]) is int
+    assert (ZERO, ONE, MINUS_ONE) == (0, 1, -1) and type(ONE) is int
 
 
 @given(lambda_polys, lambda_polys)
 def test_arithmetic_keeps_the_storage_form(p, q):
-    for value in (p, q, p + q, p - q, p * q, -p, 1 - p, 2 * p):
-        assert_canonical_storage(value)
+    # every result is canonical, whether the operands are or not
+    for value in (
+        scalar(p), p + q, p - q, p * q, -p, 1 - p, p - 1, 2 * p, p + Fraction(1, 2),
+        Fraction(2, 3) * p, p * 0, p + 0,
+    ):
+        assert is_canonical(value), value
 
 
 @pytest.mark.parametrize("n", [-3, 0, 1, 7, 10**30])
@@ -184,7 +194,7 @@ def test_coefficient_and_specialize_return_fractions():
     assert type(p.coefficient(2)) is Fraction and p.coefficient(2) == 3
     assert type(p.coefficient(1)) is Fraction and p.coefficient(1) == 0
     assert type(p.specialize(2)) is Fraction and p.specialize(2) == Fraction(25, 2)
-    assert type(ONE.specialize(0)) is Fraction
+    assert type(LambdaPoly.const(1).specialize(0)) is Fraction
 
 
 def test_text_and_json_of_int_coefficients():

@@ -15,14 +15,9 @@ from .core import (
     check_antipode_properties,
     check_coassoc,
     check_cocycle,
-    circular_convolution,
-    convolution,
-    convolution_power_vanishes,
     coproduct_from_r,
     d_map,
-    identity_endo,
     nilpotency_index,
-    zero_endo,
 )
 from .errors import (
     AlphabetMismatch,

@@ -5,12 +5,10 @@ An ``AlgebraInstance`` packages one coalgebra structure sitting on top of a
 in Q[L].  Everything downstream is generic in the instance:
 
 * linear extension (``lincomb.linear_extend``) of the coproduct and its
-  iterates, as of every linear map below: D, endomorphisms, convolution;
+  iterates, as of every linear map below: D and endomorphisms;
 * the weighted-derivation law checker
       Delta(ab) = a.Delta(b) + Delta(a).b + weight * (a (x) b)
   and the coassociativity checker (Delta (x) id) Delta = (id (x) Delta) Delta;
-* convolution  f * g = m (f (x) g) Delta  and circular convolution
-  f (*) g = f * g + f + g  on linear endomorphisms, whose unit is 0;
 * D = m Delta, local nilpotency detection, and the antipode series
       S = -sum_{t>=0} (1/t!) (-D)^t
   which truncates exactly at the least k with D^k(a) = 0;
@@ -21,13 +19,14 @@ Checkers return a ``LawReport`` rather than raising: a failing law is a
 result, not an error.  Reports carry the first failing witness so that a
 broken instance reproduces deterministically.
 
-The two coalgebra law checkers work at key level: each adds every term of
-its difference straight into one sparse map through ``_accumulate``, reading
-the basis coproducts and the kind's ``key_mul``, and wraps that map in a
-``TensorElement`` only when the law fails.  No element, bimodule action or
-tensor is built per check.  The element-level forms of the same laws are
-kept as oracles in ``tests/support.py`` (``tensor_cocycle_oracle`` and
-``tensor_coassoc_oracle``).
+The two coalgebra law checkers work at key level on L-graded keys: each
+adds every term of its difference, read from the coproducts split by power
+of L (``graded_coproduct``), into one sparse map on (legs..., degree) keys.
+Degrees add and the rational parts multiply as ints or Fractions, so a
+passing check does no ``LambdaPoly`` arithmetic; a difference in Q[L] is
+zero iff each degree's part is.  Only a failing difference is folded back
+into Q[L] (``_fold``), for the witness.  The element-level forms of the
+laws are oracles in ``tests/support.py``, as are convolutions.
 
 The antipode checkers work at key level too.  Each side of a law is one
 sparse map, filled from ``antipode_endo(A, cap).on_key``, the basis
@@ -49,7 +48,7 @@ from .errors import KindMismatch, NotNilpotentWithinCap, TooManyTerms, WeightNot
 from .lincomb import (
     Element, TensorElement, _accumulate, act_left, act_right, linear_extend, products, tensor,
 )
-from .scalars import MAX_TERMS, scalar
+from .scalars import MAX_TERMS, LambdaPoly, scalar, scalar_items
 
 
 @dataclass(frozen=True)
@@ -90,10 +89,13 @@ class LawReport:
 class AlgebraInstance:
     """One weighted unital algebra-and-coproduct bundle over Q[L].
 
-    ``basis_coproduct`` maps a basis key to a 2-leg TensorElement; it is
-    extended linearly and memoized per instance.  Construction does no work
-    that grows with the basis: that the kind's product is associative and
-    its unit two-sided is checked by the ``algebra`` verify suite, not here.
+    The coproduct of a basis key has two views, each memoized per instance:
+    ``basis_coproduct``, a 2-leg TensorElement, and ``graded_coproduct``, the
+    map (k1, k2, degree) -> rational that the coalgebra checkers read.  Each
+    is built from the rule, not from the other, so a sweep reading one view
+    holds one copy of each coproduct.  Construction does no work that grows
+    with the basis: that the kind's product is associative and its unit
+    two-sided is checked by the ``algebra`` verify suite, not here.
     ``tags`` are capabilities the instance declares, such as ``telescoping``
     for M_n with the telescoping coproduct.
     """
@@ -105,7 +107,8 @@ class AlgebraInstance:
         self.selector = selector or kind.selector()
         self.tags = frozenset(tags)
         self.unit = Element._make(kind, kind.unit_terms())
-        self._memo = {}
+        self._memo = {}  # key -> TensorElement, filled by basis_coproduct
+        self._graded = {}  # key -> {(k1, k2, degree): rational}, filled by graded_coproduct
         self._prelie_table = {}  # (key, key) -> {key: coeff}, filled by prelie
         self._antipode_endos = {}  # cap -> LinearEndomorphism, filled by antipode_endo
 
@@ -137,6 +140,18 @@ class AlgebraInstance:
             t = self._rule(key)
             self._memo[key] = t
         return t
+
+    def graded_coproduct(self, key) -> dict:
+        """The coproduct of a basis key split by power of L, as the sparse map
+        (k1, k2, degree) -> rational (an int, or a Fraction that is not integral)."""
+        g = self._graded.get(key)
+        if g is None:
+            g = {
+                (k1, k2, e): q
+                for (k1, k2), c in self._rule(key).terms.items() for e, q in scalar_items(c)
+            }
+            self._graded[key] = g
+        return g
 
     def coproduct(self, a: Element) -> TensorElement:
         """Linear extension of the basis coproduct; Delta(0) = 0."""
@@ -178,6 +193,14 @@ class AlgebraInstance:
 # law checkers
 # ---------------------------------------------------------------------------
 
+def _fold(graded: dict) -> dict:
+    """The sparse map legs -> coefficient in Q[L] of a map (legs..., degree) -> rational."""
+    coeffs = {}
+    for keys, q in graded.items():
+        coeffs.setdefault(keys[:-1], {})[keys[-1]] = q
+    return {legs: scalar(LambdaPoly(c)) for legs, c in coeffs.items()}
+
+
 def check_cocycle(A: AlgebraInstance, p, q) -> LawReport:
     """The weighted-derivation law on a basis pair:
 
@@ -187,50 +210,54 @@ def check_cocycle(A: AlgebraInstance, p, q) -> LawReport:
     kind.validate_key(p)
     kind.validate_key(q)
     key_mul = kind.key_mul
-    diff = {}
+    delta = A.graded_coproduct
     pq = key_mul(p, q)
-    if pq is not None:  # + Delta(pq)
-        _accumulate(diff, A.basis_coproduct(pq).terms.items())
+    diff = {} if pq is None else dict(delta(pq))  # + Delta(pq)
     _accumulate(  # - p.Delta(q)
         diff,
-        (((pk, k2), c) for (k1, k2), c in A.basis_coproduct(q).terms.items()
+        (((pk, k2, e), c) for (k1, k2, e), c in delta(q).items()
          if (pk := key_mul(p, k1)) is not None),
         negate=True,
     )
     _accumulate(  # - Delta(p).q
         diff,
-        (((k1, kq), c) for (k1, k2), c in A.basis_coproduct(p).terms.items()
+        (((k1, kq, e), c) for (k1, k2, e), c in delta(p).items()
          if (kq := key_mul(k2, q)) is not None),
         negate=True,
     )
     if A.weight:  # - weight * (p (x) q)
-        _accumulate(diff, (((p, q), A.weight),), negate=True)
+        _accumulate(diff, (((p, q, e), c) for e, c in scalar_items(A.weight)), negate=True)
     if not diff:
         return LawReport.ok("cocycle")
     return LawReport.fail(
-        "cocycle", (kind.key_text(p), kind.key_text(q)), TensorElement._make(kind, 2, diff)
+        "cocycle", (kind.key_text(p), kind.key_text(q)), TensorElement._make(kind, 2, _fold(diff))
     )
 
 
 def check_coassoc(A: AlgebraInstance, key) -> LawReport:
     """(Delta (x) id) Delta == (id (x) Delta) Delta on a basis key."""
-    delta = A.basis_coproduct
+    delta = A.graded_coproduct
+    terms = delta(key).items()
+    # + Delta(k1) (x) k2, then - k1 (x) Delta(k2), over the terms of Delta(key);
+    # the powers of L multiply, so their degrees add
     diff = {}
-    # + Delta(k1) (x) k2 and - k1 (x) Delta(k2), term by term of Delta(key)
-    for (k1, k2), c in delta(key).terms.items():
-        _accumulate(diff, (((u, v, k2), c * d) for (u, v), d in delta(k1).terms.items()))
-        _accumulate(
-            diff, (((k1, u, v), c * d) for (u, v), d in delta(k2).terms.items()), negate=True
-        )
+    _accumulate(diff, (
+        ((u, v, k2, e + f), c * d)
+        for (k1, k2, e), c in terms for (u, v, f), d in delta(k1).items()
+    ))
+    _accumulate(diff, (
+        ((k1, u, v, e + f), c * d)
+        for (k1, k2, e), c in terms for (u, v, f), d in delta(k2).items()
+    ), negate=True)
     if not diff:
         return LawReport.ok("coassoc")
     return LawReport.fail(
-        "coassoc", (A.kind.key_text(key),), TensorElement._make(A.kind, 3, diff)
+        "coassoc", (A.kind.key_text(key),), TensorElement._make(A.kind, 3, _fold(diff))
     )
 
 
 # ---------------------------------------------------------------------------
-# linear endomorphisms, convolution, antipode
+# linear endomorphisms, antipode
 # ---------------------------------------------------------------------------
 
 class LinearEndomorphism:
@@ -259,36 +286,6 @@ class LinearEndomorphism:
         return Element._make(v.kind, linear_extend(v.terms, lambda key: on_key(key).terms.items()))
 
 
-def identity_endo(A: AlgebraInstance) -> LinearEndomorphism:
-    return LinearEndomorphism(A, lambda key: A.element(key), "id")
-
-
-def zero_endo(A: AlgebraInstance) -> LinearEndomorphism:
-    return LinearEndomorphism(A, lambda key: Element.zero(A.kind), "0")
-
-
-def convolution(A, f: LinearEndomorphism, g: LinearEndomorphism) -> LinearEndomorphism:
-    """f * g = m (f (x) g) Delta, i.e. (f*g)(a) = sum f(a_(1)) g(a_(2))."""
-
-    def rule(key):
-        return Element._make(A.kind, linear_extend(
-            A.basis_coproduct(key).terms,
-            lambda legs: products(A.kind, f.on_key(legs[0]).terms, g.on_key(legs[1]).terms),
-        ))
-
-    return LinearEndomorphism(A, rule, f"({f.name} * {g.name})")
-
-
-def circular_convolution(A, f, g) -> LinearEndomorphism:
-    """f (*) g = f * g + f + g; the zero map is its two-sided unit."""
-    conv = convolution(A, f, g)
-
-    def rule(key):
-        return conv.on_key(key) + f.on_key(key) + g.on_key(key)
-
-    return LinearEndomorphism(A, rule, f"({f.name} (*) {g.name})")
-
-
 def d_map(A: AlgebraInstance, a: Element) -> Element:
     """D(a) = m Delta(a) = sum a_(1) a_(2)."""
     A._own(a)
@@ -299,33 +296,31 @@ def d_map(A: AlgebraInstance, a: Element) -> Element:
     )))
 
 
-def convolution_power_vanishes(A: AlgebraInstance, f, a: Element, n: int) -> bool:
-    """Whether f^{*(n)}(a) = sum f(a_(1)) ... f(a_(n+1)) vanishes.
-
-    This is the convolution-power notion of local nilpotency, computed from
-    the (n+1)-leg Sweedler expansion; it is kept as an independent cross-check
-    of the cheaper D-power criterion used to truncate the antipode series.
-    """
-    def rule(keys):
-        prod = f.on_key(keys[0])
-        for key in keys[1:]:
-            if prod.is_zero():
-                break
-            prod = prod * f.on_key(key)
-        return prod.terms.items()
-
-    return not linear_extend(A.iterated_coproduct(a, n).terms, rule)
+# The coproduct terms D may visit over one antipode series.  The complete
+# series of x^1000, the largest monomial the parser accepts, visits 500,500;
+# x*y and (x+y)^2 on words at weight 0 reach cap 64 after 91,520 and 187,328,
+# where x*y*x would go on to 2.3 million.
+MAX_SERIES_WORK = 2 ** 19
 
 
 def _d_powers(A: AlgebraInstance, a: Element, cap: int) -> list:
     """[D(a), D^2(a), ..., D^(k-1)(a)] for the least k <= cap with D^k(a) = 0;
     raises NotNilpotentWithinCap when there is no such k, and TooManyTerms
-    once a power has more than MAX_TERMS terms."""
+    once a power has more than MAX_TERMS terms or, before it is computed,
+    once the series would visit more than MAX_SERIES_WORK coproduct terms."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
+    delta = A.basis_coproduct
     powers = []
     cur = a
+    work = 0
     for k in range(1, cap + 1):
+        work += sum(len(delta(key).terms) for key in cur.terms)
+        if work > MAX_SERIES_WORK:
+            raise TooManyTerms(
+                f"antipode series: computing D^{k}(a) would visit {work} coproduct "
+                f"terms in all, more than the limit {MAX_SERIES_WORK}"
+            )
         cur = d_map(A, cur)
         if cur.is_zero():
             return powers

@@ -9,6 +9,7 @@ from epsbialg import (
     Element,
     LambdaPoly,
     LawReport,
+    LinearEndomorphism,
     MatrixKind,
     UnivarKind,
     WordKind,
@@ -18,6 +19,7 @@ from epsbialg import (
     check_jacobi,
     check_left_representation,
     check_prelie_identity,
+    linear_extend,
     tensor,
 )
 from epsbialg import matrix_algebra, univar_algebra, word_algebra
@@ -98,6 +100,57 @@ def termwise_oracle(v, image, zero):
     for key, c in v.terms.items():
         out = out + image(key).scale(c)
     return out
+
+
+# -- convolution of linear endomorphisms ---------------------------------------
+# f * g = m (f (x) g) Delta, one whole product per Sweedler term, and circular
+# convolution f (*) g = f * g + f + g, whose two-sided unit is the zero map;
+# with the convolution-power notion of local nilpotency, a cross-check of the
+# D-power criterion that truncates the antipode series in ``core``.
+
+
+def identity_endo(A):
+    return LinearEndomorphism(A, lambda key: A.element(key), "id")
+
+
+def zero_endo(A):
+    return LinearEndomorphism(A, lambda key: Element.zero(A.kind), "0")
+
+
+def convolution(A, f, g):
+    """f * g, i.e. (f*g)(a) = sum f(a_(1)) g(a_(2))."""
+
+    def rule(key):
+        out = Element.zero(A.kind)
+        for (k1, k2), c in A.basis_coproduct(key).terms.items():
+            out = out + (f.on_key(k1) * g.on_key(k2)).scale(c)
+        return out
+
+    return LinearEndomorphism(A, rule, f"({f.name} * {g.name})")
+
+
+def circular_convolution(A, f, g):
+    """f (*) g = f * g + f + g."""
+    conv = convolution(A, f, g)
+    return LinearEndomorphism(
+        A, lambda key: conv.on_key(key) + f.on_key(key) + g.on_key(key),
+        f"({f.name} (*) {g.name})",
+    )
+
+
+def convolution_power_vanishes(A, f, a, n):
+    """Whether f^{*(n)}(a) = sum f(a_(1)) ... f(a_(n+1)) vanishes, from the
+    (n+1)-leg Sweedler expansion of a."""
+
+    def rule(keys):
+        prod = f.on_key(keys[0])
+        for key in keys[1:]:
+            if prod.is_zero():
+                break
+            prod = prod * f.on_key(key)
+        return prod.terms.items()
+
+    return not linear_extend(A.iterated_coproduct(a, n).terms, rule)
 
 
 # derived r-coproducts at weight 0 that break a law early (negative controls)

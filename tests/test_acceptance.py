@@ -186,7 +186,7 @@ def test_criterion_3_antipode():
 
 
 def test_criterion_4_word_laws_desk_scale():
-    with criterion(4, "weighted word laws at generic weight, length <= 6", 10.0):
+    with criterion(4, "weighted word laws at generic weight, length <= 6", 1.0):
         W = word_algebra("xy")
         keys = list(W.basis_keys(6))
         assert len(keys) == 127
@@ -336,3 +336,10 @@ def test_criterion_12_construction_is_constant_and_the_algebra_suite_scales():
     with criterion(12, "unit and associativity on M_16, 16^6 triples", 1.0):
         line = run_suite("algebra", matrix_algebra(16)).line()
         assert line == "[PASS] algebra: 16777216 triples checked"
+
+
+def test_criterion_13_word_coalgebra_suites_at_length_9():
+    with criterion(13, "coassoc and cocycle on words at generic weight, length <= 9", 1.0):
+        W = word_algebra("xy")
+        assert run_suite("coassoc", W, max_len=9).line() == "[PASS] coassoc: 1023 keys checked"
+        assert run_suite("cocycle", W, max_len=9).line() == "[PASS] cocycle: 9217 pairs checked"

@@ -522,6 +522,20 @@ def test_antipode_series_past_the_term_bound_exits_2(capsys, expr, k, terms):
     assert err == f"error: antipode series: D^{k}(a) has {terms} terms, more than the limit 4096\n"
 
 
+@pytest.mark.parametrize("expr, k, work", [("(x+y)^3", 36, 531534), ("x*y*x", 44, 535095)])
+def test_antipode_series_past_the_work_bound_exits_2(capsys, expr, k, work):
+    # each power stays below the term bound, but the series grows without
+    # truncating; it is refused on its coproduct terms in all, within seconds
+    start = time.perf_counter()
+    code, out, err = run(capsys, "antipode", "-a", "word:xy", "--weight", "0", "-e", expr)
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: antipode series: computing D^{k}(a) would visit {work} coproduct terms "
+        "in all, more than the limit 524288\n"
+    )
+
+
 @pytest.mark.parametrize("expr, cap", [("x*y", "64"), ("(x+y)^2", "64"), ("x*y*x", "8")])
 def test_antipode_series_within_the_term_bound_still_fails_to_truncate(capsys, expr, cap):
     code, out, err = run(

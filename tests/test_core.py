@@ -18,20 +18,17 @@ from epsbialg import (
     UnivarMonomial,
     WeightNotZero,
     Word,
+    WordKind,
     antipode,
     antipode_endo,
     check_antipode_axiom,
     check_antipode_properties,
     check_coassoc,
     check_cocycle,
-    circular_convolution,
     classical_comatrix_algebra,
-    convolution,
-    convolution_power_vanishes,
     coproduct_from_r,
     d_map,
     deconcat_algebra,
-    identity_endo,
     l_coproduct_instance,
     matrix_algebra,
     nilpotency_index,
@@ -41,18 +38,22 @@ from epsbialg import (
     tensor,
     univar_algebra,
     word_algebra,
-    zero_endo,
 )
 from epsbialg import core
 from epsbialg.cli import build_algebra
 from epsbialg.core import LinearEndomorphism
+from epsbialg.scalars import scalar_items
 from epsbialg.verify import run_verify
 from epsbialg.words import weighted_word_coproduct
 
 from support import (
     RMATRIX_CONTROLS,
+    circular_convolution,
+    convolution,
+    convolution_power_vanishes,
     element_antipode_axiom_oracle,
     element_antipode_properties_oracle,
+    identity_endo,
     is_canonical,
     linear_map_cases,
     matrix_elements,
@@ -60,6 +61,7 @@ from support import (
     tensor_cocycle_oracle,
     termwise_oracle,
     univar_elements,
+    zero_endo,
 )
 
 M2 = matrix_algebra(2)
@@ -309,6 +311,13 @@ def test_nilpotency_cap_exceeded_on_words():
     assert exc.value.cap == 8
 
 
+def test_the_longest_monomial_series_is_within_the_work_bound():
+    # D(x^n) = n x^(n-1): the series of x^1000, the largest monomial the
+    # parser accepts, visits 1000 + 999 + ... + 1 = 500,500 coproduct terms
+    U0 = univar_algebra(0)
+    assert nilpotency_index(U0, m_el(U0, "x^1000"), cap=1001) == 1001
+
+
 def test_antipode_is_negation_on_matrices():
     assert antipode(M2, m_el(M2, "E[1,2]")) == m_el(M2, "-E[1,2]")
     assert antipode(M2, M2.unit) == -M2.unit
@@ -457,6 +466,22 @@ def assert_same_report(fast, slow):
     assert fast.summary() == slow.summary()
 
 
+def _graded_table_algebra():
+    """Words on x, y at weight L with an arbitrary coproduct table whose
+    coefficients have several powers of L, so both coalgebra laws fail with
+    differences whose coefficients are folded from two or more degrees."""
+    kind = WordKind("xy")
+    L = LAMBDA
+    table = {
+        (): {((), ()): Fraction(1, 2) * L - 3},
+        (0,): {((), (0,)): L, ((0,), ()): L * L + 1},
+        (0, 1): {((0,), (1,)): Fraction(-2, 3) * L * L + L, ((0, 1), ()): 2},
+    }
+    return AlgebraInstance(
+        kind, L, lambda key: TensorElement(kind, 2, table.get(key, {})), selector="graded-table"
+    )
+
+
 @pytest.mark.parametrize(
     "make, bound, failing",
     [
@@ -471,10 +496,11 @@ def assert_same_report(fast, slow):
         (lambda: word_algebra("xy", 0), 4, set()),
         (lambda: word_algebra("xy", Fraction(1, 2)), 4, set()),
         (lambda: univar_algebra(), 6, set()),
+        (_graded_table_algebra, 2, {"coassoc", "cocycle"}),
     ],
     ids=[
         "matrix2", "matrix3", "matrix4", "rmatrix1", "rmatrix2", "rmatrix3", "lmatrix3",
-        "classical3", "deconcat", "word-L", "word-0", "word-half", "univar",
+        "classical3", "deconcat", "word-L", "word-0", "word-half", "univar", "graded-table",
     ],
 )
 def test_key_level_checkers_match_the_element_level_oracles(make, bound, failing):
@@ -494,6 +520,20 @@ def test_key_level_checkers_match_the_element_level_oracles(make, bound, failing
                 failed.add("cocycle")
     # the laws that fail somewhere on the sweep, so witnesses were compared
     assert failed == failing
+
+
+def test_a_failing_difference_is_folded_across_powers_of_l():
+    # the first witness of each law has a coefficient with two nonzero
+    # powers of L, rebuilt from the graded map exactly as the oracle has it
+    A = _graded_table_algebra()
+    x = Word((0,))
+    for fast, slow in (
+        (check_coassoc(A, x), tensor_coassoc_oracle(A, x)),
+        (check_cocycle(A, x, x), tensor_cocycle_oracle(A, x, x)),
+    ):
+        assert not slow
+        assert_same_report(fast, slow)
+        assert max(len(scalar_items(c)) for c in fast.witness.difference.terms.values()) >= 2
 
 
 def _broken_word_algebra():
@@ -663,7 +703,9 @@ def test_key_level_antipode_checkers_match_the_oracles_on_random_elements(case, 
 
 # After a full sweep, every coefficient the instance memoized is canonical: in
 # particular none is a constant LambdaPoly, which would put LambdaPoly
-# arithmetic back on the hot path of the next sweep.
+# arithmetic back on the hot path of the next sweep.  The graded coproducts
+# hold each power of L apart: a degree >= 0 and a nonzero int, or a Fraction
+# that is not integral.
 CANONICAL_GUARD_CASES = {
     "matrix4": lambda: matrix_algebra(4),
     "word-L": lambda: word_algebra("xy"),
@@ -682,5 +724,12 @@ def test_memoized_coefficients_are_canonical_after_a_sweep(case):
         c for s in A._antipode_endos.values() for e in s._memo.values() for c in e.terms.values()
     ]
     stored += [c for row in A._prelie_table.values() for c in row.values()]
-    assert stored
+    # the coalgebra checkers' view: (k1, k2, degree) -> rational
+    graded = [(e, q) for g in A._graded.values() for (_, _, e), q in g.items()]
+    assert graded
+    assert stored or A.weight  # at weight L nothing but the graded view is swept
     assert [c for c in stored if not is_canonical(c)] == []
+    assert [
+        (e, q) for e, q in graded
+        if not (type(e) is int and e >= 0 and type(q) in (int, Fraction) and q and is_canonical(q))
+    ] == []

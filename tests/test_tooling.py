@@ -7,8 +7,11 @@ from pathlib import Path
 import pytest
 
 import epsbialg
-from epsbialg import parse_expression
+from epsbialg import LambdaPoly, Word, parse_expression, word_algebra
 from epsbialg.cli import build_algebra
+from epsbialg.verify import run_suite
+
+from support import tensor_coassoc_oracle
 
 PACKAGE_DIR = Path(epsbialg.__file__).parent
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -145,3 +148,35 @@ def test_every_traced_name_has_its_own_definition():
     for name, obj in targets.items():
         by_object.setdefault(id(obj), []).append(name)
     assert [names for names in by_object.values() if len(names) > 1] == []
+
+
+_POLY_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
+
+
+def _count_poly_arithmetic(monkeypatch):
+    """Wrap LambdaPoly's arithmetic; returns the map name -> calls so far."""
+    calls = dict.fromkeys(_POLY_ARITHMETIC, 0)
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in _POLY_ARITHMETIC:
+        monkeypatch.setattr(LambdaPoly, name, counting(name, getattr(LambdaPoly, name)))
+    return calls
+
+
+def test_coalgebra_suites_do_no_poly_arithmetic_at_weight_l(monkeypatch):
+    # the coassoc and cocycle checkers work on the coproducts split by power
+    # of L, so a passing sweep at the generic weight multiplies and adds only
+    # ints and Fractions; the element-level oracle, counted the same way,
+    # shows that the counter sees LambdaPoly arithmetic where there is some
+    calls = _count_poly_arithmetic(monkeypatch)
+    A = word_algebra("xy")
+    for suite in ("coassoc", "cocycle"):
+        assert run_suite(suite, A).status == "pass"
+    assert calls == dict.fromkeys(_POLY_ARITHMETIC, 0)
+    assert tensor_coassoc_oracle(A, Word((0, 1)))
+    assert calls["__mul__"] + calls["__rmul__"] > 0

@@ -16,7 +16,8 @@ the parser's term bound MAX_TERMS = 4096; a larger N exits 2 before anything
 is built.
 
 Exit codes: 0 success, 1 law violation (including a non-truncating antipode
-series), 2 usage or parse errors (including unconstructible selectors).
+series), 2 usage or parse errors (including unconstructible selectors) and
+a stdout closed before the output was complete.
 Output is deterministic: identical invocations print identical bytes.
 """
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import isqrt
 
@@ -274,6 +276,23 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit code.  A reader that closes stdout
+    early (``| head``) ends the run with exit 2 and one line on stderr."""
+    try:
+        status = _run(argv)
+        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+        return status
+    except BrokenPipeError:
+        # point stdout at devnull, so that the flush at exit finds no pipe to
+        # fail on, as the signal module's documentation recommends
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was complete", file=sys.stderr)
+        return 2
+
+
+def _run(argv):
     parser = build_arg_parser()
     try:
         args = parser.parse_args(argv)

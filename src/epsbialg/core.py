@@ -17,7 +17,9 @@ in Q[L].  Everything downstream is generic in the instance:
 
 Checkers return a ``LawReport`` rather than raising: a failing law is a
 result, not an error.  Reports carry the first failing witness so that a
-broken instance reproduces deterministically.
+broken instance reproduces deterministically.  ``LawReport`` and ``Witness``
+are plain classes with value ``==``, not dataclasses, so that no CLI process
+pays for importing ``dataclasses``.
 
 The two coalgebra law checkers work at key level on L-graded keys: each
 adds every term of its difference, read from the coproducts split by power
@@ -40,9 +42,7 @@ in ``tests/support.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import KindMismatch, NotNilpotentWithinCap, TooManyTerms, WeightNotZero
 from .lincomb import (
@@ -51,23 +51,42 @@ from .lincomb import (
 from .scalars import MAX_TERMS, LambdaPoly, scalar, scalar_items
 
 
-@dataclass(frozen=True)
 class Witness:
     """The offending inputs (already rendered to text) and the nonzero difference."""
 
-    inputs: tuple
-    difference: object
+    __slots__ = ("inputs", "difference")
+
+    def __init__(self, inputs, difference):
+        self.inputs = inputs
+        self.difference = difference
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.inputs, self.difference) == (other.inputs, other.difference)
 
     def __str__(self):
         ins = ", ".join(self.inputs)
         return f"inputs ({ins}): difference = {self.difference}"
 
 
-@dataclass(frozen=True)
 class LawReport:
-    law: str
-    passed: bool
-    witness: Optional[Witness] = None
+    """Whether one law held and, if it failed, the first failing ``Witness``.
+
+    A plain class, not a dataclass: importing ``dataclasses`` costs each CLI
+    process about 10 ms, more than a short command's own work."""
+
+    __slots__ = ("law", "passed", "witness")
+
+    def __init__(self, law, passed, witness=None):
+        self.law = law
+        self.passed = passed
+        self.witness = witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.law, self.passed, self.witness) == (other.law, other.passed, other.witness)
 
     def __bool__(self):
         return self.passed

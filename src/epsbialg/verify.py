@@ -48,8 +48,6 @@ CLI reports as a usage error.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
 
 from .core import (
     AlgebraInstance,
@@ -92,6 +90,7 @@ SUITE_NAMES = (
     "paper-examples",
     "all",
 )
+_RUNNABLE = SUITE_NAMES[:-1]  # every suite but "all", which only run_verify accepts
 
 DEFAULT_SEED = 12345
 
@@ -102,18 +101,24 @@ DEFAULT_SEED = 12345
 MAX_SWEEP = 2 ** 17
 
 
-@dataclass
 class SuiteOutcome:
     """One suite's result.  ``checked`` is the count the detail reports (for a
     failure, the inputs before the failing one); ``evaluated`` is how many
-    inputs a checker actually ran on, the failing one included."""
+    inputs a checker actually ran on, the failing one included.  ``status``
+    is "pass", "fail" or "skip"; ``failure`` is the failing ``LawReport``.
 
-    suite: str
-    status: str  # "pass" | "fail" | "skip"
-    detail: str
-    failure: Optional[LawReport] = None
-    checked: int = 0
-    evaluated: int = 0
+    A plain class, not a dataclass: importing ``dataclasses`` costs each CLI
+    process about 10 ms, more than a short command's own work."""
+
+    __slots__ = ("suite", "status", "detail", "failure", "checked", "evaluated")
+
+    def __init__(self, suite, status, detail, failure=None, checked=0, evaluated=0):
+        self.suite = suite
+        self.status = status
+        self.detail = detail
+        self.failure = failure
+        self.checked = checked
+        self.evaluated = evaluated
 
     def line(self) -> str:
         tag = {"pass": "[PASS]", "fail": "[FAIL]", "skip": "[SKIP]"}[self.status]
@@ -661,7 +666,7 @@ def run_suite(suite, A, max_len=6, cap=64, seed=DEFAULT_SEED):
         return _suite_bracket_closed_form(A, max_len)
     if suite == "paper-examples":
         return _suite_worked_examples(A, max_len)
-    raise UnknownSuite(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
+    raise UnknownSuite(f"unknown suite {suite!r}; choose from {', '.join(_RUNNABLE)}")
 
 
 def run_verify(suite, A, max_len=6, cap=64, seed=DEFAULT_SEED):
@@ -682,7 +687,7 @@ def run_verify(suite, A, max_len=6, cap=64, seed=DEFAULT_SEED):
         )
     if suite == "all":
         outcomes = []
-        for name in SUITE_NAMES[:-1]:
+        for name in _RUNNABLE:
             reason = _applicable(name, A)
             if reason is not None:
                 outcomes.append(_skipped(name, reason))

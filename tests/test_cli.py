@@ -3,13 +3,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epsbialg import classical_comatrix_algebra, deconcat_algebra, matrix_algebra
+import epsbialg
+from epsbialg import UnknownSuite, classical_comatrix_algebra, deconcat_algebra, matrix_algebra
 from epsbialg.cli import build_algebra, main
 from epsbialg.verify import (
     MAX_SWEEP,
@@ -213,6 +218,34 @@ def test_unknown_suite_exit_code(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nope", "--algebra", "matrix:2")
     assert code == 2
     assert "unknown suite" in err
+    # run_suite runs one suite, so it refuses "all" and offers only what it runs
+    A = build_algebra("matrix:2", None)
+    for suite in ("nope", "all"):
+        with pytest.raises(UnknownSuite) as info:
+            run_suite(suite, A)
+        assert str(info.value) == (
+            f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES[:-1])}"
+        )
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    # the read end is closed before the child starts, so its first write to
+    # stdout fails, as a later one does when `| head` stops reading
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    argv = ["coproduct", "-a", "word:xyz", "-e", "(x+y+z)^5"]
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "epsbialg", *argv], stdout=write_end, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(Path(epsbialg.__file__).parents[1])),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    err = done.stderr.decode()
+    assert done.returncode == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err == "error: stdout was closed before the output was complete\n"
 
 
 def test_unknown_selector_exit_code(capsys):

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -148,6 +151,32 @@ def test_every_traced_name_has_its_own_definition():
     for name, obj in targets.items():
         by_object.setdefault(id(obj), []).append(name)
     assert [names for names in by_object.values() if len(names) > 1] == []
+
+
+_STARTUP_PROBE = """\
+import io, sys
+import epsbialg.cli as cli
+sys.stdout = io.StringIO()
+codes = [
+    cli.main(["coproduct", "-a", "matrix:2", "-e", "E[1,2]"]),
+    cli.main(["verify", "--suite", "all", "-a", "matrix:2"]),
+]
+sys.stdout = sys.__stdout__
+print(codes, sorted(set(sys.modules) & set(sys.argv[1:])))
+"""
+
+
+def test_cli_start_up_imports_no_heavy_stdlib_module():
+    # every CLI process pays for what it imports: dataclasses, with inspect,
+    # ast, dis and tokenize behind it, was half of start-up; -S keeps site's
+    # own imports from hiding one of these coming back
+    heavy = ["ast", "dataclasses", "dis", "inspect", "tokenize", "typing"]
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _STARTUP_PROBE, *heavy], capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent)), timeout=60, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[0, 0] []\n"
 
 
 _POLY_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")

@@ -31,6 +31,8 @@ from math import isqrt
 
 from .core import antipode, coproduct_from_r
 from .errors import (
+    DEFAULT_SEED,
+    SUITE_NAMES,
     EpsBialgError,
     NotNilpotentWithinCap,
     ParseError,
@@ -39,16 +41,10 @@ from .errors import (
 from .lincomb import MatrixKind
 from .matrices import l_coproduct_instance, matrix_algebra
 from .parser import check_product, emit, monomials, parse_expression, parse_scalar, parse_tensor
-from .prelie import (
-    bilinear_from_pairs,
-    commutator_bracket,
-    matrix_bracket_closed_form,
-    matrix_bracket_table,
-    prelie_product,
-)
 from .scalars import MAX_TERMS
-from .verify import DEFAULT_SEED, SUITE_NAMES, run_verify
-from .words import univar_algebra, word_algebra
+
+# ``prelie``, ``verify`` and ``words`` are imported by the commands and
+# selectors that use them: a process compiles only the modules its command runs.
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -123,11 +119,15 @@ def build_algebra(selector: str, weight_text):
         _reject_weight(weight_text, "matrix")
         return matrix_algebra(_matrix_dimension(selector.split(":", 1)[1]))
     if selector.startswith("word:"):
+        from .words import word_algebra
+
         letters = selector.split(":", 1)[1]
         alphabet = letters.split(",") if "," in letters else list(letters)
         weight = parse_scalar(weight_text) if weight_text is not None else None
         return word_algebra(alphabet, weight)
     if selector == "univar":
+        from .words import univar_algebra
+
         weight = parse_scalar(weight_text) if weight_text is not None else None
         return univar_algebra(weight)
     if selector.startswith("lmatrix:"):
@@ -219,12 +219,21 @@ def _cmd_multiply(args, algebra):
 
 
 def _cmd_prelie(args, algebra):
+    from .prelie import prelie_product
+
     value = prelie_product(algebra, *_operands(args, algebra))
     print(emit(value, _fmt(args), algebra))
     return 0
 
 
 def _cmd_bracket(args, algebra):
+    from .prelie import (
+        bilinear_from_pairs,
+        commutator_bracket,
+        matrix_bracket_closed_form,
+        matrix_bracket_table,
+    )
+
     lhs, rhs = _operands(args, algebra)
     if args.closed_form or args.table:
         if not isinstance(algebra.kind, MatrixKind):
@@ -238,6 +247,8 @@ def _cmd_bracket(args, algebra):
 
 
 def _cmd_verify(args, algebra):
+    from .verify import run_verify
+
     passed, outcomes = run_verify(
         args.suite, algebra, max_len=args.max_len, cap=args.cap, seed=args.seed
     )

@@ -352,11 +352,6 @@ def _d_powers(A: AlgebraInstance, a: Element, cap: int) -> list:
     raise NotNilpotentWithinCap(cap, element=a)
 
 
-def nilpotency_index(A: AlgebraInstance, a: Element, cap: int = 64) -> int:
-    """Least k <= cap with D^k(a) = 0; raises NotNilpotentWithinCap otherwise."""
-    return len(_d_powers(A, a, cap)) + 1
-
-
 def antipode(A: AlgebraInstance, a: Element, cap: int = 64) -> Element:
     """The antipode series S(a) = -sum_{t>=0} (1/t!) (-D)^t (a).
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the verification suites'
+names and default seed."""
 
 
 class EpsBialgError(Exception):
@@ -57,3 +58,22 @@ class UnknownAtom(ParseError):
 
 class UnknownSuite(EpsBialgError):
     """Verification suite name not recognised."""
+
+
+# The suites ``verify`` runs, ``all`` last, and the seed of its random checks.
+# Every CLI call reads them for its help text and loads this module, while only
+# a ``verify`` call loads ``verify``, which re-exports them.
+SUITE_NAMES = (
+    "algebra",
+    "coassoc",
+    "cocycle",
+    "antipode",
+    "prelie",
+    "jacobi",
+    "representation",
+    "bracket-closed-form",
+    "paper-examples",
+    "all",
+)
+
+DEFAULT_SEED = 12345

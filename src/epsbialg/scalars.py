@@ -16,7 +16,8 @@ rational, an ``int`` when integral; its arithmetic takes operands in all
 three forms and returns the canonical form (``(L + 1) - L`` is ``1``), into
 which ``scalar`` puts any accepted value.  Equality and hashing agree across
 the forms.  ``const`` and ``coerce`` build a ``LambdaPoly`` of any degree,
-for callers that want its methods (``specialize``); they are not canonical.
+for callers that want its methods (``coefficient``, ``degree``); they are
+not canonical.
 Only ``scalar_items`` (the degree and coefficient pairs of any form) tells
 the forms apart: ``poly_text``, ``poly_json``, the coefficient prefix of an
 element's text and the parser's bounds go through it.
@@ -139,14 +140,6 @@ class LambdaPoly:
         return _canonical(c)
 
     __rmul__ = __mul__
-
-    def specialize(self, value) -> Fraction:
-        """Evaluate at L = value (a ring homomorphism Q[L] -> Q)."""
-        v = Fraction(value)
-        total = Fraction(0)
-        for deg, q in self._c.items():
-            total += q * v**deg
-        return total
 
     def __str__(self):
         return poly_text(self)

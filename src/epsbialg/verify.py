@@ -60,7 +60,7 @@ from .core import (
     check_cocycle,
     d_map,
 )
-from .errors import KindMismatch, NotNilpotentWithinCap, UnknownSuite
+from .errors import DEFAULT_SEED, SUITE_NAMES, KindMismatch, NotNilpotentWithinCap, UnknownSuite
 from .lincomb import Element, EMatrix, MatrixKind, Word, _accumulate, act_left, act_right, tensor
 from .matrices import TELESCOPING, matrix_algebra, matrix_from_rows, random_integer_matrix
 from .parser import parse_expression
@@ -78,21 +78,7 @@ from .prelie import (
 from .scalars import LAMBDA
 from .words import subword, word_algebra
 
-SUITE_NAMES = (
-    "algebra",
-    "coassoc",
-    "cocycle",
-    "antipode",
-    "prelie",
-    "jacobi",
-    "representation",
-    "bracket-closed-form",
-    "paper-examples",
-    "all",
-)
 _RUNNABLE = SUITE_NAMES[:-1]  # every suite but "all", which only run_verify accepts
-
-DEFAULT_SEED = 12345
 
 # The most basis pairs one verify run may sweep.  The cocycle pairs are its
 # largest keyed sweep (the coassoc keys are the pairs with the size-0 key);

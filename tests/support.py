@@ -24,7 +24,9 @@ from epsbialg import (
 )
 from epsbialg import matrix_algebra, univar_algebra, word_algebra
 from epsbialg.cli import build_algebra
+from epsbialg.core import _d_powers
 from epsbialg.prelie import _prelie_on_keys
+from epsbialg.scalars import scalar_items
 from epsbialg.verify import _failed, _passed, _triple_keys
 
 # -- independent dense-matrix oracle ----------------------------------------
@@ -220,6 +222,11 @@ def element_antipode_properties_oracle(A, x, y, cap=64):
     return LawReport.ok("antipode-properties")
 
 
+def nilpotency_index(A, a, cap=64):
+    """Least k <= cap with D^k(a) = 0; raises NotNilpotentWithinCap otherwise."""
+    return len(_d_powers(A, a, cap)) + 1
+
+
 # -- oracles for the triple-law sweeps -----------------------------------------
 # The element-level checker run in canonical order on every basis triple
 # (dense), or on every triple where some pair of entries touches under |>
@@ -352,6 +359,13 @@ def is_canonical(c):
         and c.degree() > 0
         and all(type(q) is (int if q.denominator == 1 else Fraction) and q for _, q in c.items())
     )
+
+
+def specialize(c, value):
+    """The coefficient c, in any form, evaluated at L = value: a Fraction (the
+    ring homomorphism Q[L] -> Q)."""
+    v = Fraction(value)
+    return sum((q * v**deg for deg, q in scalar_items(c)), Fraction(0))
 
 
 # -- hypothesis strategies ----------------------------------------------------

@@ -47,7 +47,6 @@ from epsbialg import (
     matrix_bracket_table,
     matrix_from_rows,
     newtonian_coproduct,
-    nilpotency_index,
     parse_expression,
     parse_value,
     prelie_product,
@@ -62,6 +61,7 @@ from epsbialg.prelie import bilinear_from_pairs
 from epsbialg.verify import run_suite
 
 from expression_corpus import CORPUS
+from support import nilpotency_index
 
 
 @contextlib.contextmanager

@@ -31,7 +31,6 @@ from epsbialg import (
     deconcat_algebra,
     l_coproduct_instance,
     matrix_algebra,
-    nilpotency_index,
     parse_expression,
     random_integer_matrix,
     TensorElement,
@@ -57,6 +56,7 @@ from support import (
     is_canonical,
     linear_map_cases,
     matrix_elements,
+    nilpotency_index,
     tensor_coassoc_oracle,
     tensor_cocycle_oracle,
     termwise_oracle,

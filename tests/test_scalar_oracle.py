@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from epsbialg import LAMBDA, LambdaPoly
 
-from support import is_canonical
+from support import is_canonical, specialize
 
 sympy = pytest.importorskip("sympy")
 
@@ -65,6 +65,6 @@ def test_ring_operations_match_sympy(p, x):
 @given(polys, coefficients)
 def test_specialize_matches_sympy(a, v):
     want = to_sympy(LambdaPoly(a)).eval(sympy.Rational(v.numerator, v.denominator))
-    got = LambdaPoly(a).specialize(v)
+    got = specialize(LambdaPoly(a), v)
     assert type(got) is Fraction
     assert got == Fraction(int(want.p), int(want.q))

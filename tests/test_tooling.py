@@ -179,6 +179,93 @@ def test_cli_start_up_imports_no_heavy_stdlib_module():
     assert done.stdout == "[0, 0] []\n"
 
 
+_LOAD_PROBE = """\
+import io, sys
+import epsbialg
+bare = sorted(m for m in sys.modules if m.startswith("epsbialg."))
+import epsbialg.cli as cli
+sys.stdout = io.StringIO()
+code = cli.main(sys.argv[1:])
+sys.stdout = sys.__stdout__
+print(code, bare, sorted(m[len("epsbialg."):] for m in sys.modules if m.startswith("epsbialg.")))
+"""
+
+_LAYER_MODULES = sorted(
+    path.stem for path in PACKAGE_DIR.glob("*.py") if path.stem not in ("__init__", "__main__")
+)
+
+
+@pytest.mark.parametrize("argv,unloaded", [
+    (["coproduct", "-a", "matrix:2", "-e", "E[1,2]"], {"prelie", "verify", "words"}),
+    (["bracket", "-a", "matrix:2", "--lhs", "E[1,2]", "--rhs", "E[2,1]"], {"verify", "words"}),
+    (["coproduct", "-a", "word:xy", "-e", "x"], {"prelie", "verify"}),
+    (["verify", "--suite", "all", "-a", "matrix:2"], set()),
+])
+def test_each_command_loads_only_the_modules_it_runs(argv, unloaded):
+    # every CLI process compiles the modules it imports, with no bytecode cache
+    # on a fresh checkout; a matrix coproduct has no use for verify, prelie or
+    # words, and a bare ``import epsbialg`` loads no module at all
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _LOAD_PROBE, *argv], capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent)), timeout=60, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    loaded = sorted(set(_LAYER_MODULES) - unloaded)
+    assert done.stdout == f"0 [] {loaded}\n"
+
+
+def test_lazy_namespace_resolves_every_name_to_its_definition():
+    # names resolve on first use: each one is the object its defining module
+    # binds, and ``__all__``, ``dir`` and star imports list the same names
+    table = epsbialg._SOURCE
+    assert len(table) == 81
+    for name, module_name in table.items():
+        module = importlib.import_module(f"epsbialg.{module_name}")
+        value = getattr(epsbialg, name)
+        assert value is getattr(module, name), name
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+    assert sorted(epsbialg.__all__) == sorted(table)
+    assert set(table) <= set(dir(epsbialg))
+    with pytest.raises(AttributeError) as excinfo:
+        epsbialg.nope
+    assert str(excinfo.value) == "module 'epsbialg' has no attribute 'nope'"
+    namespace = {}
+    exec("from epsbialg import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(epsbialg.__all__)
+
+
+def test_verify_help_names_every_suite_and_the_default_seed(monkeypatch, capsys):
+    # the help text reads the suite names and default seed from their one
+    # definition, which verify re-exports; a wide terminal keeps each on one line
+    from epsbialg import cli, errors, verify
+
+    monkeypatch.setenv("COLUMNS", "200")
+    assert cli.main(["verify", "--help"]) == 0
+    lines = {
+        line.split()[0]: line.split(None, 2)[2]
+        for line in capsys.readouterr().out.splitlines() if line.startswith("  --s")
+    }
+    assert lines == {
+        "--seed": f"seed for random-matrix checks (default {verify.DEFAULT_SEED})",
+        "--suite": "one of: " + ", ".join(verify.SUITE_NAMES),
+    }
+    assert lines == {
+        "--seed": "seed for random-matrix checks (default 12345)",
+        "--suite": "one of: algebra, coassoc, cocycle, antipode, prelie, jacobi, "
+                   "representation, bracket-closed-form, paper-examples, all",
+    }
+    assert verify.SUITE_NAMES is errors.SUITE_NAMES and verify.DEFAULT_SEED is errors.DEFAULT_SEED
+    assigned = sorted(
+        f"{path.name}:{target.id}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("DEFAULT_SEED", "SUITE_NAMES")
+    )
+    assert assigned == ["errors.py:DEFAULT_SEED", "errors.py:SUITE_NAMES"]
+
+
 _POLY_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
 
 

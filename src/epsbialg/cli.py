@@ -38,8 +38,7 @@ from .errors import (
     ParseError,
     UnknownSuite,
 )
-from .lincomb import MatrixKind
-from .matrices import l_coproduct_instance, matrix_algebra
+from .matrices import TELESCOPING, l_coproduct_instance, matrix_algebra
 from .parser import check_product, emit, monomials, parse_expression, parse_scalar, parse_tensor
 from .scalars import MAX_TERMS
 
@@ -236,8 +235,8 @@ def _cmd_bracket(args, algebra):
 
     lhs, rhs = _operands(args, algebra)
     if args.closed_form or args.table:
-        if not isinstance(algebra.kind, MatrixKind):
-            raise ValueError("--closed-form/--table apply to matrix algebras only")
+        if TELESCOPING not in algebra.tags:
+            raise ValueError("--closed-form/--table need the telescoping instance matrix:N")
         rule = matrix_bracket_closed_form if args.closed_form else matrix_bracket_table
         value = bilinear_from_pairs(lhs, rhs, rule)
     else:

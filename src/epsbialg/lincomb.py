@@ -42,7 +42,8 @@ stream of terms into one sparse map: sums and products of elements go
 through these two, and so do the key-level checkers, which never build an
 element per term.  Every other linear or bilinear map of the package (the
 coproducts, D, endomorphisms, bimodule actions, counit contractions, |>) is a
-rule on keys extended by ``linear_extend`` or, on key pairs, ``bilinear_extend``.
+rule on keys extended by ``linear_extend`` or, on key pairs, ``bilinear_extend``;
+a coproduct rule returns the plain sparse map (k1, k2) -> coefficient of a key.
 
 The tensor square A (x) A is an (A,A)-bimodule via
 

@@ -20,6 +20,9 @@ E[i,j] (product rule E[i,j]E[k,l] = delta_jk E[i,l]):
   (``l_coproduct_instance``), the derived coproduct attached to r = L (x) L
   at weight 0, computed from its closed form on each basis key.
 
+Each coproduct rule returns the sparse map (k1, k2) -> coefficient of one
+key; only the classical rule needs n, so only it takes the kind.
+
 The counit contractions (eps (x) id) and (id (x) eps) are linear maps on the
 tensor square, extended from a rule on basis pairs by ``linear_extend``.
 """
@@ -41,17 +44,15 @@ def sgn(x: int) -> int:
     return 0
 
 
-def newtonian_coproduct(key, kind: MatrixKind) -> TensorElement:
-    """The signed telescoping coproduct on the elementary matrix ``key`` of ``kind``."""
+def newtonian_coproduct(key) -> dict:
+    """The signed telescoping coproduct of the elementary matrix ``key``, as the
+    sparse map (k1, k2) -> coefficient; it is empty on the diagonal."""
     i, j = key
-    if i == j:
-        return TensorElement.zero(kind)
-    if i < j:
+    if i <= j:
         sign, lo, hi = 1, i, j - 1
     else:
         sign, lo, hi = -1, j, i - 1
-    terms = {((i, s), (s + 1, j)): sign for s in range(lo, hi + 1)}
-    return TensorElement._make(kind, 2, terms)
+    return {((i, s), (s + 1, j)): sign for s in range(lo, hi + 1)}
 
 
 # The tag ``matrix_algebra`` declares: the paper's closed forms for the
@@ -61,18 +62,13 @@ TELESCOPING = "telescoping"
 
 def matrix_algebra(n: int) -> AlgebraInstance:
     """M_n with the telescoping coproduct; a weight-zero unitary instance."""
-    kind = MatrixKind(n)
-    return AlgebraInstance(
-        kind, 0, lambda key: newtonian_coproduct(key, kind), selector=f"matrix:{n}",
-        tags=(TELESCOPING,),
-    )
+    return AlgebraInstance(MatrixKind(n), 0, newtonian_coproduct, tags=(TELESCOPING,))
 
 
-def classical_comatrix_coproduct(key, kind: MatrixKind) -> TensorElement:
-    """Delta(E[i,j]) = sum_{s=1}^{n} E[i,s] (x) E[s,j]."""
+def classical_comatrix_coproduct(key, kind: MatrixKind) -> dict:
+    """Delta(E[i,j]) = sum_{s=1}^{n} E[i,s] (x) E[s,j], as a sparse map."""
     i, j = key
-    terms = {((i, s), (s, j)): 1 for s in range(1, kind.n + 1)}
-    return TensorElement._make(kind, 2, terms)
+    return {((i, s), (s, j)): 1 for s in range(1, kind.n + 1)}
 
 
 def classical_counit(key) -> int:
@@ -122,7 +118,7 @@ def l_coproduct_instance(n: int, L: Element) -> AlgebraInstance:
 
     def rule(key):
         m = Element._make(kind, {key: 1})
-        return tensor(m * L, L) - tensor(L, L * m)
+        return (tensor(m * L, L) - tensor(L, L * m)).terms
 
     return AlgebraInstance(kind, 0, rule, selector=f"lmatrix:{n}:{L}")
 

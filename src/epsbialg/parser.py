@@ -35,7 +35,6 @@ import json
 import re
 from fractions import Fraction
 
-from .core import LawReport
 from .errors import DimensionMismatch, ParseError, UnknownAtom
 from .lincomb import Element, MatrixKind, TensorElement, UnivarKind, WordKind, tensor
 from .scalars import (
@@ -426,30 +425,10 @@ def _value_json(value, algebra=None):
     }
 
 
-def _report_json(report: LawReport):
-    witness = None
-    if report.witness is not None:
-        witness = {
-            "inputs": list(report.witness.inputs),
-            "difference": str(report.witness.difference),
-        }
-    return {"law": report.law, "passed": report.passed, "witness": witness}
-
-
 def emit(value, fmt: str = "text", algebra=None) -> str:
-    """Canonical text or JSON for an Element, TensorElement, or LawReport."""
+    """Canonical text or JSON for an Element or TensorElement."""
     if fmt == "text":
-        if isinstance(value, LawReport):
-            return value.summary()
-        if isinstance(value, SCALAR_TYPES):
-            return poly_text(value)
         return str(value)
     if fmt == "json":
-        if isinstance(value, LawReport):
-            obj = _report_json(value)
-        elif isinstance(value, SCALAR_TYPES):
-            obj = poly_json(value)
-        else:
-            obj = _value_json(value, algebra)
-        return json.dumps(obj, indent=2)
+        return json.dumps(_value_json(value, algebra), indent=2)
     raise ValueError(f"unknown format {fmt!r}")

@@ -64,7 +64,7 @@ def _prelie_on_keys(A: AlgebraInstance, p, q) -> dict:
         key_mul = A.kind.key_mul
         row = {}
         _accumulate(row, (
-            (key, c) for (k1, k2), c in A.basis_coproduct(q).terms.items()
+            (key, c) for (k1, k2), c in A.basis_coproduct(q).items()
             if (left := key_mul(k1, p)) is not None and (key := key_mul(left, k2)) is not None
         ))
         A._prelie_table[(p, q)] = row

@@ -20,6 +20,8 @@ w[i,n] share letter i.  Three coalgebra structures are provided:
       Delta(x^n) = sum_{i=0}^{n-1} x^i (x) x^(n-1-i)
                  + weight * sum_{i=1}^{n-1} x^i (x) x^(n-i).
 
+Each rule returns the sparse map (k1, k2) -> coefficient of one basis key.
+
 The single-letter word coproduct (Delta(x) = x (x) x) and the univariate one
 (Delta(x) = 1 (x) 1) are different coalgebras; they are deliberately kept as
 distinct instances.
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from .core import AlgebraInstance
 from .errors import IndexOutOfRange
-from .lincomb import TensorElement, UnivarKind, WordKind
+from .lincomb import UnivarKind, WordKind
 from .scalars import LAMBDA, scalar
 
 
@@ -40,72 +42,49 @@ def subword(w: tuple, i: int, j: int) -> tuple:
     return w[i - 1 : j]
 
 
-def weighted_word_coproduct(w: tuple, kind: WordKind, weight=LAMBDA) -> TensorElement:
+def weighted_word_coproduct(w: tuple, weight=LAMBDA) -> dict:
     """The weighted splitting with shared letters; see the module docstring."""
     n = len(w)
     if n == 0:
-        return TensorElement._make(kind, 2, _unit_square(kind, -weight))
+        return {((), ()): -weight} if weight else {}
     terms = {(w[:i], w[i - 1 :]): 1 for i in range(1, n + 1)}
     if weight:
         for i in range(1, n):
             terms[(w[:i], w[i:])] = weight
-    return TensorElement._make(kind, 2, terms)
+    return terms
 
 
-def deconcat_coproduct(w: tuple, kind: WordKind) -> TensorElement:
+def deconcat_coproduct(w: tuple) -> dict:
     """All prefix/suffix splits, including the two trivial ones."""
-    terms = {(w[:i], w[i:]): 1 for i in range(len(w) + 1)}
-    return TensorElement._make(kind, 2, terms)
+    return {(w[:i], w[i:]): 1 for i in range(len(w) + 1)}
 
 
-def univar_coproduct(n: int, weight=LAMBDA) -> TensorElement:
+def univar_coproduct(n: int, weight=LAMBDA) -> dict:
     """The one-variable coproduct of x^n; see the module docstring."""
-    kind = UnivarKind()
     if n == 0:
-        return TensorElement._make(kind, 2, _unit_square(kind, -weight))
+        return {(0, 0): -weight} if weight else {}
     terms = {(i, n - 1 - i): 1 for i in range(n)}
     if weight:
         for i in range(1, n):
             terms[(i, n - i)] = weight
-    return TensorElement._make(kind, 2, terms)
-
-
-def _unit_square(kind, coeff):
-    if not coeff:
-        return {}
-    (unit_key,) = kind.unit_terms()
-    return {(unit_key, unit_key): coeff}
+    return terms
 
 
 def word_algebra(alphabet, weight=None) -> AlgebraInstance:
     """The free algebra on the alphabet with the weighted word coproduct."""
-    kind = WordKind(alphabet)
     w = LAMBDA if weight is None else scalar(weight)
-    return AlgebraInstance(
-        kind,
-        w,
-        lambda key: weighted_word_coproduct(key, kind, w),
-        selector=kind.selector(),
-    )
+    return AlgebraInstance(WordKind(alphabet), w, lambda key: weighted_word_coproduct(key, w))
 
 
 def deconcat_algebra(alphabet) -> AlgebraInstance:
     """The free algebra with the deconcatenation coproduct (weight -1)."""
     kind = WordKind(alphabet)
     return AlgebraInstance(
-        kind,
-        -1,
-        lambda key: deconcat_coproduct(key, kind),
-        selector="deconcat:" + kind.selector().split(":", 1)[1],
+        kind, -1, deconcat_coproduct, selector="deconcat:" + kind.selector().split(":", 1)[1]
     )
 
 
 def univar_algebra(weight=None) -> AlgebraInstance:
     """Q[L][x] with the weighted one-variable coproduct."""
     w = LAMBDA if weight is None else scalar(weight)
-    return AlgebraInstance(
-        UnivarKind(),
-        w,
-        lambda key: univar_coproduct(key, w),
-        selector="univar",
-    )
+    return AlgebraInstance(UnivarKind(), w, lambda key: univar_coproduct(key, w))

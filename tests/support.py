@@ -124,7 +124,7 @@ def convolution(A, f, g):
 
     def rule(key):
         out = Element.zero(A.kind)
-        for (k1, k2), c in A.basis_coproduct(key).terms.items():
+        for (k1, k2), c in A.basis_coproduct(key).items():
             out = out + (f.on_key(k1) * g.on_key(k2)).scale(c)
         return out
 
@@ -181,7 +181,7 @@ def tensor_cocycle_oracle(A, p, q):
 
 
 def tensor_coassoc_oracle(A, key):
-    t = A.basis_coproduct(key)
+    t = A.coproduct(A.element(key))
     diff = A._expand_leg(t, 0) - A._expand_leg(t, 1)
     if diff.is_zero():
         return LawReport.ok("coassoc")

@@ -38,7 +38,7 @@ class ShortUnitKind(MatrixKind):
 
 
 def broken(kind):
-    return AlgebraInstance(kind, ZERO, lambda key: newtonian_coproduct(key, kind))
+    return AlgebraInstance(kind, ZERO, newtonian_coproduct)
 
 
 CASES = {

@@ -14,7 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epsbialg
-from epsbialg import UnknownSuite, classical_comatrix_algebra, deconcat_algebra, matrix_algebra
+from epsbialg import (
+    Element,
+    UnknownSuite,
+    classical_comatrix_algebra,
+    deconcat_algebra,
+    matrix_algebra,
+    matrix_bracket_table,
+    verify,
+)
 from epsbialg.cli import build_algebra, main
 from epsbialg.verify import (
     MAX_SWEEP,
@@ -79,6 +87,77 @@ def test_bracket_routes_agree(capsys):
         assert code == 0
         outputs.add(out)
     assert outputs == {"E[2,1]\n"}
+
+
+@pytest.mark.parametrize("selector,lhs,rhs,plain", [
+    ("rmatrix:3:E[1,1] (x) E[2,2]:0", "E[1,2]", "E[2,3]", "-E[1,3]\n"),
+    ("rmatrix:2:E[1,2] (x) E[1,2]:1", "E[1,2]", "E[2,1]", None),
+    ("lmatrix:3:E[1,3]", "E[1,2]", "E[2,3]", "0\n"),
+    ("word:xy", "x", "y", None),
+])
+def test_bracket_closed_forms_refuse_other_instances(capsys, selector, lhs, rhs, plain):
+    # the closed forms are the telescoping instance's bracket: on any other
+    # instance both flags would answer for matrix:N, so they exit 2 instead
+    args = ("bracket", "-a", selector, "--lhs", lhs, "--rhs", rhs)
+    code, out, _ = run(capsys, *args)
+    assert (code, out) == ((0, plain) if plain else (2, ""))
+    for route in ("--closed-form", "--table"):
+        for fmt in ((), ("--json",)):
+            assert run(capsys, *args, route, *fmt) == (
+                2, "", "error: --closed-form/--table need the telescoping instance matrix:N\n"
+            )
+
+
+def _verify_outputs(capsys, suite):
+    """The text and --json output of one failing suite on matrix:3."""
+    text = run(capsys, "verify", "--suite", suite, "-a", "matrix:3")
+    as_json = run(capsys, "verify", "--suite", suite, "-a", "matrix:3", "--json")
+    return text, (as_json[0], json.loads(as_json[1]), as_json[2])
+
+
+def _failing(suite, detail, witness):
+    text = f"[FAIL] {suite}: {detail}\n       witness {witness}\nresult: LAW VIOLATION\n"
+    payload = {
+        "algebra": "matrix:3",
+        "suites": [{"suite": suite, "status": "fail", "detail": detail, "witness": witness}],
+        "passed": False,
+    }
+    return (1, text, ""), (1, payload, "")
+
+
+def _half_table(kind, p, q):
+    """The case table on p <= q and 0 below it: the sign form made the same
+    agrees with it and the commutator agrees on p <= q, but antisymmetry fails."""
+    return matrix_bracket_table(kind, p, q) if p <= q else Element.zero(kind)
+
+
+@pytest.mark.parametrize("patch,detail,difference", [
+    ({"matrix_bracket_closed_form": lambda kind, p, q: Element.zero(kind)},
+     "sign form disagrees after 11 pairs", "-E[1,3]"),
+    ({"commutator_bracket": lambda A, a, b: Element.zero(A.kind)},
+     "commutator disagrees after 11 pairs", "-E[1,3]"),
+    ({"matrix_bracket_table": _half_table, "matrix_bracket_closed_form": _half_table},
+     "antisymmetry broken after 11 pairs", "E[1,3]"),
+])
+def test_bracket_closed_form_failures_are_reported(capsys, monkeypatch, patch, detail, difference):
+    for name, value in patch.items():
+        monkeypatch.setattr(verify, name, value)
+    witness = f"inputs (E[1,2], E[1,3]): difference = {difference}"
+    assert _verify_outputs(capsys, "bracket-closed-form") == _failing(
+        "bracket-closed-form", detail, witness
+    )
+
+
+def test_a_mismatched_golden_example_is_named(capsys, monkeypatch):
+    # subword taking only its first letter breaks two of the three subword
+    # examples; the report names the first and prints both values as words
+    subword = verify.subword
+    monkeypatch.setattr(verify, "subword", lambda w, i, j: subword(w, i, i))
+    assert _verify_outputs(capsys, "paper-examples") == _failing(
+        "paper-examples",
+        "2 of 20 golden examples mismatched, the first: subword [1,4]",
+        "inputs (got x, want x*x*y*x)",
+    )
 
 
 def test_json_output(capsys):

@@ -49,15 +49,15 @@ def test_elementary_product():
 
 
 def test_telescoping_coproduct_cases():
-    assert newtonian_coproduct((1, 2), M2.kind) == tensor(e(1, 1), e(2, 2))
-    assert newtonian_coproduct((2, 1), M2.kind) == tensor(e(2, 1), e(2, 1)).scale(-1)
-    assert newtonian_coproduct((3, 3), MatrixKind(3)).is_zero()
+    assert newtonian_coproduct((1, 2)) == tensor(e(1, 1), e(2, 2)).terms
+    assert newtonian_coproduct((2, 1)) == tensor(e(2, 1), e(2, 1)).scale(-1).terms
+    assert newtonian_coproduct((3, 3)) == {}
 
 
 def test_telescoping_coproduct_long_range():
-    got = newtonian_coproduct((1, 3), MatrixKind(3))
+    got = newtonian_coproduct((1, 3))
     want = tensor(e(1, 1, 3), e(2, 3, 3)) + tensor(e(1, 2, 3), e(3, 3, 3))
-    assert got == want
+    assert got == want.terms
 
 
 def test_antisymmetric_index_pattern():
@@ -65,11 +65,11 @@ def test_antisymmetric_index_pattern():
     for n in range(2, 6):
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                got = newtonian_coproduct((j, i), MatrixKind(n))
+                got = newtonian_coproduct((j, i))
                 want_terms = {}
                 for s in range(i, j):
                     want_terms[((j, s), (s + 1, i))] = -ONE
-                assert got.terms == want_terms
+                assert got == want_terms
 
 
 def test_case_pattern_coverage_at_n4():
@@ -112,7 +112,7 @@ def test_weight_zero_laws_hold(n):
 
 def test_classical_coproduct_and_counit():
     got = classical_comatrix_coproduct((1, 2), M2.kind)
-    assert got == tensor(e(1, 1), e(1, 2)) + tensor(e(1, 2), e(2, 2))
+    assert got == (tensor(e(1, 1), e(1, 2)) + tensor(e(1, 2), e(2, 2))).terms
     assert classical_counit((1, 1)) == ONE
     assert classical_counit((1, 2)) == ZERO
 
@@ -122,8 +122,8 @@ def test_classical_instance_coassociative_and_counital(n):
     C = classical_comatrix_algebra(n)
     for key in C.basis_keys():
         assert check_coassoc(C, key).passed
-        t = C.basis_coproduct(key)
         back = Element.from_key(C.kind, key)
+        t = C.coproduct(back)
         assert counit_contract_left(t) == back
         assert counit_contract_right(t) == back
 
@@ -150,7 +150,7 @@ def test_counit_contractions_match_the_termwise_oracle(a, b, c):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_telescoping_differs_from_classical(n):
     key, kind = EMatrix(1, 2, n), MatrixKind(n)
-    assert newtonian_coproduct(key, kind) != classical_comatrix_coproduct(key, kind)
+    assert newtonian_coproduct(key) != classical_comatrix_coproduct(key, kind)
 
 
 def test_l_coproduct_examples():
@@ -190,7 +190,7 @@ def test_l_coproduct_is_the_derived_coproduct_of_l_tensor_l(n, text):
     nonzero = 0
     for key in inst.basis_keys():
         assert inst.basis_coproduct(key) == derived.basis_coproduct(key), key
-        nonzero += not inst.basis_coproduct(key).is_zero()
+        nonzero += bool(inst.basis_coproduct(key))
     assert nonzero
 
 

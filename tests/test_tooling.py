@@ -107,7 +107,7 @@ def test_keys_are_plain_builtins(selector, text):
         "basis_keys": keys,
         "unit_terms": list(kind.unit_terms()),
         "key_mul": [k for p in keys for q in keys if (k := kind.key_mul(p, q)) is not None],
-        "coproduct legs": [k for p in keys for legs in A.basis_coproduct(p).terms for k in legs],
+        "coproduct legs": [k for p in keys for legs in A.basis_coproduct(p) for k in legs],
         "parse_expression": list(parse_expression(text, A).terms),
     }
     for source, found in sources.items():

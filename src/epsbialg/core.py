@@ -23,13 +23,14 @@ are plain classes with value ``==``, not dataclasses, so that no CLI process
 pays for importing ``dataclasses``.
 
 The two coalgebra law checkers work at key level on L-graded keys: each
-adds every term of its difference, read from the coproducts split by power
-of L (``graded_coproduct``), into one sparse map on (legs..., degree) keys.
-Degrees add and the rational parts multiply as ints or Fractions, so a
-passing check does no ``LambdaPoly`` arithmetic; a difference in Q[L] is
-zero iff each degree's part is.  Only a failing difference is folded back
-into Q[L] (``_fold``), for the witness.  The element-level forms of the
-laws are oracles in ``tests/support.py``, as are convolutions.
+builds the two sides of its law, read from the coproducts split by power of
+L (``graded_coproduct``), as two sparse maps on (legs..., degree) keys, and
+compares them with ``==``.  Degrees add and the rational parts multiply as
+ints or Fractions, so a passing check does no ``LambdaPoly`` arithmetic; two
+sides in Q[L] agree iff each degree's parts do.  Only on a failure is the
+difference left - right taken and folded back into Q[L] (``_fold``), for the
+witness.  The element-level forms of the laws are oracles in
+``tests/support.py``, as are convolutions.
 
 The antipode checkers work at key level too.  Each side of a law is one
 sparse map, filled from ``antipode_endo(A, cap).on_key``, the basis
@@ -122,6 +123,7 @@ class AlgebraInstance:
     def __init__(self, kind, weight, basis_coproduct, selector=None, tags=()):
         self.kind = kind
         self.weight = scalar(weight)
+        self._weight_items = tuple(scalar_items(self.weight))  # (degree, rational) pairs
         self._rule = basis_coproduct
         self.selector = selector or kind.selector()
         self.tags = frozenset(tags)
@@ -224,7 +226,8 @@ def _fold(graded: dict) -> dict:
 def check_cocycle(A: AlgebraInstance, p, q) -> LawReport:
     """The weighted-derivation law on a basis pair:
 
-    Delta(ab) - a.Delta(b) - Delta(a).b - weight * (a (x) b) == 0 in Q[L].
+    Delta(ab) == a.Delta(b) + Delta(a).b + weight * (a (x) b) in Q[L];
+    the witness is the difference of the two sides.
     """
     kind = A.kind
     kind.validate_key(p)
@@ -232,47 +235,50 @@ def check_cocycle(A: AlgebraInstance, p, q) -> LawReport:
     key_mul = kind.key_mul
     delta = A.graded_coproduct
     pq = key_mul(p, q)
-    diff = {} if pq is None else dict(delta(pq))  # + Delta(pq)
-    _accumulate(  # - p.Delta(q)
-        diff,
+    left = {} if pq is None else delta(pq)  # Delta(pq), the memo itself
+    right = {}
+    _accumulate(  # p.Delta(q)
+        right,
         (((pk, k2, e), c) for (k1, k2, e), c in delta(q).items()
          if (pk := key_mul(p, k1)) is not None),
-        negate=True,
     )
-    _accumulate(  # - Delta(p).q
-        diff,
+    _accumulate(  # + Delta(p).q
+        right,
         (((k1, kq, e), c) for (k1, k2, e), c in delta(p).items()
          if (kq := key_mul(k2, q)) is not None),
-        negate=True,
     )
-    if A.weight:  # - weight * (p (x) q)
-        _accumulate(diff, (((p, q, e), c) for e, c in scalar_items(A.weight)), negate=True)
-    if not diff:
+    _accumulate(right, (((p, q, e), c) for e, c in A._weight_items))  # + weight * (p (x) q)
+    if left == right:
         return LawReport.ok("cocycle")
+    diff = dict(left)  # left - right, for the witness
+    _accumulate(diff, right.items(), negate=True)
     return LawReport.fail(
         "cocycle", (kind.key_text(p), kind.key_text(q)), TensorElement._make(kind, 2, _fold(diff))
     )
 
 
 def check_coassoc(A: AlgebraInstance, key) -> LawReport:
-    """(Delta (x) id) Delta == (id (x) Delta) Delta on a basis key."""
+    """(Delta (x) id) Delta == (id (x) Delta) Delta on a basis key; the witness
+    is the difference of the two sides."""
+    A.kind.validate_key(key)
     delta = A.graded_coproduct
     terms = delta(key).items()
-    # + Delta(k1) (x) k2, then - k1 (x) Delta(k2), over the terms of Delta(key);
+    # Delta(k1) (x) k2 and k1 (x) Delta(k2), over the terms of Delta(key);
     # the powers of L multiply, so their degrees add
-    diff = {}
-    _accumulate(diff, (
+    left, right = {}, {}
+    _accumulate(left, (
         ((u, v, k2, e + f), c * d)
         for (k1, k2, e), c in terms for (u, v, f), d in delta(k1).items()
     ))
-    _accumulate(diff, (
+    _accumulate(right, (
         ((k1, u, v, e + f), c * d)
         for (k1, k2, e), c in terms for (u, v, f), d in delta(k2).items()
-    ), negate=True)
-    if not diff:
+    ))
+    if left == right:
         return LawReport.ok("coassoc")
+    _accumulate(left, right.items(), negate=True)  # left - right, for the witness
     return LawReport.fail(
-        "coassoc", (A.kind.key_text(key),), TensorElement._make(A.kind, 3, _fold(diff))
+        "coassoc", (A.kind.key_text(key),), TensorElement._make(A.kind, 3, _fold(left))
     )
 
 

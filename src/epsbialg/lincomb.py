@@ -5,8 +5,10 @@ A basis key is a plain builtin value, hashed and compared in C:
 * on M_n, the tuple ``(i, j)`` (1-based) for the elementary matrix E[i,j],
   with the delta product rule E[i,j]E[k,l] = delta_jk E[i,l]; n is kept on
   the kind, not on the key;
-* on words over a finite ordered alphabet, the tuple of 0-based letter
-  indices, multiplied by concatenation, the empty tuple being the unit;
+* on words over a finite ordered alphabet, the ``str`` of one character
+  chr(i) per 0-based letter index i, multiplied by concatenation, the empty
+  string being the unit: a ``str`` caches its hash, where a tuple of ints
+  hashes every letter again on each lookup of a key whose legs are words;
 * on the one-variable polynomial algebra, the int exponent e of x^e.
 
 ``EMatrix(i, j, n)``, ``Word(letters)`` and ``UnivarMonomial(e)`` are
@@ -72,9 +74,9 @@ def EMatrix(i: int, j: int, n: int) -> tuple:
     return (i, j)
 
 
-def Word(letters=()) -> tuple:
-    """The key of a word: the tuple of its 0-based letter indices."""
-    return tuple(letters)
+def Word(letters=()) -> str:
+    """The key of a word: the str of chr(i) per 0-based letter index i, whose hash is cached."""
+    return "".join(map(chr, letters))
 
 
 def UnivarMonomial(exponent: int) -> int:
@@ -201,22 +203,20 @@ class WordKind:
     product_index = left_index = staticmethod(_single_bucket)
 
     def unit_terms(self):
-        return {(): 1}
+        return {"": 1}
 
     def validate_key(self, key):
-        if type(key) is not tuple or not all(
-            type(a) is int and 0 <= a < len(self.alphabet) for a in key
-        ):
+        if type(key) is not str or key and ord(max(key)) >= len(self.alphabet):
             raise KindMismatch(f"{key!r} is not a basis key of {self.selector()}")
 
     def key_text(self, key) -> str:
         if not key:
             return "1"
-        return "*".join(self.alphabet[a] for a in key)
+        return "*".join(self.alphabet[ord(a)] for a in key)
 
     @staticmethod
     def sort_key(key):
-        """Words sort by length, then letters."""
+        """Words sort by length, then letters: code-point order is alphabet order."""
         return (len(key), key)
 
     key_size_name = "word length"
@@ -232,9 +232,9 @@ class WordKind:
 
     def basis_keys(self, bound=6):
         """All words of length <= bound, in length-then-lexicographic order."""
-        indices = range(len(self.alphabet))
+        letters = [chr(i) for i in range(len(self.alphabet))]
         for length in range(bound + 1):
-            yield from itertools.product(indices, repeat=length)
+            yield from map("".join, itertools.product(letters, repeat=length))
 
 
 class UnivarKind:

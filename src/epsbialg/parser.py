@@ -245,7 +245,7 @@ class _ExprParser:
         k = self.kind
         if isinstance(k, WordKind):
             if name in k.alphabet:
-                return Element.from_key(k, (k.alphabet.index(name),))
+                return Element.from_key(k, chr(k.alphabet.index(name)))
             raise UnknownAtom(f"unknown letter {name!r} in {k.selector()}", pos)
         if isinstance(k, UnivarKind):
             if name == "x":

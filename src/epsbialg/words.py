@@ -35,18 +35,18 @@ from .lincomb import UnivarKind, WordKind
 from .scalars import LAMBDA, scalar
 
 
-def subword(w: tuple, i: int, j: int) -> tuple:
+def subword(w: str, i: int, j: int) -> str:
     """w[i,j]: letters i through j, 1-indexed inclusive; requires 1 <= i <= j <= l(w)."""
     if not (1 <= i <= j <= len(w)):
         raise IndexOutOfRange(f"w[{i},{j}] undefined for a word of length {len(w)}")
     return w[i - 1 : j]
 
 
-def weighted_word_coproduct(w: tuple, weight=LAMBDA) -> dict:
+def weighted_word_coproduct(w: str, weight=LAMBDA) -> dict:
     """The weighted splitting with shared letters; see the module docstring."""
     n = len(w)
     if n == 0:
-        return {((), ()): -weight} if weight else {}
+        return {(w, w): -weight} if weight else {}
     terms = {(w[:i], w[i - 1 :]): 1 for i in range(1, n + 1)}
     if weight:
         for i in range(1, n):
@@ -54,7 +54,7 @@ def weighted_word_coproduct(w: tuple, weight=LAMBDA) -> dict:
     return terms
 
 
-def deconcat_coproduct(w: tuple) -> dict:
+def deconcat_coproduct(w: str) -> dict:
     """All prefix/suffix splits, including the two trivial ones."""
     return {(w[:i], w[i:]): 1 for i in range(len(w) + 1)}
 

@@ -12,6 +12,7 @@ from epsbialg import (
     LinearEndomorphism,
     MatrixKind,
     UnivarKind,
+    Word,
     WordKind,
     act_left,
     act_right,
@@ -393,7 +394,7 @@ def matrix_elements(n, max_terms=3):
 def word_elements(alphabet="xy", max_len=3, max_terms=3):
     kind = WordKind(alphabet)
     letters = st.integers(min_value=0, max_value=len(kind.alphabet) - 1)
-    keys = st.lists(letters, max_size=max_len).map(tuple)
+    keys = st.lists(letters, max_size=max_len).map(Word)
     return st.dictionaries(keys, lambda_polys, max_size=max_terms).map(
         lambda terms: Element(kind, terms)
     )

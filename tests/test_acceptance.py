@@ -45,7 +45,6 @@ from epsbialg import (
     matrix_algebra,
     matrix_bracket_closed_form,
     matrix_bracket_table,
-    matrix_from_rows,
     newtonian_coproduct,
     parse_expression,
     parse_value,
@@ -339,7 +338,7 @@ def test_criterion_12_construction_is_constant_and_the_algebra_suite_scales():
 
 
 def test_criterion_13_word_coalgebra_suites_at_length_9():
-    with criterion(13, "coassoc and cocycle on words at generic weight, length <= 9", 1.0):
+    with criterion(13, "coassoc and cocycle on words at generic weight, length <= 9", 0.6):
         W = word_algebra("xy")
         assert run_suite("coassoc", W, max_len=9).line() == "[PASS] coassoc: 1023 keys checked"
         assert run_suite("cocycle", W, max_len=9).line() == "[PASS] cocycle: 9217 pairs checked"

@@ -15,7 +15,6 @@ from epsbialg import (
     LAMBDA,
     MatrixKind,
     NotNilpotentWithinCap,
-    UnivarMonomial,
     WeightNotZero,
     Word,
     WordKind,
@@ -472,10 +471,11 @@ def _graded_table_algebra():
     differences whose coefficients are folded from two or more degrees."""
     kind = WordKind("xy")
     L = LAMBDA
+    one, x, y, xy = Word(()), Word((0,)), Word((1,)), Word((0, 1))
     table = {
-        (): {((), ()): Fraction(1, 2) * L - 3},
-        (0,): {((), (0,)): L, ((0,), ()): L * L + 1},
-        (0, 1): {((0,), (1,)): Fraction(-2, 3) * L * L + L, ((0, 1), ()): 2},
+        one: {(one, one): Fraction(1, 2) * L - 3},
+        x: {(one, x): L, (x, one): L * L + 1},
+        xy: {(x, y): Fraction(-2, 3) * L * L + L, (xy, one): 2},
     }
     return AlgebraInstance(
         kind, L, lambda key: TensorElement(kind, 2, table.get(key, {})).terms,
@@ -620,11 +620,35 @@ def test_basis_coproduct_is_the_rules_canonical_sparse_map(case):
         assert _typed(core._fold(A.graded_coproduct(key))) == _typed(m), key
 
 
-def test_key_level_cocycle_validates_its_keys():
+_KEYED_INSTANCES = {
+    "matrix:2": M2, "word:xy": W, "deconcat:xy": deconcat_algebra("xy"), "univar": U,
+}
+
+
+@pytest.mark.parametrize("selector, key", [
+    ("matrix:2", EMatrix(3, 1, 3)),
+    ("matrix:2", (3, 3)),
+    ("matrix:2", (1,)),
+    ("matrix:2", Word((0,))),
+    ("deconcat:xy", Word((5,))),
+    ("word:xy", Word((2,))),
+    ("word:xy", Word((0, 2))),
+    ("word:xy", (0,)),  # a word spelled as letter indices, not as its str key
+    ("word:xy", ()),
+    ("univar", -1),
+    ("univar", (1,)),
+    ("univar", Word((1,))),
+])
+def test_key_level_checkers_validate_their_keys(selector, key):
+    # an invalid key is refused before any coproduct is read, never reported as PASS
+    A = _KEYED_INSTANCES[selector]
+    valid = next(iter(A.basis_keys(1)))
     with pytest.raises(KindMismatch):
-        check_cocycle(M2, (1, 1), EMatrix(3, 1, 3))
+        check_coassoc(A, key)
     with pytest.raises(KindMismatch):
-        check_cocycle(W, Word((0,)), Word((2,)))
+        check_cocycle(A, key, valid)
+    with pytest.raises(KindMismatch):
+        check_cocycle(A, valid, key)
 
 
 # -- key-level antipode checkers against the element-level oracles -------------

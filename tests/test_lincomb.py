@@ -283,6 +283,7 @@ U = UnivarKind()
     (M2, (0, 1)), (M2, (3, 1)), (M2, (1, 3)), (M2, (1,)), (M2, (1, 2, 1)), (M2, 1),
     (M2, [1, 2]), (M2, (1.0, 2)), (M2, (True, 1)), (M2, "E[1,2]"),
     (WXY, (2,)), (WXY, (0, -1)), (WXY, [0, 1]), (WXY, (0.0,)), (WXY, 0), (WXY, "xy"),
+    (WXY, ()), (WXY, (0, 1)), (WXY, Word((2,))), (WXY, Word((0, 1, 2))),
     (U, -1), (U, 1.0), (U, True), (U, (1,)), (U, "x"),
 ], ids=repr)
 def test_validate_key_rejects_wrong_shape_type_and_range(kind, key):
@@ -291,7 +292,10 @@ def test_validate_key_rejects_wrong_shape_type_and_range(kind, key):
 
 
 def test_validate_key_accepts_plain_keys():
-    plain = ((M2, (1, 1)), (M2, (2, 1)), (M3, (3, 3)), (WXY, ()), (WXY, (1, 0)), (U, 0), (U, 7))
+    plain = (
+        (M2, (1, 1)), (M2, (2, 1)), (M3, (3, 3)), (WXY, Word(())), (WXY, Word((1, 0))),
+        (U, 0), (U, 7),
+    )
     for kind, key in plain:
         kind.validate_key(key)
         assert Element.from_key(kind, key).terms == {key: ONE}
@@ -307,23 +311,27 @@ def test_canonical_term_order():
     v = e(2, 1) + e(1, 2) + e(1, 1)
     assert [k for k, _ in v.sorted_terms()] == [(1, 1), (1, 2), (2, 1)]
     words = w(1) + w(0, 0) + w() + w(0)
-    assert [k for k, _ in words.sorted_terms()] == [(), (0,), (1,), (0, 0)]
+    assert [k for k, _ in words.sorted_terms()] == [Word(ls) for ls in ((), (0,), (1,), (0, 0))]
 
 
 # Reference orders, enumerated here: matrices row-major, words by length then
-# letters, monomials by exponent.  A key's rank is its place in the enumeration.
+# letters in alphabet order (x1 < x2 < x10, which is not their text order),
+# monomials by exponent.  A key's rank is its place in the enumeration.
+_WORD_RANKS = {Word(letters): r for r, letters in enumerate(
+    letters for length in range(5) for letters in itertools.product(range(3), repeat=length)
+)}
 _REFERENCE_RANKS = {
     "matrix:3": {key: r for r, key in enumerate(
         (i, j) for i in range(1, 4) for j in range(1, 4)
     )},
-    "word:xyz": {key: r for r, key in enumerate(
-        letters for length in range(5) for letters in itertools.product(range(3), repeat=length)
-    )},
+    "word:xyz": _WORD_RANKS,
+    "word:x1,x2,x10": _WORD_RANKS,
     "univar": {key: r for r, key in enumerate(range(13))},
 }
 _ORDERED_ELEMENTS = {
     "matrix:3": matrix_elements(3, max_terms=8),
     "word:xyz": word_elements("xyz", max_len=4, max_terms=8),
+    "word:x1,x2,x10": word_elements(["x1", "x2", "x10"], max_len=4, max_terms=8),
     "univar": univar_elements(max_degree=12, max_terms=8),
 }
 

@@ -10,7 +10,14 @@ from pathlib import Path
 import pytest
 
 import epsbialg
-from epsbialg import LambdaPoly, Word, parse_expression, word_algebra
+from epsbialg import (
+    EMatrix,
+    LambdaPoly,
+    UnivarMonomial,
+    Word,
+    parse_expression,
+    word_algebra,
+)
 from epsbialg.cli import build_algebra
 from epsbialg.verify import run_suite
 
@@ -88,8 +95,16 @@ def test_no_loop_copies_a_growing_sum():
     assert found == []
 
 
-def _is_plain_key(key):
-    return type(key) is int or (type(key) is tuple and all(type(x) is int for x in key))
+# each kind's one plain key type, and keys built by its checked constructor;
+# a word key is a str, whose hash is cached, never a tuple of letter indices
+_PLAIN_KEYS = {
+    "matrix:3": (
+        lambda key: type(key) is tuple and len(key) == 2 and all(type(x) is int for x in key),
+        lambda: [EMatrix(1, 2, 3), EMatrix(3, 3, 3)],
+    ),
+    "word:xy": (lambda key: type(key) is str, lambda: [Word(()), Word((0,)), Word((1, 0, 1))]),
+    "univar": (lambda key: type(key) is int, lambda: [UnivarMonomial(0), UnivarMonomial(3)]),
+}
 
 
 @pytest.mark.parametrize("selector,text", [
@@ -100,6 +115,7 @@ def _is_plain_key(key):
 def test_keys_are_plain_builtins(selector, text):
     # basis keys are hashed and compared in C: a key class with a Python-level
     # __eq__/__hash__ must not come back onto the hot path
+    is_plain, constructed = _PLAIN_KEYS[selector]
     A = build_algebra(selector, None)
     kind = A.kind
     keys = list(A.basis_keys(3))
@@ -109,10 +125,11 @@ def test_keys_are_plain_builtins(selector, text):
         "key_mul": [k for p in keys for q in keys if (k := kind.key_mul(p, q)) is not None],
         "coproduct legs": [k for p in keys for legs in A.basis_coproduct(p) for k in legs],
         "parse_expression": list(parse_expression(text, A).terms),
+        "constructor": constructed(),
     }
     for source, found in sources.items():
         assert found, source
-        assert [k for k in found if not _is_plain_key(k)] == [], source
+        assert [k for k in found if not is_plain(k)] == [], source
 
 
 def _tracer_layers():

@@ -7,7 +7,6 @@ from epsbialg import (
     IndexOutOfRange,
     LAMBDA,
     LambdaPoly,
-    UnivarKind,
     UnivarMonomial,
     Word,
     WordKind,

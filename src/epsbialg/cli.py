@@ -30,14 +30,7 @@ import sys
 from math import isqrt
 
 from .core import antipode, coproduct_from_r
-from .errors import (
-    DEFAULT_SEED,
-    SUITE_NAMES,
-    EpsBialgError,
-    NotNilpotentWithinCap,
-    ParseError,
-    UnknownSuite,
-)
+from .errors import DEFAULT_SEED, SUITE_NAMES, EpsBialgError, NotNilpotentWithinCap
 from .matrices import TELESCOPING, l_coproduct_instance, matrix_algebra
 from .parser import check_product, emit, monomials, parse_expression, parse_scalar, parse_tensor
 from .scalars import MAX_TERMS
@@ -186,66 +179,32 @@ def _reject_weight(weight_text, which):
         raise ValueError(f"--weight is not meaningful for {which} selectors")
 
 
-def _fmt(args):
-    return "json" if args.json else "text"
-
-
-def _cmd_coproduct(args, algebra):
-    value = algebra.coproduct(parse_expression(args.expr, algebra))
-    print(emit(value, _fmt(args), algebra))
-    return 0
-
-
-def _cmd_antipode(args, algebra):
-    value = antipode(algebra, parse_expression(args.expr, algebra), args.cap)
-    print(emit(value, _fmt(args), algebra))
-    return 0
-
-
-def _operands(args, algebra):
-    """--lhs and --rhs, refused before any product is computed when their
-    term pairs exceed the parser's bound, MAX_TERMS."""
+def _value(args, algebra):
+    """The value a computing command prints.  --lhs and --rhs are refused,
+    before any product is computed, when their term pairs exceed the
+    parser's bound, MAX_TERMS."""
+    if args.command == "coproduct":
+        return algebra.coproduct(parse_expression(args.expr, algebra))
+    if args.command == "antipode":
+        return antipode(algebra, parse_expression(args.expr, algebra), args.cap)
     lhs = parse_expression(args.lhs, algebra)
     rhs = parse_expression(args.rhs, algebra)
     check_product(monomials(lhs), monomials(rhs))
-    return lhs, rhs
+    if args.command == "multiply":
+        return algebra.multiply(lhs, rhs)
+    from . import prelie
+
+    if args.command == "prelie":
+        return prelie.prelie_product(algebra, lhs, rhs)
+    if not (args.closed_form or args.table):
+        return prelie.commutator_bracket(algebra, lhs, rhs)
+    if TELESCOPING not in algebra.tags:
+        raise ValueError("--closed-form/--table need the telescoping instance matrix:N")
+    rule = prelie.matrix_bracket_closed_form if args.closed_form else prelie.matrix_bracket_table
+    return prelie.bilinear_from_pairs(lhs, rhs, rule)
 
 
-def _cmd_multiply(args, algebra):
-    value = algebra.multiply(*_operands(args, algebra))
-    print(emit(value, _fmt(args), algebra))
-    return 0
-
-
-def _cmd_prelie(args, algebra):
-    from .prelie import prelie_product
-
-    value = prelie_product(algebra, *_operands(args, algebra))
-    print(emit(value, _fmt(args), algebra))
-    return 0
-
-
-def _cmd_bracket(args, algebra):
-    from .prelie import (
-        bilinear_from_pairs,
-        commutator_bracket,
-        matrix_bracket_closed_form,
-        matrix_bracket_table,
-    )
-
-    lhs, rhs = _operands(args, algebra)
-    if args.closed_form or args.table:
-        if TELESCOPING not in algebra.tags:
-            raise ValueError("--closed-form/--table need the telescoping instance matrix:N")
-        rule = matrix_bracket_closed_form if args.closed_form else matrix_bracket_table
-        value = bilinear_from_pairs(lhs, rhs, rule)
-    else:
-        value = commutator_bracket(algebra, lhs, rhs)
-    print(emit(value, _fmt(args), algebra))
-    return 0
-
-
-def _cmd_verify(args, algebra):
+def _verify(args, algebra):
     from .verify import run_verify
 
     passed, outcomes = run_verify(
@@ -275,16 +234,6 @@ def _cmd_verify(args, algebra):
     return 0 if passed else 1
 
 
-_COMMANDS = {
-    "coproduct": _cmd_coproduct,
-    "antipode": _cmd_antipode,
-    "multiply": _cmd_multiply,
-    "prelie": _cmd_prelie,
-    "bracket": _cmd_bracket,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     """Run one command; returns its exit code.  A reader that closes stdout
     early (``| head``) ends the run with exit 2 and one line on stderr."""
@@ -310,14 +259,14 @@ def _run(argv):
         return int(exc.code or 0)
     try:
         algebra = build_algebra(args.algebra, args.weight)
-        return _COMMANDS[args.command](args, algebra)
+        if args.command == "verify":
+            return _verify(args, algebra)
+        print(emit(_value(args, algebra), "json" if args.json else "text", algebra))
+        return 0
     except NotNilpotentWithinCap as exc:
         print(f"law failure: {exc}", file=sys.stderr)
         return 1
-    except UnknownSuite as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, EpsBialgError, ValueError) as exc:
+    except (EpsBialgError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,8 +33,9 @@ elementary matrices, implemented as independent code paths:
   evaluated in rational arithmetic;
 * ``matrix_bracket_table`` -- the five-case table it sums up.
 
-These, and the closed form ``matrix_prelie_table`` of |>, take the kind
-first, since a key (i, j) does not carry n.
+These, and the closed form ``matrix_prelie_table`` of |>, return the sparse
+map key -> coefficient of one pair of basis keys and need no kind, as the
+|> table; ``bilinear_from_pairs`` extends such a rule to elements.
 
 The table is the oracle and the sign form the formula under test: any
 disagreement between the paths is a finding to report, never to patch over.
@@ -47,7 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import AlgebraInstance, LawReport
-from .lincomb import Element, MatrixKind, _accumulate, bilinear_extend, ensure_same_kind
+from .lincomb import Element, _accumulate, bilinear_extend, ensure_same_kind
 from .matrices import sgn
 
 _HALF = Fraction(1, 2)
@@ -86,54 +87,52 @@ def commutator_bracket(A: AlgebraInstance, a: Element, b: Element) -> Element:
     return prelie_product(A, a, b) - prelie_product(A, b, a)
 
 
-def matrix_prelie_table(kind: MatrixKind, p, q) -> Element:
+def matrix_prelie_table(p, q) -> dict:
     """Closed form of E[i,j] |> E[k,l] on the telescoping matrix instance:
 
     E[k,l] if k < j = i+1 <= l;  -E[k,l] if l < j = i+1 <= k;  else 0.
     """
     (i, j), (k, l) = p, q
     if j == i + 1 and k < j <= l:
-        return Element._make(kind, {q: 1})
+        return {q: 1}
     if j == i + 1 and l < j <= k:
-        return Element._make(kind, {q: -1})
-    return Element.zero(kind)
+        return {q: -1}
+    return {}
 
 
-def matrix_bracket_table(kind: MatrixKind, p, q) -> Element:
+def matrix_bracket_table(p, q) -> dict:
     """Five-case table for [E[i,j], E[k,l]] on the telescoping matrix instance."""
     (i, j), (k, l) = p, q
     if j == i + 1 and l == k + 1 and j == l:
-        return Element._make(kind, {q: 1}) - Element._make(kind, {p: 1})
+        return {}  # E[k,l] - E[i,j], where j = l forces i = k
     if k < j == i + 1 <= l and l != k + 1:
-        return Element._make(kind, {q: 1})
+        return {q: 1}
     if l < j == i + 1 <= k:
-        return Element._make(kind, {q: -1})
+        return {q: -1}
     if i < l == k + 1 <= j and j != i + 1:
-        return Element._make(kind, {p: -1})
+        return {p: -1}
     if j < l == k + 1 <= i:
-        return Element._make(kind, {p: 1})
-    return Element.zero(kind)
+        return {p: 1}
+    return {}
 
 
-def matrix_bracket_closed_form(kind: MatrixKind, p, q) -> Element:
+def matrix_bracket_closed_form(p, q) -> dict:
     """Summarised sign form of the same bracket, with half-integer conditions."""
     (i, j), (k, l) = p, q
+    # each condition puts k, l (or i, j) on either side of a half-integer: no sign is 0
     if j == i + 1 and l != k + 1 and (i - k + _HALF) * (i - l + _HALF) < 0:
-        s = sgn(l - k)
-        return Element._make(kind, {q: s} if s else {})
+        return {q: sgn(l - k)}
     if j != i + 1 and l == k + 1 and (k - i + _HALF) * (k - j + _HALF) < 0:
-        s = sgn(i - j)
-        return Element._make(kind, {p: s} if s else {})
-    return Element.zero(kind)
+        return {p: sgn(i - j)}
+    return {}
 
 
 def bilinear_from_pairs(a: Element, b: Element, rule) -> Element:
-    """Extend a basis-pair rule (kind, key, key) -> Element, such as the bracket
-    closed forms below, bilinearly to elements through ``bilinear_extend``."""
+    """Extend a basis-pair rule (key, key) -> {key: coeff}, such as the
+    closed forms above, bilinearly to elements through ``bilinear_extend``."""
     ensure_same_kind(a, b)
-    kind = a.kind
     return Element._make(
-        kind, bilinear_extend(a.terms, b.terms, lambda p, q: rule(kind, p, q).terms.items())
+        a.kind, bilinear_extend(a.terms, b.terms, lambda p, q: rule(p, q).items())
     )
 
 

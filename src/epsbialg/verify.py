@@ -37,12 +37,19 @@ first witnesses are those of the walk over every triple.  Two oracles in
 element-level checker on every triple, and ``touch_law_sweep`` on every
 triple where some pair of entries touches under |>.
 
-Applicability: the antipode and pre-Lie family need weight 0, and the
-bracket conformance sweep compares against closed forms specific to the
-telescoping matrix instance (the instances tagged ``telescoping``), so
-under ``all`` these are skipped (with a printed reason) wherever they do
-not apply.  Requesting such a suite explicitly raises instead, which the
-CLI reports as a usage error.
+The bracket conformance sweep compares three code paths on every basis pair
+at key level, each value a sparse map key -> coefficient: the case table,
+the sign form, and the commutator T(p, q) - T(q, p) of the |> table; then
+the table's own antisymmetry.  An ``Element`` is built only for the witness
+of a failing pair.
+
+Applicability is decided in one place, ``_applicable``: the antipode, the
+pre-Lie family and the bracket sweep need weight 0, and the bracket sweep
+compares against closed forms specific to the telescoping matrix instance
+(the instances tagged ``telescoping``).  Under ``all`` a suite that does
+not apply is skipped with the printed reason; ``run_suite`` refuses it
+before it runs, with ``WeightNotZero`` or ``KindMismatch``, which the CLI
+reports as a usage error.
 """
 
 from __future__ import annotations
@@ -60,7 +67,14 @@ from .core import (
     check_cocycle,
     d_map,
 )
-from .errors import DEFAULT_SEED, SUITE_NAMES, KindMismatch, NotNilpotentWithinCap, UnknownSuite
+from .errors import (
+    DEFAULT_SEED,
+    SUITE_NAMES,
+    KindMismatch,
+    NotNilpotentWithinCap,
+    UnknownSuite,
+    WeightNotZero,
+)
 from .lincomb import Element, EMatrix, MatrixKind, Word, _accumulate, act_left, act_right, tensor
 from .matrices import TELESCOPING, matrix_algebra, matrix_from_rows, random_integer_matrix
 from .parser import parse_expression
@@ -79,6 +93,7 @@ from .scalars import LAMBDA
 from .words import subword, word_algebra
 
 _RUNNABLE = SUITE_NAMES[:-1]  # every suite but "all", which only run_verify accepts
+_WEIGHT_ZERO_SUITES = ("antipode", "prelie", "jacobi", "representation", "bracket-closed-form")
 
 # The most basis pairs one verify run may sweep.  The cocycle pairs are its
 # largest keyed sweep (the coassoc keys are the pairs with the size-0 key);
@@ -142,47 +157,50 @@ def _keys(A: AlgebraInstance, max_len: int):
 
 
 def _cocycle_pairs(A: AlgebraInstance, max_len: int):
-    """Ordered basis pairs: all of them for matrices, total-size-bounded otherwise."""
-    if A.kind.finite_basis:
-        keys = _keys(A, max_len)
-        return [(p, q) for p in keys for q in keys]
-    pairs = []
-    for p in A.basis_keys(max_len):
-        for q in A.basis_keys(max_len - A.kind.key_size(p)):
-            pairs.append((p, q))
-    return pairs
+    """Ordered basis pairs of total size at most ``max_len``: every pair on M_n,
+    whose keys all have size 0 and whose ``basis_keys`` ignores its bound."""
+    size = A.kind.key_size
+    return [(p, q) for p in A.basis_keys(max_len) for q in A.basis_keys(max_len - size(p))]
 
 
 def _cocycle_pair_count(kind, max_len: int) -> int:
     """How many pairs ``_cocycle_pairs`` sweeps, in closed form from the kind's
-    ``count_keys``: m^2 on a finite basis of m keys, and otherwise the sum over
-    sizes t of (keys of size t) * (keys of size <= max_len - t).
+    ``count_keys``: the sum over sizes t of (keys of size t) * (keys of size
+    <= max_len - t).
 
-    An infinite basis has one key of size 0 and keys of every size, so once
-    the keys of size <= t number more than MAX_SWEEP, so do the pairs (each
-    with the size-0 key): that count, a lower bound, is returned at once.
+    A kind's key sizes run from 0 without a gap (on M_n every key has size
+    0), so once a size adds no key, no larger size does.  Every basis has a
+    key of size 0, so once the keys of size <= t number more than MAX_SWEEP,
+    so do the pairs: that count, a lower bound, is returned at once.
     """
-    if kind.finite_basis:
-        return kind.count_keys(max_len) ** 2
-    upto = []  # upto[t]: the keys of size <= t
+    upto = []  # upto[t]: the keys of size <= t, until a size adds none
     for t in range(max_len + 1):
         upto.append(kind.count_keys(t))
         if upto[t] > MAX_SWEEP:
             return upto[t]
+        if t and upto[t] == upto[t - 1]:
+            break
+    top = len(upto) - 1
     return sum(
-        (upto[t] - (upto[t - 1] if t else 0)) * upto[max_len - t] for t in range(max_len + 1)
+        (upto[t] - (upto[t - 1] if t else 0)) * upto[min(max_len - t, top)]
+        for t in range(top + 1)
     )
 
 
 def _triple_keys(A: AlgebraInstance, max_len: int):
-    if A.kind.finite_basis:
-        return _keys(A, max_len)
     return _keys(A, max(1, max_len // 3))
 
 
 # ---------------------------------------------------------------------------
 # individual suites
 # ---------------------------------------------------------------------------
+
+def _combined(left: dict, right: dict, negate: bool) -> dict:
+    """left - right, or left + right without ``negate``, as a new sparse map."""
+    out = dict(left)
+    _accumulate(out, right.items(), negate)
+    return out
+
 
 def _associativity_walk(kind, keys):
     """Each triple of ``keys`` with a nonzero side of (pq)r = p(qr), once, as
@@ -287,7 +305,6 @@ def _suite_antipode(A, max_len, cap, seed):
     whose series does not truncate, or else a product or coproduct leg of
     swept keys that lies beyond the sweep.
     """
-    A.require_weight_zero("suite 'antipode'")
     try:
         return _antipode_sweep(A, max_len, cap, seed)
     except NotNilpotentWithinCap as exc:
@@ -406,8 +423,7 @@ class _LawTables:
     def _bracket(self, p, q):
         row = self._brackets.get((p, q))
         if row is None:
-            row = dict(_prelie_on_keys(self.A, p, q))
-            _accumulate(row, _prelie_on_keys(self.A, q, p).items(), negate=True)
+            row = _combined(_prelie_on_keys(self.A, p, q), _prelie_on_keys(self.A, q, p), True)
             self._brackets[(p, q)] = row
         return row
 
@@ -449,7 +465,6 @@ class _LawTables:
 
 
 def _suite_prelie(A, max_len, which):
-    A.require_weight_zero(f"suite {which!r}")
     keys = _triple_keys(A, max_len)
     n = len(keys)
     tables = _LawTables(A, keys)
@@ -472,41 +487,27 @@ def _suite_prelie(A, max_len, which):
 
 
 def _suite_bracket_closed_form(A, max_len):
-    if TELESCOPING not in A.tags:
-        raise KindMismatch(
-            "suite 'bracket-closed-form' applies to the telescoping matrix instance only"
-        )
-    A.require_weight_zero("suite 'bracket-closed-form'")
+    """The case table against the sign form, the commutator T(p, q) - T(q, p)
+    of the |> table, and its own antisymmetry, on every basis pair, as maps."""
     kind = A.kind
     keys = _keys(A, max_len)
-    count = 0
-    for p in keys:
-        for q in keys:
-            table = matrix_bracket_table(kind, p, q)
-            closed = matrix_bracket_closed_form(kind, p, q)
-            comm = commutator_bracket(A, A.element(p), A.element(q))
-            pair = (kind.key_text(p), kind.key_text(q))
-            if closed != table:
+    for count, (p, q) in enumerate((p, q) for p in keys for q in keys):
+        table = matrix_bracket_table(p, q)
+        commutator = _combined(_prelie_on_keys(A, p, q), _prelie_on_keys(A, q, p), True)
+        for detail, law, difference in (
+            ("sign form disagrees", "closed-vs-table",
+             _combined(matrix_bracket_closed_form(p, q), table, True)),
+            ("commutator disagrees", "commutator-vs-table", _combined(commutator, table, True)),
+            ("antisymmetry broken", "antisymmetry",
+             _combined(matrix_bracket_table(q, p), table, False)),
+        ):
+            if difference:
+                pair = (kind.key_text(p), kind.key_text(q))
+                report = LawReport.fail(f"bracket-{law}", pair, Element._make(kind, difference))
                 return _failed(
-                    "bracket-closed-form", f"sign form disagrees after {count} pairs",
-                    LawReport.fail("bracket-closed-vs-table", pair, closed - table),
-                    count,
+                    "bracket-closed-form", f"{detail} after {count} pairs", report, count
                 )
-            if comm != table:
-                return _failed(
-                    "bracket-closed-form", f"commutator disagrees after {count} pairs",
-                    LawReport.fail("bracket-commutator-vs-table", pair, comm - table),
-                    count,
-                )
-            if matrix_bracket_table(kind, q, p) != -table:
-                return _failed(
-                    "bracket-closed-form", f"antisymmetry broken after {count} pairs",
-                    LawReport.fail(
-                        "bracket-antisymmetry", pair, matrix_bracket_table(kind, q, p) + table
-                    ),
-                    count,
-                )
-            count += 1
+    count = len(keys) ** 2
     return _passed("bracket-closed-form", f"{count} pairs checked across 3 code paths", count)
 
 
@@ -625,12 +626,12 @@ def _suite_worked_examples(_A, _max_len):
 # ---------------------------------------------------------------------------
 
 def _applicable(suite, A):
-    if suite in ("antipode", "prelie", "jacobi", "representation"):
-        if A.weight:
-            return f"weight {A.weight} != 0"
-    if suite == "bracket-closed-form":
-        if TELESCOPING not in A.tags:
-            return "telescoping matrix instances only"
+    """None if ``suite`` applies to ``A``; else the error class that a request
+    for it raises and the reason, which ``all`` prints as a skip."""
+    if suite == "bracket-closed-form" and TELESCOPING not in A.tags:
+        return KindMismatch, "telescoping matrix instances only"
+    if suite in _WEIGHT_ZERO_SUITES and A.weight:
+        return WeightNotZero, f"weight {A.weight} != 0"
     return None
 
 
@@ -639,6 +640,10 @@ def run_suite(suite, A, max_len=6, cap=64, seed=DEFAULT_SEED):
     --max-len does, it is refused with ``ValueError``."""
     if max_len < 1:
         raise ValueError(f"max-len must be >= 1, got {max_len}")
+    refusal = _applicable(suite, A)
+    if refusal is not None:
+        error, reason = refusal
+        raise error(f"suite {suite!r} does not apply to {A.selector}: {reason}")
     if suite == "algebra":
         return _suite_algebra(A, max_len)
     if suite == "coassoc":
@@ -672,14 +677,9 @@ def run_verify(suite, A, max_len=6, cap=64, seed=DEFAULT_SEED):
             f"verify on {where} sweeps at least {pairs} cocycle pairs, "
             f"more than MAX_SWEEP = {MAX_SWEEP}"
         )
-    if suite == "all":
-        outcomes = []
-        for name in _RUNNABLE:
-            reason = _applicable(name, A)
-            if reason is not None:
-                outcomes.append(_skipped(name, reason))
-                continue
-            outcomes.append(run_suite(name, A, max_len=max_len, cap=cap, seed=seed))
-        return all(o.status != "fail" for o in outcomes), outcomes
-    outcome = run_suite(suite, A, max_len=max_len, cap=cap, seed=seed)
-    return outcome.status != "fail", [outcome]
+    outcomes = [
+        _skipped(name, refusal[1]) if (refusal := _applicable(name, A))
+        else run_suite(name, A, max_len=max_len, cap=cap, seed=seed)
+        for name in _RUNNABLE
+    ] if suite == "all" else [run_suite(suite, A, max_len=max_len, cap=cap, seed=seed)]
+    return all(o.status != "fail" for o in outcomes), outcomes

@@ -237,10 +237,10 @@ def test_criterion_6_prelie_family():
             pairs = 0
             for p in keys:
                 for q in keys:
-                    table = matrix_bracket_table(A.kind, p, q)
-                    assert matrix_bracket_closed_form(A.kind, p, q) == table, (p, q)
-                    assert commutator_bracket(A, A.element(p), A.element(q)) == table
-                    assert matrix_bracket_table(A.kind, q, p) == -table
+                    table = matrix_bracket_table(p, q)
+                    assert matrix_bracket_closed_form(p, q) == table, (p, q)
+                    assert commutator_bracket(A, A.element(p), A.element(q)).terms == table
+                    assert matrix_bracket_table(q, p) == {k: -c for k, c in table.items()}
                     pairs += 1
             assert pairs == n**4
         assert pairs == 1296  # the n = 6 sweep

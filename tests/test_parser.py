@@ -26,6 +26,8 @@ from epsbialg import (
     word_algebra,
 )
 from epsbialg.cli import main
+from epsbialg.parser import monomials
+from epsbialg.scalars import MAX_TERMS
 
 from expression_corpus import CORPUS
 from support import is_canonical, matrix_elements, word_elements
@@ -222,9 +224,33 @@ def _left_to_right_power(v, n, algebra):
     return out
 
 
+def _power_pairs_past_the_bound(v, n, algebra):
+    """Whether a product of the parser's square-and-multiply schedule for
+    v^n pairs more than MAX_TERMS monomials, which it refuses."""
+    out = algebra.unit
+    while n:
+        if n & 1:
+            if monomials(out) * monomials(v) > MAX_TERMS:
+                return True
+            out = out * v
+        n >>= 1
+        if n:
+            if monomials(v) ** 2 > MAX_TERMS:
+                return True
+            v = v * v
+    return False
+
+
 @given(matrix_elements(3), st.integers(min_value=0, max_value=12))
+@example(parse_value("(1+L)*E[1,1] + (1+L^3)*E[2,1] + (1+L+L^3)*E[1,2]", M3), 12)
 def test_matrix_power_equals_left_to_right_product(v, n):
-    assert parse_value(f"({v})^{n}", M3) == _left_to_right_power(v, n, M3)
+    # a power is the left-to-right product unless the parser's term-pair bound
+    # refuses a step of its schedule
+    if _power_pairs_past_the_bound(v, n, M3):
+        with pytest.raises(ParseError, match=f"exceeds the limit of {MAX_TERMS} term pairs"):
+            parse_value(f"({v})^{n}", M3)
+    else:
+        assert parse_value(f"({v})^{n}", M3) == _left_to_right_power(v, n, M3)
 
 
 @given(word_elements(max_len=2, max_terms=2), st.integers(min_value=0, max_value=5))

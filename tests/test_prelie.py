@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epsbialg import (
+    LAMBDA,
+    AlgebraInstance,
     Element,
     EMatrix,
     DimensionMismatch,
@@ -24,6 +26,7 @@ from epsbialg import (
     matrix_bracket_closed_form,
     matrix_bracket_table,
     matrix_prelie_table,
+    newtonian_coproduct,
     parse_expression,
     parse_value,
     prelie_product,
@@ -32,7 +35,15 @@ from epsbialg import (
 )
 from epsbialg import prelie
 from epsbialg.cli import build_algebra
-from epsbialg.verify import _LAW_TERMS, _LawTables, _applicable, _triple_keys, run_suite
+from epsbialg.matrices import TELESCOPING
+from epsbialg.verify import (
+    _LAW_TERMS,
+    _LawTables,
+    _applicable,
+    _triple_keys,
+    run_suite,
+    run_verify,
+)
 
 from support import (
     RMATRIX_CONTROLS,
@@ -83,11 +94,17 @@ def test_bracket_e21_e12():
     assert commutator_bracket(M2, e(2, 1, 2), e(1, 2, 2)) == e(2, 1, 2)
 
 
+def _negated(terms):
+    return {key: -c for key, c in terms.items()}
+
+
 def test_closed_form_values():
-    kind = M2.kind
-    assert matrix_bracket_closed_form(kind, (2, 1), (1, 2)) == e(2, 1, 2)
-    assert matrix_bracket_closed_form(kind, (1, 1), (2, 2)).is_zero()
-    assert matrix_bracket_closed_form(kind, (1, 2), (2, 1)) == -e(2, 1, 2)
+    # a closed form is a rule on one basis pair: the sparse map of its value
+    assert matrix_bracket_closed_form((2, 1), (1, 2)) == {(2, 1): 1}
+    assert matrix_bracket_closed_form((1, 1), (2, 2)) == {}
+    assert matrix_bracket_closed_form((1, 2), (2, 1)) == {(2, 1): -1}
+    assert matrix_bracket_table((1, 2), (2, 1)) == {(2, 1): -1}
+    assert matrix_prelie_table((1, 2), (1, 2)) == {(1, 2): 1}
 
 
 def test_closed_form_dimension_mismatch():
@@ -107,10 +124,29 @@ NOT_TELESCOPING = {
 @pytest.mark.parametrize("case", NOT_TELESCOPING)
 def test_bracket_closed_form_applies_to_the_telescoping_tag_only(case):
     A = NOT_TELESCOPING[case]()
-    assert _applicable("bracket-closed-form", A) == "telescoping matrix instances only"
-    with pytest.raises(KindMismatch, match="applies to the telescoping matrix instance only"):
+    reason = "telescoping matrix instances only"
+    assert _applicable("bracket-closed-form", A) == (KindMismatch, reason)
+    with pytest.raises(KindMismatch) as info:
         run_suite("bracket-closed-form", A)
+    assert str(info.value) == f"suite 'bracket-closed-form' does not apply to {A.selector}: {reason}"
     assert _applicable("bracket-closed-form", M2) is None
+
+
+def test_telescoping_instance_of_nonzero_weight_skips_the_bracket_suite():
+    # the tag alone does not decide: the sweep's commutator needs weight 0, and
+    # under ``all`` the other outcomes, a cocycle failure among them, survive
+    A = AlgebraInstance(MatrixKind(2), LAMBDA, newtonian_coproduct, tags=(TELESCOPING,))
+    assert _applicable("bracket-closed-form", A) == (WeightNotZero, "weight L != 0")
+    passed, outcomes = run_verify("all", A)
+    lines = [o.line() for o in outcomes]
+    assert not passed
+    assert "[SKIP] bracket-closed-form: weight L != 0" in lines
+    assert lines[2].startswith("[FAIL] cocycle: failure after 0 pairs")
+    with pytest.raises(WeightNotZero) as info:
+        run_suite("bracket-closed-form", A)
+    assert str(info.value) == (
+        f"suite 'bracket-closed-form' does not apply to {A.selector}: weight L != 0"
+    )
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -119,9 +155,9 @@ def test_three_bracket_paths_agree(n):
     keys = list(A.basis_keys())
     for p in keys:
         for q in keys:
-            table = matrix_bracket_table(A.kind, p, q)
-            assert matrix_bracket_closed_form(A.kind, p, q) == table, (p, q)
-            assert commutator_bracket(A, A.element(p), A.element(q)) == table, (p, q)
+            table = matrix_bracket_table(p, q)
+            assert matrix_bracket_closed_form(p, q) == table, (p, q)
+            assert commutator_bracket(A, A.element(p), A.element(q)).terms == table, (p, q)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -130,10 +166,8 @@ def test_bracket_antisymmetry_all_paths(n):
     keys = list(A.basis_keys())
     for p in keys:
         for q in keys:
-            assert matrix_bracket_table(A.kind, q, p) == -matrix_bracket_table(A.kind, p, q)
-            assert matrix_bracket_closed_form(A.kind, q, p) == -matrix_bracket_closed_form(
-                A.kind, p, q
-            )
+            assert matrix_bracket_table(q, p) == _negated(matrix_bracket_table(p, q))
+            assert matrix_bracket_closed_form(q, p) == _negated(matrix_bracket_closed_form(p, q))
             assert commutator_bracket(A, A.element(q), A.element(p)) == -commutator_bracket(
                 A, A.element(p), A.element(q)
             )
@@ -145,8 +179,8 @@ def test_prelie_closed_form_table(n):
     keys = list(A.basis_keys())
     for p in keys:
         for q in keys:
-            closed = matrix_prelie_table(A.kind, p, q)
-            assert prelie_product(A, A.element(p), A.element(q)) == closed
+            closed = matrix_prelie_table(p, q)
+            assert prelie_product(A, A.element(p), A.element(q)).terms == closed
 
 
 def _assert_table_matches_oracle(A, keys):
@@ -332,8 +366,8 @@ def test_prelie_support_is_the_symmetric_nonzero_pattern():
     touch = prelie_support(A, keys)
     for i, p in enumerate(keys):
         for j, q in enumerate(keys):
-            nonzero = not matrix_prelie_table(A.kind, p, q).is_zero()
-            mirror = not matrix_prelie_table(A.kind, q, p).is_zero()
+            nonzero = bool(matrix_prelie_table(p, q))
+            mirror = bool(matrix_prelie_table(q, p))
             assert touch[i][j] == (nonzero or mirror), (p, q)
     with pytest.raises(WeightNotZero):
         prelie_support(word_algebra("xy"), [()])
@@ -343,12 +377,11 @@ def test_overlap_case_vanishes():
     # j = i+1 and l = k+1 at once: the sign form matches the table's
     # difference case, which collapses to zero unless the pairs coincide
     for n in (2, 3, 4):
-        kind = MatrixKind(n)
         for i in range(1, n):
             for k in range(1, n):
                 p, q = (i, i + 1), (k, k + 1)
-                assert matrix_bracket_closed_form(kind, p, q).is_zero()
-                assert matrix_bracket_table(kind, p, q).is_zero()
+                assert matrix_bracket_closed_form(p, q) == {}
+                assert matrix_bracket_table(p, q) == {}
 
 
 def test_differs_from_classical_bracket():
@@ -356,7 +389,7 @@ def test_differs_from_classical_bracket():
         kind, p, q = MatrixKind(n), (1, 2), (2, 1)
         classical = classical_matrix_bracket(kind, p, q)
         assert classical == e(1, 1, n) - e(2, 2, n)
-        eps = matrix_bracket_table(kind, p, q)
+        eps = Element(kind, matrix_bracket_table(p, q))
         assert eps == -e(2, 1, n)
         assert classical != eps
 

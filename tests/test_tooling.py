@@ -11,10 +11,13 @@ import pytest
 
 import epsbialg
 from epsbialg import (
+    Element,
     EMatrix,
     LambdaPoly,
     UnivarMonomial,
     Word,
+    commutator_bracket,
+    matrix_algebra,
     parse_expression,
     word_algebra,
 )
@@ -313,3 +316,30 @@ def test_coalgebra_suites_do_no_poly_arithmetic_at_weight_l(monkeypatch):
     assert calls == dict.fromkeys(_POLY_ARITHMETIC, 0)
     assert tensor_coassoc_oracle(A, Word((0, 1)))
     assert calls["__mul__"] + calls["__rmul__"] > 0
+
+
+def test_a_passing_bracket_sweep_builds_no_element(monkeypatch):
+    # the bracket suite compares the case table, the sign form and the |>
+    # table's commutator as sparse maps, and builds an Element only for a
+    # failing witness; the element-level commutator, counted the same way,
+    # shows that the counter sees every construction
+    A = matrix_algebra(4)  # construction builds the unit
+    built = []
+    make, init = Element._make.__func__, Element.__init__
+
+    def counting_make(cls, kind, terms):
+        built.append("_make")
+        return make(cls, kind, terms)
+
+    def counting_init(self, kind, terms=None):
+        built.append("__init__")
+        init(self, kind, terms)
+
+    # the two ways to build an Element
+    monkeypatch.setattr(Element, "_make", classmethod(counting_make))
+    monkeypatch.setattr(Element, "__init__", counting_init)
+    outcome = run_suite("bracket-closed-form", A)
+    assert outcome.line() == "[PASS] bracket-closed-form: 256 pairs checked across 3 code paths"
+    assert built == []
+    commutator_bracket(A, A.element((1, 2)), A.element((1, 3)))
+    assert "_make" in built

@@ -218,6 +218,8 @@ def _verify(args, algebra):
                     "suite": o.suite,
                     "status": o.status,
                     "detail": o.detail,
+                    "checked": o.checked,
+                    "evaluated": o.evaluated,
                     "witness": str(o.failure.witness)
                     if o.failure is not None and o.failure.witness is not None
                     else None,

@@ -117,7 +117,8 @@ class AlgebraInstance:
     work that grows with the basis: that the kind's product is associative
     and its unit two-sided is checked by the ``algebra`` verify suite.
     ``tags`` are capabilities the instance declares, such as ``telescoping``
-    for M_n with the telescoping coproduct.
+    for M_n with the telescoping coproduct and ``letter_blind`` for the word
+    and deconcatenation coproducts, which split a word by position alone.
     """
 
     def __init__(self, kind, weight, basis_coproduct, selector=None, tags=()):
@@ -132,6 +133,7 @@ class AlgebraInstance:
         self._graded = {}  # key -> {(k1, k2, degree): rational}, filled by graded_coproduct
         self._prelie_table = {}  # (key, key) -> {key: coeff}, filled by prelie
         self._antipode_endos = {}  # cap -> LinearEndomorphism, filled by antipode_endo
+        self._relabel = {}  # max_len -> relabel verdicts, filled by verify if letter_blind
 
     def basis_keys(self, bound=6):
         return self.kind.basis_keys(bound)

@@ -57,7 +57,7 @@ from epsbialg import (
 )
 from epsbialg.cli import build_algebra, main
 from epsbialg.prelie import bilinear_from_pairs
-from epsbialg.verify import run_suite
+from epsbialg.verify import run_suite, run_verify
 
 from expression_corpus import CORPUS
 from support import nilpotency_index
@@ -338,7 +338,16 @@ def test_criterion_12_construction_is_constant_and_the_algebra_suite_scales():
 
 
 def test_criterion_13_word_coalgebra_suites_at_length_9():
-    with criterion(13, "coassoc and cocycle on words at generic weight, length <= 9", 0.6):
+    with criterion(13, "coassoc and cocycle on words at generic weight, length <= 9", 0.15):
         W = word_algebra("xy")
         assert run_suite("coassoc", W, max_len=9).line() == "[PASS] coassoc: 1023 keys checked"
         assert run_suite("cocycle", W, max_len=9).line() == "[PASS] cocycle: 9217 pairs checked"
+
+
+def test_criterion_14_letter_blind_word_sweeps_at_length_12():
+    with criterion(14, "every suite on word:xy at length <= 12, through the relabel lemma", 1.0):
+        passed, outcomes = run_verify("all", word_algebra("xy"), max_len=12)
+        lines = [o.line() for o in outcomes]
+        assert passed
+        assert "[PASS] coassoc: 8191 keys checked" in lines
+        assert "[PASS] cocycle: 98305 pairs checked" in lines

@@ -114,11 +114,14 @@ def _verify_outputs(capsys, suite):
     return text, (as_json[0], json.loads(as_json[1]), as_json[2])
 
 
-def _failing(suite, detail, witness):
+def _failing(suite, detail, witness, checked, evaluated):
     text = f"[FAIL] {suite}: {detail}\n       witness {witness}\nresult: LAW VIOLATION\n"
     payload = {
         "algebra": "matrix:3",
-        "suites": [{"suite": suite, "status": "fail", "detail": detail, "witness": witness}],
+        "suites": [{
+            "suite": suite, "status": "fail", "detail": detail,
+            "checked": checked, "evaluated": evaluated, "witness": witness,
+        }],
         "passed": False,
     }
     return (1, text, ""), (1, payload, "")
@@ -144,7 +147,7 @@ def test_bracket_closed_form_failures_are_reported(capsys, monkeypatch, patch, d
         monkeypatch.setattr(verify, name, value)
     witness = f"inputs (E[1,2], E[1,3]): difference = {difference}"
     assert _verify_outputs(capsys, "bracket-closed-form") == _failing(
-        "bracket-closed-form", detail, witness
+        "bracket-closed-form", detail, witness, 11, 12
     )
 
 
@@ -157,6 +160,7 @@ def test_a_mismatched_golden_example_is_named(capsys, monkeypatch):
         "paper-examples",
         "2 of 20 golden examples mismatched, the first: subword [1,4]",
         "inputs (got x, want x*x*y*x)",
+        20, 20,
     )
 
 
@@ -197,7 +201,8 @@ def test_verify_algebra_text_and_json(capsys):
     assert out == json.dumps({
         "algebra": "matrix:2",
         "suites": [{
-            "suite": "algebra", "status": "pass", "detail": "64 triples checked", "witness": None,
+            "suite": "algebra", "status": "pass", "detail": "64 triples checked",
+            "checked": 64, "evaluated": 16, "witness": None,
         }],
         "passed": True,
     }, indent=2) + "\n"
@@ -403,16 +408,16 @@ def test_verify_antipode_names_a_product_beyond_the_sweep(capsys):
 
 
 @pytest.mark.parametrize(
-    "selector, detail, witness",
+    "selector, detail, witness, checked",
     [
         ("rmatrix:2:E[1,1] (x) E[1,2]:0", "property failure after 4 checks",
-         "inputs (E[1,1]): difference = -E[1,2] (x) E[1,2]"),
+         "inputs (E[1,1]): difference = -E[1,2] (x) E[1,2]", 4),
         ("rmatrix:2:E[1,1] (x) E[1,2] + E[1,1] (x) E[2,2]:0", "axiom failure after 0 checks",
-         "inputs (E[1,1]): difference = E[1,2]"),
+         "inputs (E[1,1]): difference = E[1,2]", 0),
     ],
     ids=["property", "axiom"],
 )
-def test_verify_antipode_pins_the_failure_witness(capsys, selector, detail, witness):
+def test_verify_antipode_pins_the_failure_witness(capsys, selector, detail, witness, checked):
     code, out, err = run(capsys, "verify", "--suite", "antipode", "-a", selector)
     assert (code, err) == (1, "")
     assert out == f"[FAIL] antipode: {detail}\n       witness {witness}\nresult: LAW VIOLATION\n"
@@ -420,7 +425,10 @@ def test_verify_antipode_pins_the_failure_witness(capsys, selector, detail, witn
     assert (code, err) == (1, "")
     assert json.loads(out) == {
         "algebra": selector,
-        "suites": [{"suite": "antipode", "status": "fail", "detail": detail, "witness": witness}],
+        "suites": [{
+            "suite": "antipode", "status": "fail", "detail": detail,
+            "checked": checked, "evaluated": checked + 1, "witness": witness,
+        }],
         "passed": False,
     }
 
@@ -671,6 +679,24 @@ def test_outcomes_report_checked_and_evaluated():
     assert o.evaluated == o.checked + 1
     _, outcomes = run_verify("all", build_algebra("word:xy", None))
     assert [(o.checked, o.evaluated) for o in outcomes if o.status == "skip"] == [(0, 0)] * 5
+
+
+def test_json_reports_checked_and_evaluated(capsys):
+    # the two counts of every suite object; text output does not print them
+    def counts(*argv):
+        code, out, err = run(capsys, "verify", "--suite", "all", *argv, "--json")
+        assert (code, err) == (0, "")
+        return {o["suite"]: (o["checked"], o["evaluated"]) for o in json.loads(out)["suites"]}
+
+    # the letter-blind certificate counts every pair but evaluates far fewer
+    words = counts("-a", "word:xy", "--max-len", "9")
+    assert words["cocycle"] == (9217, 1133)
+    assert words["coassoc"] == (1023, 1115)
+    # matrix instances run the sweeps they ran before: the counts are theirs
+    matrices = counts("-a", "matrix:2")
+    _, outcomes = run_verify("all", matrix_algebra(2))
+    assert matrices == {o.suite: (o.checked, o.evaluated) for o in outcomes}
+    assert matrices["cocycle"] == (16, 16)
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)

@@ -234,6 +234,32 @@ def test_each_command_loads_only_the_modules_it_runs(argv, unloaded):
     assert done.stdout == f"0 [] {loaded}\n"
 
 
+_RANDOM_PROBE = """\
+import io, sys
+import epsbialg.cli as cli
+sys.stdout = io.StringIO()
+code = cli.main(sys.argv[1:])
+sys.stdout = sys.__stdout__
+print(code, "random" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["verify", "--suite", "all", "-a", "word:xy"], False),
+    (["verify", "--suite", "all", "-a", "univar", "--weight", "0"], False),
+    (["verify", "--suite", "antipode", "-a", "matrix:2"], True),
+])
+def test_only_the_random_matrix_checks_import_random(argv, loaded):
+    # random (with bisect, _random and _sha512 behind it) is imported by the
+    # one branch that draws random matrices, the antipode suite on M_n
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _RANDOM_PROBE, *argv], capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent)), timeout=60, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"0 {loaded}\n"
+
+
 def test_lazy_namespace_resolves_every_name_to_its_definition():
     # names resolve on first use: each one is the object its defining module
     # binds, and ``__all__``, ``dir`` and star imports list the same names

@@ -117,8 +117,7 @@ class AlgebraInstance:
     work that grows with the basis: that the kind's product is associative
     and its unit two-sided is checked by the ``algebra`` verify suite.
     ``tags`` are capabilities the instance declares, such as ``telescoping``
-    for M_n with the telescoping coproduct and ``letter_blind`` for the word
-    and deconcatenation coproducts, which split a word by position alone.
+    for M_n with the telescoping coproduct.
     """
 
     def __init__(self, kind, weight, basis_coproduct, selector=None, tags=()):
@@ -133,7 +132,7 @@ class AlgebraInstance:
         self._graded = {}  # key -> {(k1, k2, degree): rational}, filled by graded_coproduct
         self._prelie_table = {}  # (key, key) -> {key: coeff}, filled by prelie
         self._antipode_endos = {}  # cap -> LinearEndomorphism, filled by antipode_endo
-        self._relabel = {}  # max_len -> relabel verdicts, filled by verify if letter_blind
+        self._relabel = {}  # max_len -> relabel verdicts, filled by verify on words
 
     def basis_keys(self, bound=6):
         return self.kind.basis_keys(bound)

@@ -37,19 +37,21 @@ first witnesses are those of the walk over every triple.  Two oracles in
 element-level checker on every triple, and ``touch_law_sweep`` on every
 triple where some pair of entries touches under |>.
 
-The coassoc and cocycle sweeps are letter-blind on a word instance tagged
-``letter_blind`` over two or more letters (see the ``words`` docstring for
-the lemma).  They first try a certificate: the relabel conditions on every
-swept key, and in the generic instance G (the same rule and weight over
-max_len letters) coassociativity at each g_n, with the relabel conditions at
-the legs of its coproduct, and the cocycle law at each (g_a, s_a g_b) with
-a + b <= max_len, with the relabel conditions at s_a g_b.  At max-len 9 on
-word:xy that is 1,023 relabel checks and 10 and 55 law checks, for 1,023 keys
-and 9,217 pairs.  If they all hold, the lemma gives the law on every swept
-key and pair, and each counts as checked; ``evaluated`` counts the relabel
-and law checks the certificate rests on.  If any fails, the dense sweep runs,
-so a failure and its witness are always the dense sweep's.  The verdicts are
-memoized on the instance, so ``all`` runs each once.
+The coassoc and cocycle sweeps are letter-blind on a word instance over two
+or more letters (see the ``words`` docstring for the lemma).  They first try
+a certificate: the relabel conditions on every swept key, and in the generic
+instance G (the same rule and weight over max_len letters) coassociativity
+at each g_n, with the relabel conditions at the legs of its coproduct, and
+the cocycle law at each (g_a, s_a g_b) with a + b <= max_len, with the
+relabel conditions at s_a g_b.  At max-len 9 on word:xy that is 1,023
+relabel checks and 10 and 55 law checks, for 1,023 keys and 9,217 pairs.
+If they all hold, the lemma gives the law on every swept key and pair, and
+each counts as checked; ``evaluated`` counts the relabel and law checks the
+certificate rests on.  A rule that reads letters fails a relabel check, and
+a rule that refuses the letters of G (an r-coproduct's, bound to its own
+alphabet) gets no certificate; then, as whenever a check fails, the dense
+sweep runs, so a failure and its witness are always the dense sweep's.  The
+verdicts are memoized on the instance, so ``all`` runs each once.
 
 The bracket conformance sweep compares three code paths on every basis pair
 at key level, each value a sparse map key -> coefficient: the case table,
@@ -104,7 +106,7 @@ from .prelie import (
     prelie_product,
 )
 from .scalars import LAMBDA
-from .words import LETTER_BLIND, subword, word_algebra
+from .words import subword, word_algebra
 
 _RUNNABLE = SUITE_NAMES[:-1]  # every suite but "all", which only run_verify accepts
 _WEIGHT_ZERO_SUITES = ("antipode", "prelie", "jacobi", "representation", "bracket-closed-form")
@@ -330,10 +332,10 @@ def _distinct(n, start=0) -> str:
 
 
 class _Relabel:
-    """The relabel verdicts of one ``letter_blind`` word instance A at one
-    ``max_len``, and the generic instance G: A's rule and weight over max_len
-    letters, where the distinct-letter words g_n live.  Verdicts and the
-    generic coproducts are memoized, so the two suites share them.
+    """The relabel verdicts of one word instance A at one ``max_len``, and
+    the generic instance G: A's rule and weight over max_len letters, where
+    the distinct-letter words g_n live.  Verdicts and the generic coproducts
+    are memoized, so the two suites share them.
 
     ``keys`` is the number of swept keys of A; ``swept`` says whether the
     relabel conditions hold on all of them, which both certificates need.
@@ -349,11 +351,14 @@ class _Relabel:
         self.swept = all(self.holds(A, w) for w in A.basis_keys(max_len))
 
     def _legal(self, n):
-        """Delta_G(g_n) if its legs use letters of g_n alone and, as phi keeps
-        lengths, are no longer than max_len; else None."""
+        """Delta_G(g_n) if the rule accepts g_n and its legs use letters of g_n
+        alone and, as phi keeps lengths, are no longer than max_len; else None."""
         if n not in self._generic:
-            g = self.G.basis_coproduct(_distinct(n))
-            legal = all(
+            try:
+                g = self.G.basis_coproduct(_distinct(n))
+            except KindMismatch:  # a rule bound to A's alphabet refuses g_n
+                g = None
+            legal = g is not None and all(
                 len(k) <= self.max_len and (not k or ord(max(k)) < n) for legs in g for k in legs
             )
             self._generic[n] = g if legal else None
@@ -369,12 +374,10 @@ class _Relabel:
             verdict = False
             if generic is not None:
                 phi = dict(enumerate(w))
-                image = {(u.translate(phi), v.translate(phi)): c for (u, v), c in generic.items()}
-                if len(image) < len(generic):  # phi merged terms: sum them
-                    image = {}
-                    _accumulate(image, (
-                        ((u.translate(phi), v.translate(phi)), c) for (u, v), c in generic.items()
-                    ))
+                image = {}  # phi may merge terms: their coefficients are summed
+                _accumulate(image, (
+                    ((u.translate(phi), v.translate(phi)), c) for (u, v), c in generic.items()
+                ))
                 verdict = image == X.basis_coproduct(w)
             self._verdicts[memo] = verdict
         return verdict
@@ -413,11 +416,10 @@ class _Relabel:
 
 def _letter_blind(A, max_len):
     """The relabel verdicts of A at ``max_len``, memoized on A, when A is a
-    word instance tagged ``letter_blind`` on two or more letters; else None.
-    On one letter each word is g_n renamed, so the generic checks would be the
-    sweep itself."""
+    word instance on two or more letters; else None.  On one letter each word
+    is g_n renamed, so the generic checks would be the sweep itself."""
     kind = A.kind
-    if LETTER_BLIND not in A.tags or not isinstance(kind, WordKind) or len(kind.alphabet) < 2:
+    if not isinstance(kind, WordKind) or len(kind.alphabet) < 2:
         return None
     relabel = A._relabel.get(max_len)
     if relabel is None:

@@ -27,20 +27,23 @@ The single-letter word coproduct (Delta(x) = x (x) x) and the univariate one
 distinct instances.
 
 The word and deconcatenation coproducts split a word by position, never by
-letter, and their instances carry the tag ``letter_blind``.  Write g_n for
-the word of n distinct letters chr(0)...chr(n-1), and phi_w for the letter
-map chr(i) -> w[i] extended to words, a monoid map.  The relabel conditions
-on a word w of length n are: every leg of Delta(g_n) uses only letters of
-g_n, and Delta(w) = (phi_w (x) phi_w) Delta(g_n), the images summed.  Lemma:
-where they hold on every word involved, each coalgebra law holds on all words
-of given lengths once it holds on the distinct-letter words of those lengths:
+letter.  Write g_n for the word of n distinct letters chr(0)...chr(n-1), and
+phi_w for the letter map chr(i) -> w[i] extended to words, a monoid map.
+The relabel conditions on a word w of length n are: every leg of Delta(g_n)
+uses only letters of g_n, and Delta(w) = (phi_w (x) phi_w) Delta(g_n), the
+images summed.  Lemma: where they hold on every word involved, each
+coalgebra law holds on all words of given lengths once it holds on the
+distinct-letter words of those lengths:
 
     coassoc(w) = phi_w^(x)3 coassoc(g_n),
     cocycle(p, q) = phi_pq^(x)2 cocycle(g_a, s_a g_b),  a = l(p), b = l(q),
 
-where s_a shifts every letter up by a.  A rule tagged ``letter_blind`` is
-still checked: ``verify`` runs the relabel conditions on every key it sweeps
-before it relies on the lemma.
+where s_a shifts every letter up by a.  No rule is taken on trust:
+``verify`` tries the lemma on every word instance of two or more letters,
+and runs the relabel conditions on every key it sweeps before it relies on
+the lemma.  As it sweeps words up to max_len, it also needs every leg of
+Delta(g_n) to be no longer than max_len: a longer leg maps to a word whose
+coproduct it never checks.
 """
 
 from __future__ import annotations
@@ -86,25 +89,17 @@ def univar_coproduct(n: int, weight=LAMBDA) -> dict:
     return terms
 
 
-# The tag ``word_algebra`` and ``deconcat_algebra`` declare: their rules split
-# words by position alone (see the module docstring).
-LETTER_BLIND = "letter_blind"
-
-
 def word_algebra(alphabet, weight=None) -> AlgebraInstance:
     """The free algebra on the alphabet with the weighted word coproduct."""
     w = LAMBDA if weight is None else scalar(weight)
-    return AlgebraInstance(
-        WordKind(alphabet), w, lambda key: weighted_word_coproduct(key, w), tags=(LETTER_BLIND,)
-    )
+    return AlgebraInstance(WordKind(alphabet), w, lambda key: weighted_word_coproduct(key, w))
 
 
 def deconcat_algebra(alphabet) -> AlgebraInstance:
     """The free algebra with the deconcatenation coproduct (weight -1)."""
     kind = WordKind(alphabet)
     return AlgebraInstance(
-        kind, -1, deconcat_coproduct, selector="deconcat:" + kind.selector().split(":", 1)[1],
-        tags=(LETTER_BLIND,),
+        kind, -1, deconcat_coproduct, selector="deconcat:" + kind.selector().split(":", 1)[1]
     )
 
 

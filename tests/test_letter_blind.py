@@ -1,10 +1,13 @@
 """Letter-blind word sweeps: the relabel certificate against the dense sweep.
 
-On an instance tagged ``letter_blind`` the coassoc and cocycle suites first
-try a certificate (a relabel check on every swept key and one generic check
-per length); when any check fails they run the dense sweep.  Either way the
-outcome must be the one the dense sweep gives on an untagged copy.
+On a word instance of two or more letters the coassoc and cocycle suites
+first try a certificate (a relabel check on every swept key and one generic
+check per length); when any check fails they run the dense sweep.  Either way
+the outcome must be the one the dense sweep gives alone, which ``_dense``
+gets by turning the certificate off.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +30,6 @@ from epsbialg import (
     word_algebra,
 )
 from epsbialg.verify import _distinct, _letter_blind, run_suite, run_verify
-from epsbialg.words import LETTER_BLIND
 
 from support import lambda_polys, nonzero_polys
 
@@ -35,12 +37,9 @@ COALGEBRA_SUITES = ("coassoc", "cocycle")
 
 
 def _pair(rule, alphabet, weight):
-    """A tagged and an untagged instance of one rule."""
+    """Two instances of one rule: one to certify, one for the dense reference."""
     kind = WordKind(alphabet)
-    return (
-        AlgebraInstance(kind, weight, rule, tags=(LETTER_BLIND,)),
-        AlgebraInstance(kind, weight, rule),
-    )
+    return AlgebraInstance(kind, weight, rule), AlgebraInstance(kind, weight, rule)
 
 
 def _outcomes(A, max_len):
@@ -50,15 +49,29 @@ def _outcomes(A, max_len):
     ]
 
 
-def test_word_and_deconcat_instances_are_tagged():
-    assert LETTER_BLIND in word_algebra("xy").tags
-    assert LETTER_BLIND in word_algebra("xy", 0).tags
-    assert LETTER_BLIND in deconcat_algebra("xyz").tags
+def _dense(run, *args, **kwargs):
+    """``run(*args, **kwargs)`` with no certificate tried: the dense sweep alone."""
+    with mock.patch("epsbialg.verify._letter_blind", return_value=None):
+        return run(*args, **kwargs)
+
+
+def test_only_word_instances_of_two_or_more_letters_try_the_certificate():
+    assert [_letter_blind(A, 3) is None for A in (
+        word_algebra("xy"), deconcat_algebra("xyz"), word_algebra("x"), univar_algebra(),
+        matrix_algebra(2),
+    )] == [False, False, True, True, True]
+
+
+@pytest.mark.parametrize("r,max_len,swept", [
+    ("x (x) y", 4, False),  # Delta(x) has the leg y, a letter x lacks
+    ("1 (x) 1", 4, False),  # letter-blind, but the rule refuses g_3: its kind has 2 letters
+    ("1 (x) 1", 2, True),
+])
+def test_r_coproducts_on_words_agree_with_the_dense_sweep(r, max_len, swept):
     W = word_algebra("xy", 0)
-    untagged = (
-        univar_algebra(), matrix_algebra(2), coproduct_from_r(W, parse_tensor("x (x) y", W), 0),
-    )
-    assert [LETTER_BLIND in A.tags for A in untagged] == [False] * 3
+    A, B = (coproduct_from_r(W, parse_tensor(r, W), 0) for _ in range(2))
+    assert _outcomes(A, max_len) == _dense(_outcomes, B, max_len)
+    assert _letter_blind(A, max_len).swept == swept
 
 
 def test_certified_sweeps_keep_the_dense_counts_and_evaluate_far_fewer():
@@ -82,8 +95,7 @@ def test_shipped_instances_agree_with_the_dense_sweep(make):
     A = make()
     B = AlgebraInstance(A.kind, A.weight, A._rule)
     assert _letter_blind(A, 5).swept
-    assert _letter_blind(B, 5) is None
-    assert _outcomes(A, 5) == _outcomes(B, 5)
+    assert _outcomes(A, 5) == _dense(_outcomes, B, 5)
 
 
 def _yx_mutant(w):
@@ -95,14 +107,14 @@ def _yx_mutant(w):
 def test_a_rule_that_reads_letters_falls_back_to_the_dense_witness():
     # the mutant passes every generic check; the relabel check on y*x, the
     # sixth swept key, rejects it, and the dense sweep names the failure
-    tagged, untagged = _pair(_yx_mutant, "xy", LAMBDA)
-    line = run_suite("cocycle", tagged, max_len=9).line()
+    A, B = _pair(_yx_mutant, "xy", LAMBDA)
+    line = run_suite("cocycle", A, max_len=9).line()
     assert line == (
         "[FAIL] cocycle: failure after 1028 pairs\n"
         "       witness inputs (x, y*x): difference = (L - 2) * x*y (x) x"
     )
-    assert line == run_suite("cocycle", untagged, max_len=9).line()
-    relabel = _letter_blind(tagged, 9)
+    assert line == _dense(run_suite, "cocycle", B, max_len=9).line()
+    relabel = _letter_blind(A, 9)
     assert not relabel.swept
     assert list(relabel._verdicts.values()) == [True] * 5 + [False]
 
@@ -146,17 +158,17 @@ def _shift_compensated(w):
 
 
 def test_the_relabel_check_in_the_generic_instance_is_needed():
-    tagged, untagged = _pair(_shift_compensated, "xy", 0)
-    relabel = _letter_blind(tagged, 4)
+    A, B = _pair(_shift_compensated, "xy", 0)
+    relabel = _letter_blind(A, 4)
     assert relabel.swept
     assert relabel.cocycle() is None
     # the generic cocycle checks alone would pass
     G = relabel.G
     pairs = [(a, b) for a in range(5) for b in range(5 - a)]
     assert all(check_cocycle(G, _distinct(a), _distinct(b, a)) for a, b in pairs)
-    line = run_suite("cocycle", tagged, max_len=4).line()
+    line = run_suite("cocycle", A, max_len=4).line()
     assert line.startswith("[FAIL] cocycle: failure after ")
-    assert line == run_suite("cocycle", untagged, max_len=4).line()
+    assert line == _dense(run_suite, "cocycle", B, max_len=4).line()
 
 
 def _coassoc_defect(rule, w):
@@ -186,16 +198,16 @@ def _leg_compensated(w):
 
 
 def test_the_relabel_check_at_generic_legs_is_needed():
-    tagged, untagged = _pair(_leg_compensated, "xy", 0)
-    relabel = _letter_blind(tagged, 4)
+    A, B = _pair(_leg_compensated, "xy", 0)
+    relabel = _letter_blind(A, 4)
     assert relabel.swept
     assert relabel.coassoc() is None
     # the generic coassoc checks alone would pass
     G = relabel.G
     assert all(check_coassoc(G, _distinct(n)) for n in range(5))
-    line = run_suite("coassoc", tagged, max_len=4).line()
+    line = run_suite("coassoc", A, max_len=4).line()
     assert line.startswith("[FAIL] coassoc: failure after ")
-    assert line == run_suite("coassoc", untagged, max_len=4).line()
+    assert line == _dense(run_suite, "coassoc", B, max_len=4).line()
 
 
 def _constant_letter(w):
@@ -206,12 +218,41 @@ def _constant_letter(w):
 def test_a_generic_leg_outside_its_input_gets_no_certificate():
     # Delta(g_0) has the leg g0, a letter that g_0 = 1 does not have, so no
     # phi maps it: the relabel check fails on the empty word
-    tagged, untagged = _pair(_constant_letter, "xy", -1)
-    relabel = _letter_blind(tagged, 4)
+    A, B = _pair(_constant_letter, "xy", -1)
+    relabel = _letter_blind(A, 4)
     assert not relabel.swept
     assert relabel._verdicts == {(False, ""): False}
     assert relabel._legal(0) is None
-    assert _outcomes(tagged, 4) == _outcomes(untagged, 4)
+    assert _outcomes(A, 4) == _dense(_outcomes, B, 4)
+
+
+def _long_leg(w):
+    """w*w (x) 1 on words of length 3, w (x) w on words of length 6 over x
+    and y, and 0 elsewhere.  It reads letters only on words of length 6."""
+    if len(w) == 3:
+        return {(w + w, ""): 1}
+    if len(w) == 6 and ord(max(w)) < 2:
+        return {(w, w): 1}
+    return {}
+
+
+def test_a_generic_leg_longer_than_max_len_gets_no_certificate():
+    # at max-len 4 the relabel conditions of the words docstring hold on
+    # every key of word:xy, and in G at the legs g_3*g_3 and 1 of Delta(g_3),
+    # since g_3*g_3 has the letter g2; coassoc holds at g_3, as
+    # Delta(g_3*g_3) = 0.  But on x*x*x, (Delta (x) id) Delta = x^6 (x) x^6
+    # (x) 1, and no relabel check reaches x^6: only the bound on leg length
+    # keeps the certificate from a false pass
+    A, B = _pair(_long_leg, "xy", 0)
+    relabel = _letter_blind(A, 4)
+    assert relabel._legal(3) is None
+    assert not relabel.swept
+    assert relabel.coassoc() is None
+    G = relabel.G
+    assert check_coassoc(G, _distinct(3))
+    assert not check_coassoc(A, "\x00" * 3)
+    assert _outcomes(A, 4)[0][0].startswith("[FAIL] coassoc: failure after 7 keys\n")
+    assert _outcomes(A, 4) == _dense(_outcomes, B, 4)
 
 
 def _reversal(w):
@@ -225,9 +266,9 @@ def _reversal(w):
 def test_terms_that_a_relabelling_merges_are_summed():
     # on x*x or x*y*x the two generic terms of Delta(g_n) have one image,
     # whose coefficient is their sum, 2, as the rule gives it
-    tagged, untagged = _pair(_reversal, "xy", 0)
-    assert _letter_blind(tagged, 4).swept
-    assert _outcomes(tagged, 4) == _outcomes(untagged, 4)
+    A, B = _pair(_reversal, "xy", 0)
+    assert _letter_blind(A, 4).swept
+    assert _outcomes(A, 4) == _dense(_outcomes, B, 4)
 
 
 def test_one_letter_alphabets_run_the_dense_sweep():
@@ -271,5 +312,5 @@ def _rules(draw):
 @given(_rules())
 def test_certificate_and_dense_sweep_agree(case):
     alphabet, max_len, weight, rule = case
-    tagged, untagged = _pair(rule, alphabet, weight)
-    assert _outcomes(tagged, max_len) == _outcomes(untagged, max_len)
+    A, B = _pair(rule, alphabet, weight)
+    assert _outcomes(A, max_len) == _dense(_outcomes, B, max_len)

@@ -340,6 +340,13 @@ def test_coalgebra_suites_do_no_poly_arithmetic_at_weight_l(monkeypatch):
     for suite in ("coassoc", "cocycle"):
         assert run_suite(suite, A).status == "pass"
     assert calls == dict.fromkeys(_POLY_ARITHMETIC, 0)
+    # the same for the dense sweeps, which every failure goes through: on
+    # words they run only where the letter-blind certificate does not hold
+    monkeypatch.setattr("epsbialg.verify._letter_blind", lambda A, max_len: None)
+    for suite in ("coassoc", "cocycle"):
+        outcome = run_suite(suite, word_algebra("xy"))
+        assert (outcome.status, outcome.checked) == ("pass", outcome.evaluated)
+    assert calls == dict.fromkeys(_POLY_ARITHMETIC, 0)
     assert tensor_coassoc_oracle(A, Word((0, 1)))
     assert calls["__mul__"] + calls["__rmul__"] > 0
 

@@ -60,7 +60,7 @@ import operator
 from fractions import Fraction
 
 from .errors import AlphabetMismatch, DimensionMismatch, KindMismatch
-from .scalars import SCALAR_TYPES, poly_text, scalar, scalar_items
+from .scalars import SCALAR_TYPES, _monomial_text, poly_text, scalar, scalar_items
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +443,7 @@ class Element:
         return sorted(self.terms.items(), key=lambda kv: sort_key(kv[0]))
 
     def __str__(self):
-        return _combo_text(
-            self.kind, ((key, c) for key, c in self.sorted_terms()), single_leg=True
-        )
+        return _combo_text(self.kind, self.sorted_terms(), single_leg=True)
 
     def __repr__(self):
         return f"<Element {self.kind.selector()}: {self}>"
@@ -601,15 +599,9 @@ def _coeff_prefix(c):
     """Render a coefficient as (sign, prefix-text); prefix '' means coefficient 1."""
     items = list(scalar_items(c))
     if len(items) == 1:
-        deg, q = items[0]
-        sign = "-" if q < 0 else "+"
-        q = abs(q)
-        if deg == 0:
-            text = "" if q == 1 else str(q)
-        else:
-            sym = "L" if deg == 1 else f"L^{deg}"
-            text = sym if q == 1 else f"{q}*{sym}"
-        return sign, text
+        (deg, q), = items
+        text = "" if (deg, abs(q)) == (0, 1) else _monomial_text(deg, abs(q))
+        return ("-" if q < 0 else "+"), text
     return "+", f"({poly_text(c)})"
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import epsbialg
 from epsbialg import (
+    TensorElement,
     UnknownSuite,
     classical_comatrix_algebra,
     deconcat_algebra,
@@ -151,15 +152,21 @@ def test_bracket_closed_form_failures_are_reported(capsys, monkeypatch, patch, d
     )
 
 
-def test_a_mismatched_golden_example_is_named(capsys, monkeypatch):
+@pytest.mark.parametrize("name, patched, detail, witness", [
     # subword taking only its first letter breaks two of the three subword
     # examples; the report names the first and prints both values as words
-    subword = verify.subword
-    monkeypatch.setattr(verify, "subword", lambda w, i, j: subword(w, i, i))
+    ("subword", lambda subword: lambda w, i, j: subword(w, i, i),
+     "subword [1,4]", "got x, want x*x*y*x"),
+    # a zero left action breaks both derivation rows, whose values are tensors
+    ("act_left", lambda act_left: lambda a, t: TensorElement(t.kind, 2),
+     "derivation display", "got -E[2,1] (x) E[2,2], want E[1,1] (x) E[2,2]"),
+])
+def test_a_mismatched_golden_example_is_named(capsys, monkeypatch, name, patched, detail, witness):
+    monkeypatch.setattr(verify, name, patched(getattr(verify, name)))
     assert _verify_outputs(capsys, "paper-examples") == _failing(
         "paper-examples",
-        "2 of 20 golden examples mismatched, the first: subword [1,4]",
-        "inputs (got x, want x*x*y*x)",
+        f"2 of 20 golden examples mismatched, the first: {detail}",
+        f"inputs ({witness})",
         20, 20,
     )
 

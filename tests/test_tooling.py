@@ -19,6 +19,7 @@ from epsbialg import (
     commutator_bracket,
     matrix_algebra,
     parse_expression,
+    verify,
     word_algebra,
 )
 from epsbialg.cli import build_algebra
@@ -28,6 +29,7 @@ from support import tensor_coassoc_oracle
 
 PACKAGE_DIR = Path(epsbialg.__file__).parent
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH_TESTS = TRACER.with_name("test_bench.py")
 
 
 def test_no_check_sits_behind_assert():
@@ -171,6 +173,19 @@ def test_every_traced_name_has_its_own_definition():
     for name, obj in targets.items():
         by_object.setdefault(id(obj), []).append(name)
     assert [names for names in by_object.values() if len(names) > 1] == []
+
+
+def test_verify_binds_every_name_the_benchmark_reads():
+    # the benchmark's own tests read these names off ``verify``; an import
+    # that ``verify`` drops breaks them, which tier-1 would not otherwise see
+    tree = ast.parse(BENCH_TESTS.read_text(), filename=str(BENCH_TESTS))
+    names = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id == "verify"
+    }
+    assert names >= {"EMatrix", "prelie_product"}
+    assert [name for name in sorted(names) if not hasattr(verify, name)] == []
 
 
 _STARTUP_PROBE = """\

@@ -1,7 +1,10 @@
 """Command-line surface.
 
-Subcommands: ``coproduct``, ``antipode``, ``prelie``, ``bracket``,
-``multiply``, ``verify``.  Algebra selectors:
+Subcommands, each with --algebra, --weight and --json: ``coproduct`` and
+``antipode`` read --expr, ``antipode`` also --cap; ``multiply``, ``prelie`` and
+``bracket`` read --lhs and --rhs, ``bracket`` also --closed-form or --table;
+``verify`` reads --suite, --cap, --max-len and --seed.  Any other option is a
+usage error (exit 2).  Algebra selectors:
 
     matrix:N                 telescoping coproduct on M_N, weight 0
     word:xy | word:x1,x2     weighted word coproduct (generic weight L,
@@ -51,17 +54,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="weight override (word/univar selectors only), e.g. 0, -1, L",
     )
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common.add_argument(
+    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    capped.add_argument(
         "--cap", type=_count_arg, default=64,
         help="iteration cap for the antipode series (default 64)",
-    )
-    common.add_argument(
-        "--max-len", type=_count_arg, default=6,
-        help="bound for word-length / exponent sweeps (default 6)",
-    )
-    common.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED,
-        help=f"seed for random-matrix checks (default {DEFAULT_SEED})",
     )
 
     parser = argparse.ArgumentParser(
@@ -74,7 +70,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coproduct", parents=[common], help="apply the coproduct")
     p.add_argument("--expr", "-e", required=True, help="element expression")
 
-    p = sub.add_parser("antipode", parents=[common], help="apply the antipode series")
+    p = sub.add_parser("antipode", parents=[capped], help="apply the antipode series")
     p.add_argument("--expr", "-e", required=True, help="element expression")
 
     p = sub.add_parser("multiply", parents=[common], help="multiply two elements")
@@ -98,11 +94,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="use the five-case table (matrix basis pairs)",
     )
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p = sub.add_parser("verify", parents=[capped], help="run a verification suite")
     p.add_argument(
-        "--suite", required=True,
-        help="one of: " + ", ".join(SUITE_NAMES),
+        "--max-len", type=_count_arg, default=6,
+        help="bound for word-length / exponent sweeps (default 6)",
     )
+    p.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED,
+        help=f"seed for random-matrix checks (default {DEFAULT_SEED})",
+    )
+    p.add_argument("--suite", required=True, help="one of: " + ", ".join(SUITE_NAMES))
     return parser
 
 
@@ -133,16 +134,14 @@ def build_algebra(selector: str, weight_text):
     if selector.startswith("rmatrix:"):
         _reject_weight(weight_text, "rmatrix (the selector carries the weight)")
         parts = selector.split(":")
-        if len(parts) < 4:
+        if len(parts) != 4:
             raise ValueError(
                 f"malformed selector {selector!r}; want rmatrix:N:<r-expr>:<weight>"
             )
         n = _matrix_dimension(parts[1])
-        weight = parse_scalar(parts[-1])
-        r_text = ":".join(parts[2:-1])
+        weight = parse_scalar(parts[3])
         base = matrix_algebra(n)
-        r = parse_tensor(r_text, base)
-        return coproduct_from_r(base, r, weight, selector=selector)
+        return coproduct_from_r(base, parse_tensor(parts[2], base), weight, selector=selector)
     raise ValueError(f"unknown algebra selector {selector!r}")
 
 

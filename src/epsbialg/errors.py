@@ -33,10 +33,10 @@ class WeightNotZero(EpsBialgError):
 class NotNilpotentWithinCap(EpsBialgError):
     """D^k(a) stayed nonzero for every k up to the cap; the antipode series cannot be truncated."""
 
-    def __init__(self, cap, message=None, element=None):
+    def __init__(self, cap, element=None):
         self.cap = cap
         self.element = element  # the input whose series did not truncate
-        super().__init__(message or f"element not annihilated by D within {cap} iterations")
+        super().__init__(f"element not annihilated by D within {cap} iterations")
 
 
 class TooManyTerms(EpsBialgError):

@@ -182,6 +182,8 @@ class WordKind:
         if len(set(letters)) != len(letters) or any(not s for s in letters):
             raise ValueError(f"letter names must be distinct and nonempty: {letters!r}")
         for s in letters:
+            if not (s.isascii() and s.isidentifier()):
+                raise ValueError(f"letter name {s!r} is not a name the expression parser reads")
             if s.lower() in ("l", "lambda"):
                 raise ValueError(f"letter name {s!r} collides with the weight literal")
         self.alphabet = letters

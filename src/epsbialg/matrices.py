@@ -138,8 +138,6 @@ def matrix_from_rows(rows) -> Element:
     return Element._make(kind, terms)
 
 
-def random_integer_matrix(n: int, rng, low: int = -9, high: int = 9) -> Element:
-    """A dense matrix with entries drawn from rng.randint(low, high)."""
-    return matrix_from_rows(
-        [[rng.randint(low, high) for _ in range(n)] for _ in range(n)]
-    )
+def random_integer_matrix(n: int, rng) -> Element:
+    """A dense matrix with entries drawn from rng.randint(-9, 9)."""
+    return matrix_from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])

@@ -1,5 +1,6 @@
 """The command-line contract: dispatch, selectors, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -23,7 +24,7 @@ from epsbialg import (
     matrix_bracket_table,
     verify,
 )
-from epsbialg.cli import build_algebra, main
+from epsbialg.cli import build_algebra, build_arg_parser, main
 from epsbialg.verify import (
     MAX_SWEEP,
     SUITE_NAMES,
@@ -343,6 +344,75 @@ def test_unknown_selector_exit_code(capsys):
     code, _, err = run(capsys, "coproduct", "--algebra", "octonion:2", "--expr", "1")
     assert code == 2
     assert "unknown algebra selector" in err
+
+
+@pytest.mark.parametrize("selector, letter", [
+    ("word:x,1", "1"),  # -e reads 1 as the scalar, so x*1 gave the coproduct of x
+    ("word:1,2", "1"),  # the unit's text
+    ("word:a*b,c", "a*b"),  # prints like a product
+    ("word:é", "é"),
+    ("word:x y", " "),
+])
+def test_word_letters_must_be_names_the_parser_reads(capsys, selector, letter):
+    code, out, err = run(capsys, "coproduct", "-a", selector, "-e", "x*1")
+    assert (code, out) == (2, "")
+    assert err == f"error: letter name {letter!r} is not a name the expression parser reads\n"
+
+
+@pytest.mark.parametrize("selector", [
+    "rmatrix:2:E[1,1] (x) E[2,2]:x:0", "rmatrix:2:0:L:0", "rmatrix:2:0", "rmatrix:2",
+])
+def test_rmatrix_selector_has_exactly_four_fields(capsys, selector):
+    # the r-expression grammar has no ':', so a fifth field is never part of it
+    code, out, err = run(capsys, "coproduct", "-a", selector, "-e", "E[1,1]")
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed selector {selector!r}; want rmatrix:N:<r-expr>:<weight>\n"
+
+
+# What each subcommand reads besides --algebra, --weight and --json.
+_COMMAND_DESTS = {
+    "coproduct": {"expr"},
+    "antipode": {"expr", "cap"},
+    "multiply": {"lhs", "rhs"},
+    "prelie": {"lhs", "rhs"},
+    "bracket": {"lhs", "rhs", "closed_form", "table"},
+    "verify": {"suite", "cap", "max_len", "seed"},
+}
+_COMMAND_ARGV = {
+    "coproduct": ("-e", "E[1,2]"),
+    "antipode": ("-e", "E[1,2]"),
+    "multiply": ("--lhs", "E[1,2]", "--rhs", "E[2,1]"),
+    "prelie": ("--lhs", "E[1,2]", "--rhs", "E[2,1]"),
+    "bracket": ("--lhs", "E[1,2]", "--rhs", "E[2,1]"),
+}
+
+# The 14 command/flag pairs that the commands do not read.
+_REFUSED_FLAGS = [
+    (command, flag)
+    for command, own in _COMMAND_DESTS.items()
+    for flag in ("--cap", "--max-len", "--seed")
+    if flag[2:].replace("-", "_") not in own
+]
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    (sub,) = [a for a in build_arg_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {
+        name: [a.dest for a in command._actions if a.dest != "help"]
+        for name, command in sub.choices.items()
+    }
+    assert {name: sorted(d) for name, d in dests.items()} == {
+        name: sorted(own | {"algebra", "weight", "json"}) for name, own in _COMMAND_DESTS.items()
+    }
+    assert sum(map(len, dests.values())) == 33
+    assert len(_REFUSED_FLAGS) == 14
+
+
+@pytest.mark.parametrize("command, flag", _REFUSED_FLAGS)
+def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, command, flag):
+    code, out, err = run(capsys, command, "-a", "matrix:2", *_COMMAND_ARGV[command], flag, "3")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"epsbialg: error: unrecognized arguments: {flag} 3\n")
 
 
 @pytest.mark.parametrize("selector", [

@@ -30,6 +30,7 @@ from epsbialg import (
     deconcat_algebra,
     l_coproduct_instance,
     matrix_algebra,
+    matrix_from_rows,
     parse_expression,
     random_integer_matrix,
     TensorElement,
@@ -72,6 +73,11 @@ U = univar_algebra()
 
 def m_el(A, text):
     return parse_expression(text, A)
+
+
+def small_integer_matrix(n, rng):
+    """A dense matrix with entries drawn from rng.randint(-2, 2)."""
+    return matrix_from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
 
 
 # -- multiplication ----------------------------------------------------------
@@ -248,7 +254,7 @@ def test_circular_unit_on_twenty_random_endomorphisms():
     rng = random.Random(7)
     keys = list(M3.basis_keys())
     for _ in range(20):
-        table = {k: random_integer_matrix(3, rng, -2, 2) for k in keys}
+        table = {k: small_integer_matrix(3, rng) for k in keys}
         f = LinearEndomorphism(M3, table.__getitem__, "rand")
         left = circular_convolution(M3, f, zero_endo(M3))
         right = circular_convolution(M3, zero_endo(M3), f)
@@ -421,7 +427,7 @@ def test_derived_coproduct_on_e21():
 def test_derived_coproduct_always_a_weighted_derivation():
     rng = random.Random(11)
     for _ in range(5):
-        r = tensor(random_integer_matrix(2, rng, -2, 2), random_integer_matrix(2, rng, -2, 2))
+        r = tensor(small_integer_matrix(2, rng), small_integer_matrix(2, rng))
         inst = coproduct_from_r(M2, r, LAMBDA)
         for p in inst.basis_keys():
             for q in inst.basis_keys():

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from epsbialg import (
     verify,
     word_algebra,
 )
-from epsbialg.cli import build_algebra
+from epsbialg.cli import build_algebra, build_arg_parser
 from epsbialg.verify import run_suite
 
 from support import tensor_coassoc_oracle
@@ -186,6 +187,27 @@ def test_verify_binds_every_name_the_benchmark_reads():
     }
     assert names >= {"EMatrix", "prelie_product"}
     assert [name for name in sorted(names) if not hasattr(verify, name)] == []
+
+
+def test_every_benchmark_argv_parses(monkeypatch, capsys):
+    # the benchmark runs these calls; an option the CLI stops taking would
+    # otherwise fail only there.  The workload module is read, not changed.
+    spec = importlib.util.spec_from_file_location("bench_workloads", TRACER.with_name("workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    corpus = workloads.load_corpus_calls()
+    built = [call for make in workloads.WORKLOADS.values() for call in make(4242).calls]
+    assert (len(corpus), len(built)) == (390, 122)
+    parser = build_arg_parser()
+    refused = []
+    for call in corpus + built:
+        try:
+            parser.parse_args(call.argv)
+        except SystemExit:
+            refused.append(call.argv)
+    assert refused == []
+    assert capsys.readouterr().err == ""
 
 
 _STARTUP_PROBE = """\

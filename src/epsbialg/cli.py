@@ -146,7 +146,10 @@ def build_algebra(selector: str, weight_text):
 
 
 def _positive_int(text, what):
+    # ASCII digits only: int() also reads "+2", " 2", "1_6" and other scripts' digits
     try:
+        if not (text.isascii() and text.removeprefix("-").isdigit()):
+            raise ValueError
         value = int(text)
     except ValueError:
         raise ValueError(f"{what} must be an integer, got {text!r}") from None

@@ -47,10 +47,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import KindMismatch, NotNilpotentWithinCap, TooManyTerms, WeightNotZero
-from .lincomb import (
-    Element, TensorElement, _accumulate, act_left, act_right, linear_extend, products, tensor,
-)
-from .scalars import MAX_TERMS, LambdaPoly, scalar, scalar_items
+from .lincomb import Element, TensorElement, act_left, act_right, linear_extend, products, tensor
+from .scalars import MAX_TERMS, LambdaPoly, _accumulate, _combined, scalar, scalar_items
 
 
 class Witness:
@@ -251,8 +249,7 @@ def check_cocycle(A: AlgebraInstance, p, q) -> LawReport:
     _accumulate(right, (((p, q, e), c) for e, c in A._weight_items))  # + weight * (p (x) q)
     if left == right:
         return LawReport.ok("cocycle")
-    diff = dict(left)  # left - right, for the witness
-    _accumulate(diff, right.items(), negate=True)
+    diff = _combined(left, right, True)  # left - right, for the witness
     return LawReport.fail(
         "cocycle", (kind.key_text(p), kind.key_text(q)), TensorElement._make(kind, 2, _fold(diff))
     )
@@ -396,8 +393,7 @@ def check_antipode_axiom(A: AlgebraInstance, a: Element, cap: int = 64) -> LawRe
     """sum S(a_(1)) a_(2) + S(a) + a == 0 == sum a_(1) S(a_(2)) + a + S(a)."""
     s = antipode_endo(A, cap)
     key_mul = A.kind.key_mul
-    left = dict(s(a).terms)
-    _accumulate(left, a.terms.items())
+    left = _combined(s(a).terms, a.terms)
     right = dict(left)
     # S on the legs of Delta(a), term by term: k1 then k2
     legs = [(k1, k2, c, s.on_key(k1).terms, s.on_key(k2).terms)

@@ -39,13 +39,14 @@ monomials have a single bucket.  ``left_index(terms)`` is its mirror: it
 maps a right key q to the left-hand terms (p, c) whose product pq may be
 nonzero, grouped by column on M_n.  Either index may list a term whose
 product is zero, but never leaves out one whose product is not.
-``products`` walks a product through the index, and ``_accumulate`` adds a
-stream of terms into one sparse map: sums and products of elements go
-through these two, and so do the key-level checkers, which never build an
-element per term.  Every other linear or bilinear map of the package (the
-coproducts, D, endomorphisms, bimodule actions, counit contractions, |>) is a
-rule on keys extended by ``linear_extend`` or, on key pairs, ``bilinear_extend``;
-a coproduct rule returns the plain sparse map (k1, k2) -> coefficient of a key.
+``products`` walks a product through the index, and ``scalars._accumulate``
+adds a stream of terms into one sparse map (``scalars._combined`` adds two):
+sums and products of elements go through these, and so do the key-level
+checkers, which never build an element per term.  Every other linear or
+bilinear map of the package (the coproducts, D, endomorphisms, bimodule
+actions, counit contractions, |>) is a rule on keys extended by
+``linear_extend`` or, on key pairs, ``bilinear_extend``; a coproduct rule
+returns the plain sparse map (k1, k2) -> coefficient of a key.
 
 The tensor square A (x) A is an (A,A)-bimodule via
 
@@ -57,10 +58,11 @@ from __future__ import annotations
 
 import itertools
 import operator
-from fractions import Fraction
 
 from .errors import AlphabetMismatch, DimensionMismatch, KindMismatch
-from .scalars import SCALAR_TYPES, _monomial_text, poly_text, scalar, scalar_items
+from .scalars import (
+    SCALAR_TYPES, _accumulate, _combined, _monomial_text, poly_text, scalar, scalar_items,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -304,24 +306,6 @@ def ensure_same_kind(a, b):
 # sparse maps
 # ---------------------------------------------------------------------------
 
-def _accumulate(out: dict, terms, negate=False):
-    """Add (or, with ``negate``, subtract) each (keys, coeff) of ``terms``
-    into the sparse map ``out``, dropping a sum that cancels to zero.  A sum
-    or product of Fractions can be integral: it is stored as its int."""
-    for keys, c in terms:
-        s = out.get(keys)
-        if s is None:
-            s = -c if negate else c
-        else:
-            s = s - c if negate else s + c
-            if not s:
-                del out[keys]
-                continue
-        if type(s) is Fraction and s.denominator == 1:
-            s = s.numerator
-        out[keys] = s
-
-
 def linear_extend(terms: dict, rule) -> dict:
     """The sparse map sum c * rule(key) over the terms (key, c) of ``terms``.
 
@@ -407,9 +391,7 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         ensure_same_kind(self, other)
-        terms = dict(self.terms)
-        _accumulate(terms, other.terms.items())
-        return Element._make(self.kind, terms)
+        return Element._make(self.kind, _combined(self.terms, other.terms))
 
     def __sub__(self, other):
         if not isinstance(other, Element):
@@ -509,9 +491,7 @@ class TensorElement:
         if not isinstance(other, TensorElement):
             return NotImplemented
         self._check_compatible(other)
-        terms = dict(self.terms)
-        _accumulate(terms, other.terms.items())
-        return TensorElement._make(self.kind, self.legs, terms)
+        return TensorElement._make(self.kind, self.legs, _combined(self.terms, other.terms))
 
     def __sub__(self, other):
         if not isinstance(other, TensorElement):

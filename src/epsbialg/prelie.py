@@ -48,8 +48,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import AlgebraInstance, LawReport
-from .lincomb import Element, _accumulate, bilinear_extend, ensure_same_kind
+from .lincomb import Element, bilinear_extend, ensure_same_kind
 from .matrices import sgn
+from .scalars import _accumulate
 
 _HALF = Fraction(1, 2)
 

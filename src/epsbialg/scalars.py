@@ -24,11 +24,15 @@ element's text and the parser's bounds go through it.
 
 This module holds the arithmetic, the text and JSON forms, and the size
 bounds; scalar text such as ``2*L - 1/3`` is read by ``parser.parse_scalar``.
+It also holds the package's one sparse-map sum: ``_accumulate`` adds a
+stream of (key, coefficient) terms into a map, dropping a sum that cancels,
+and ``_combined`` adds or subtracts two maps into a new one.  A polynomial's
+arithmetic uses them on its map degree -> coefficient, as elements, tensors
+and law witnesses do on theirs.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
 
@@ -98,7 +102,7 @@ class LambdaPoly:
         b = other._c if type(other) is LambdaPoly else _coeffs(other)
         if b is None:
             return NotImplemented
-        return _combined(self._c, b, operator.add)
+        return _canonical(_combined(self._c, b))
 
     __radd__ = __add__
 
@@ -109,34 +113,20 @@ class LambdaPoly:
         b = other._c if type(other) is LambdaPoly else _coeffs(other)
         if b is None:
             return NotImplemented
-        return _combined(self._c, b, operator.sub)
+        return _canonical(_combined(self._c, b, True))
 
     def __rsub__(self, other):
         b = _coeffs(other)
         if b is None:
             return NotImplemented
-        return _combined(b, self._c, operator.sub)
+        return _canonical(_combined(b, self._c, True))
 
     def __mul__(self, other):
-        c = {}
-        if isinstance(other, (int, Fraction)):
-            # a nonzero constant scales every coefficient, none to zero
-            if not other:
-                return 0
-            for deg, q in self._c.items():
-                q *= other
-                c[deg] = q.numerator if type(q) is Fraction and q.denominator == 1 else q
-        elif isinstance(other, LambdaPoly):
-            for da, qa in self._c.items():
-                for db, qb in other._c.items():
-                    deg = da + db
-                    q = c.get(deg, 0) + qa * qb
-                    if q:
-                        c[deg] = q.numerator if type(q) is Fraction and q.denominator == 1 else q
-                    else:
-                        del c[deg]
-        else:
+        b = other._c if type(other) is LambdaPoly else _coeffs(other)
+        if b is None:
             return NotImplemented
+        c = {}
+        _accumulate(c, ((da + db, qa * qb) for da, qa in self._c.items() for db, qb in b.items()))
         return _canonical(c)
 
     __rmul__ = __mul__
@@ -170,16 +160,30 @@ def _coeffs(value):
     return None
 
 
-def _combined(a: dict, b: dict, op):
-    """The polynomial with coefficients op(a[deg], b[deg]), op being + or -."""
-    c = dict(a)
-    for deg, q in b.items():
-        q = op(c.get(deg, 0), q)
-        if q:
-            c[deg] = q.numerator if type(q) is Fraction and q.denominator == 1 else q
+def _accumulate(out: dict, terms, negate=False):
+    """Add (or, with ``negate``, subtract) each (keys, coeff) of ``terms``
+    into the sparse map ``out``, dropping a sum that cancels to zero.  A sum
+    or product of Fractions can be integral: it is stored as its int."""
+    for keys, c in terms:
+        s = out.get(keys)
+        if s is None:
+            s = -c if negate else c
         else:
-            del c[deg]
-    return _canonical(c)
+            s = s - c if negate else s + c
+            if not s:
+                del out[keys]
+                continue
+        if type(s) is Fraction and s.denominator == 1:
+            s = s.numerator
+        out[keys] = s
+
+
+def _combined(left: dict, right: dict, negate=False) -> dict:
+    """left + right, or left - right with ``negate``, as a new sparse map;
+    neither operand is written to."""
+    out = dict(left)
+    _accumulate(out, right.items(), negate)
+    return out
 
 
 def _stored(q):

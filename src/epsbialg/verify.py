@@ -89,9 +89,7 @@ from .errors import (
     UnknownSuite,
     WeightNotZero,
 )
-from .lincomb import (
-    Element, EMatrix, MatrixKind, Word, WordKind, _accumulate, act_left, act_right,
-)
+from .lincomb import Element, EMatrix, MatrixKind, Word, WordKind, act_left, act_right
 from .matrices import TELESCOPING, matrix_algebra, matrix_from_rows, random_integer_matrix
 from .parser import parse_expression
 from .prelie import (
@@ -105,6 +103,7 @@ from .prelie import (
     matrix_bracket_table,
     prelie_product,
 )
+from .scalars import _accumulate, _combined
 from .words import subword, word_algebra
 
 _RUNNABLE = SUITE_NAMES[:-1]  # every suite but "all", which only run_verify accepts
@@ -206,13 +205,6 @@ def _triple_keys(A: AlgebraInstance, max_len: int):
 # ---------------------------------------------------------------------------
 # individual suites
 # ---------------------------------------------------------------------------
-
-def _combined(left: dict, right: dict, negate: bool) -> dict:
-    """left - right, or left + right without ``negate``, as a new sparse map."""
-    out = dict(left)
-    _accumulate(out, right.items(), negate)
-    return out
-
 
 def _associativity_walk(kind, keys):
     """Each triple of ``keys`` with a nonzero side of (pq)r = p(qr), once, as

@@ -521,6 +521,23 @@ def test_bounds_below_one_are_usage_errors(capsys, flag, value):
     assert f"argument {flag}: value must be >= 1, got {value}" in err
 
 
+@pytest.mark.parametrize("argv, text", [
+    (("-a", "matrix:1_6"), "1_6"),
+    (("-a", "matrix:+2"), "+2"),
+    (("-a", "matrix: 2"), " 2"),
+    (("-a", "matrix:٢"), "٢"),
+    (("-a", "lmatrix:+2:E[1,2]"), "+2"),
+    (("-a", "word:xy", "--max-len", "1_0"), "1_0"),
+])
+def test_integer_arguments_are_ascii_digits(capsys, argv, text):
+    # int() reads a sign, blanks, underscores and non-ASCII digits; the CLI does not
+    code, out, err = run(capsys, "verify", "--suite", "coassoc", *argv)
+    assert (code, out) == (2, "")
+    (line,) = [line for line in err.splitlines() if "error" in line]
+    assert line.endswith(f"must be an integer, got {text!r}")
+    assert "Traceback" not in err
+
+
 def nested(core, depth):
     return "(" * depth + core + ")" * depth
 

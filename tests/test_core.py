@@ -179,6 +179,18 @@ def test_cocycle_word_pair():
     assert check_cocycle(W, Word((0, 1)), Word((1, 0, 1))).passed
 
 
+def test_failing_cocycle_leaves_the_coproduct_memo_alone():
+    # the witness is Delta(pq) - right, and Delta(pq) is the memo itself
+    A = classical_comatrix_algebra(2)
+    p, q = EMatrix(1, 1, 2), EMatrix(1, 2, 2)
+    memo = A.graded_coproduct(A.kind.key_mul(p, q))
+    before = dict(memo)
+    first, second = check_cocycle(A, p, q), check_cocycle(A, p, q)
+    assert not first.passed
+    assert A.graded_coproduct(A.kind.key_mul(p, q)) is memo and memo == before
+    assert first == second
+
+
 def test_coassoc_examples():
     assert check_coassoc(M2, EMatrix(2, 1, 2)).passed
     assert check_coassoc(M2, EMatrix(1, 1, 2)).passed

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from epsbialg import LAMBDA, MINUS_ONE, LambdaPoly, ONE, ZERO, ParseError, parse_scalar, scalar
-from epsbialg.scalars import poly_json, poly_text
+from epsbialg.scalars import _combined, poly_json, poly_text
 
 from support import is_canonical, lambda_polys, small_fractions, specialize
 
@@ -178,6 +178,19 @@ def test_arithmetic_keeps_the_storage_form(p, q):
         Fraction(2, 3) * p, p * 0, p + 0,
     ):
         assert is_canonical(value), value
+
+
+@given(lambda_polys, lambda_polys, st.booleans())
+def test_combined_is_a_new_map(p, q, negate):
+    # _combined(left, right, negate) is left + right or left - right, with a
+    # cancelled entry dropped, and never writes to its operands
+    left, right = stored(p), stored(q)
+    left_before, right_before = dict(left), dict(right)
+    out = _combined(left, right, negate)
+    assert out is not left and out is not right
+    assert (left, right) == (left_before, right_before)
+    assert out == stored(LambdaPoly.coerce(p - q if negate else p + q))
+    assert 0 not in out.values()
 
 
 @pytest.mark.parametrize("n", [-3, 0, 1, 7, 10**30])

@@ -101,6 +101,47 @@ def test_no_loop_copies_a_growing_sum():
     assert found == []
 
 
+def _nodes_by_function(path):
+    """(owner, node) for every node of ``path``, the owner being the dotted
+    name of the innermost enclosing def or class, or of the module."""
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = owner
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{owner}.{child.name}"
+            yield name, child
+            yield from walk(child, name)
+    yield from walk(ast.parse(path.read_text(), filename=str(path)), path.stem)
+
+
+def _is_integral_test(node):
+    # `<expr>.denominator == 1`, the test of the int-if-integral rule
+    return (
+        isinstance(node, ast.Compare)
+        and len(node.ops) == 1
+        and isinstance(node.ops[0], ast.Eq)
+        and isinstance(node.left, ast.Attribute)
+        and node.left.attr == "denominator"
+        and isinstance(node.comparators[0], ast.Constant)
+        and node.comparators[0].value == 1
+    )
+
+
+def test_one_sparse_map_sum():
+    # polynomials, elements, tensors and law witnesses all add through
+    # scalars._accumulate: it alone drops a cancelled entry, and it and
+    # scalars._stored alone turn an integral Fraction into an int
+    modules = sorted(PACKAGE_DIR.rglob("*.py"))
+    assert PACKAGE_DIR / "scalars.py" in modules
+    nodes = [pair for path in modules for pair in _nodes_by_function(path)]
+    assert {owner for owner, node in nodes if isinstance(node, ast.Delete)} == {
+        "scalars._accumulate"
+    }
+    assert {owner for owner, node in nodes if _is_integral_test(node)} == {
+        "scalars._accumulate", "scalars._stored"
+    }
+
+
 # each kind's one plain key type, and keys built by its checked constructor;
 # a word key is a str, whose hash is cached, never a tuple of letter indices
 _PLAIN_KEYS = {

@@ -33,11 +33,11 @@ witness.  The element-level forms of the laws are oracles in
 ``tests/support.py``, as are convolutions.
 
 The antipode checkers work at key level too.  Each side of a law is one
-sparse map, filled from ``antipode_endo(A, cap).on_key``, the basis
-coproducts and the kind's product index; S is evaluated on keys in the
-order of the law's terms, so a series that does not truncate is named by
-the same key as the element-level forms would name.  Those forms, which
-add whole elements and tensors term by term, are the test oracles
+sparse map, built from the terms of its inputs, their S images and their
+coproducts by a builder that the ``verify`` sweep shares; S is evaluated on
+keys in the order of the law's terms, so a series that does not truncate is
+named by the same key as the element-level forms would name.  Those forms,
+which add whole elements and tensors term by term, are the test oracles
 ``element_antipode_axiom_oracle`` and ``element_antipode_properties_oracle``
 in ``tests/support.py``.
 """
@@ -389,15 +389,14 @@ def antipode_endo(A: AlgebraInstance, cap: int = 64) -> LinearEndomorphism:
     return s
 
 
-def check_antipode_axiom(A: AlgebraInstance, a: Element, cap: int = 64) -> LawReport:
-    """sum S(a_(1)) a_(2) + S(a) + a == 0 == sum a_(1) S(a_(2)) + a + S(a)."""
-    s = antipode_endo(A, cap)
+def _axiom_sides(A: AlgebraInstance, s, terms, s_terms, delta_terms) -> tuple:
+    """The two sides of the axiom on a, 0 where it holds, from the terms of a, S(a), Delta(a)."""
     key_mul = A.kind.key_mul
-    left = _combined(s(a).terms, a.terms)
+    left = _combined(s_terms, terms)
     right = dict(left)
     # S on the legs of Delta(a), term by term: k1 then k2
     legs = [(k1, k2, c, s.on_key(k1).terms, s.on_key(k2).terms)
-            for (k1, k2), c in A.coproduct(a).terms.items()]
+            for (k1, k2), c in delta_terms.items()]
     _accumulate(left, (  # + S(k1) k2
         (k, d * c) for k1, k2, c, s1, _ in legs for u, d in s1.items()
         if (k := key_mul(u, k2)) is not None
@@ -406,7 +405,31 @@ def check_antipode_axiom(A: AlgebraInstance, a: Element, cap: int = 64) -> LawRe
         (k, d * c) for k1, k2, c, _, s2 in legs for v, d in s2.items()
         if (k := key_mul(k1, v)) is not None
     ))
-    for side, value in (("left", left), ("right", right)):
+    return left, right
+
+
+def _multiplicativity_difference(kind, s_xy, sx, sy) -> dict:
+    """S(xy) + S(x)S(y) from the terms of S(xy), S(x) and S(y)."""
+    diff = dict(s_xy)
+    _accumulate(diff, products(kind, sx, sy))
+    return diff
+
+
+def _comultiplicativity_difference(A: AlgebraInstance, s, sx, delta_terms) -> dict:
+    """Delta(S(x)) + (S (x) S) Delta(x) from the terms of S(x) and Delta(x)."""
+    both = linear_extend(sx, lambda key: A.basis_coproduct(key).items())
+    legs = [(c, s.on_key(k1).terms, s.on_key(k2).terms) for (k1, k2), c in delta_terms.items()]
+    _accumulate(both, (  # + S(k1) (x) S(k2)
+        ((u, v), d * e * c) for c, s1, s2 in legs for u, d in s1.items() for v, e in s2.items()
+    ))
+    return both
+
+
+def check_antipode_axiom(A: AlgebraInstance, a: Element, cap: int = 64) -> LawReport:
+    """sum S(a_(1)) a_(2) + S(a) + a == 0 == sum a_(1) S(a_(2)) + a + S(a)."""
+    s = antipode_endo(A, cap)
+    sides = _axiom_sides(A, s, a.terms, s(a).terms, A.coproduct(a).terms)
+    for side, value in zip(("left", "right"), sides):
         if value:
             difference = Element._make(A.kind, value)
             return LawReport.fail(f"antipode-axiom-{side}", (str(a),), difference)
@@ -416,19 +439,14 @@ def check_antipode_axiom(A: AlgebraInstance, a: Element, cap: int = 64) -> LawRe
 def check_antipode_properties(A: AlgebraInstance, x: Element, y: Element, cap: int = 64) -> LawReport:
     """S(xy) = -S(x)S(y), and Delta(S(x)) = -(S (x) S) Delta(x)."""
     s = antipode_endo(A, cap)
-    diff = dict(s(x * y).terms)
+    s_xy = s(x * y).terms
     sx = s(x).terms
-    _accumulate(diff, products(A.kind, sx, s(y).terms))
+    diff = _multiplicativity_difference(A.kind, s_xy, sx, s(y).terms)
     if diff:
         return LawReport.fail(
             "antipode-multiplicativity", (str(x), str(y)), Element._make(A.kind, diff)
         )
-    both = linear_extend(sx, lambda key: A.basis_coproduct(key).items())  # + Delta(S(x))
-    legs = [(c, s.on_key(k1).terms, s.on_key(k2).terms)
-            for (k1, k2), c in A.coproduct(x).terms.items()]
-    _accumulate(both, (  # + S(k1) (x) S(k2)
-        ((u, v), d * e * c) for c, s1, s2 in legs for u, d in s1.items() for v, e in s2.items()
-    ))
+    both = _comultiplicativity_difference(A, s, sx, A.coproduct(x).terms)
     if both:
         return LawReport.fail(
             "antipode-comultiplicativity", (str(x),), TensorElement._make(A.kind, 2, both)

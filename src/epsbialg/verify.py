@@ -73,6 +73,9 @@ from __future__ import annotations
 from .core import (
     AlgebraInstance,
     LawReport,
+    _axiom_sides,
+    _comultiplicativity_difference,
+    _multiplicativity_difference,
     antipode,
     antipode_endo,
     check_antipode_axiom,
@@ -417,10 +420,10 @@ def _letter_blind(A, max_len):
 def _suite_antipode(A, max_len, cap, seed):
     """The antipode laws; a series that does not truncate is a failure, not an error.
 
-    The series is evaluated on the unit's keys first and then on the swept
-    basis keys in canonical order, so the key named is the first of them
-    whose series does not truncate, or else a product or coproduct leg of
-    swept keys that lies beyond the sweep.
+    S is evaluated on the unit's keys, then on the swept keys in canonical
+    order, then on products of swept pairs beyond the sweep, so the key named
+    is the first whose series does not truncate.  On univar the pairs reach
+    x^(2 max-len), so --cap must exceed 2 max-len: --max-len 32 fails at cap 64, on x^64.
     """
     try:
         return _antipode_sweep(A, max_len, cap, seed)
@@ -430,34 +433,39 @@ def _suite_antipode(A, max_len, cap, seed):
 
 
 def _antipode_sweep(A, max_len, cap, seed):
+    """Each law value is built once per input, by the checkers' own builders.
+    A swept key p reads S(p) and Delta(p) from their memos and has its
+    comultiplicativity evaluated once, beside the axiom, and read at each pair
+    (p, q) whose multiplicativity holds.  A random matrix m has S(m) and
+    Delta(m) computed once for its three checks, and S(partner) is carried
+    over.  Only a nonzero value runs the checker, which builds the witness."""
     s = antipode_endo(A, cap)
+    on_key, delta, kind = s.on_key, A.basis_coproduct, A.kind
     checks = 0
     if s(A.unit) != -A.unit:
-        return _failed(
-            "antipode", "S(unit) != -unit",
-            LawReport.fail("antipode-unit", ("unit",), s(A.unit) + A.unit),
-            checks,
-        )
+        report = LawReport.fail("antipode-unit", ("unit",), s(A.unit) + A.unit)
+        return _failed("antipode", "S(unit) != -unit", report, checks)
     keys = list(A.basis_keys(max_len))
     d_vanishes = True
+    comultiplicative = {}  # key -> whether comultiplicativity holds on it
     for key in keys:
         e = A.element(key)
         if not d_map(A, e).is_zero():
             d_vanishes = False
-        report = check_antipode_axiom(A, e, cap)
-        if not report:
+        sa, delta_a = on_key(key).terms, delta(key)
+        if any(_axiom_sides(A, s, e.terms, sa, delta_a)):
+            report = check_antipode_axiom(A, e, cap)
             return _failed("antipode", f"axiom failure after {checks} checks", report, checks)
+        comultiplicative[key] = not _comultiplicativity_difference(A, s, sa, delta_a)
         checks += 1
-    if len(keys) ** 2 <= 2500:
-        pairs = [(p, q) for p in keys for q in keys]
-    else:
-        pairs = [(p, p) for p in keys]
+    # every pair while keys^2 <= 2500, else the diagonal ones
+    pairs = [(p, q) for p in keys for q in (keys if len(keys) ** 2 <= 2500 else (p,))]
     for p, q in pairs:
-        report = check_antipode_properties(A, A.element(p), A.element(q), cap)
-        if not report:
-            return _failed(
-                "antipode", f"property failure after {checks} checks", report, checks
-            )
+        s_pq = {} if (pq := kind.key_mul(p, q)) is None else on_key(pq).terms
+        if (_multiplicativity_difference(kind, s_pq, on_key(p).terms, on_key(q).terms)
+                or not comultiplicative[p]):
+            report = check_antipode_properties(A, A.element(p), A.element(q), cap)
+            return _failed("antipode", f"property failure after {checks} checks", report, checks)
         checks += 1
     if d_vanishes:
         # with D = 0 on the basis the series collapses to S = -id, so the
@@ -466,35 +474,29 @@ def _antipode_sweep(A, max_len, cap, seed):
             e = A.element(key)
             back = antipode(A, s(e), cap)
             if back != e:
-                return _failed(
-                    "antipode", "S(S(a)) != a",
-                    LawReport.fail("antipode-involution", (str(e),), back - e),
-                    checks,
-                )
+                report = LawReport.fail("antipode-involution", (str(e),), back - e)
+                return _failed("antipode", "S(S(a)) != a", report, checks)
             checks += 1
-    if isinstance(A.kind, MatrixKind):
+    if isinstance(kind, MatrixKind):
         import random  # only this branch draws matrices: word and univar runs skip the import
 
         rng = random.Random(seed)
         previous = None
         for _ in range(100):
-            m = random_integer_matrix(A.kind.n, rng)
-            report = check_antipode_axiom(A, m, cap)
-            if not report:
+            m = random_integer_matrix(kind.n, rng)
+            sm, delta_m = s(m).terms, A.coproduct(m).terms
+            if any(_axiom_sides(A, s, m.terms, sm, delta_m)):
+                report = check_antipode_axiom(A, m, cap)
                 return _failed("antipode", "axiom failure on a random matrix", report, checks)
-            partner = previous if previous is not None else m
-            report = check_antipode_properties(A, m, partner, cap)
-            if not report:
-                return _failed(
-                    "antipode", "property failure on a random matrix", report, checks
-                )
-            if d_vanishes and s(m) != -m:
-                return _failed(
-                    "antipode", "S != -id on a random matrix",
-                    LawReport.fail("antipode-negation", (str(m),), s(m) + m),
-                    checks,
-                )
-            previous = m
+            partner, s_partner = previous or (m, sm)
+            if (_multiplicativity_difference(kind, s(m * partner).terms, sm, s_partner)
+                    or _comultiplicativity_difference(A, s, sm, delta_m)):
+                report = check_antipode_properties(A, m, partner, cap)
+                return _failed("antipode", "property failure on a random matrix", report, checks)
+            if d_vanishes and sm != (-m).terms:
+                report = LawReport.fail("antipode-negation", (str(m),), s(m) + m)
+                return _failed("antipode", "S != -id on a random matrix", report, checks)
+            previous = m, sm
             checks += 2
     return _passed("antipode", f"{checks} checks", checks)
 

@@ -38,7 +38,7 @@ from epsbialg import (
     univar_algebra,
     word_algebra,
 )
-from epsbialg import core
+from epsbialg import core, verify
 from epsbialg.cli import build_algebra
 from epsbialg.core import LinearEndomorphism
 from epsbialg.scalars import scalar_items
@@ -50,6 +50,7 @@ from support import (
     circular_convolution,
     convolution,
     convolution_power_vanishes,
+    dense_antipode_sweep,
     element_antipode_axiom_oracle,
     element_antipode_properties_oracle,
     identity_endo,
@@ -667,22 +668,29 @@ RMATRIX_PROPERTY = "rmatrix:2:E[1,1] (x) E[1,2]:0"
 RMATRIX_AXIOM = "rmatrix:2:E[1,1] (x) E[1,2] + E[1,1] (x) E[2,2]:0"
 
 
+def _e(i, j, n=2):
+    return EMatrix(i, j, n)
+
+
+def _table_algebra(table, n=2):
+    """M_n at weight 0 with the coproduct table {key: {(k1, k2): coeff}}."""
+    kind = MatrixKind(n)
+    return AlgebraInstance(
+        kind, 0, lambda key: TensorElement(kind, 2, table.get(key, {})).terms,
+        selector="table",
+    )
+
+
 def _coproduct_table_algebra():
     """M_2 at weight 0 with an arbitrary coproduct table, not a derivation.
 
     D is nilpotent on it, and the antipode axiom (right side), multiplicativity
     and comultiplicativity fail on basis keys, so every witness path is reached.
     """
-    kind = MatrixKind(2)
-    e = lambda i, j: EMatrix(i, j, 2)
-    table = {
-        e(1, 1): {(e(2, 1), e(1, 1)): -1, (e(1, 2), e(1, 1)): -1},
-        e(2, 2): {(e(1, 2), e(2, 2)): -1},
-    }
-    return AlgebraInstance(
-        kind, 0, lambda key: TensorElement(kind, 2, table.get(key, {})).terms,
-        selector="table",
-    )
+    return _table_algebra({
+        _e(1, 1): {(_e(2, 1), _e(1, 1)): -1, (_e(1, 2), _e(1, 1)): -1},
+        _e(2, 2): {(_e(1, 2), _e(2, 2)): -1},
+    })
 
 
 # case -> (instance factory, its elements, what fails on its basis: the antipode
@@ -806,3 +814,106 @@ def test_memoized_coefficients_are_canonical_after_a_sweep(case):
         (e, q) for e, q in graded
         if not (type(e) is int and e >= 0 and type(q) in (int, Fraction) and q and is_canonical(q))
     ] == []
+
+
+# -- the antipode suite against the sweep that runs the checkers on every input --
+
+# M_n tables whose first antipode failure comes after passing pairs, with the
+# detail the suite reports; M_8 sweeps only the diagonal pairs, so there the
+# first random matrix finds the failing product
+MUTANT_TABLES = {
+    "mutant-E21": (2, {_e(2, 1): {(_e(2, 1), _e(1, 2)): -1}}, "property failure after 10 checks"),
+    "mutant-E12": (2, {_e(1, 2): {(_e(1, 1), _e(1, 1)): -1}}, "property failure after 8 checks"),
+    "mutant-M8": (
+        8, {_e(2, 3, 8): {(_e(1, 3, 8), _e(3, 3, 8)): -1}}, "property failure on a random matrix"
+    ),
+}
+
+# case -> (instance factory, max_len, cap).  matrix:7 and matrix:8 sit on the
+# two sides of the switch from every pair to the diagonal ones; the failing
+# cases reach each failure the basis sweep reports: S(unit), the axiom,
+# multiplicativity, comultiplicativity and a series that does not truncate,
+# on a swept key or on a product beyond the sweep (univar at cap 5); and
+# mutant-M8 a failure on a random matrix.
+ANTIPODE_SUITE_CASES = {
+    **{f"matrix:{n}": (lambda n=n: matrix_algebra(n), 6, 64) for n in range(1, 11)},
+    **{
+        sel: (lambda sel=sel: build_algebra(sel, None), 6, 64)
+        for sel in (*RMATRIX_CONTROLS, RMATRIX_PROPERTY, RMATRIX_AXIOM)
+    },
+    "table": (_coproduct_table_algebra, 6, 64),
+    "lmatrix:3:E[1,2]": (lambda: build_algebra("lmatrix:3:E[1,2]", None), 6, 64),
+    "univar-0:4:5": (lambda: univar_algebra(0), 4, 5),
+    "univar-0:6:64": (lambda: univar_algebra(0), 6, 64),
+    "word:xy-0": (lambda: word_algebra("xy", 0), 6, 64),
+    **{
+        name: (lambda n=n, t=t: _table_algebra(t, n), 6, 64)
+        for name, (n, t, _) in MUTANT_TABLES.items()
+    },
+}
+
+
+def _suite_with(sweep):
+    """``verify._suite_antipode`` running ``sweep``, as a check for ``_antipode_outcome``."""
+    def run(A, max_len, seed, cap):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "_antipode_sweep", sweep)
+            o = verify._suite_antipode(A, max_len, cap, seed)
+        return o.status, o.line(), o.failure, o.checked, o.evaluated
+
+    return run
+
+
+@pytest.mark.parametrize("case", sorted(ANTIPODE_SUITE_CASES))
+def test_antipode_suite_matches_the_dense_sweep(case):
+    make, max_len, cap = ANTIPODE_SUITE_CASES[case]
+    fast, slow = _suite_with(verify._antipode_sweep), _suite_with(dense_antipode_sweep)
+    seeds = (0, 1, 4242) if isinstance(make().kind, MatrixKind) else (0,)
+    for seed in seeds:
+        got = _antipode_outcome(fast, make(), max_len, seed, cap=cap)
+        assert got == _antipode_outcome(slow, make(), max_len, seed, cap=cap)
+    if case in MUTANT_TABLES:
+        assert got[0][1].startswith(f"[FAIL] antipode: {MUTANT_TABLES[case][2]}\n")
+
+
+def test_antipode_sweep_computes_each_value_once(monkeypatch):
+    A = matrix_algebra(3)
+    keys = list(A.basis_keys())
+    drawn, images, coproducts, multiplicativity, comultiplicativity = [], [], [], [], []
+
+    def draw(n, rng):
+        drawn.append(random_integer_matrix(n, rng))
+        return drawn[-1]
+
+    def recording(record, fn):
+        def wrapper(*args):
+            record.append(args)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(verify, "random_integer_matrix", draw)
+    monkeypatch.setattr(LinearEndomorphism, "__call__", recording(images, LinearEndomorphism.__call__))
+    monkeypatch.setattr(AlgebraInstance, "coproduct", recording(coproducts, AlgebraInstance.coproduct))
+    monkeypatch.setattr(verify, "_multiplicativity_difference", recording(
+        multiplicativity, verify._multiplicativity_difference,
+    ))
+    monkeypatch.setattr(verify, "_comultiplicativity_difference", recording(
+        comultiplicativity, verify._comultiplicativity_difference,
+    ))
+    assert verify.run_suite("antipode", A).line() == "[PASS] antipode: 299 checks"
+    assert len(drawn) == 100
+    assert [sum(args[1] is m for args in images) for m in drawn] == [1] * 100
+    assert len(coproducts) == 100  # on no basis key
+    assert all(args[1] is m for args, m in zip(coproducts, drawn))
+    # once per swept key, at its S image, and once per random matrix
+    s = antipode_endo(A)
+    swept = [args[2] for args in comultiplicativity[:len(keys)]]
+    assert len(comultiplicativity) == len(keys) + 100
+    assert all(sx is s.on_key(key).terms for sx, key in zip(swept, keys))
+    # every basis pair, then each random matrix with S(partner) carried over:
+    # the first matrix is its own partner, each later one has the one before
+    assert len(multiplicativity) == len(keys) ** 2 + 100
+    rand = [args[2:] for args in multiplicativity[-100:]]
+    assert rand[0][1] is rand[0][0]
+    assert all(sy is sx for (sx, _), (_, sy) in zip(rand, rand[1:]))

@@ -131,6 +131,7 @@ class AlgebraInstance:
         self._prelie_table = {}  # (key, key) -> {key: coeff}, filled by prelie
         self._antipode_endos = {}  # cap -> LinearEndomorphism, filled by antipode_endo
         self._relabel = {}  # max_len -> relabel verdicts, filled by verify on words
+        self._prelie_law = {}  # max_len -> (pre-Lie law values, reached triples), filled by verify
 
     def basis_keys(self, bound=6):
         return self.kind.basis_keys(bound)

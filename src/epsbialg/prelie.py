@@ -15,13 +15,13 @@ the idiom of GAP's ``LieAlgebraByStructureConstants``.  The per-call
 Sweedler sum sum A.element(k1) * a * A.element(k2) lives on as the test
 oracle ``sweedler_prelie_product`` in ``tests/support.py``.
 
-The table is sparse (40 of 625 pairs are nonzero on M_5).  Every term of
-the pre-Lie, Jacobi and representation laws on a basis triple is a |> or a
-bracket applied to a key k of a |> or bracket of two entries and to the
-third entry, so it is nonzero only along a path of two nonzero table
-entries.  The ``verify`` sweeps follow these term paths at key level and
-evaluate only the triples they reach; every other triple satisfies the law
-as 0 = 0.  The element-level checkers below are the sweeps' oracles, run on
+The table is sparse (40 of 625 pairs are nonzero on M_5).  For any bilinear
+|>, the representation law on (a, b, x) is the pre-Lie law P(a, b, x) with
+the bracket expanded, and the Jacobi sum is P summed over the rotations of
+the triple, so the ``verify`` sweeps compute P alone.  Each term of P on a
+basis triple is nonzero only along a path of two nonzero table entries; one
+pass follows these paths at key level, and every other triple satisfies P as
+0 = 0.  The element-level checkers below are the sweeps' oracles, run on
 every triple by ``dense_law_sweep`` and on every triple with a touching pair
 of entries by ``touch_law_sweep``, both in ``tests/support.py``.
 

@@ -11,6 +11,7 @@ from epsbialg import (
     LawReport,
     LinearEndomorphism,
     MatrixKind,
+    NotNilpotentWithinCap,
     UnivarKind,
     Word,
     WordKind,
@@ -236,78 +237,82 @@ def nilpotency_index(A, a, cap=64):
 # -- oracle for the antipode suite ---------------------------------------------
 # The suite's walk with the element-level checkers run on every input, S and
 # the coproducts evaluated again for every check; knows nothing of the values
-# ``verify._antipode_sweep`` shares.  Run through ``verify._suite_antipode``
-# in place of that sweep, it gives the outcome to compare.
+# ``verify._antipode_sweep`` shares.  A series that does not truncate fails
+# after the checks before it, as in that sweep.
 
 
 def dense_antipode_sweep(A, max_len, cap, seed):
-    s = antipode_endo(A, cap)
     checks = 0
-    if s(A.unit) != -A.unit:
-        return _failed(
-            "antipode", "S(unit) != -unit",
-            LawReport.fail("antipode-unit", ("unit",), s(A.unit) + A.unit),
-            checks,
-        )
-    keys = list(A.basis_keys(max_len))
-    d_vanishes = True
-    for key in keys:
-        e = A.element(key)
-        if not d_map(A, e).is_zero():
-            d_vanishes = False
-        report = check_antipode_axiom(A, e, cap)
-        if not report:
-            return _failed("antipode", f"axiom failure after {checks} checks", report, checks)
-        checks += 1
-    if len(keys) ** 2 <= 2500:
-        pairs = [(p, q) for p in keys for q in keys]
-    else:
-        pairs = [(p, p) for p in keys]
-    for p, q in pairs:
-        report = check_antipode_properties(A, A.element(p), A.element(q), cap)
-        if not report:
+    try:
+        s = antipode_endo(A, cap)
+        if s(A.unit) != -A.unit:
             return _failed(
-                "antipode", f"property failure after {checks} checks", report, checks
+                "antipode", "S(unit) != -unit",
+                LawReport.fail("antipode-unit", ("unit",), s(A.unit) + A.unit),
+                checks,
             )
-        checks += 1
-    if d_vanishes:
-        # with D = 0 on the basis the series collapses to S = -id, so the
-        # involution S(S(a)) = a is an exact bijectivity witness
+        keys = list(A.basis_keys(max_len))
+        d_vanishes = True
         for key in keys:
             e = A.element(key)
-            back = antipode(A, s(e), cap)
-            if back != e:
+            if not d_map(A, e).is_zero():
+                d_vanishes = False
+            report = check_antipode_axiom(A, e, cap)
+            if not report:
+                return _failed("antipode", f"axiom failure after {checks} checks", report, checks)
+            checks += 1
+        if len(keys) ** 2 <= 2500:
+            pairs = [(p, q) for p in keys for q in keys]
+        else:
+            pairs = [(p, p) for p in keys]
+        for p, q in pairs:
+            report = check_antipode_properties(A, A.element(p), A.element(q), cap)
+            if not report:
                 return _failed(
-                    "antipode", "S(S(a)) != a",
-                    LawReport.fail("antipode-involution", (str(e),), back - e),
-                    checks,
+                    "antipode", f"property failure after {checks} checks", report, checks
                 )
             checks += 1
-    if isinstance(A.kind, MatrixKind):
-        import random  # only this branch draws matrices: word and univar runs skip the import
+        if d_vanishes:
+            # with D = 0 on the basis the series collapses to S = -id, so the
+            # involution S(S(a)) = a is an exact bijectivity witness
+            for key in keys:
+                e = A.element(key)
+                back = antipode(A, s(e), cap)
+                if back != e:
+                    return _failed(
+                        "antipode", "S(S(a)) != a",
+                        LawReport.fail("antipode-involution", (str(e),), back - e),
+                        checks,
+                    )
+                checks += 1
+        if isinstance(A.kind, MatrixKind):
+            import random  # only this branch draws matrices: word and univar runs skip the import
 
-        rng = random.Random(seed)
-        previous = None
-        for _ in range(100):
-            m = random_integer_matrix(A.kind.n, rng)
-            report = check_antipode_axiom(A, m, cap)
-            if not report:
-                return _failed("antipode", "axiom failure on a random matrix", report, checks)
-            partner = previous if previous is not None else m
-            report = check_antipode_properties(A, m, partner, cap)
-            if not report:
-                return _failed(
-                    "antipode", "property failure on a random matrix", report, checks
-                )
-            if d_vanishes and s(m) != -m:
-                return _failed(
-                    "antipode", "S != -id on a random matrix",
-                    LawReport.fail("antipode-negation", (str(m),), s(m) + m),
-                    checks,
-                )
-            previous = m
-            checks += 2
-    return _passed("antipode", f"{checks} checks", checks)
+            rng = random.Random(seed)
+            previous = None
+            for _ in range(100):
+                m = random_integer_matrix(A.kind.n, rng)
+                report = check_antipode_axiom(A, m, cap)
+                if not report:
+                    return _failed("antipode", "axiom failure on a random matrix", report, checks)
+                partner = previous if previous is not None else m
+                report = check_antipode_properties(A, m, partner, cap)
+                if not report:
+                    return _failed(
+                        "antipode", "property failure on a random matrix", report, checks
+                    )
+                if d_vanishes and s(m) != -m:
+                    return _failed(
+                        "antipode", "S != -id on a random matrix",
+                        LawReport.fail("antipode-negation", (str(m),), s(m) + m),
+                        checks,
+                    )
+                previous = m
+                checks += 2
+        return _passed("antipode", f"{checks} checks", checks)
+    except NotNilpotentWithinCap as exc:
+        detail = f"series of {exc.element} does not truncate within cap {exc.cap}"
+        return _failed("antipode", detail, None, checks)
 
 
 # -- oracles for the triple-law sweeps -----------------------------------------

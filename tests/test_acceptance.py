@@ -318,7 +318,7 @@ def test_criterion_9_cli_contract():
 
 
 def test_criterion_10_law_sweeps_scale():
-    with criterion(10, "pre-Lie, Jacobi, representation sweeps on M_10", 5.0):
+    with criterion(10, "pre-Lie, Jacobi, representation sweeps on M_10", 1.0):
         A = matrix_algebra(10)
         for suite in ("prelie", "jacobi", "representation"):
             assert run_suite(suite, A).line() == f"[PASS] {suite}: 1000000 triples checked"

@@ -485,6 +485,24 @@ def test_verify_antipode_names_a_product_beyond_the_sweep(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, checked",
+    [
+        (("-a", "univar", "--weight", "0", "--max-len", "32"), 1121),
+        (("-a", "univar", "--weight", "0", "--max-len", "4", "--cap", "5"), 14),
+        (("-a", "rmatrix:2:E[1,1] (x) E[1,1]:0"), 1),
+        (("-a", "word:xy", "--weight", "0"), 1),
+    ],
+    ids=["univar-32", "univar-4-cap-5", "rmatrix", "word-weight-0"],
+)
+def test_non_truncating_antipode_counts_the_checks_before_it(capsys, argv, checked):
+    code, out, err = run(capsys, "verify", "--suite", "antipode", *argv, "--json")
+    assert (code, err) == (1, "")
+    [suite] = json.loads(out)["suites"]
+    assert "does not truncate" in suite["detail"]
+    assert (suite["checked"], suite["evaluated"]) == (checked, checked + 1)
+
+
+@pytest.mark.parametrize(
     "selector, detail, witness, checked",
     [
         ("rmatrix:2:E[1,1] (x) E[1,2]:0", "property failure after 4 checks",
@@ -761,7 +779,7 @@ def test_antipode_series_within_the_term_bound_still_fails_to_truncate(capsys, e
 
 def test_outcomes_report_checked_and_evaluated():
     # evaluated on M_2
-    term_driven = {"algebra": 16, "prelie": 2, "jacobi": 3, "representation": 2}
+    term_driven = {"algebra": 16, "prelie": 2, "jacobi": 4, "representation": 2}
     _, outcomes = run_verify("all", matrix_algebra(2))
     for o in outcomes:
         if o.suite in term_driven:

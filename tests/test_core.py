@@ -854,11 +854,9 @@ ANTIPODE_SUITE_CASES = {
 
 
 def _suite_with(sweep):
-    """``verify._suite_antipode`` running ``sweep``, as a check for ``_antipode_outcome``."""
+    """The antipode suite's outcome by ``sweep``, as a check for ``_antipode_outcome``."""
     def run(A, max_len, seed, cap):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(verify, "_antipode_sweep", sweep)
-            o = verify._suite_antipode(A, max_len, cap, seed)
+        o = sweep(A, max_len, cap, seed)
         return o.status, o.line(), o.failure, o.checked, o.evaluated
 
     return run

@@ -33,13 +33,12 @@ from epsbialg import (
     univar_algebra,
     word_algebra,
 )
-from epsbialg import prelie
+from epsbialg import prelie, verify
 from epsbialg.cli import build_algebra
 from epsbialg.matrices import TELESCOPING
 from epsbialg.verify import (
-    _LAW_TERMS,
-    _LawTables,
     _applicable,
+    _law_values,
     _triple_keys,
     run_suite,
     run_verify,
@@ -289,20 +288,13 @@ def test_engine_matches_both_oracles_on_random_rmatrix(terms, suite):
     _assert_same_outcome(engine, touch_law_sweep(build_algebra(selector, None), 6, suite))
 
 
-def _element_term_paths(A, suite, a, b, c):
-    """Each term of the law on (a, b, c) as (inner value, outer map), built at
-    element level: the term is outer(inner), and it has a path when outer is
-    nonzero on some key of inner."""
+def _element_term_paths(A, a, b, c):
+    """Each term of the pre-Lie law on (a, b, c) as (inner value, outer map),
+    built at element level: the term is outer(inner), and it has a path when
+    outer is nonzero on some key of inner."""
     rhd = lambda u, v: prelie_product(A, u, v)
-    br = lambda u, v: commutator_bracket(A, u, v)
-    if suite == "prelie":
-        return [(rhd(a, b), lambda k: rhd(k, c)), (rhd(b, c), lambda k: rhd(a, k)),
-                (rhd(b, a), lambda k: rhd(k, c)), (rhd(a, c), lambda k: rhd(b, k))]
-    if suite == "representation":
-        return [(br(a, b), lambda k: rhd(k, c)), (rhd(b, c), lambda k: rhd(a, k)),
-                (rhd(a, c), lambda k: rhd(b, k))]
-    return [(br(a, b), lambda k: br(k, c)), (br(b, c), lambda k: br(k, a)),
-            (br(c, a), lambda k: br(k, b))]
+    return [(rhd(a, b), lambda k: rhd(k, c)), (rhd(b, c), lambda k: rhd(a, k)),
+            (rhd(b, a), lambda k: rhd(k, c)), (rhd(a, c), lambda k: rhd(b, k))]
 
 
 ZERO_TERM_CASES = {
@@ -314,28 +306,67 @@ ZERO_TERM_CASES = {
 }
 
 
+def _assert_law_values_are_the_differences(A, suite):
+    # representation is the pre-Lie law P(a, b, x) and Jacobi its sum over
+    # the rotations: every value read off the pass is the element-level
+    # checker's difference, and 0 where the checker passes
+    checker = {"prelie": check_prelie_identity, "jacobi": check_jacobi,
+               "representation": check_left_representation}[suite]
+    elements = [A.element(key) for key in _triple_keys(A, 6)]
+    values, _ = _law_values(A, 6, suite)
+    for index, triple in enumerate(itertools.product(elements, repeat=3)):
+        report = checker(A, *triple)
+        want = {} if report else report.witness.difference.terms
+        assert values.get(index, {}) == want, (suite, index, triple)
+
+
 @pytest.mark.parametrize("case", ZERO_TERM_CASES)
 @pytest.mark.parametrize("suite", LAW_SUITES)
 def test_candidates_are_the_triples_with_a_term_path(case, suite):
-    # the 0 = 0 argument itself: the engine evaluates exactly the triples on
-    # which some term has a path, and a term without a path is zero
+    # the 0 = 0 argument itself: the pass reaches exactly the triples on
+    # which some term of the pre-Lie law has a path, and a term without a
+    # path is zero; Jacobi is evaluated where some rotation was reached
     A = ZERO_TERM_CASES[case]()
     keys = _triple_keys(A, 6)
+    m = len(keys)
     elements = [A.element(key) for key in keys]
     with_path = set()
     for index, (a, b, c) in enumerate(itertools.product(elements, repeat=3)):
-        for inner, outer in _element_term_paths(A, suite, a, b, c):
+        for inner, outer in _element_term_paths(A, a, b, c):
             if any(not outer(A.element(k)).is_zero() for k in inner.terms):
                 with_path.add(index)
             else:
                 assert outer(inner).is_zero(), (index, a, b, c)
-    candidates = _LawTables(A, keys).candidates(_LAW_TERMS[suite])
-    assert candidates == sorted(with_path)
-    assert len(candidates) < len(keys) ** 3
+    if suite == "jacobi":
+        rotations = lambda i, j, k: ((i, j, k), (j, k, i), (k, i, j))
+        with_path = {
+            (i * m + j) * m + k for i, j, k in itertools.product(range(m), repeat=3)
+            if any((x * m + y) * m + z in with_path for x, y, z in rotations(i, j, k))
+        }
+    _, candidates = _law_values(A, 6, suite)
+    assert candidates == with_path
+    assert len(candidates) < m ** 3
+    if suite != "prelie":
+        _assert_law_values_are_the_differences(A, suite)
 
 
 @pytest.mark.parametrize(
-    "n, evaluated", [(1, (0, 0, 0)), (5, (100, 288, 100))]
+    "A", [word_algebra("xy", 0), univar_algebra(0)], ids=["word:xy weight 0", "univar weight 0"]
+)
+@pytest.mark.parametrize("suite", LAW_SUITES)
+def test_law_values_are_the_checkers_differences(A, suite):
+    _assert_law_values_are_the_differences(A, suite)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_R_TERMS, st.sampled_from(LAW_SUITES))
+def test_law_values_are_the_checkers_differences_on_random_rmatrix(terms, suite):
+    r = " + ".join(f"({c}) * E[{i},{j}] (x) E[{k},{l}]" for c, i, j, k, l in terms)
+    _assert_law_values_are_the_differences(build_algebra(f"rmatrix:3:{r}:0", None), suite)
+
+
+@pytest.mark.parametrize(
+    "n, evaluated", [(1, (0, 0, 0)), (5, (100, 292, 100))]
 )
 def test_evaluated_candidates_on_matrices(n, evaluated):
     for suite, count in zip(LAW_SUITES, evaluated):
@@ -344,12 +375,24 @@ def test_evaluated_candidates_on_matrices(n, evaluated):
         assert outcome.evaluated == count, suite
 
 
+def test_one_pass_serves_the_three_laws(monkeypatch):
+    # the pre-Lie pass runs once per instance and max-len, whatever the suites
+    A = matrix_algebra(3)
+    passes = []
+    monkeypatch.setattr(verify, "_prelie_pass", lambda *args: passes.append(args) or ({}, set()))
+    run_verify("all", A)
+    for suite in LAW_SUITES:
+        run_suite(suite, A)
+    run_suite("prelie", A, max_len=9)
+    assert [len(keys) for _, keys in passes] == [9, 9]
+
+
 @pytest.mark.parametrize("selector", RMATRIX_CONTROLS)
 @pytest.mark.parametrize("suite", LAW_SUITES)
 def test_control_witness_is_an_evaluated_candidate(selector, suite):
     A = build_algebra(selector, None)
     outcome = run_suite(suite, A)
-    candidates = _LawTables(A, _triple_keys(A, 6)).candidates(_LAW_TERMS[suite])
+    candidates = sorted(_law_values(A, 6, suite)[1])
     if outcome.status == "pass":
         assert outcome.evaluated == len(candidates) > 0
         return

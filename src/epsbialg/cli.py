@@ -1,10 +1,8 @@
 """Command-line surface.
 
-Subcommands, each with --algebra, --weight and --json: ``coproduct`` and
-``antipode`` read --expr, ``antipode`` also --cap; ``multiply``, ``prelie`` and
-``bracket`` read --lhs and --rhs, ``bracket`` also --closed-form or --table;
-``verify`` reads --suite, --cap, --max-len and --seed.  Any other option is a
-usage error (exit 2).  Algebra selectors:
+Six subcommands, each declared once with its options in the table
+``_COMMANDS``: --algebra, --weight and --json on all, and the options each one
+reads.  Any other option is a usage error (exit 2).  Algebra selectors:
 
     matrix:N                 telescoping coproduct on M_N, weight 0
     word:xy | word:x1,x2     weighted word coproduct (generic weight L,
@@ -22,15 +20,23 @@ Exit codes: 0 success, 1 law violation (including a non-truncating antipode
 series), 2 usage or parse errors (including unconstructible selectors) and
 a stdout closed before the output was complete.
 Output is deterministic: identical invocations print identical bytes.
+
+Reading argv: ``_read_argv`` reads a well-formed call from the table alone:
+the command, then each of its options once as ``--opt value``, ``-a value`` or
+``--opt=value``, and --json any number of times.  It leaves anything else
+(--help, ``--``, an abbreviation, a repeat, a separate value that starts with
+``-``, a value its converter refuses) to the argparse parser that
+``build_arg_parser`` makes from the same table, so argparse prints every help
+text and usage error.  A well-formed call imports neither argparse (with
+gettext and locale) nor json, which only --json output loads.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 from math import isqrt
+from types import SimpleNamespace
 
 from .core import antipode, coproduct_from_r
 from .errors import DEFAULT_SEED, SUITE_NAMES, EpsBialgError, NotNilpotentWithinCap
@@ -42,23 +48,121 @@ from .scalars import MAX_TERMS
 # selectors that use them: a process compiles only the modules its command runs.
 
 
+def _integer(text, what="value"):
+    # ASCII digits only: int() also reads "+2", " 2", "1_6" and other scripts' digits
+    try:
+        if not (text.isascii() and text.removeprefix("-").isdigit()):
+            raise ValueError
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {text!r}") from None
+
+
+def _positive_int(text, what="value"):
+    """Also the converter of --cap and --max-len: a bound below 1 would check nothing."""
+    value = _integer(text, what)
+    if value < 1:
+        raise ValueError(f"{what} must be >= 1, got {value}")
+    return value
+
+
+# Each option is (flags, converter, default, help): the converter None keeps
+# the text, bool makes a flag, and the default _REQUIRED makes it required.
+# The first flag names the attribute, as argparse's dest does.
+_REQUIRED = object()
+_COMMON = (
+    (("--algebra", "-a"), None, _REQUIRED,
+     "algebra selector: matrix:N | word:<letters> | univar | "
+     "lmatrix:N:<expr> | rmatrix:N:<r-expr>:<weight>"),
+    (("--weight",), None, None, "weight override (word/univar selectors only), e.g. 0, -1, L"),
+    (("--json",), bool, False, "emit JSON instead of text"),
+)
+_CAP = (("--cap",), _positive_int, 64, "iteration cap for the antipode series (default 64)")
+_EXPR = (("--expr", "-e"), None, _REQUIRED, "element expression")
+_OPERANDS = ((("--lhs",), None, _REQUIRED, None), (("--rhs",), None, _REQUIRED, None))
+
+# command -> (help, options in help order, options of which at most one is given)
+_COMMANDS = {
+    "coproduct": ("apply the coproduct", _COMMON + (_EXPR,), ()),
+    "antipode": ("apply the antipode series", _COMMON + (_CAP, _EXPR), ()),
+    "multiply": ("multiply two elements", _COMMON + _OPERANDS, ()),
+    "prelie": ("pre-Lie product lhs |> rhs", _COMMON + _OPERANDS, ()),
+    "bracket": ("Lie bracket [lhs, rhs]", _COMMON + _OPERANDS, (
+        (("--closed-form",), bool, False,
+         "use the sign-condition closed form (matrix basis pairs)"),
+        (("--table",), bool, False, "use the five-case table (matrix basis pairs)"),
+    )),
+    "verify": ("run a verification suite", _COMMON + (
+        _CAP,
+        (("--max-len",), _positive_int, 6,
+         "bound for word-length / exponent sweeps (default 6)"),
+        (("--seed",), _integer, DEFAULT_SEED,
+         f"seed for random-matrix checks (default {DEFAULT_SEED})"),
+        (("--suite",), None, _REQUIRED, "one of: " + ", ".join(SUITE_NAMES)),
+    ), ()),
+}
+
+
+def _dest(option):
+    return option[0][0][2:].replace("-", "_")
+
+
+def _read_argv(argv):
+    """The attributes of a well-formed call, read from ``_COMMANDS``, or None
+    when argparse must read ``argv`` (see the module docstring)."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    _, options, exclusive = command
+    by_flag = {flag: option for option in options + exclusive for flag in option[0]}
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        option = by_flag.get(flag)
+        if option is None or (eq and not flag.startswith("--")):
+            return None
+        dest, convert = _dest(option), option[1]
+        if (dest in values and dest != "json") or (eq and convert is bool):
+            return None
+        if convert is bool:
+            values[dest] = True
+            continue
+        text = text if eq else next(tokens, "-")
+        # argparse may read a separate "-..." as an option, and drops a value "--"
+        if (not eq and text.startswith("-")) or text == "--":
+            return None
+        try:
+            values[dest] = text if convert is None else convert(text)
+        except ValueError:
+            return None
+    if sum(values.get(_dest(option), False) for option in exclusive) > 1:
+        return None
+    values = {**{_dest(option): option[2] for option in options + exclusive}, **values}
+    if _REQUIRED in values.values():
+        return None
+    return SimpleNamespace(command=argv[0], **values)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--algebra", "-a", required=True,
-        help="algebra selector: matrix:N | word:<letters> | univar | "
-             "lmatrix:N:<expr> | rmatrix:N:<r-expr>:<weight>",
-    )
-    common.add_argument(
-        "--weight", default=None,
-        help="weight override (word/univar selectors only), e.g. 0, -1, L",
-    )
-    common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    capped = argparse.ArgumentParser(add_help=False, parents=[common])
-    capped.add_argument(
-        "--cap", type=_count_arg, default=64,
-        help="iteration cap for the antipode series (default 64)",
-    )
+    """The argparse parser of ``_COMMANDS``: it reads every argv that
+    ``_read_argv`` declines, and prints every help text and usage error."""
+    import argparse
+
+    def typed(convert):
+        def read(text):
+            try:
+                return convert(text)
+            except ValueError as exc:  # argparse prints an ArgumentTypeError as it is
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return read
+
+    def add(target, flags, convert, default, text):
+        if convert is bool:
+            return target.add_argument(*flags, action="store_true", help=text)
+        required = default is _REQUIRED
+        target.add_argument(*flags, type=convert and typed(convert), required=required,
+                            default=None if required else default, help=text)
 
     parser = argparse.ArgumentParser(
         prog="epsbialg",
@@ -66,44 +170,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     "infinitesimal-bialgebra structures over Q[L].",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("coproduct", parents=[common], help="apply the coproduct")
-    p.add_argument("--expr", "-e", required=True, help="element expression")
-
-    p = sub.add_parser("antipode", parents=[capped], help="apply the antipode series")
-    p.add_argument("--expr", "-e", required=True, help="element expression")
-
-    p = sub.add_parser("multiply", parents=[common], help="multiply two elements")
-    p.add_argument("--lhs", required=True)
-    p.add_argument("--rhs", required=True)
-
-    p = sub.add_parser("prelie", parents=[common], help="pre-Lie product lhs |> rhs")
-    p.add_argument("--lhs", required=True)
-    p.add_argument("--rhs", required=True)
-
-    p = sub.add_parser("bracket", parents=[common], help="Lie bracket [lhs, rhs]")
-    p.add_argument("--lhs", required=True)
-    p.add_argument("--rhs", required=True)
-    route = p.add_mutually_exclusive_group()
-    route.add_argument(
-        "--closed-form", action="store_true",
-        help="use the sign-condition closed form (matrix basis pairs)",
-    )
-    route.add_argument(
-        "--table", action="store_true",
-        help="use the five-case table (matrix basis pairs)",
-    )
-
-    p = sub.add_parser("verify", parents=[capped], help="run a verification suite")
-    p.add_argument(
-        "--max-len", type=_count_arg, default=6,
-        help="bound for word-length / exponent sweeps (default 6)",
-    )
-    p.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED,
-        help=f"seed for random-matrix checks (default {DEFAULT_SEED})",
-    )
-    p.add_argument("--suite", required=True, help="one of: " + ", ".join(SUITE_NAMES))
+    for name, (text, options, exclusive) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for option in options:
+            add(command, *option)
+        group = command.add_mutually_exclusive_group() if exclusive else None
+        for option in exclusive:
+            add(group, *option)
     return parser
 
 
@@ -145,19 +218,6 @@ def build_algebra(selector: str, weight_text):
     raise ValueError(f"unknown algebra selector {selector!r}")
 
 
-def _positive_int(text, what):
-    # ASCII digits only: int() also reads "+2", " 2", "1_6" and other scripts' digits
-    try:
-        if not (text.isascii() and text.removeprefix("-").isdigit()):
-            raise ValueError
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"{what} must be an integer, got {text!r}") from None
-    if value < 1:
-        raise ValueError(f"{what} must be >= 1, got {value}")
-    return value
-
-
 def _matrix_dimension(text):
     n = _positive_int(text, "matrix dimension")
     if n * n > MAX_TERMS:
@@ -166,14 +226,6 @@ def _matrix_dimension(text):
             f"stays within {MAX_TERMS} terms; got {n}"
         )
     return n
-
-
-def _count_arg(text):
-    """argparse type of --cap and --max-len: a bound below 1 would check nothing."""
-    try:
-        return _positive_int(text, "value")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _reject_weight(weight_text, which):
@@ -213,6 +265,8 @@ def _verify(args, algebra):
         args.suite, algebra, max_len=args.max_len, cap=args.cap, seed=args.seed
     )
     if args.json:
+        import json
+
         payload = {
             "algebra": algebra.selector,
             "suites": [
@@ -256,11 +310,13 @@ def main(argv=None) -> int:
 
 
 def _run(argv):
-    parser = build_arg_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = build_arg_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         algebra = build_algebra(args.algebra, args.weight)
         if args.command == "verify":

@@ -31,7 +31,6 @@ included, stays within the size bounds ``MAX_KEY_SIZE``, ``MAX_TERMS`` and
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 
@@ -430,5 +429,7 @@ def emit(value, fmt: str = "text", algebra=None) -> str:
     if fmt == "text":
         return str(value)
     if fmt == "json":
+        import json
+
         return json.dumps(_value_json(value, algebra), indent=2)
     raise ValueError(f"unknown format {fmt!r}")

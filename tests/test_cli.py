@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import epsbialg
@@ -24,6 +24,7 @@ from epsbialg import (
     matrix_bracket_table,
     verify,
 )
+from epsbialg import cli
 from epsbialg.cli import build_algebra, build_arg_parser, main
 from epsbialg.verify import (
     MAX_SWEEP,
@@ -404,8 +405,110 @@ def test_each_command_takes_only_the_options_it_reads():
     assert {name: sorted(d) for name, d in dests.items()} == {
         name: sorted(own | {"algebra", "weight", "json"}) for name, own in _COMMAND_DESTS.items()
     }
+    # argparse and the fast reader both read the one option table
+    assert dests == {
+        name: [cli._dest(option) for option in options + exclusive]
+        for name, (_, options, exclusive) in cli._COMMANDS.items()
+    }
     assert sum(map(len, dests.values())) == 33
     assert len(_REFUSED_FLAGS) == 14
+
+
+_TABLE_FLAGS = sorted({
+    flag
+    for _, options, exclusive in cli._COMMANDS.values()
+    for option in options + exclusive
+    for flag in option[0]
+})
+_PLAIN_VALUES = ["matrix:2", "word:xy", "E[1,2]", "x", "all", "", "=x", "a=b", "L", "1/2"]
+_ARGV_VALUES = st.one_of(
+    st.sampled_from(_PLAIN_VALUES + ["3", "0", "1_0", "+3", " 7", "٣"]),
+    st.sampled_from(["-1", "-4", "-", "--", "-e", "--lhs", "-E[1,2]", "-h"]),
+    st.text(max_size=4),
+)
+_ARGV_JUNK = st.one_of(
+    st.sampled_from(_TABLE_FLAGS + [
+        "-h", "--help", "--", "--alg", "--js", "--clo", "-a=word:xy", "-amatrix:2",
+        "-ematrix", "coproduct", "junk",
+    ]),
+    st.builds("{}={}".format, st.sampled_from(_TABLE_FLAGS), _ARGV_VALUES),
+    _ARGV_VALUES,
+)
+
+
+@st.composite
+def _table_argvs(draw):
+    """A well-formed argv of one command, which is then spoiled up to twice: a
+    token is replaced by, or preceded by, junk, a copy of another token or one
+    of the command's flags with an ``=value``."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    _, options, exclusive = cli._COMMANDS[name]
+    argv = [name]
+    for flags, convert, default, _ in draw(st.permutations(options + exclusive)):
+        if default is not cli._REQUIRED and draw(st.booleans()):
+            continue
+        flag = draw(st.sampled_from(flags))
+        if convert is bool:
+            argv.append(flag)
+            continue
+        value = draw(st.sampled_from(["1", "3", "64"] if convert else _PLAIN_VALUES))
+        argv += [f"{flag}={value}"] if flag[1] == "-" and draw(st.booleans()) else [flag, value]
+    own = st.sampled_from([flag for option in options + exclusive for flag in option[0]])
+    own_with_value = st.builds("{}={}".format, own, st.just("--") | _ARGV_VALUES)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
+        token = draw(_ARGV_JUNK | st.sampled_from(argv) | own_with_value)
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at + draw(st.integers(0, 1))] = [token]
+    return argv
+
+
+_PARSER = build_arg_parser()
+
+
+@settings(max_examples=500, deadline=None)
+@given(_table_argvs())
+def test_the_fast_reader_takes_only_what_argparse_reads_alike(argv):
+    # every argv the table's reader takes, argparse reads to the same
+    # attributes; every argv argparse refuses (or answers with help), it declines
+    fast = cli._read_argv(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            slow = vars(_PARSER.parse_args(argv))
+        except SystemExit:
+            slow = None
+    event("taken" if fast is not None else "declined")
+    if fast is not None:
+        assert vars(fast) == slow
+
+
+@pytest.mark.parametrize("argv", [
+    ["coproduct", "-a", "matrix:2", "-e", "E[1,2]"],
+    ["coproduct", "--expr=E[1,2]", "--json", "--algebra=matrix:2", "--json"],
+    ["bracket", "--lhs=", "--rhs", "", "-a", "x", "--table", "--weight=-1"],
+    ["verify", "--suite=all", "-a", "word:xy", "--seed=-4", "--cap", "3", "--max-len=2"],
+])
+def test_the_fast_reader_takes_a_well_formed_argv(argv):
+    assert vars(cli._read_argv(argv)) == vars(_PARSER.parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["nope"], ["coproduct", "-a", "matrix:2"],
+    ["coproduct", "-a", "matrix:2", "-e", "x", "-h"],
+    ["coproduct", "-a", "matrix:2", "-e", "x", "--"],
+    ["coproduct", "--alg", "matrix:2", "-e", "x"],
+    ["coproduct", "-a=matrix:2", "-e", "x"],
+    ["coproduct", "-amatrix:2", "-e", "x"],
+    ["coproduct", "-a", "matrix:2", "-e", "x", "-a", "matrix:3"],
+    ["coproduct", "-a", "word:xy", "-e", "x", "--weight", "-1"],
+    ["coproduct", "-a", "word:xy", "--expr=--"],
+    ["coproduct", "-a", "word:xy", "-e", "x", "--json=1"],
+    ["coproduct", "-a", "word:xy", "-e", "x", "--seed", "3"],
+    ["bracket", "-a", "matrix:2", "--lhs", "x", "--rhs", "y", "--table", "--closed-form"],
+    ["verify", "--suite", "all", "-a", "word:xy", "--cap=0"],
+    ["verify", "--suite", "all", "-a", "word:xy", "--seed", "+3"],
+])
+def test_the_fast_reader_leaves_the_rest_to_argparse(argv):
+    assert cli._read_argv(argv) is None
 
 
 @pytest.mark.parametrize("command, flag", _REFUSED_FLAGS)
@@ -546,6 +649,10 @@ def test_bounds_below_one_are_usage_errors(capsys, flag, value):
     (("-a", "matrix:٢"), "٢"),
     (("-a", "lmatrix:+2:E[1,2]"), "+2"),
     (("-a", "word:xy", "--max-len", "1_0"), "1_0"),
+    (("-a", "word:xy", "--seed", "1_0"), "1_0"),
+    (("-a", "word:xy", "--seed", " 7"), " 7"),
+    (("-a", "word:xy", "--seed", "+3"), "+3"),
+    (("-a", "word:xy", "--seed", "٣"), "٣"),
 ])
 def test_integer_arguments_are_ascii_digits(capsys, argv, text):
     # int() reads a sign, blanks, underscores and non-ASCII digits; the CLI does not
@@ -554,6 +661,25 @@ def test_integer_arguments_are_ascii_digits(capsys, argv, text):
     (line,) = [line for line in err.splitlines() if "error" in line]
     assert line.endswith(f"must be an integer, got {text!r}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", [("--seed", "-4"), ("--seed=-4",), ("--seed", "0")])
+def test_a_seed_may_be_negative_or_zero(capsys, seed):
+    code, out, err = run(capsys, "verify", "--suite", "antipode", "-a", "matrix:2", *seed)
+    assert (code, err) == (0, "")
+    assert out.endswith("result: ok\n")
+
+
+@pytest.mark.parametrize("tail", [(), ("--weight", "-1")])
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch, tail):
+    # the second argv goes to argparse: it reads a separate value "-1" itself
+    argv = ["coproduct", "-a", "word:xy", "-e", "x*y", *tail]
+    expected = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["epsbialg", *argv])
+    code = main()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
+    assert code == 0
 
 
 def nested(core, depth):

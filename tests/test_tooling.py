@@ -23,7 +23,7 @@ from epsbialg import (
     verify,
     word_algebra,
 )
-from epsbialg.cli import build_algebra, build_arg_parser
+from epsbialg.cli import _read_argv, build_algebra, build_arg_parser
 from epsbialg.verify import run_suite
 
 from support import tensor_coassoc_oracle
@@ -232,7 +232,9 @@ def test_verify_binds_every_name_the_benchmark_reads():
 
 def test_every_benchmark_argv_parses(monkeypatch, capsys):
     # the benchmark runs these calls; an option the CLI stops taking would
-    # otherwise fail only there.  The workload module is read, not changed.
+    # otherwise fail only there.  Each one is read by the option table's fast
+    # reader, to the attributes argparse gives it.  The workload module is
+    # read, not changed.
     spec = importlib.util.spec_from_file_location("bench_workloads", TRACER.with_name("workloads.py"))
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)
@@ -241,13 +243,19 @@ def test_every_benchmark_argv_parses(monkeypatch, capsys):
     built = [call for make in workloads.WORKLOADS.values() for call in make(4242).calls]
     assert (len(corpus), len(built)) == (390, 122)
     parser = build_arg_parser()
-    refused = []
+    refused, declined, differ = [], [], []
     for call in corpus + built:
         try:
-            parser.parse_args(call.argv)
+            expected = vars(parser.parse_args(call.argv))
         except SystemExit:
             refused.append(call.argv)
-    assert refused == []
+            continue
+        fast = _read_argv(call.argv)
+        if fast is None:
+            declined.append(call.argv)
+        elif vars(fast) != expected:
+            differ.append(call.argv)
+    assert (refused, declined, differ) == ([], [], [])
     assert capsys.readouterr().err == ""
 
 
@@ -266,15 +274,55 @@ print(codes, sorted(set(sys.modules) & set(sys.argv[1:])))
 
 def test_cli_start_up_imports_no_heavy_stdlib_module():
     # every CLI process pays for what it imports: dataclasses, with inspect,
-    # ast, dis and tokenize behind it, was half of start-up; -S keeps site's
-    # own imports from hiding one of these coming back
-    heavy = ["ast", "dataclasses", "dis", "inspect", "tokenize", "typing"]
+    # ast, dis and tokenize behind it, was half of start-up, and argparse (with
+    # gettext and locale) and json much of the rest; -S keeps site's own
+    # imports from hiding one of these coming back
+    heavy = [
+        "argparse", "ast", "dataclasses", "dis", "gettext", "inspect", "json", "locale",
+        "tokenize", "typing",
+    ]
     done = subprocess.run(
         [sys.executable, "-S", "-c", _STARTUP_PROBE, *heavy], capture_output=True,
         env=dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent)), timeout=60, text=True,
     )
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "[0, 0] []\n"
+
+
+_PATH_PROBE = """\
+import io, sys
+import epsbialg.cli as cli
+sys.stdout = sys.stderr = io.StringIO()
+code = cli.main(sys.argv[1:])
+text, sys.stdout, sys.stderr = sys.stdout.getvalue(), sys.__stdout__, sys.__stderr__
+print(code, "json" in sys.modules, "argparse" in sys.modules)
+print(text, end="")
+"""
+
+
+@pytest.mark.parametrize("argv,code,loaded,text", [
+    (["coproduct", "-a", "matrix:2", "-e", "E[1,2]", "--json"], 0, "True False",
+     '{\n  "algebra": "matrix:2",'),
+    (["coproduct", "--help"], 0, "False True", "usage: epsbialg coproduct [-h] --algebra ALGEBRA"),
+    (["coproduct", "-a", "matrix:2", "-e", "E[1,2]", "--seed", "3"], 2, "False True",
+     "usage: epsbialg [-h] {coproduct,antipode,multiply,prelie,bracket,verify} ..."),
+])
+def test_only_json_output_loads_json_and_only_help_or_errors_load_argparse(
+    argv, code, loaded, text
+):
+    # a well-formed call is read from the option table: --json loads json for
+    # its output, and only argparse prints help and usage errors
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _PATH_PROBE, *argv], capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent), COLUMNS="80"),
+        timeout=60, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    first, output = done.stdout.split("\n", 1)
+    assert first == f"{code} {loaded}"
+    assert output.startswith(text)
+    if code == 2:
+        assert output.endswith("epsbialg: error: unrecognized arguments: --seed 3\n")
 
 
 _LOAD_PROBE = """\

@@ -157,12 +157,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
                 raise argparse.ArgumentTypeError(str(exc)) from None
         return read
 
+    class Store(argparse.Action):
+        # argparse drops a "--" even from an explicit ``--opt=--``, and would
+        # store the empty list of values that is left
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:
+                raise argparse.ArgumentError(self, "expected one argument")
+            setattr(namespace, self.dest, values)
+
     def add(target, flags, convert, default, text):
         if convert is bool:
             return target.add_argument(*flags, action="store_true", help=text)
         required = default is _REQUIRED
-        target.add_argument(*flags, type=convert and typed(convert), required=required,
-                            default=None if required else default, help=text)
+        target.add_argument(*flags, action=Store, type=convert and typed(convert),
+                            required=required, default=None if required else default, help=text)
 
     parser = argparse.ArgumentParser(
         prog="epsbialg",

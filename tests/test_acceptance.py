@@ -325,7 +325,7 @@ def test_criterion_10_law_sweeps_scale():
 
 
 def test_criterion_11_antipode_suite_scales():
-    with criterion(11, "antipode laws on M_10, basis and 100 random matrices", 0.5):
+    with criterion(11, "antipode laws on M_10, basis only: D = 0 decides the random ones", 0.05):
         assert run_suite("antipode", matrix_algebra(10)).line() == "[PASS] antipode: 500 checks"
 
 

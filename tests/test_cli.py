@@ -538,6 +538,24 @@ def test_missing_flag_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("coproduct", "--algebra=--", "-e", "x"), "--algebra/-a"),
+    (("coproduct", "-a=--", "-e", "x"), "--algebra/-a"),
+    (("coproduct", "-a", "matrix:2", "--expr=--"), "--expr/-e"),
+    (("coproduct", "-a", "word:xy", "--weight=--", "-e", "x"), "--weight"),
+    (("antipode", "-a", "matrix:2", "-e", "E[1,2]", "--cap=--"), "--cap"),
+    (("multiply", "-a", "matrix:2", "--lhs=--", "--rhs", "E[1,2]"), "--lhs"),
+    (("verify", "--suite=--", "-a", "matrix:2"), "--suite"),
+    (("verify", "--suite", "all", "-a", "matrix:2", "--seed=--"), "--seed"),
+])
+def test_an_explicit_value_of_two_dashes_is_a_usage_error(capsys, argv, flag):
+    # argparse drops the "--" of ``--opt=--`` too, which leaves no value
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert errors == [f"epsbialg {argv[0]}: error: argument {flag}: expected one argument"]
+
+
 def test_explicit_antipode_on_weighted_instance_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--suite", "antipode", "--algebra", "word:xy")
     assert code == 2
@@ -905,11 +923,15 @@ def test_antipode_series_within_the_term_bound_still_fails_to_truncate(capsys, e
 
 def test_outcomes_report_checked_and_evaluated():
     # evaluated on M_2
-    term_driven = {"algebra": 16, "prelie": 2, "jacobi": 4, "representation": 2}
+    # (the antipode's 200 random-matrix checks are decided by the basis sweep)
+    term_driven = {
+        "algebra": (64, 16), "prelie": (64, 2), "jacobi": (64, 4), "representation": (64, 2),
+        "antipode": (224, 24),
+    }
     _, outcomes = run_verify("all", matrix_algebra(2))
     for o in outcomes:
         if o.suite in term_driven:
-            assert (o.checked, o.evaluated) == (64, term_driven[o.suite])
+            assert (o.checked, o.evaluated) == term_driven[o.suite]
         else:
             assert o.checked == o.evaluated == int(o.detail.split()[0]) > 0, o.suite
     _, [o] = run_verify("coassoc", build_algebra("rmatrix:2:E[1,1] (x) E[1,1]:0", None))

@@ -829,17 +829,22 @@ MUTANT_TABLES = {
     ),
 }
 
+# An r-coproduct on M_8 with D != 0: past the switch to the diagonal pairs,
+# its random matrices are drawn, and pass
+RMATRIX_DRAWS = "rmatrix:8:E[1,2] (x) E[2,3]:0"
+
 # case -> (instance factory, max_len, cap).  matrix:7 and matrix:8 sit on the
-# two sides of the switch from every pair to the diagonal ones; the failing
+# two sides of the switch from every pair to the diagonal ones, and matrix:16
+# is far past it; on M_n, D = 0, so no random matrix is drawn.  The failing
 # cases reach each failure the basis sweep reports: S(unit), the axiom,
 # multiplicativity, comultiplicativity and a series that does not truncate,
 # on a swept key or on a product beyond the sweep (univar at cap 5); and
 # mutant-M8 a failure on a random matrix.
 ANTIPODE_SUITE_CASES = {
-    **{f"matrix:{n}": (lambda n=n: matrix_algebra(n), 6, 64) for n in range(1, 11)},
+    **{f"matrix:{n}": (lambda n=n: matrix_algebra(n), 6, 64) for n in (*range(1, 11), 16)},
     **{
         sel: (lambda sel=sel: build_algebra(sel, None), 6, 64)
-        for sel in (*RMATRIX_CONTROLS, RMATRIX_PROPERTY, RMATRIX_AXIOM)
+        for sel in (*RMATRIX_CONTROLS, RMATRIX_PROPERTY, RMATRIX_AXIOM, RMATRIX_DRAWS)
     },
     "table": (_coproduct_table_algebra, 6, 64),
     "lmatrix:3:E[1,2]": (lambda: build_algebra("lmatrix:3:E[1,2]", None), 6, 64),
@@ -862,22 +867,41 @@ def _suite_with(sweep):
     return run
 
 
+def _random_checks_decided(A, max_len, outcome):
+    """How many of the dense sweep's random-matrix checks the basis sweep
+    decides, which the fast sweep counts as checked but not as evaluated.
+    Where D = 0 on every key, or every pair was swept, that is all 200 of
+    them; else the axiom on each matrix whose properties held."""
+    status, line, _, checked, _ = outcome
+    if not isinstance(A.kind, MatrixKind) or not (
+        status == "pass" or "on a random matrix" in line
+    ):
+        return 0
+    keys = list(A.basis_keys(max_len))
+    if len(keys) ** 2 <= 2500 or all(d_map(A, A.element(key)).is_zero() for key in keys):
+        return 200
+    return (checked - 2 * len(keys)) // 2  # after the axiom and diagonal pair checks
+
+
 @pytest.mark.parametrize("case", sorted(ANTIPODE_SUITE_CASES))
 def test_antipode_suite_matches_the_dense_sweep(case):
+    # status, text with witness, report, checked and S evaluation order are the
+    # dense sweep's; evaluated leaves out the random-matrix checks decided
     make, max_len, cap = ANTIPODE_SUITE_CASES[case]
     fast, slow = _suite_with(verify._antipode_sweep), _suite_with(dense_antipode_sweep)
     seeds = (0, 1, 4242) if isinstance(make().kind, MatrixKind) else (0,)
     for seed in seeds:
-        got = _antipode_outcome(fast, make(), max_len, seed, cap=cap)
-        assert got == _antipode_outcome(slow, make(), max_len, seed, cap=cap)
+        got, order = _antipode_outcome(fast, make(), max_len, seed, cap=cap)
+        want, want_order = _antipode_outcome(slow, make(), max_len, seed, cap=cap)
+        assert (got[:4], order) == (want[:4], want_order)
+        assert got[4] == want[4] - _random_checks_decided(make(), max_len, want)
     if case in MUTANT_TABLES:
-        assert got[0][1].startswith(f"[FAIL] antipode: {MUTANT_TABLES[case][2]}\n")
+        assert got[1].startswith(f"[FAIL] antipode: {MUTANT_TABLES[case][2]}\n")
 
 
 def test_antipode_sweep_computes_each_value_once(monkeypatch):
-    A = matrix_algebra(3)
-    keys = list(A.basis_keys())
     drawn, images, coproducts, multiplicativity, comultiplicativity = [], [], [], [], []
+    records = (drawn, images, coproducts, multiplicativity, comultiplicativity)
 
     def draw(n, rng):
         drawn.append(random_integer_matrix(n, rng))
@@ -899,19 +923,41 @@ def test_antipode_sweep_computes_each_value_once(monkeypatch):
     monkeypatch.setattr(verify, "_comultiplicativity_difference", recording(
         comultiplicativity, verify._comultiplicativity_difference,
     ))
+    # on M_3, D = 0: the basis sweep decides every random-matrix check
+    A = matrix_algebra(3)
+    keys = list(A.basis_keys())
     assert verify.run_suite("antipode", A).line() == "[PASS] antipode: 299 checks"
+    assert drawn == [] and coproducts == []
+    # comultiplicativity once per swept key, at its S image; every basis pair
+    s = antipode_endo(A)
+    assert len(comultiplicativity) == len(keys)
+    assert all(args[2] is s.on_key(key).terms for args, key in zip(comultiplicativity, keys))
+    assert len(multiplicativity) == len(keys) ** 2
+    # D != 0 and only the diagonal pairs swept: 100 matrices are drawn, each
+    # with one S image and multiplicativity alone, S(partner) carried over:
+    # the first matrix is its own partner, each later one has the one before
+    B = build_algebra(RMATRIX_DRAWS, None)
+    keys = list(B.basis_keys())
+    for record in records:
+        record.clear()
+    assert verify.run_suite("antipode", B).line() == "[PASS] antipode: 328 checks"
     assert len(drawn) == 100
     assert [sum(args[1] is m for args in images) for m in drawn] == [1] * 100
-    assert len(coproducts) == 100  # on no basis key
-    assert all(args[1] is m for args, m in zip(coproducts, drawn))
-    # once per swept key, at its S image, and once per random matrix
-    s = antipode_endo(A)
-    swept = [args[2] for args in comultiplicativity[:len(keys)]]
-    assert len(comultiplicativity) == len(keys) + 100
-    assert all(sx is s.on_key(key).terms for sx, key in zip(swept, keys))
-    # every basis pair, then each random matrix with S(partner) carried over:
-    # the first matrix is its own partner, each later one has the one before
-    assert len(multiplicativity) == len(keys) ** 2 + 100
+    assert coproducts == []
+    assert len(comultiplicativity) == len(keys)
+    assert len(multiplicativity) == len(keys) + 100
     rand = [args[2:] for args in multiplicativity[-100:]]
     assert rand[0][1] is rand[0][0]
     assert all(sy is sx for (sx, _), (_, sy) in zip(rand, rand[1:]))
+
+
+def test_telescoping_antipode_suite_draws_no_random_matrix(monkeypatch):
+    # D = 0 on M_n: the basis sweep decides every random-matrix check, at
+    # every n, on either side of the switch to the diagonal pairs
+    def refuse(n, rng):
+        raise AssertionError(f"drew a random matrix on M_{n}")
+
+    monkeypatch.setattr(verify, "random_integer_matrix", refuse)
+    for n, checks in ((5, 875), (16, 968)):
+        line = verify.run_suite("antipode", matrix_algebra(n)).line()
+        assert line == f"[PASS] antipode: {checks} checks"

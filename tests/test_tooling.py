@@ -373,11 +373,13 @@ print(code, "random" in sys.modules)
 @pytest.mark.parametrize("argv,loaded", [
     (["verify", "--suite", "all", "-a", "word:xy"], False),
     (["verify", "--suite", "all", "-a", "univar", "--weight", "0"], False),
-    (["verify", "--suite", "antipode", "-a", "matrix:2"], True),
+    (["verify", "--suite", "antipode", "-a", "matrix:2"], False),
+    (["verify", "--suite", "antipode", "-a", "rmatrix:8:E[1,2] (x) E[2,3]:0"], True),
 ])
 def test_only_the_random_matrix_checks_import_random(argv, loaded):
     # random (with bisect, _random and _sha512 behind it) is imported by the
-    # one branch that draws random matrices, the antipode suite on M_n
+    # one branch that draws random matrices: the antipode suite on an M_n
+    # instance with D != 0 that sweeps only the diagonal pairs
     done = subprocess.run(
         [sys.executable, "-S", "-c", _RANDOM_PROBE, *argv], capture_output=True,
         env=dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent)), timeout=60, text=True,

@@ -24,7 +24,7 @@ _SOURCE = {
             WordKind act_left act_right bilinear_extend ensure_same_kind linear_extend tensor""",
         "matrices": """classical_comatrix_algebra classical_comatrix_coproduct classical_counit
             counit_contract_left counit_contract_right l_coproduct_instance matrix_algebra
-            matrix_from_rows newtonian_coproduct random_integer_matrix sgn""",
+            matrix_from_rows newtonian_coproduct sgn""",
         "parser": "emit parse_expression parse_scalar parse_tensor parse_value",
         "prelie": """bilinear_from_pairs check_jacobi check_left_representation
             check_prelie_identity commutator_bracket matrix_bracket_closed_form

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the verification suites'
-names and default seed."""
+"""Exception types shared across the package, the verification suites'
+names, and the default of verify's --seed."""
 
 
 class EpsBialgError(Exception):
@@ -60,9 +60,10 @@ class UnknownSuite(EpsBialgError):
     """Verification suite name not recognised."""
 
 
-# The suites ``verify`` runs, ``all`` last, and the seed of its random checks.
-# Every CLI call reads them for its help text and loads this module, while only
-# a ``verify`` call loads ``verify``, which re-exports them.
+# The suites ``verify`` runs, ``all`` last, and the default of --seed, which no
+# check reads.  Every CLI call reads them for its help text and loads this
+# module, while only a ``verify`` call loads ``verify``, which re-exports the
+# suite names.
 SUITE_NAMES = (
     "algebra",
     "coassoc",

@@ -136,8 +136,3 @@ def matrix_from_rows(rows) -> Element:
             if c:
                 terms[(i, j)] = c
     return Element._make(kind, terms)
-
-
-def random_integer_matrix(n: int, rng) -> Element:
-    """A dense matrix with entries drawn from rng.randint(-9, 9)."""
-    return matrix_from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])

@@ -59,15 +59,12 @@ sweep runs, so a failure and its witness are always the dense sweep's.  The
 verdicts are memoized on the instance, so ``all`` runs each once.
 
 The antipode sweep checks its laws on the unit, on every swept key and on
-basis pairs: every pair while there are at most 2,500, else the diagonal
-ones.  On M_n it then counts 100 random matrices, two checks each.  S is
-linear, the product bilinear and every key of M_n swept, so the basis checks
-imply the axiom and comultiplicativity on any matrix, S = -id where D = 0 on
-every key, and multiplicativity where every pair was swept or S = -id.  Those
-checks count as checked, not evaluated, and draw nothing.  Matrices are drawn
-(seeded by --seed) only where D != 0 on some key and the pairs swept are the
-diagonal ones, and then each is checked for multiplicativity alone; see
-``_antipode_sweep``.
+every ordered pair of them, and draws nothing.  Multiplicativity is
+evaluated only on the pairs with pq != 0 or S(p)S(q) != 0, reached through
+the product index; on any other pair it holds as 0 = 0.  On matrix:N that
+is N^3 of the N^4 pairs.  On M_n the suite also counts 100 random matrices,
+two checks each, which the basis checks decide: S is linear, the product
+bilinear and every key of M_n swept.  See ``_antipode_sweep``.
 
 The bracket conformance sweep compares three code paths on every basis pair
 at key level, each value a sparse map key -> coefficient: the case table,
@@ -101,7 +98,6 @@ from .core import (
     d_map,
 )
 from .errors import (
-    DEFAULT_SEED,
     SUITE_NAMES,
     KindMismatch,
     NotNilpotentWithinCap,
@@ -109,7 +105,7 @@ from .errors import (
     WeightNotZero,
 )
 from .lincomb import Element, EMatrix, MatrixKind, Word, WordKind, act_left, act_right
-from .matrices import TELESCOPING, matrix_algebra, matrix_from_rows, random_integer_matrix
+from .matrices import TELESCOPING, matrix_algebra, matrix_from_rows
 from .parser import parse_expression
 from .prelie import (
     _prelie_on_keys,
@@ -141,9 +137,9 @@ class SuiteOutcome:
     inputs a law was evaluated on, the failing one included (for a
     letter-blind certificate, the checks it rests on; for Jacobi, the triples
     with a rotation the pre-Lie pass reached).  It leaves out checks that the
-    ones already evaluated decide, such as the antipode's random-matrix checks
-    that its basis sweep implies.  ``status`` is "pass", "fail"
-    or "skip"; ``failure`` is the failing ``LawReport``.
+    ones already evaluated decide, such as the antipode's pairs with both
+    sides 0 and its random-matrix checks, which no suite draws.  ``status`` is
+    "pass", "fail" or "skip"; ``failure`` is the failing ``LawReport``.
 
     A plain class, not a dataclass: importing ``dataclasses`` costs each CLI
     process about 10 ms, more than a short command's own work."""
@@ -436,7 +432,7 @@ def _letter_blind(A, max_len):
     return relabel
 
 
-def _antipode_sweep(A, max_len, cap, seed):
+def _antipode_sweep(A, max_len, cap):
     """The antipode laws; a series that does not truncate is a failure, not an
     error, after the checks that passed before it.
 
@@ -447,26 +443,26 @@ def _antipode_sweep(A, max_len, cap, seed):
 
     Each law value is built once per input, by the checkers' own builders.
     A swept key p reads S(p) and Delta(p) from their memos and has its
-    comultiplicativity evaluated once, beside the axiom, and read at each pair
-    (p, q) whose multiplicativity holds.  Only a nonzero value runs the
-    checker, which builds the witness.
+    comultiplicativity evaluated once, beside the axiom.  Only a nonzero value
+    runs the checker, which builds the witness.
 
-    On M_n, 100 random matrices follow, each with two checks (the axiom, and
-    the properties with the matrix before it as partner), once every check
-    above has passed.  S is the linear extension of its values on keys, the
-    product is bilinear, and every key of M_n is swept, so those checks decide
-    most of them without a draw:
-      - the axiom and comultiplicativity on m are linear in m: the per-key
-        checks imply them (the pair loop reads comultiplicativity at every key);
-      - S = -id (checked where D = 0 on every key) is linear: with D = 0,
-        S(S(k)) = -S(k), so the involution loop checked S(k) = -k on every key;
-      - multiplicativity is bilinear: the pair loop implies it when it swept
-        every pair, and S = -id implies it on any n, both sides being -mm'.
-    So matrices are drawn only where D != 0 on some key and the pair loop swept
-    the diagonal alone.  Then multiplicativity is evaluated on each, with
-    S(partner) carried over, in the seeded draw order; a decided check counts
-    as checked and not as evaluated."""
-    checks = 0
+    Multiplicativity S(pq) = -S(p)S(q) is checked on every ordered pair of
+    swept keys, and evaluated on the pairs with pq != 0 or S(p)S(q) != 0: the
+    partners of p are the keys q the product index lists for p, and those with
+    a key of S(q) that it lists for a key of S(p).  On any other pair both
+    sides are 0, so the law holds and counts as checked.  Partners are walked
+    in canonical order, so the first failure, and the count before it, are
+    those of a walk over every pair.  A key whose comultiplicativity fails is
+    reported at its first pair (p, keys[0]), as in that walk.
+
+    On M_n the suite also counts 200 random-matrix checks (the axiom, and the
+    properties with another matrix as partner, on each of 100 matrices).  The
+    basis checks decide them, so nothing is drawn: S is the linear extension
+    of its values on keys, the product is bilinear and every key of M_n is
+    swept, so the per-key checks imply the axiom and comultiplicativity on any
+    matrix, and the pair walk multiplicativity on any pair of matrices.  They
+    count as checked, not evaluated."""
+    checks = evaluated = 0  # inputs counted, and inputs evaluated, before the current one
     try:
         s = antipode_endo(A, cap)
         on_key, delta, kind = s.on_key, A.basis_coproduct, A.kind
@@ -485,17 +481,31 @@ def _antipode_sweep(A, max_len, cap, seed):
                 report = check_antipode_axiom(A, e, cap)
                 return _failed("antipode", f"axiom failure after {checks} checks", report, checks)
             comultiplicative[key] = not _comultiplicativity_difference(A, s, sa, delta_a)
-            checks += 1
-        # every pair while keys^2 <= 2500, else the diagonal ones
-        pairs = [(p, q) for p in keys for q in (keys if len(keys) ** 2 <= 2500 else (p,))]
-        for p, q in pairs:
-            s_pq = {} if (pq := kind.key_mul(p, q)) is None else on_key(pq).terms
-            if (_multiplicativity_difference(kind, s_pq, on_key(p).terms, on_key(q).terms)
-                    or not comultiplicative[p]):
-                report = check_antipode_properties(A, A.element(p), A.element(q), cap)
-                detail = f"property failure after {checks} checks"
-                return _failed("antipode", detail, report, checks)
-            checks += 1
+            checks = evaluated = checks + 1
+        m = len(keys)
+        images = {}  # v -> the indices j with v in S(keys[j])
+        for j, key in enumerate(keys):
+            for v in on_key(key).terms:
+                images.setdefault(v, []).append(j)
+        meets = kind.product_index(dict(zip(keys, range(m))))
+        meets_image = kind.product_index(images)
+        for i, p in enumerate(keys):
+            sp = on_key(p).terms
+            if comultiplicative[p]:
+                partners = {j for _, j in meets(p)}
+                partners.update(j for u in sp for _, js in meets_image(u) for j in js)
+            else:
+                partners = (0,)  # reported at its first pair
+            for j in sorted(partners):
+                q, checks = keys[j], m + i * m + j
+                s_pq = {} if (pq := kind.key_mul(p, q)) is None else on_key(pq).terms
+                if (_multiplicativity_difference(kind, s_pq, sp, on_key(q).terms)
+                        or not comultiplicative[p]):
+                    report = check_antipode_properties(A, A.element(p), A.element(q), cap)
+                    detail = f"property failure after {checks} checks"
+                    return _failed("antipode", detail, report, checks, evaluated + 1)
+                evaluated += 1
+        checks = m + m * m
         if d_vanishes:
             # with D = 0 on the basis the series collapses to S = -id, so the
             # involution S(S(a)) = a is an exact bijectivity witness
@@ -504,34 +514,14 @@ def _antipode_sweep(A, max_len, cap, seed):
                 back = antipode(A, s(e), cap)
                 if back != e:
                     report = LawReport.fail("antipode-involution", (str(e),), back - e)
-                    return _failed("antipode", "S(S(a)) != a", report, checks)
-                checks += 1
-        # 100 random matrices on M_n, two checks each; ``decided`` counts those
-        # the checks above imply (see the docstring), which draw nothing
-        decided = 0
-        if isinstance(kind, MatrixKind) and (d_vanishes or len(pairs) == len(keys) ** 2):
-            checks += 200
-            decided = 200
-        elif isinstance(kind, MatrixKind):
-            import random  # only this branch draws matrices: other runs skip the import
-
-            rng = random.Random(seed)
-            previous = None
-            for _ in range(100):
-                m = random_integer_matrix(kind.n, rng)
-                sm = s(m).terms
-                partner, s_partner = previous or (m, sm)
-                if _multiplicativity_difference(kind, s(m * partner).terms, sm, s_partner):
-                    report = check_antipode_properties(A, m, partner, cap)
-                    detail = "property failure on a random matrix"
-                    return _failed("antipode", detail, report, checks, checks - decided + 1)
-                previous = m, sm
-                checks += 2
-                decided += 1  # the axiom on m
-        return _passed("antipode", f"{checks} checks", checks, checks - decided)
+                    return _failed("antipode", "S(S(a)) != a", report, checks, evaluated + 1)
+                checks, evaluated = checks + 1, evaluated + 1
+        if isinstance(kind, MatrixKind):
+            checks += 200  # the random-matrix checks, decided (see above)
+        return _passed("antipode", f"{checks} checks", checks, evaluated)
     except NotNilpotentWithinCap as exc:
         detail = f"series of {exc.element} does not truncate within cap {exc.cap}"
-        return _failed("antipode", detail, None, checks)
+        return _failed("antipode", detail, None, checks, evaluated + 1)
 
 
 # The pre-Lie law P(a, b, c) = (a|>b)|>c - a|>(b|>c) - (b|>a)|>c + b|>(a|>c) as
@@ -725,7 +715,7 @@ def _applicable(suite, A):
     return None
 
 
-def run_suite(suite, A, max_len=6, cap=64, seed=DEFAULT_SEED):
+def run_suite(suite, A, max_len=6, cap=64):
     """Run one suite.  A ``max_len`` below 1 would sweep no key: as the CLI's
     --max-len does, it is refused with ``ValueError``."""
     if max_len < 1:
@@ -741,7 +731,7 @@ def run_suite(suite, A, max_len=6, cap=64, seed=DEFAULT_SEED):
     if suite == "cocycle":
         return _suite_cocycle(A, max_len)
     if suite == "antipode":
-        return _antipode_sweep(A, max_len, cap, seed)
+        return _antipode_sweep(A, max_len, cap)
     if suite in ("prelie", "jacobi", "representation"):
         return _suite_prelie(A, max_len, suite)
     if suite == "bracket-closed-form":
@@ -751,7 +741,7 @@ def run_suite(suite, A, max_len=6, cap=64, seed=DEFAULT_SEED):
     raise UnknownSuite(f"unknown suite {suite!r}; choose from {', '.join(_RUNNABLE)}")
 
 
-def run_verify(suite, A, max_len=6, cap=64, seed=DEFAULT_SEED):
+def run_verify(suite, A, max_len=6, cap=64):
     """Run one suite (or ``all``); returns (passed, [SuiteOutcome]).
 
     A run whose cocycle sweep has more than MAX_SWEEP pairs is refused with
@@ -769,7 +759,7 @@ def run_verify(suite, A, max_len=6, cap=64, seed=DEFAULT_SEED):
         )
     outcomes = [
         _skipped(name, refusal[1]) if (refusal := _applicable(name, A))
-        else run_suite(name, A, max_len=max_len, cap=cap, seed=seed)
+        else run_suite(name, A, max_len=max_len, cap=cap)
         for name in _RUNNABLE
-    ] if suite == "all" else [run_suite(suite, A, max_len=max_len, cap=cap, seed=seed)]
+    ] if suite == "all" else [run_suite(suite, A, max_len=max_len, cap=cap)]
     return all(o.status != "fail" for o in outcomes), outcomes

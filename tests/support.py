@@ -1,6 +1,7 @@
 """Shared test helpers: independent oracles and hypothesis strategies."""
 
 import itertools
+import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -26,15 +27,20 @@ from epsbialg import (
     check_prelie_identity,
     d_map,
     linear_extend,
-    random_integer_matrix,
     tensor,
 )
-from epsbialg import matrix_algebra, univar_algebra, word_algebra
+from epsbialg import matrix_algebra, matrix_from_rows, univar_algebra, word_algebra
 from epsbialg.cli import build_algebra
 from epsbialg.core import _d_powers
 from epsbialg.prelie import _prelie_on_keys
 from epsbialg.scalars import scalar_items
 from epsbialg.verify import _failed, _passed, _triple_keys
+
+
+def random_integer_matrix(n, rng):
+    """A dense matrix with entries drawn from rng.randint(-9, 9)."""
+    return matrix_from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+
 
 # -- independent dense-matrix oracle ----------------------------------------
 # Classical row-by-column multiplication over Q[L]; knows nothing about the
@@ -235,13 +241,15 @@ def nilpotency_index(A, a, cap=64):
 
 
 # -- oracle for the antipode suite ---------------------------------------------
-# The suite's walk with the element-level checkers run on every input, S and
-# the coproducts evaluated again for every check; knows nothing of the values
-# ``verify._antipode_sweep`` shares.  A series that does not truncate fails
-# after the checks before it, as in that sweep.
+# The element-level checkers run on every swept key and every ordered pair of
+# them, S and the coproducts evaluated again for every check; knows nothing of
+# the values ``verify._antipode_sweep`` shares or of the pairs it skips.  On
+# M_n, 100 seeded random matrices follow, an independent cross-check of the
+# checks the suite decides by linearity.  A series that does not truncate
+# fails after the checks before it, as in that sweep.
 
 
-def dense_antipode_sweep(A, max_len, cap, seed):
+def dense_antipode_sweep(A, max_len, cap, seed=0):
     checks = 0
     try:
         s = antipode_endo(A, cap)
@@ -261,11 +269,7 @@ def dense_antipode_sweep(A, max_len, cap, seed):
             if not report:
                 return _failed("antipode", f"axiom failure after {checks} checks", report, checks)
             checks += 1
-        if len(keys) ** 2 <= 2500:
-            pairs = [(p, q) for p in keys for q in keys]
-        else:
-            pairs = [(p, p) for p in keys]
-        for p, q in pairs:
+        for p, q in itertools.product(keys, repeat=2):
             report = check_antipode_properties(A, A.element(p), A.element(q), cap)
             if not report:
                 return _failed(
@@ -286,8 +290,6 @@ def dense_antipode_sweep(A, max_len, cap, seed):
                     )
                 checks += 1
         if isinstance(A.kind, MatrixKind):
-            import random  # only this branch draws matrices: word and univar runs skip the import
-
             rng = random.Random(seed)
             previous = None
             for _ in range(100):

@@ -49,7 +49,6 @@ from epsbialg import (
     parse_expression,
     parse_value,
     prelie_product,
-    random_integer_matrix,
     subword,
     tensor,
     univar_algebra,
@@ -60,7 +59,7 @@ from epsbialg.prelie import bilinear_from_pairs
 from epsbialg.verify import run_suite, run_verify
 
 from expression_corpus import CORPUS
-from support import nilpotency_index
+from support import nilpotency_index, random_integer_matrix
 
 
 @contextlib.contextmanager
@@ -325,8 +324,10 @@ def test_criterion_10_law_sweeps_scale():
 
 
 def test_criterion_11_antipode_suite_scales():
-    with criterion(11, "antipode laws on M_10, basis only: D = 0 decides the random ones", 0.05):
-        assert run_suite("antipode", matrix_algebra(10)).line() == "[PASS] antipode: 500 checks"
+    with criterion(11, "antipode laws on every basis pair of M_10, n^3 of them evaluated", 0.05):
+        assert run_suite("antipode", matrix_algebra(10)).line() == "[PASS] antipode: 10400 checks"
+    with criterion(11, "antipode laws on every basis pair of M_16, n^3 of them evaluated", 0.2):
+        assert run_suite("antipode", matrix_algebra(16)).line() == "[PASS] antipode: 66248 checks"
 
 
 def test_criterion_12_construction_is_constant_and_the_algebra_suite_scales():

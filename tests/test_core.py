@@ -32,7 +32,6 @@ from epsbialg import (
     matrix_algebra,
     matrix_from_rows,
     parse_expression,
-    random_integer_matrix,
     TensorElement,
     tensor,
     univar_algebra,
@@ -58,6 +57,7 @@ from support import (
     linear_map_cases,
     matrix_elements,
     nilpotency_index,
+    random_integer_matrix,
     tensor_coassoc_oracle,
     tensor_cocycle_oracle,
     termwise_oracle,
@@ -819,32 +819,33 @@ def test_memoized_coefficients_are_canonical_after_a_sweep(case):
 # -- the antipode suite against the sweep that runs the checkers on every input --
 
 # M_n tables whose first antipode failure comes after passing pairs, with the
-# detail the suite reports; M_8 sweeps only the diagonal pairs, so there the
-# first random matrix finds the failing product
+# detail the suite reports; the M_8 mutant fails on a pair with pq = 0, which
+# the pair walk reaches through S(p)S(q)
 MUTANT_TABLES = {
     "mutant-E21": (2, {_e(2, 1): {(_e(2, 1), _e(1, 2)): -1}}, "property failure after 10 checks"),
     "mutant-E12": (2, {_e(1, 2): {(_e(1, 1), _e(1, 1)): -1}}, "property failure after 8 checks"),
     "mutant-M8": (
-        8, {_e(2, 3, 8): {(_e(1, 3, 8), _e(3, 3, 8)): -1}}, "property failure on a random matrix"
+        8, {_e(2, 3, 8): {(_e(1, 3, 8), _e(3, 3, 8)): -1}}, "property failure after 74 checks"
     ),
 }
 
-# An r-coproduct on M_8 with D != 0: past the switch to the diagonal pairs,
-# its random matrices are drawn, and pass
-RMATRIX_DRAWS = "rmatrix:8:E[1,2] (x) E[2,3]:0"
+# Two r-coproducts on M_8, past 50 keys: D != 0, so S is not -id, and the
+# first passes while the second fails comultiplicativity at E[1,1]
+RMATRIX_D8 = "rmatrix:8:E[1,2] (x) E[2,3]:0"
+RMATRIX_COMULT8 = "rmatrix:8:E[1,1] (x) E[1,2]:0"
 
-# case -> (instance factory, max_len, cap).  matrix:7 and matrix:8 sit on the
-# two sides of the switch from every pair to the diagonal ones, and matrix:16
-# is far past it; on M_n, D = 0, so no random matrix is drawn.  The failing
-# cases reach each failure the basis sweep reports: S(unit), the axiom,
-# multiplicativity, comultiplicativity and a series that does not truncate,
-# on a swept key or on a product beyond the sweep (univar at cap 5); and
-# mutant-M8 a failure on a random matrix.
+# case -> (instance factory, max_len, cap).  On M_n, D = 0, and the pair walk
+# evaluates n^3 of the n^4 pairs.  The failing cases reach each failure the
+# sweep reports: S(unit), the axiom, multiplicativity, comultiplicativity and
+# a series that does not truncate, on a swept key or on a product beyond the
+# sweep (univar at cap 5).
 ANTIPODE_SUITE_CASES = {
-    **{f"matrix:{n}": (lambda n=n: matrix_algebra(n), 6, 64) for n in (*range(1, 11), 16)},
+    **{f"matrix:{n}": (lambda n=n: matrix_algebra(n), 6, 64) for n in (*range(1, 11), 12, 16)},
     **{
         sel: (lambda sel=sel: build_algebra(sel, None), 6, 64)
-        for sel in (*RMATRIX_CONTROLS, RMATRIX_PROPERTY, RMATRIX_AXIOM, RMATRIX_DRAWS)
+        for sel in (
+            *RMATRIX_CONTROLS, RMATRIX_PROPERTY, RMATRIX_AXIOM, RMATRIX_D8, RMATRIX_COMULT8
+        )
     },
     "table": (_coproduct_table_algebra, 6, 64),
     "lmatrix:3:E[1,2]": (lambda: build_algebra("lmatrix:3:E[1,2]", None), 6, 64),
@@ -860,52 +861,48 @@ ANTIPODE_SUITE_CASES = {
 
 def _suite_with(sweep):
     """The antipode suite's outcome by ``sweep``, as a check for ``_antipode_outcome``."""
-    def run(A, max_len, seed, cap):
-        o = sweep(A, max_len, cap, seed)
+    def run(A, max_len, cap):
+        o = sweep(A, max_len, cap)
         return o.status, o.line(), o.failure, o.checked, o.evaluated
 
     return run
 
 
-def _random_checks_decided(A, max_len, outcome):
-    """How many of the dense sweep's random-matrix checks the basis sweep
-    decides, which the fast sweep counts as checked but not as evaluated.
-    Where D = 0 on every key, or every pair was swept, that is all 200 of
-    them; else the axiom on each matrix whose properties held."""
-    status, line, _, checked, _ = outcome
-    if not isinstance(A.kind, MatrixKind) or not (
-        status == "pass" or "on a random matrix" in line
-    ):
-        return 0
-    keys = list(A.basis_keys(max_len))
-    if len(keys) ** 2 <= 2500 or all(d_map(A, A.element(key)).is_zero() for key in keys):
-        return 200
-    return (checked - 2 * len(keys)) // 2  # after the axiom and diagonal pair checks
-
-
 @pytest.mark.parametrize("case", sorted(ANTIPODE_SUITE_CASES))
 def test_antipode_suite_matches_the_dense_sweep(case):
-    # status, text with witness, report, checked and S evaluation order are the
-    # dense sweep's; evaluated leaves out the random-matrix checks decided
+    # status, text with witness, report, checked and S evaluation order are
+    # those of the sweep that runs the checkers on every pair
     make, max_len, cap = ANTIPODE_SUITE_CASES[case]
     fast, slow = _suite_with(verify._antipode_sweep), _suite_with(dense_antipode_sweep)
-    seeds = (0, 1, 4242) if isinstance(make().kind, MatrixKind) else (0,)
-    for seed in seeds:
-        got, order = _antipode_outcome(fast, make(), max_len, seed, cap=cap)
-        want, want_order = _antipode_outcome(slow, make(), max_len, seed, cap=cap)
-        assert (got[:4], order) == (want[:4], want_order)
-        assert got[4] == want[4] - _random_checks_decided(make(), max_len, want)
+    got, order = _antipode_outcome(fast, make(), max_len, cap=cap)
+    want, want_order = _antipode_outcome(slow, make(), max_len, cap=cap)
+    assert (got[:4], order) == (want[:4], want_order)
     if case in MUTANT_TABLES:
         assert got[1].startswith(f"[FAIL] antipode: {MUTANT_TABLES[case][2]}\n")
 
 
-def test_antipode_sweep_computes_each_value_once(monkeypatch):
-    drawn, images, coproducts, multiplicativity, comultiplicativity = [], [], [], [], []
-    records = (drawn, images, coproducts, multiplicativity, comultiplicativity)
+_M8_KEYS = [(i, j) for i in range(1, 9) for j in range(1, 9)]
 
-    def draw(n, rng):
-        drawn.append(random_integer_matrix(n, rng))
-        return drawn[-1]
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(
+    st.tuples(*[st.sampled_from(_M8_KEYS)] * 3, st.sampled_from((1, -1))), min_size=1, max_size=3,
+))
+def test_antipode_suite_matches_the_dense_sweep_on_random_m8_tables(entries):
+    # a coproduct table on M_8 of 1-3 entries of +-1, key -> {(k1, k2): c}
+    table = {}
+    for key, k1, k2, c in entries:
+        row = table.setdefault(key, {})
+        row[(k1, k2)] = row.get((k1, k2), 0) + c
+    fast, slow = _suite_with(verify._antipode_sweep), _suite_with(dense_antipode_sweep)
+    got, _ = _antipode_outcome(fast, _table_algebra(table, 8), 6)
+    want, _ = _antipode_outcome(slow, _table_algebra(table, 8), 6)
+    assert (got[0], got[1], got[3]) == (want[0], want[1], want[3])
+
+
+def test_antipode_sweep_computes_each_value_once(monkeypatch):
+    images, coproducts, multiplicativity, comultiplicativity = [], [], [], []
+    records = (images, coproducts, multiplicativity, comultiplicativity)
 
     def recording(record, fn):
         def wrapper(*args):
@@ -914,7 +911,6 @@ def test_antipode_sweep_computes_each_value_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(verify, "random_integer_matrix", draw)
     monkeypatch.setattr(LinearEndomorphism, "__call__", recording(images, LinearEndomorphism.__call__))
     monkeypatch.setattr(AlgebraInstance, "coproduct", recording(coproducts, AlgebraInstance.coproduct))
     monkeypatch.setattr(verify, "_multiplicativity_difference", recording(
@@ -923,41 +919,41 @@ def test_antipode_sweep_computes_each_value_once(monkeypatch):
     monkeypatch.setattr(verify, "_comultiplicativity_difference", recording(
         comultiplicativity, verify._comultiplicativity_difference,
     ))
-    # on M_3, D = 0: the basis sweep decides every random-matrix check
+    # on M_3, D = 0 and S = -id: comultiplicativity once per swept key, at its
+    # S image, and multiplicativity once per pair with pq != 0, n^3 of them
     A = matrix_algebra(3)
     keys = list(A.basis_keys())
     assert verify.run_suite("antipode", A).line() == "[PASS] antipode: 299 checks"
-    assert drawn == [] and coproducts == []
-    # comultiplicativity once per swept key, at its S image; every basis pair
+    assert coproducts == []
     s = antipode_endo(A)
     assert len(comultiplicativity) == len(keys)
     assert all(args[2] is s.on_key(key).terms for args, key in zip(comultiplicativity, keys))
-    assert len(multiplicativity) == len(keys) ** 2
-    # D != 0 and only the diagonal pairs swept: 100 matrices are drawn, each
-    # with one S image and multiplicativity alone, S(partner) carried over:
-    # the first matrix is its own partner, each later one has the one before
-    B = build_algebra(RMATRIX_DRAWS, None)
+    walked = [(p, q) for p in keys for q in keys if A.kind.key_mul(p, q) is not None]
+    assert len(walked) == 27
+    assert [(args[2], args[3]) for args in multiplicativity] == [
+        (s.on_key(p).terms, s.on_key(q).terms) for p, q in walked
+    ]
+    # D != 0, so S is not -id and no involution runs: each walked pair has its
+    # multiplicativity evaluated once, and no element is built but the unit
+    B = build_algebra(RMATRIX_D8, None)
     keys = list(B.basis_keys())
     for record in records:
         record.clear()
-    assert verify.run_suite("antipode", B).line() == "[PASS] antipode: 328 checks"
-    assert len(drawn) == 100
-    assert [sum(args[1] is m for args in images) for m in drawn] == [1] * 100
-    assert coproducts == []
+    outcome = verify.run_suite("antipode", B)
+    assert outcome.line() == "[PASS] antipode: 4360 checks"
+    assert coproducts == [] and [args[1] for args in images] == [B.unit]
     assert len(comultiplicativity) == len(keys)
-    assert len(multiplicativity) == len(keys) + 100
-    rand = [args[2:] for args in multiplicativity[-100:]]
-    assert rand[0][1] is rand[0][0]
-    assert all(sy is sx for (sx, _), (_, sy) in zip(rand, rand[1:]))
+    assert len(multiplicativity) == outcome.evaluated - len(keys) < len(keys) ** 2
+    s = antipode_endo(B)
+    images_of = {id(s.on_key(key).terms): key for key in keys}
+    walked = [(images_of[id(args[2])], images_of[id(args[3])]) for args in multiplicativity]
+    assert walked == sorted(set(walked))
 
 
-def test_telescoping_antipode_suite_draws_no_random_matrix(monkeypatch):
-    # D = 0 on M_n: the basis sweep decides every random-matrix check, at
-    # every n, on either side of the switch to the diagonal pairs
-    def refuse(n, rng):
-        raise AssertionError(f"drew a random matrix on M_{n}")
-
-    monkeypatch.setattr(verify, "random_integer_matrix", refuse)
-    for n, checks in ((5, 875), (16, 968)):
+def test_telescoping_antipode_suite_counts_every_pair():
+    # D = 0 on M_n: the axiom on n^2 keys, every one of the n^4 pairs, the
+    # involution on n^2 keys and the 200 random-matrix checks the basis decides
+    for n, checks in ((5, 875), (16, 66248)):
+        assert n * n + n ** 4 + n * n + 200 == checks
         line = verify.run_suite("antipode", matrix_algebra(n)).line()
         assert line == f"[PASS] antipode: {checks} checks"

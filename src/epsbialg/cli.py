@@ -19,9 +19,9 @@ A matrix dimension N is at most 64, so that the N^2 basis keys stay within
 the parser's term bound MAX_TERMS = 4096; a larger N exits 2 before anything
 is built.
 
-Exit codes: 0 success, 1 law violation (including a non-truncating antipode
-series), 2 usage or parse errors (including unconstructible selectors) and
-a stdout closed before the output was complete.
+Exit codes: 0 success, 1 law violation (including an antipode series that
+``core._d_powers`` finds does not truncate), 2 usage or parse errors (including
+unconstructible selectors) and a stdout closed before the output was complete.
 Output is deterministic: identical invocations print identical bytes.
 
 Reading argv: ``_read_argv`` reads a well-formed call from the table alone:
@@ -62,7 +62,7 @@ def _integer(text, what="value"):
 
 
 def _positive_int(text, what="value"):
-    """Also the converter of --cap and --max-len: a bound below 1 would check nothing."""
+    """Also the converter of --max-len: a bound below 1 would check nothing."""
     value = _integer(text, what)
     if value < 1:
         raise ValueError(f"{what} must be >= 1, got {value}")
@@ -80,14 +80,13 @@ _COMMON = (
     (("--weight",), None, None, "weight override (word/univar selectors only), e.g. 0, -1, L"),
     (("--json",), bool, False, "emit JSON instead of text"),
 )
-_CAP = (("--cap",), _positive_int, 64, "iteration cap for the antipode series (default 64)")
 _EXPR = (("--expr", "-e"), None, _REQUIRED, "element expression")
 _OPERANDS = ((("--lhs",), None, _REQUIRED, None), (("--rhs",), None, _REQUIRED, None))
 
 # command -> (help, options in help order, options of which at most one is given)
 _COMMANDS = {
     "coproduct": ("apply the coproduct", _COMMON + (_EXPR,), ()),
-    "antipode": ("apply the antipode series", _COMMON + (_CAP, _EXPR), ()),
+    "antipode": ("apply the antipode series", _COMMON + (_EXPR,), ()),
     "multiply": ("multiply two elements", _COMMON + _OPERANDS, ()),
     "prelie": ("pre-Lie product lhs |> rhs", _COMMON + _OPERANDS, ()),
     "bracket": ("Lie bracket [lhs, rhs]", _COMMON + _OPERANDS, (
@@ -96,7 +95,6 @@ _COMMANDS = {
         (("--table",), bool, False, "use the five-case table (matrix basis pairs)"),
     )),
     "verify": ("run a verification suite", _COMMON + (
-        _CAP,
         (("--max-len",), _positive_int, 6,
          "bound for word-length / exponent sweeps (default 6)"),
         (("--seed",), _integer, DEFAULT_SEED,
@@ -251,7 +249,7 @@ def _value(args, algebra):
     if args.command == "coproduct":
         return algebra.coproduct(parse_expression(args.expr, algebra))
     if args.command == "antipode":
-        return antipode(algebra, parse_expression(args.expr, algebra), args.cap)
+        return antipode(algebra, parse_expression(args.expr, algebra))
     lhs = parse_expression(args.lhs, algebra)
     rhs = parse_expression(args.rhs, algebra)
     check_product(monomials(lhs), monomials(rhs))
@@ -272,7 +270,7 @@ def _value(args, algebra):
 def _verify(args, algebra):
     from .verify import run_verify
 
-    passed, outcomes = run_verify(args.suite, algebra, max_len=args.max_len, cap=args.cap)
+    passed, outcomes = run_verify(args.suite, algebra, max_len=args.max_len)
     if args.json:
         import json
 

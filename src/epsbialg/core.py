@@ -45,6 +45,7 @@ in ``tests/support.py``.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 
 from .errors import KindMismatch, NotNilpotentWithinCap, TooManyTerms, WeightNotZero
 from .lincomb import Element, TensorElement, act_left, act_right, linear_extend, products, tensor
@@ -129,7 +130,7 @@ class AlgebraInstance:
         self._memo = {}  # key -> {(k1, k2): coeff}, filled by basis_coproduct
         self._graded = {}  # key -> {(k1, k2, degree): rational}, filled by graded_coproduct
         self._prelie_table = {}  # (key, key) -> {key: coeff}, filled by prelie
-        self._antipode_endos = {}  # cap -> LinearEndomorphism, filled by antipode_endo
+        self._antipode = None  # the LinearEndomorphism S, filled by antipode_endo
         self._relabel = {}  # max_len -> relabel verdicts, filled by verify on words
         self._prelie_law = {}  # max_len -> (pre-Lie law values, reached triples), filled by verify
 
@@ -323,23 +324,30 @@ def d_map(A: AlgebraInstance, a: Element) -> Element:
 
 # The coproduct terms D may visit over one antipode series.  The complete
 # series of x^1000, the largest monomial the parser accepts, visits 500,500;
-# x*y and (x+y)^2 on words at weight 0 reach cap 64 after 91,520 and 187,328,
-# where x*y*x would go on to 2.3 million.
+# x*y and (x+y)^2 on words at weight 0 reach step SERIES_CAP after 91,520 and
+# 187,328, where x*y*x would go on to 2.3 million.
 MAX_SERIES_WORK = 2 ** 19
+SERIES_CAP = 64  # where a series on an infinite basis ends, unless its degree falls
 
 
-def _d_powers(A: AlgebraInstance, a: Element, cap: int) -> list:
-    """[D(a), D^2(a), ..., D^(k-1)(a)] for the least k <= cap with D^k(a) = 0;
-    raises NotNilpotentWithinCap when there is no such k, and TooManyTerms
-    once a power has more than MAX_TERMS terms or, before it is computed,
-    once the series would visit more than MAX_SERIES_WORK coproduct terms."""
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    delta = A.basis_coproduct
-    powers = []
-    cur = a
-    work = 0
-    for k in range(1, cap + 1):
+def _d_powers(A: AlgebraInstance, a: Element) -> list:
+    """[D(a), D^2(a), ..., D^(k-1)(a)] for the least k with D^k(a) = 0.
+
+    NotNilpotentWithinCap is raised at the first step k >= N (the number of
+    keys on a finite basis, else SERIES_CAP) where D^k(a) != 0 and its largest
+    key size did not fall below that of D^(k-1)(a).  On a finite basis this is
+    exact: the D-orbit of a spans at most N dimensions over Q(L), so D^N(a) = 0
+    if D is nilpotent there; M_n keys all have size 0, so it stops at N.  A
+    series whose largest size falls at every step reaches size 0, so it is
+    never cut off: on univar at weight 0, D(x^n) = n x^(n-1).  Words at weight
+    0 grow at every step: SERIES_CAP alone decides.  TooManyTerms is raised
+    once a power has more than MAX_TERMS terms or, before it is computed, once
+    the series would visit more than MAX_SERIES_WORK coproduct terms."""
+    size, delta = A.kind.key_size, A.basis_coproduct
+    basis = A.kind.count_keys() if A.kind.finite_basis else None
+    powers, cur, work = [], a, 0
+    top = max(map(size, a.terms), default=0)  # the largest key size of D^(k-1)(a)
+    for k in count(1):
         work += sum(len(delta(key)) for key in cur.terms)
         if work > MAX_SERIES_WORK:
             raise TooManyTerms(
@@ -354,22 +362,25 @@ def _d_powers(A: AlgebraInstance, a: Element, cap: int) -> list:
                 f"antipode series: D^{k}(a) has {len(cur.terms)} terms, "
                 f"more than the limit {MAX_TERMS}"
             )
+        below, top = top, max(map(size, cur.terms))
+        if k >= (basis or SERIES_CAP) and top >= below:
+            raise NotNilpotentWithinCap(k, element=a, basis=basis)
         powers.append(cur)
-    raise NotNilpotentWithinCap(cap, element=a)
 
 
-def antipode(A: AlgebraInstance, a: Element, cap: int = 64) -> Element:
+def antipode(A: AlgebraInstance, a: Element) -> Element:
     """The antipode series S(a) = -sum_{t>=0} (1/t!) (-D)^t (a).
 
     Defined for weight-zero instances only; the series is truncated at the
     nilpotency index of a, where it is exact, and D^t(a) is computed once.
+    ``_d_powers`` decides where no such index exists: see there.
     """
     A.require_weight_zero("antipode")
     A._own(a)
     out = {}
     _accumulate(out, a.terms.items(), negate=True)
     factorial = 1
-    for t, cur in enumerate(_d_powers(A, a, cap), start=1):
+    for t, cur in enumerate(_d_powers(A, a), start=1):
         factorial *= t
         # -(1/t!)(-1)^t = (-1)^(t+1)/t!
         coeff = scalar(Fraction(1 if t % 2 else -1, factorial))
@@ -377,17 +388,14 @@ def antipode(A: AlgebraInstance, a: Element, cap: int = 64) -> Element:
     return Element._make(A.kind, out)
 
 
-def antipode_endo(A: AlgebraInstance, cap: int = 64) -> LinearEndomorphism:
-    """The antipode series as an endomorphism, one per instance and cap.
+def antipode_endo(A: AlgebraInstance) -> LinearEndomorphism:
+    """The antipode series as an endomorphism, one per instance.
 
     The checkers share it, so S is evaluated once per basis key.  A key whose
-    series does not truncate raises on every call and is never memoized.
-    """
-    s = A._antipode_endos.get(cap)
-    if s is None:
-        s = LinearEndomorphism(A, lambda key: antipode(A, A.element(key), cap), "S")
-        A._antipode_endos[cap] = s
-    return s
+    series does not truncate raises on every call and is never memoized."""
+    if A._antipode is None:
+        A._antipode = LinearEndomorphism(A, lambda key: antipode(A, A.element(key)), "S")
+    return A._antipode
 
 
 def _axiom_sides(A: AlgebraInstance, s, terms, s_terms, delta_terms) -> tuple:
@@ -426,9 +434,9 @@ def _comultiplicativity_difference(A: AlgebraInstance, s, sx, delta_terms) -> di
     return both
 
 
-def check_antipode_axiom(A: AlgebraInstance, a: Element, cap: int = 64) -> LawReport:
+def check_antipode_axiom(A: AlgebraInstance, a: Element) -> LawReport:
     """sum S(a_(1)) a_(2) + S(a) + a == 0 == sum a_(1) S(a_(2)) + a + S(a)."""
-    s = antipode_endo(A, cap)
+    s = antipode_endo(A)
     sides = _axiom_sides(A, s, a.terms, s(a).terms, A.coproduct(a).terms)
     for side, value in zip(("left", "right"), sides):
         if value:
@@ -437,9 +445,9 @@ def check_antipode_axiom(A: AlgebraInstance, a: Element, cap: int = 64) -> LawRe
     return LawReport.ok("antipode-axiom")
 
 
-def check_antipode_properties(A: AlgebraInstance, x: Element, y: Element, cap: int = 64) -> LawReport:
+def check_antipode_properties(A: AlgebraInstance, x: Element, y: Element) -> LawReport:
     """S(xy) = -S(x)S(y), and Delta(S(x)) = -(S (x) S) Delta(x)."""
-    s = antipode_endo(A, cap)
+    s = antipode_endo(A)
     s_xy = s(x * y).terms
     sx = s(x).terms
     diff = _multiplicativity_difference(A.kind, s_xy, sx, s(y).terms)

@@ -31,12 +31,16 @@ class WeightNotZero(EpsBialgError):
 
 
 class NotNilpotentWithinCap(EpsBialgError):
-    """D^k(a) stayed nonzero for every k up to the cap; the antipode series cannot be truncated."""
+    """D^k(a) != 0 at the step ``cap`` = k where the antipode series stopped; ``basis``
+    is N when N basis keys prove it never truncates (k = N), else None."""
 
-    def __init__(self, cap, element=None):
-        self.cap = cap
-        self.element = element  # the input whose series did not truncate
-        super().__init__(f"element not annihilated by D within {cap} iterations")
+    def __init__(self, step, element=None, basis=None):
+        self.cap, self.element, self.basis = step, element, basis  # element: whose series it is
+        proof = f"D^{step} of it is nonzero on a basis of {basis} keys"
+        self.verdict = (f"never truncates: {proof}" if basis
+                        else f"does not truncate within cap {step}")
+        super().__init__(f"element never annihilated by D: {proof}" if basis
+                         else f"element not annihilated by D within {step} iterations")
 
 
 class TooManyTerms(EpsBialgError):

@@ -263,8 +263,8 @@ def test_criterion_7_negative_controls():
 
         W0 = word_algebra("xy", 0)
         with pytest.raises(NotNilpotentWithinCap) as exc:
-            antipode(W0, parse_expression("x*y", W0), 64)
-        assert exc.value.cap == 64
+            antipode(W0, parse_expression("x*y", W0))
+        assert (exc.value.cap, exc.value.basis) == (64, None)
 
 
 def test_criterion_8_classical_contrast():

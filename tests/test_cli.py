@@ -18,6 +18,7 @@ import epsbialg
 from epsbialg import (
     TensorElement,
     UnknownSuite,
+    antipode,
     classical_comatrix_algebra,
     deconcat_algebra,
     matrix_algebra,
@@ -257,7 +258,7 @@ def test_negative_control_l_square(capsys):
 def test_negative_control_antipode_cap(capsys):
     code, _, err = run(
         capsys,
-        "antipode", "--algebra", "word:xy", "--weight", "0", "--expr", "x*y", "--cap", "64",
+        "antipode", "--algebra", "word:xy", "--weight", "0", "--expr", "x*y",
     )
     assert code == 1
     assert "64" in err
@@ -373,11 +374,11 @@ def test_rmatrix_selector_has_exactly_four_fields(capsys, selector):
 # What each subcommand reads besides --algebra, --weight and --json.
 _COMMAND_DESTS = {
     "coproduct": {"expr"},
-    "antipode": {"expr", "cap"},
+    "antipode": {"expr"},
     "multiply": {"lhs", "rhs"},
     "prelie": {"lhs", "rhs"},
     "bracket": {"lhs", "rhs", "closed_form", "table"},
-    "verify": {"suite", "cap", "max_len", "seed"},
+    "verify": {"suite", "max_len", "seed"},
 }
 _COMMAND_ARGV = {
     "coproduct": ("-e", "E[1,2]"),
@@ -385,9 +386,10 @@ _COMMAND_ARGV = {
     "multiply": ("--lhs", "E[1,2]", "--rhs", "E[2,1]"),
     "prelie": ("--lhs", "E[1,2]", "--rhs", "E[2,1]"),
     "bracket": ("--lhs", "E[1,2]", "--rhs", "E[2,1]"),
+    "verify": ("--suite", "algebra"),
 }
 
-# The 14 command/flag pairs that the commands do not read.
+# The 16 command/flag pairs that the commands do not read: no command reads --cap.
 _REFUSED_FLAGS = [
     (command, flag)
     for command, own in _COMMAND_DESTS.items()
@@ -410,8 +412,8 @@ def test_each_command_takes_only_the_options_it_reads():
         name: [cli._dest(option) for option in options + exclusive]
         for name, (_, options, exclusive) in cli._COMMANDS.items()
     }
-    assert sum(map(len, dests.values())) == 33
-    assert len(_REFUSED_FLAGS) == 14
+    assert sum(map(len, dests.values())) == 31
+    assert len(_REFUSED_FLAGS) == 16
 
 
 _TABLE_FLAGS = sorted({
@@ -485,7 +487,7 @@ def test_the_fast_reader_takes_only_what_argparse_reads_alike(argv):
     ["coproduct", "-a", "matrix:2", "-e", "E[1,2]"],
     ["coproduct", "--expr=E[1,2]", "--json", "--algebra=matrix:2", "--json"],
     ["bracket", "--lhs=", "--rhs", "", "-a", "x", "--table", "--weight=-1"],
-    ["verify", "--suite=all", "-a", "word:xy", "--seed=-4", "--cap", "3", "--max-len=2"],
+    ["verify", "--suite=all", "-a", "word:xy", "--seed=-4", "--max-len=2"],
 ])
 def test_the_fast_reader_takes_a_well_formed_argv(argv):
     assert vars(cli._read_argv(argv)) == vars(_PARSER.parse_args(argv))
@@ -504,7 +506,7 @@ def test_the_fast_reader_takes_a_well_formed_argv(argv):
     ["coproduct", "-a", "word:xy", "-e", "x", "--json=1"],
     ["coproduct", "-a", "word:xy", "-e", "x", "--seed", "3"],
     ["bracket", "-a", "matrix:2", "--lhs", "x", "--rhs", "y", "--table", "--closed-form"],
-    ["verify", "--suite", "all", "-a", "word:xy", "--cap=0"],
+    ["verify", "--suite", "all", "-a", "word:xy", "--max-len=0"],
     ["verify", "--suite", "all", "-a", "word:xy", "--seed", "+3"],
 ])
 def test_the_fast_reader_leaves_the_rest_to_argparse(argv):
@@ -543,7 +545,7 @@ def test_missing_flag_exit_code(capsys):
     (("coproduct", "-a=--", "-e", "x"), "--algebra/-a"),
     (("coproduct", "-a", "matrix:2", "--expr=--"), "--expr/-e"),
     (("coproduct", "-a", "word:xy", "--weight=--", "-e", "x"), "--weight"),
-    (("antipode", "-a", "matrix:2", "-e", "E[1,2]", "--cap=--"), "--cap"),
+    (("verify", "--suite", "all", "-a", "matrix:2", "--max-len=--"), "--max-len"),
     (("multiply", "-a", "matrix:2", "--lhs=--", "--rhs", "E[1,2]"), "--lhs"),
     (("verify", "--suite=--", "-a", "matrix:2"), "--suite"),
     (("verify", "--suite", "all", "-a", "matrix:2", "--seed=--"), "--seed"),
@@ -574,52 +576,70 @@ def test_byte_identical_repeated_runs(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, failing_input, later_line",
+    "argv, detail, later_line",
     [
-        (("-a", "rmatrix:2:E[1,1] (x) E[1,1]:0"), "E[1,2]",
+        # proved on the 4 keys of M_2, by D^4 != 0
+        (("-a", "rmatrix:2:E[1,1] (x) E[1,1]:0"),
+         "series of E[1,2] never truncates: D^4 of it is nonzero on a basis of 4 keys",
          "witness inputs (E[1,2]): difference = -E[1,1] (x) E[1,1] (x) E[1,2]"),
-        (("-a", "word:xy", "--weight", "0"), "x", "[PASS] prelie: 343 triples checked"),
+        # words at weight 0 grow at every step: the 64-step bound decides
+        (("-a", "word:xy", "--weight", "0"), "series of x does not truncate within cap 64",
+         "[PASS] prelie: 343 triples checked"),
     ],
     ids=["rmatrix", "word-weight-0"],
 )
-def test_verify_all_reports_non_truncating_antipode(capsys, argv, failing_input, later_line):
+def test_verify_all_reports_non_truncating_antipode(capsys, argv, detail, later_line):
     code, out, err = run(capsys, "verify", "--suite", "all", *argv)
     assert code == 1
     assert err == ""
-    assert (
-        f"[FAIL] antipode: series of {failing_input} does not truncate within cap 64\n"
-        in out
-    )
+    assert f"[FAIL] antipode: {detail}\n" in out
     assert later_line in out
     assert "[PASS] jacobi" in out and "[PASS] representation" in out
     assert out.endswith("result: LAW VIOLATION\n")
 
 
-def test_verify_antipode_names_a_product_beyond_the_sweep(capsys):
-    # x^0..x^4 truncate within 5 steps, the product x^4 * x = x^5 does not
+def test_verify_antipode_names_a_product_beyond_the_sweep(capsys, monkeypatch):
+    # the pairs of x^0..x^4 reach the products x^5..x^8, whose series are
+    # evaluated, in that order, after the swept keys'
+    order = []
+
+    def recording(algebra, a):
+        order.append(tuple(a.terms))
+        return antipode(algebra, a)
+
+    monkeypatch.setattr("epsbialg.core.antipode", recording)
     code, out, _ = run(
-        capsys, "verify", "--suite", "antipode", "-a", "univar", "--weight", "0",
-        "--max-len", "4", "--cap", "5",
+        capsys, "verify", "--suite", "antipode", "-a", "univar", "--weight", "0", "--max-len", "4",
     )
-    assert code == 1
-    assert "[FAIL] antipode: series of x^5 does not truncate within cap 5" in out
+    assert (code, out) == (0, "[PASS] antipode: 30 checks\nresult: ok\n")
+    assert order == [(e,) for e in range(9)]
+
+
+def test_univar_antipode_series_truncate_past_64_steps(capsys):
+    # the pairs reach x^64, whose series truncates after 65 steps:
+    # D(x^n) = n x^(n-1), a falling degree, decides it, not a step bound
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "verify", "--suite", "antipode", "-a", "univar", "--weight", "0",
+        "--max-len", "32",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (0, "[PASS] antipode: 1122 checks\nresult: ok\n", "")
 
 
 @pytest.mark.parametrize(
     "argv, checked",
     [
-        (("-a", "univar", "--weight", "0", "--max-len", "32"), 1121),
-        (("-a", "univar", "--weight", "0", "--max-len", "4", "--cap", "5"), 14),
         (("-a", "rmatrix:2:E[1,1] (x) E[1,1]:0"), 1),
         (("-a", "word:xy", "--weight", "0"), 1),
     ],
-    ids=["univar-32", "univar-4-cap-5", "rmatrix", "word-weight-0"],
+    ids=["rmatrix", "word-weight-0"],
 )
 def test_non_truncating_antipode_counts_the_checks_before_it(capsys, argv, checked):
     code, out, err = run(capsys, "verify", "--suite", "antipode", *argv, "--json")
     assert (code, err) == (1, "")
     [suite] = json.loads(out)["suites"]
-    assert "does not truncate" in suite["detail"]
+    assert " truncate" in suite["detail"]
     assert (suite["checked"], suite["evaluated"]) == (checked, checked + 1)
 
 
@@ -649,7 +669,7 @@ def test_verify_antipode_pins_the_failure_witness(capsys, selector, detail, witn
     }
 
 
-@pytest.mark.parametrize("flag", ["--max-len", "--cap"])
+@pytest.mark.parametrize("flag", ["--max-len"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_bounds_below_one_are_usage_errors(capsys, flag, value):
     code, out, err = run(
@@ -882,10 +902,9 @@ _VERIFY_ALGEBRAS = st.one_of(
     st.sampled_from(SUITE_NAMES),
     _VERIFY_ALGEBRAS,
     st.integers(min_value=1, max_value=3),
-    st.integers(min_value=1, max_value=8),
 )
-def test_verify_on_drawn_inputs_ends_in_an_exit_code(suite, algebra, max_len, cap):
-    argv = ["verify", "--suite", suite, *algebra, "--max-len", str(max_len), "--cap", str(cap)]
+def test_verify_on_drawn_inputs_ends_in_an_exit_code(suite, algebra, max_len):
+    argv = ["verify", "--suite", suite, *algebra, "--max-len", str(max_len)]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2)
@@ -912,11 +931,10 @@ def test_antipode_series_past_the_work_bound_exits_2(capsys, expr, k, work):
     )
 
 
-@pytest.mark.parametrize("expr, cap", [("x*y", "64"), ("(x+y)^2", "64"), ("x*y*x", "8")])
+@pytest.mark.parametrize("expr, cap", [("x*y", "64"), ("(x+y)^2", "64")])
 def test_antipode_series_within_the_term_bound_still_fails_to_truncate(capsys, expr, cap):
-    code, out, err = run(
-        capsys, "antipode", "-a", "word:xy", "--weight", "0", "--cap", cap, "-e", expr
-    )
+    # words at weight 0 grow at every step: the 64-step bound decides
+    code, out, err = run(capsys, "antipode", "-a", "word:xy", "--weight", "0", "-e", expr)
     assert (code, out) == (1, "")
     assert err == f"law failure: element not annihilated by D within {cap} iterations\n"
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from epsbialg import (
@@ -54,6 +54,7 @@ from support import (
     element_antipode_properties_oracle,
     identity_endo,
     is_canonical,
+    iterated_nilpotency,
     linear_map_cases,
     matrix_elements,
     nilpotency_index,
@@ -315,16 +316,82 @@ def test_nilpotency_index_zero_element():
 
 
 def test_nilpotency_cap_exceeded_on_words():
+    # words at weight 0 grow in size at every step: the 64-step bound decides
     with pytest.raises(NotNilpotentWithinCap) as exc:
-        nilpotency_index(W0, m_el(W0, "x*y"), cap=8)
-    assert exc.value.cap == 8
+        nilpotency_index(W0, m_el(W0, "x*y"))
+    assert (exc.value.cap, exc.value.basis) == (64, None)
 
 
 def test_the_longest_monomial_series_is_within_the_work_bound():
     # D(x^n) = n x^(n-1): the series of x^1000, the largest monomial the
     # parser accepts, visits 1000 + 999 + ... + 1 = 500,500 coproduct terms
     U0 = univar_algebra(0)
-    assert nilpotency_index(U0, m_el(U0, "x^1000"), cap=1001) == 1001
+    assert nilpotency_index(U0, m_el(U0, "x^1000")) == 1001
+
+
+def test_a_nilpotent_series_past_64_steps_is_found_on_m33():
+    # r = J (x) 1 with J = E[1,2] + ... + E[32,33] gives D = -ad_J, whose
+    # index is 2n - 1 = 65 on M_33: the 1,089 keys bound the series, not 64
+    jordan = " + ".join(f"E[{i},{i + 1}]" for i in range(1, 33))
+    A = build_algebra(f"rmatrix:33:({jordan}) (x) E:0", None)
+    a = m_el(A, "E[33,1]")
+    assert nilpotency_index(A, a) == 65
+    assert iterated_nilpotency(A, a, 65) == 65
+
+
+def test_a_finite_basis_decides_after_as_many_steps_as_keys(monkeypatch):
+    # on the 4 keys of M_2, D^4(E[1,2]) != 0 proves that the series never
+    # truncates: 4 D steps, not 64
+    A = build_algebra(RMATRIX_CONTROLS[0], None)
+    calls = []
+
+    def counting(algebra, a):
+        calls.append(a)
+        return d_map(algebra, a)
+
+    monkeypatch.setattr(core, "d_map", counting)
+    with pytest.raises(NotNilpotentWithinCap) as exc:
+        antipode(A, m_el(A, "E[1,2]"))
+    assert (exc.value.cap, exc.value.basis, len(calls)) == (4, 4, 4)
+    assert str(exc.value) == (
+        "element never annihilated by D: D^4 of it is nonzero on a basis of 4 keys"
+    )
+
+
+_COEFFS = ("1", "(-1)", "1/2")
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_the_series_verdict_is_the_iterated_d_map_one_on_random_rmatrix(data):
+    # D^k on a basis of N keys is 0 for some k only if D^N is: d_map run for
+    # 4N steps decides each series, and the verdict must come at N exactly
+    n = data.draw(st.sampled_from([2, 3]), label="n")
+    key = st.builds("E[{},{}]".format, st.integers(1, n), st.integers(1, n))
+    terms = st.lists(st.tuples(st.sampled_from(_COEFFS), key, key), min_size=1, max_size=3)
+    r = " + ".join(f"{c} * {u} (x) {v}" for c, u, v in data.draw(terms, label="r"))
+    A = build_algebra(f"rmatrix:{n}:{r}:0", None)
+    a = m_el(A, " + ".join(data.draw(st.lists(key, min_size=1, max_size=3), label="a")))
+    want = iterated_nilpotency(A, a, 4 * n * n)
+    event("never truncates" if want is None else f"index {want}")
+    if want is None:
+        with pytest.raises(NotNilpotentWithinCap) as exc:
+            nilpotency_index(A, a)
+        assert (exc.value.cap, exc.value.basis) == (n * n, n * n)
+    else:
+        assert nilpotency_index(A, a) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.integers(0, 100), st.sampled_from(_COEFFS), min_size=1))
+def test_the_series_verdict_is_the_iterated_d_map_one_on_random_univar(poly):
+    # D(x^n) = n x^(n-1) lowers the degree: every series truncates, within
+    # degree + 1 steps, also past the 64 steps that bound a series on words
+    U0 = univar_algebra(0)
+    a = m_el(U0, " + ".join(f"{c} * x^{e}" for e, c in poly.items()))
+    want = iterated_nilpotency(U0, a, max(poly) + 2)
+    assert want is not None
+    assert nilpotency_index(U0, a) == want
 
 
 def test_antipode_is_negation_on_matrices():
@@ -359,13 +426,11 @@ def test_antipode_involution():
         assert antipode(M3, s(e)) == e
 
 
-def test_antipode_endo_is_memoized_per_cap():
+def test_antipode_endo_is_memoized_per_instance():
     A = matrix_algebra(3)
-    s = antipode_endo(A, 64)
-    assert antipode_endo(A, 64) is s
-    assert antipode_endo(A, 5) is not s
-    assert antipode_endo(A, 5) is antipode_endo(A, 5)
-    assert antipode_endo(matrix_algebra(3), 64) is not s
+    s = antipode_endo(A)
+    assert antipode_endo(A) is s
+    assert antipode_endo(matrix_algebra(3)) is not s
 
 
 def test_antipode_checkers_share_one_endomorphism(monkeypatch):
@@ -374,9 +439,9 @@ def test_antipode_checkers_share_one_endomorphism(monkeypatch):
     A = matrix_algebra(3)
     calls = []
 
-    def counting(algebra, a, cap=64):
+    def counting(algebra, a):
         calls.append(a)
-        return antipode(algebra, a, cap)
+        return antipode(algebra, a)
 
     monkeypatch.setattr(core, "antipode", counting)
     keys = list(A.basis_keys())
@@ -389,13 +454,13 @@ def test_antipode_checkers_share_one_endomorphism(monkeypatch):
 
 def test_antipode_endo_does_not_memoize_a_failing_series():
     A = word_algebra("xy", 0)
-    s = antipode_endo(A, 8)
+    s = antipode_endo(A)
     x = m_el(A, "x")
     for _ in range(2):
         with pytest.raises(NotNilpotentWithinCap) as exc:
             s(x)
-        assert exc.value.cap == 8
-    assert antipode_endo(A, 8) is s
+        assert exc.value.cap == 64
+    assert antipode_endo(A) is s
     assert s._memo == {}
 
 
@@ -719,34 +784,34 @@ ANTIPODE_CASES = {
 }
 
 
-def _antipode_outcome(check, A, *args, cap=64):
+def _antipode_outcome(check, A, *args):
     """The report of ``check`` (or the key whose series does not truncate),
     with the keys S was evaluated on, in order, starting from an empty memo."""
     order = []
 
-    def recording(algebra, a, cap=64):
+    def recording(algebra, a):
         order.append(tuple(a.terms))
-        return antipode(algebra, a, cap)
+        return antipode(algebra, a)
 
-    A._antipode_endos.clear()
+    A._antipode = None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "antipode", recording)
         try:
-            result = check(A, *args, cap)
+            result = check(A, *args)
         except NotNilpotentWithinCap as exc:
-            result = ("does not truncate", str(exc.element), exc.cap)
+            result = ("does not truncate", str(exc.element), exc.cap, exc.basis)
     return result, order
 
 
-def _same_antipode_outcomes(A, x, y, cap=64):
+def _same_antipode_outcomes(A, x, y):
     """Both key-level checkers against their oracles; returns the two results."""
     results = []
     for fast, slow, args in (
         (check_antipode_axiom, element_antipode_axiom_oracle, (x,)),
         (check_antipode_properties, element_antipode_properties_oracle, (x, y)),
     ):
-        got = _antipode_outcome(fast, A, *args, cap=cap)
-        assert got == _antipode_outcome(slow, A, *args, cap=cap)
+        got = _antipode_outcome(fast, A, *args)
+        assert got == _antipode_outcome(slow, A, *args)
         results.append(got[0])
     return results
 
@@ -773,8 +838,7 @@ def test_key_level_antipode_checkers_match_the_oracles_on_the_basis(case):
 @given(data=st.data())
 def test_key_level_antipode_checkers_match_the_oracles_on_random_elements(case, data):
     make, elements, _ = ANTIPODE_CASES[case]
-    cap = data.draw(st.sampled_from([1, 2, 3, 64]), label="cap")
-    _same_antipode_outcomes(make(), data.draw(elements), data.draw(elements), cap)
+    _same_antipode_outcomes(make(), data.draw(elements), data.draw(elements))
 
 
 # After a full sweep, every coefficient the instance memoized is canonical: in
@@ -796,9 +860,8 @@ def test_memoized_coefficients_are_canonical_after_a_sweep(case):
     A = CANONICAL_GUARD_CASES[case]()
     run_verify("all", A)
     stored = [c for t in A._memo.values() for c in t.values()]
-    stored += [
-        c for s in A._antipode_endos.values() for e in s._memo.values() for c in e.terms.values()
-    ]
+    if A._antipode is not None:
+        stored += [c for e in A._antipode._memo.values() for c in e.terms.values()]
     stored += [c for row in A._prelie_table.values() for c in row.values()]
     # a letter-blind word sweep memoizes on the generic instance too
     generic = [relabel.G for relabel in A._relabel.values()]
@@ -834,26 +897,26 @@ MUTANT_TABLES = {
 RMATRIX_D8 = "rmatrix:8:E[1,2] (x) E[2,3]:0"
 RMATRIX_COMULT8 = "rmatrix:8:E[1,1] (x) E[1,2]:0"
 
-# case -> (instance factory, max_len, cap).  On M_n, D = 0, and the pair walk
+# case -> (instance factory, max_len).  On M_n, D = 0, and the pair walk
 # evaluates n^3 of the n^4 pairs.  The failing cases reach each failure the
 # sweep reports: S(unit), the axiom, multiplicativity, comultiplicativity and
-# a series that does not truncate, on a swept key or on a product beyond the
-# sweep (univar at cap 5).
+# a series that does not truncate, proved on a finite basis (rmatrix) or at
+# the step bound (words).  On univar the pairs reach products beyond the sweep.
 ANTIPODE_SUITE_CASES = {
-    **{f"matrix:{n}": (lambda n=n: matrix_algebra(n), 6, 64) for n in (*range(1, 11), 12, 16)},
+    **{f"matrix:{n}": (lambda n=n: matrix_algebra(n), 6) for n in (*range(1, 11), 12, 16)},
     **{
-        sel: (lambda sel=sel: build_algebra(sel, None), 6, 64)
+        sel: (lambda sel=sel: build_algebra(sel, None), 6)
         for sel in (
             *RMATRIX_CONTROLS, RMATRIX_PROPERTY, RMATRIX_AXIOM, RMATRIX_D8, RMATRIX_COMULT8
         )
     },
-    "table": (_coproduct_table_algebra, 6, 64),
-    "lmatrix:3:E[1,2]": (lambda: build_algebra("lmatrix:3:E[1,2]", None), 6, 64),
-    "univar-0:4:5": (lambda: univar_algebra(0), 4, 5),
-    "univar-0:6:64": (lambda: univar_algebra(0), 6, 64),
-    "word:xy-0": (lambda: word_algebra("xy", 0), 6, 64),
+    "table": (_coproduct_table_algebra, 6),
+    "lmatrix:3:E[1,2]": (lambda: build_algebra("lmatrix:3:E[1,2]", None), 6),
+    "univar-0:4": (lambda: univar_algebra(0), 4),
+    "univar-0:6": (lambda: univar_algebra(0), 6),
+    "word:xy-0": (lambda: word_algebra("xy", 0), 6),
     **{
-        name: (lambda n=n, t=t: _table_algebra(t, n), 6, 64)
+        name: (lambda n=n, t=t: _table_algebra(t, n), 6)
         for name, (n, t, _) in MUTANT_TABLES.items()
     },
 }
@@ -861,8 +924,8 @@ ANTIPODE_SUITE_CASES = {
 
 def _suite_with(sweep):
     """The antipode suite's outcome by ``sweep``, as a check for ``_antipode_outcome``."""
-    def run(A, max_len, cap):
-        o = sweep(A, max_len, cap)
+    def run(A, max_len):
+        o = sweep(A, max_len)
         return o.status, o.line(), o.failure, o.checked, o.evaluated
 
     return run
@@ -872,10 +935,10 @@ def _suite_with(sweep):
 def test_antipode_suite_matches_the_dense_sweep(case):
     # status, text with witness, report, checked and S evaluation order are
     # those of the sweep that runs the checkers on every pair
-    make, max_len, cap = ANTIPODE_SUITE_CASES[case]
+    make, max_len = ANTIPODE_SUITE_CASES[case]
     fast, slow = _suite_with(verify._antipode_sweep), _suite_with(dense_antipode_sweep)
-    got, order = _antipode_outcome(fast, make(), max_len, cap=cap)
-    want, want_order = _antipode_outcome(slow, make(), max_len, cap=cap)
+    got, order = _antipode_outcome(fast, make(), max_len)
+    want, want_order = _antipode_outcome(slow, make(), max_len)
     assert (got[:4], order) == (want[:4], want_order)
     if case in MUTANT_TABLES:
         assert got[1].startswith(f"[FAIL] antipode: {MUTANT_TABLES[case][2]}\n")

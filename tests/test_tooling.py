@@ -23,6 +23,7 @@ from epsbialg import (
     verify,
     word_algebra,
 )
+from epsbialg import cli
 from epsbialg.cli import _read_argv, build_algebra, build_arg_parser
 from epsbialg.verify import run_suite
 
@@ -257,6 +258,40 @@ def test_every_benchmark_argv_parses(monkeypatch, capsys):
             differ.append(call.argv)
     assert (refused, declined, differ) == ([], [], [])
     assert capsys.readouterr().err == ""
+
+
+def test_no_function_takes_a_cap_and_no_command_declares_one():
+    # an antipode series ends where a finite basis, a falling degree or the
+    # fixed bound core.SERIES_CAP decides it; no caller chooses a cap
+    found = [
+        f"{path.relative_to(PACKAGE_DIR)}:{node.lineno}"
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        and any(isinstance(a, ast.arg) and a.arg == "cap" for a in ast.walk(node.args))
+    ]
+    assert found == []
+    flags = {
+        flag
+        for _, options, exclusive in cli._COMMANDS.values()
+        for option in options + exclusive
+        for flag in option[0]
+    }
+    assert flags and "--cap" not in flags
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "antipode", "-a", "univar", "--weight", "0", "--cap", "5"),
+    ("antipode", "-a", "univar", "--weight", "0", "-e", "x^5", "--cap", "5"),
+    ("antipode", "-a", "matrix:2", "--cap=5", "-e", "E[1,2]"),
+])
+def test_cap_is_an_unrecognized_argument(capsys, argv):
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    flag = "--cap=5" if "--cap=5" in argv else "--cap 5"
+    assert err.endswith(f"epsbialg: error: unrecognized arguments: {flag}\n")
+    assert "Traceback" not in err
 
 
 _STARTUP_PROBE = """\

@@ -131,7 +131,11 @@ class AlgebraInstance:
         self._graded = {}  # key -> {(k1, k2, degree): rational}, filled by graded_coproduct
         self._prelie_table = {}  # (key, key) -> {key: coeff}, filled by prelie
         self._antipode = None  # the LinearEndomorphism S, filled by antipode_endo
-        self._relabel = {}  # max_len -> relabel verdicts, filled by verify on words
+        # max_len -> relabel verdicts, filled by verify on words.  An image is read
+        # from slices of the word where every generic leg is a run, else through
+        # the letter map, summed where that merges terms.  Only the generic
+        # instance's verdicts are kept: swept words are checked once, unmemoized
+        self._relabel = {}
         self._prelie_law = {}  # max_len -> (pre-Lie law values, reached triples), filled by verify
 
     def basis_keys(self, bound=6):

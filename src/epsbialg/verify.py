@@ -55,8 +55,18 @@ each counts as checked; ``evaluated`` counts the relabel and law checks the
 certificate rests on.  A rule that reads letters fails a relabel check, and
 a rule that refuses the letters of G (an r-coproduct's, bound to its own
 alphabet) gets no certificate; then, as whenever a check fails, the dense
-sweep runs, so a failure and its witness are always the dense sweep's.  The
-verdicts are memoized on the instance, so ``all`` runs each once.
+sweep runs, so a failure and its witness are always the dense sweep's.
+
+A relabel check compares the rule's coproduct of a word w with the image of
+Delta_G(g_|w|) under the letter map phi_w: chr(i) -> w[i].  Where every leg
+of Delta_G(g_n) is a run chr(a)...chr(a+l-1), phi_w maps it to the slice
+w[a:a+l], so the image is read from slices of w, by one ``itemgetter`` per
+length n.  Where a leg is not a run, the image goes through the letter map;
+where phi_w merges terms, their coefficients are summed, through the letter
+map too.  The swept keys are checked once, in one loop against the rule:
+their verdicts and coproducts are not memoized, as nothing reads them again.
+The generic coproducts and the verdicts in G, which both certificates read,
+are memoized on the instance, so ``all`` computes each once.
 
 The antipode sweep checks its laws on the unit, on every swept key and on
 every ordered pair of them, and draws nothing (see ``_antipode_sweep``).
@@ -78,13 +88,14 @@ reports as a usage error.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .core import (
     AlgebraInstance,
     LawReport,
     _axiom_sides,
     _comultiplicativity_difference,
     _multiplicativity_difference,
-    antipode,
     antipode_endo,
     check_antipode_axiom,
     check_antipode_properties,
@@ -132,8 +143,9 @@ class SuiteOutcome:
     letter-blind certificate, the checks it rests on; for Jacobi, the triples
     with a rotation the pre-Lie pass reached).  It leaves out checks that the
     ones already evaluated decide, such as the antipode's pairs with both
-    sides 0 and its random-matrix checks, which no suite draws.  ``status`` is
-    "pass", "fail" or "skip"; ``failure`` is the failing ``LawReport``.
+    sides 0, its involution checks and its random-matrix checks, which no
+    suite draws.  ``status`` is "pass", "fail" or "skip"; ``failure`` is the
+    failing ``LawReport``.
 
     A plain class, not a dataclass: importing ``dataclasses`` costs each CLI
     process about 10 ms, more than a short command's own work."""
@@ -330,24 +342,49 @@ def _distinct(n, start=0) -> str:
     return "".join(map(chr, range(start, start + n)))
 
 
+def _slice_template(generic):
+    """(an ``itemgetter`` of the slices w[a:a+l], the coefficients) for
+    Delta_G(g_n) = ``generic``, if each of its legs is a run
+    chr(a)...chr(a+l-1), which phi_w maps to w[a:a+l], and each coefficient
+    is nonzero; else None.  The getter lists the legs term by term."""
+    slices = []
+    for k in (k for legs in generic for k in legs):
+        a = ord(k[0]) if k else 0
+        if k != _distinct(len(k), a):
+            return None
+        slices.append(slice(a, a + len(k)))
+    if not slices or not all(generic.values()):
+        return None
+    return itemgetter(*slices), tuple(generic.values())
+
+
 class _Relabel:
     """The relabel verdicts of one word instance A at one ``max_len``, and
     the generic instance G: A's rule and weight over max_len letters, where
-    the distinct-letter words g_n live.  Verdicts and the generic coproducts
-    are memoized, so the two suites share them.
+    the distinct-letter words g_n live.  The generic coproducts and the
+    verdicts in G are memoized, so the two suites share them.
 
-    ``keys`` is the number of swept keys of A; ``swept`` says whether the
-    relabel conditions hold on all of them, which both certificates need.
+    An image phi_w(Delta_G(g_n)) is read from slices of w where every leg of
+    Delta_G(g_n) is a run, else through the letter map, summed where phi_w
+    merges terms (see the module docstring).
+
+    ``keys`` is the number of swept keys of A, each checked once against A's
+    rule, with neither its verdict nor its coproduct stored.  ``rejected`` is
+    the first swept key whose relabel conditions fail, or None; ``swept``
+    says that there is none, which both certificates need.
     """
 
     def __init__(self, A, max_len):
         self.max_len = max_len
         self.G = AlgebraInstance(WordKind([f"g{i}" for i in range(max_len)]), A.weight, A._rule)
         self._generic = {}  # n -> Delta_G(g_n), or None where a leg breaks the conditions
-        self._verdicts = {}  # (on G, key) -> bool
+        self._slices = {}  # n -> (itemgetter of leg slices, coefficients), where legs are runs
+        self._verdicts = {}  # key of G -> bool
         self.letters = len(A.kind.alphabet)
         self.keys = A.kind.count_keys(max_len)
-        self.swept = all(self.holds(A, w) for w in A.basis_keys(max_len))
+        rule, image = A._rule, self._image
+        self.rejected = next((w for w in A.basis_keys(max_len) if image(w) != rule(w)), None)
+        self.swept = self.rejected is None
 
     def _legal(self, n):
         """Delta_G(g_n) if the rule accepts g_n and its legs use letters of g_n
@@ -361,24 +398,36 @@ class _Relabel:
                 len(k) <= self.max_len and (not k or ord(max(k)) < n) for legs in g for k in legs
             )
             self._generic[n] = g if legal else None
+            self._slices[n] = _slice_template(g) if legal else None
         return self._generic[n]
 
-    def holds(self, X, w):
-        """The relabel conditions at the key ``w`` of X, which is A or G:
-        Delta_X(w) is the image of Delta_G(g_|w|) under chr(i) -> w[i]."""
-        memo = (X is self.G, w)
-        verdict = self._verdicts.get(memo)
+    def _image(self, w):
+        """phi_w(Delta_G(g_|w|)), phi_w being chr(i) -> w[i], or None where
+        Delta_G(g_|w|) breaks the relabel conditions."""
+        generic = self._legal(len(w))
+        if generic is None:
+            return None
+        template = self._slices[len(w)]
+        if template is not None:
+            get, coeffs = template
+            legs = iter(get(w))
+            image = dict(zip(zip(legs, legs), coeffs))
+            if len(image) == len(coeffs):
+                return image
+        phi = dict(enumerate(w))
+        image = {}  # phi may merge terms: their coefficients are summed
+        _accumulate(image, (
+            ((u.translate(phi), v.translate(phi)), c) for (u, v), c in generic.items()
+        ))
+        return image
+
+    def holds(self, w):
+        """The relabel conditions at the key ``w`` of G: Delta_G(w) is the
+        image of Delta_G(g_|w|) under chr(i) -> w[i]."""
+        verdict = self._verdicts.get(w)
         if verdict is None:
-            generic = self._legal(len(w))
-            verdict = False
-            if generic is not None:
-                phi = dict(enumerate(w))
-                image = {}  # phi may merge terms: their coefficients are summed
-                _accumulate(image, (
-                    ((u.translate(phi), v.translate(phi)), c) for (u, v), c in generic.items()
-                ))
-                verdict = image == X.basis_coproduct(w)
-            self._verdicts[memo] = verdict
+            image = self._image(w)
+            verdict = self._verdicts[w] = image is not None and image == self.G.basis_coproduct(w)
         return verdict
 
     def coassoc(self):
@@ -392,7 +441,7 @@ class _Relabel:
             g = _distinct(n)
             legs = {k for pair in G.basis_coproduct(g) for k in pair}
             evaluated += len(legs) + 1
-            if not (all(self.holds(G, k) for k in legs) and check_coassoc(G, g)):
+            if not (all(self.holds(k) for k in legs) and check_coassoc(G, g)):
                 return None
         return self.keys, evaluated
 
@@ -407,7 +456,7 @@ class _Relabel:
             for b in range(self.max_len - a + 1):
                 q = _distinct(b, a)
                 evaluated += 2
-                if not (self.holds(G, q) and check_cocycle(G, _distinct(a), q)):
+                if not (self.holds(q) and check_cocycle(G, _distinct(a), q)):
                     return None
                 pairs += self.letters ** (a + b)
         return pairs, evaluated
@@ -447,6 +496,11 @@ def _antipode_sweep(A, max_len):
     in canonical order, so the first failure, and the count before it, are
     those of a walk over every pair.  A key whose comultiplicativity fails is
     reported at its first pair (p, keys[0]), as in that walk.
+
+    Where S = -id on every swept key, the suite also counts the involution
+    S(S(a)) = a on each of them.  It holds there by linearity, S(-a) = a, so
+    no series is evaluated for it: those checks count as checked, not
+    evaluated.
 
     On M_n the suite also counts 200 random-matrix checks (the axiom, and the
     properties with another matrix as partner, on each of 100 matrices).  The
@@ -497,15 +551,9 @@ def _antipode_sweep(A, max_len):
                 evaluated += 1
         checks = m + m * m
         # S(a) + a = U(D(a)) with U = sum_t (-D)^t/(t+1)! unipotent, so D = 0 on the
-        # basis iff S = -id there; then S(S(a)) = a is an exact bijectivity witness
+        # basis iff S = -id there; then the involution holds by linearity (see above)
         if all(on_key(key).terms == {key: -1} for key in keys):
-            for key in keys:
-                e = A.element(key)
-                back = antipode(A, s(e))
-                if back != e:
-                    report = LawReport.fail("antipode-involution", (str(e),), back - e)
-                    return _failed("antipode", "S(S(a)) != a", report, checks, evaluated + 1)
-                checks, evaluated = checks + 1, evaluated + 1
+            checks += m
         if isinstance(kind, MatrixKind):
             checks += 200  # the random-matrix checks, decided (see above)
         return _passed("antipode", f"{checks} checks", checks, evaluated)

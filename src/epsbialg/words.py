@@ -41,9 +41,13 @@ distinct-letter words of those lengths:
 where s_a shifts every letter up by a.  No rule is taken on trust:
 ``verify`` tries the lemma on every word instance of two or more letters,
 and runs the relabel conditions on every key it sweeps before it relies on
-the lemma.  As it sweeps words up to max_len, it also needs every leg of
-Delta(g_n) to be no longer than max_len: a longer leg maps to a word whose
-coproduct it never checks.
+the lemma.  A leg of Delta(g_n) that is a run chr(a)...chr(a+l-1) maps to
+the slice w[a:a+l], so where every leg is a run the image is read from
+slices of w; otherwise it goes through the letter map, and where phi_w
+merges terms their coefficients are summed.  Each swept word is checked
+once, and its coproduct is not memoized.  As it sweeps words up to max_len,
+it also needs every leg of Delta(g_n) to be no longer than max_len: a
+longer leg maps to a word whose coproduct it never checks.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from epsbialg import (
     Element,
+    KindMismatch,
     LambdaPoly,
     LawReport,
     LinearEndomorphism,
@@ -394,6 +395,35 @@ def touch_law_sweep(A, max_len, which):
                 return _failed(which, f"failure after {count} triples", report, count, evaluated)
         count += 1
     return _passed(which, f"{count} triples checked", count, evaluated)
+
+
+# -- oracle for the letter-blind relabel check ---------------------------------
+# The relabel conditions of the ``words`` docstring on every swept word, each
+# image through the letter map chr(i) -> w[i] with its terms summed, and the
+# rule called afresh every time; knows nothing of the slice templates or the
+# memo of ``verify._Relabel``.
+
+
+def relabel_oracle(A, max_len):
+    """(swept, rejected): whether the relabel conditions hold on every word of
+    A up to ``max_len``, and the first word where they fail, or None."""
+    rule = A._rule
+    for w in A.basis_keys(max_len):
+        n = len(w)
+        try:
+            generic = rule("".join(chr(i) for i in range(n)))
+        except KindMismatch:  # a rule bound to A's alphabet refuses g_n
+            return False, w
+        legs = [k for pair in generic for k in pair]
+        if any(len(k) > max_len or any(ord(letter) >= n for letter in k) for k in legs):
+            return False, w
+        image = {}
+        for (u, v), c in generic.items():
+            pair = ("".join(w[ord(a)] for a in u), "".join(w[ord(a)] for a in v))
+            image[pair] = image.get(pair, 0) + c
+        if {pair: c for pair, c in image.items() if c} != rule(w):
+            return False, w
+    return True, None
 
 
 # -- oracle for the algebra suite ----------------------------------------------

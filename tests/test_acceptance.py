@@ -346,7 +346,7 @@ def test_criterion_13_word_coalgebra_suites_at_length_9():
 
 
 def test_criterion_14_letter_blind_word_sweeps_at_length_12():
-    with criterion(14, "every suite on word:xy at length <= 12, through the relabel lemma", 1.0):
+    with criterion(14, "every suite on word:xy at length <= 12, through the relabel lemma", 0.5):
         passed, outcomes = run_verify("all", word_algebra("xy"), max_len=12)
         lines = [o.line() for o in outcomes]
         assert passed

@@ -941,11 +941,11 @@ def test_antipode_series_within_the_term_bound_still_fails_to_truncate(capsys, e
 
 def test_outcomes_report_checked_and_evaluated():
     # evaluated on M_2
-    # (the antipode evaluates the n^3 pairs with pq != 0, and its 200 random-matrix
-    # checks are decided by the basis sweep)
+    # (the antipode evaluates the n^2 keys and the n^3 pairs with pq != 0; its n^2
+    # involution and 200 random-matrix checks are decided by the basis sweep)
     term_driven = {
         "algebra": (64, 16), "prelie": (64, 2), "jacobi": (64, 4), "representation": (64, 2),
-        "antipode": (224, 16),
+        "antipode": (224, 12),
     }
     _, outcomes = run_verify("all", matrix_algebra(2))
     for o in outcomes:

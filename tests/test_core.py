@@ -1014,9 +1014,11 @@ def test_antipode_sweep_computes_each_value_once(monkeypatch):
 
 
 def test_telescoping_antipode_suite_counts_every_pair():
-    # D = 0 on M_n: the axiom on n^2 keys, every one of the n^4 pairs, the
-    # involution on n^2 keys and the 200 random-matrix checks the basis decides
+    # D = 0 on M_n: the axiom on n^2 keys, every one of the n^4 pairs, and the
+    # involution on n^2 keys and 200 random-matrix checks, which the basis
+    # checks decide by linearity: n^2 + n^3 of them are evaluated
     for n, checks in ((5, 875), (16, 66248)):
         assert n * n + n ** 4 + n * n + 200 == checks
-        line = verify.run_suite("antipode", matrix_algebra(n)).line()
-        assert line == f"[PASS] antipode: {checks} checks"
+        outcome = verify.run_suite("antipode", matrix_algebra(n))
+        assert outcome.line() == f"[PASS] antipode: {checks} checks"
+        assert outcome.evaluated == n * n + n ** 3

@@ -29,9 +29,9 @@ from epsbialg import (
     weighted_word_coproduct,
     word_algebra,
 )
-from epsbialg.verify import _distinct, _letter_blind, run_suite, run_verify
+from epsbialg.verify import _distinct, _letter_blind, _Relabel, run_suite, run_verify
 
-from support import lambda_polys, nonzero_polys
+from support import lambda_polys, nonzero_polys, relabel_oracle
 
 COALGEBRA_SUITES = ("coassoc", "cocycle")
 
@@ -116,7 +116,7 @@ def test_a_rule_that_reads_letters_falls_back_to_the_dense_witness():
     assert line == _dense(run_suite, "cocycle", B, max_len=9).line()
     relabel = _letter_blind(A, 9)
     assert not relabel.swept
-    assert list(relabel._verdicts.values()) == [True] * 5 + [False]
+    assert relabel.rejected == "\x01\x00"
 
 
 def _long_diagonal(w):
@@ -221,7 +221,7 @@ def test_a_generic_leg_outside_its_input_gets_no_certificate():
     A, B = _pair(_constant_letter, "xy", -1)
     relabel = _letter_blind(A, 4)
     assert not relabel.swept
-    assert relabel._verdicts == {(False, ""): False}
+    assert relabel.rejected == ""
     assert relabel._legal(0) is None
     assert _outcomes(A, 4) == _dense(_outcomes, B, 4)
 
@@ -271,6 +271,50 @@ def test_terms_that_a_relabelling_merges_are_summed():
     assert _outcomes(A, 4) == _dense(_outcomes, B, 4)
 
 
+def _two_heads(w):
+    """w[:1] (x) 1 + w[1:2] (x) 1 on words of length >= 2, 0 elsewhere: every
+    generic leg is a run, and the two terms meet where w starts with a repeated
+    letter."""
+    terms = {}
+    if len(w) >= 2:
+        for legs in ((w[:1], ""), (w[1:2], "")):
+            terms[legs] = terms.get(legs, 0) + 1
+    return terms
+
+
+def _two_heads_unsummed(w):
+    """``_two_heads``, but a merged term keeps the coefficient 1."""
+    return {(w[:1], ""): 1, (w[1:2], ""): 1} if len(w) >= 2 else {}
+
+
+def test_sliced_images_that_merge_are_summed():
+    # the slice route reads x (x) 1 twice from x*x; the merged image goes
+    # through the letter map, whose sum 2 is the rule's coefficient
+    A, B = _pair(_two_heads, "xy", 0)
+    relabel = _letter_blind(A, 4)
+    assert relabel._image("\x00\x00") == {("\x00", ""): 2} == _two_heads("\x00\x00")
+    assert relabel.swept and relabel.rejected is None
+    assert relabel.coassoc() is not None
+    assert _outcomes(A, 4) == _dense(_outcomes, B, 4)
+
+
+def test_a_merged_term_left_unsummed_fails_the_relabel_check():
+    A, B = _pair(_two_heads_unsummed, "xy", 0)
+    relabel = _letter_blind(A, 4)
+    assert relabel.rejected == "\x00\x00"
+    assert not relabel.swept
+    assert relabel.coassoc() is None and relabel.cocycle() is None
+    outcomes = _outcomes(A, 4)
+    assert outcomes == _dense(_outcomes, B, 4)
+    # the dense witness names the unsummed coefficient, which the summed rule
+    # does not give
+    assert outcomes[1][0] == (
+        "[FAIL] cocycle: failure after 32 pairs\n"
+        "       witness inputs (x, x): difference = x (x) 1"
+    )
+    assert outcomes != _outcomes(_pair(_two_heads, "xy", 0)[0], 4)
+
+
 def test_one_letter_alphabets_run_the_dense_sweep():
     # over one letter every word is g_n renamed: the generic checks would be
     # the dense sweep itself
@@ -314,3 +358,36 @@ def test_certificate_and_dense_sweep_agree(case):
     alphabet, max_len, weight, rule = case
     A, B = _pair(rule, alphabet, weight)
     assert _outcomes(A, max_len) == _dense(_outcomes, B, max_len)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rules())
+def test_relabel_checks_agree_with_the_letter_map_oracle(case):
+    # on one letter no certificate is tried, but the relabel check is defined
+    alphabet, max_len, weight, rule = case
+    A, B = _pair(rule, alphabet, weight)
+    relabel = _letter_blind(A, max_len) or _Relabel(A, max_len)
+    assert (relabel.swept, relabel.rejected) == relabel_oracle(B, max_len)
+
+
+def _inner_factors(w):
+    """The sum of w[i:j] (x) 1 over 0 < i < j < l(w): letter-blind, with a run
+    at every inner offset, and terms that meet where w repeats a factor."""
+    terms = {}
+    for i in range(1, len(w)):
+        for j in range(i + 1, len(w)):
+            terms[(w[i:j], "")] = terms.get((w[i:j], ""), 0) + 1
+    return terms
+
+
+@pytest.mark.parametrize("rule, weight", [
+    (_yx_mutant, LAMBDA), (_shift_compensated, 0), (_leg_compensated, 0),
+    (_constant_letter, -1), (_long_leg, 0), (_reversal, 0), (_two_heads, 0),
+    (_two_heads_unsummed, 0), (_inner_factors, 0),
+])
+def test_the_relabel_checks_of_each_rule_above_agree_with_the_oracle(rule, weight):
+    for alphabet in ("xy", "xyz"):
+        for max_len in range(1, 6):
+            A = AlgebraInstance(WordKind(alphabet), weight, rule)
+            relabel = _Relabel(A, max_len)
+            assert (relabel.swept, relabel.rejected) == relabel_oracle(A, max_len)

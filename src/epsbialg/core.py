@@ -44,7 +44,6 @@ in ``tests/support.py``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import count
 
 from .errors import KindMismatch, NotNilpotentWithinCap, TooManyTerms, WeightNotZero
@@ -137,6 +136,7 @@ class AlgebraInstance:
         # instance's verdicts are kept: swept words are checked once, unmemoized
         self._relabel = {}
         self._prelie_law = {}  # max_len -> (pre-Lie law values, reached triples), filled by verify
+        self._associative = {}  # max_len -> whether the algebra suite passed, filled by verify
 
     def basis_keys(self, bound=6):
         return self.kind.basis_keys(bound)
@@ -385,6 +385,7 @@ def antipode(A: AlgebraInstance, a: Element) -> Element:
     _accumulate(out, a.terms.items(), negate=True)
     factorial = 1
     for t, cur in enumerate(_d_powers(A, a), start=1):
+        from fractions import Fraction  # only a series that does not end at once builds one
         factorial *= t
         # -(1/t!)(-1)^t = (-1)^(t+1)/t!
         coeff = scalar(Fraction(1 if t % 2 else -1, factorial))

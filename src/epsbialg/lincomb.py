@@ -140,6 +140,12 @@ class MatrixKind:
             columns.setdefault(p[1], []).append((p, c))
         return lambda q: columns.get(q[0], ())
 
+    def factor(self, key):
+        """(x, rest) with key = x.rest, x a generator (see ``matrices``); None on M_1."""
+        (i, j), n = key, self.n
+        k = i + 1 if i < j or i == j < n else i - 1
+        return None if n == 1 else ((i, k), (k, j))
+
     def unit_terms(self):
         # the identity matrix, expanded eagerly into basis terms
         return {(i, i): 1 for i in range(1, self.n + 1)}

@@ -23,6 +23,11 @@ E[i,j] (product rule E[i,j]E[k,l] = delta_jk E[i,l]):
 Each coproduct rule returns the sparse map (k1, k2) -> coefficient of one
 key; only the classical rule needs n, so only it takes the kind.
 
+M_n (n >= 2) is generated by the 2(n-1) keys E[i,i+1], E[i+1,i]:
+``MatrixKind.factor`` writes every other key as one of them times a key of
+lower rank (|i - j|, or 2 on the diagonal): E[i,j] = E[i,i+-1]E[i+-1,j],
+E[i,i] = E[i,i+1]E[i+1,i] and E[n,n] = E[n,n-1]E[n-1,n].
+
 The counit contractions (eps (x) id) and (id (x) eps) are linear maps on the
 tensor square, extended from a rule on basis pairs by ``linear_extend``.
 """

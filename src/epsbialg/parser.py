@@ -32,7 +32,6 @@ included, stays within the size bounds ``MAX_KEY_SIZE``, ``MAX_TERMS`` and
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .errors import DimensionMismatch, ParseError, UnknownAtom
 from .lincomb import Element, MatrixKind, TensorElement, UnivarKind, WordKind, tensor
@@ -222,6 +221,7 @@ class _ExprParser:
                 den = self.expect_int("a denominator")
                 if den == 0:
                     raise ParseError("zero denominator", pos)
+                from fractions import Fraction  # a call that writes no fraction never loads it
                 return bounded_poly(scalar(Fraction(val, den)), pos)
             return bounded_poly(val, pos)
         if kind == "name":

@@ -15,27 +15,24 @@ the idiom of GAP's ``LieAlgebraByStructureConstants``.  The per-call
 Sweedler sum sum A.element(k1) * a * A.element(k2) lives on as the test
 oracle ``sweedler_prelie_product`` in ``tests/support.py``.
 
-The table is sparse (40 of 625 pairs are nonzero on M_5).  For any bilinear
-|>, the representation law on (a, b, x) is the pre-Lie law P(a, b, x) with
-the bracket expanded, and the Jacobi sum is P summed over the rotations of
-the triple, so the ``verify`` sweeps compute P alone.  Each term of P on a
-basis triple is nonzero only along a path of two nonzero table entries; one
-pass follows these paths at key level, and every other triple satisfies P as
-0 = 0.  The element-level checkers below are the sweeps' oracles, run on
-every triple by ``dense_law_sweep`` and on every triple with a touching pair
-of entries by ``touch_law_sweep``, both in ``tests/support.py``.
+The table is sparse (40 of 625 pairs are nonzero on M_5): ``_prelie_entries``
+finds the nonzero entries on a set of keys from the coproduct terms, for the
+``verify`` sweeps, which compute the laws at key level along them.  The
+element-level checkers below are the sweeps' oracles, run by
+``dense_law_sweep`` and ``touch_law_sweep`` in ``tests/support.py``.
 
 On the telescoping matrix instance the bracket admits two closed forms on
 elementary matrices, implemented as independent code paths:
 
 * ``matrix_bracket_closed_form`` -- the summarised sign form with exact
   half-integer sign conditions such as (i - k + 1/2)(i - l + 1/2) < 0,
-  evaluated in rational arithmetic;
+  evaluated in integers, scaled by 4: (2(i - k) + 1)(2(i - l) + 1) < 0;
 * ``matrix_bracket_table`` -- the five-case table it sums up.
 
 These, and the closed form ``matrix_prelie_table`` of |>, return the sparse
 map key -> coefficient of one pair of basis keys and need no kind, as the
-|> table; ``bilinear_from_pairs`` extends such a rule to elements.
+|> table; ``bilinear_from_pairs`` extends such a rule to elements.  Both
+bracket forms vanish outside ``matrix_bracket_support``.
 
 The table is the oracle and the sign form the formula under test: any
 disagreement between the paths is a finding to report, never to patch over.
@@ -45,14 +42,25 @@ Both differ from the classical commutator delta_jk E[i,l] - delta_li E[k,j]
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .core import AlgebraInstance, LawReport
 from .lincomb import Element, bilinear_extend, ensure_same_kind
 from .matrices import sgn
 from .scalars import _accumulate
 
-_HALF = Fraction(1, 2)
+
+def _prelie_entries(A: AlgebraInstance, keys) -> list:
+    """The pairs (i, j) with keys[i] |> keys[j] != 0, in order, their rows put
+    in A's table.  For a term (k1, k2) of Delta(q) only the p that the product
+    index lists for k1 give k1 p k2 != 0: O(nnz Delta) work, not n^4 calls."""
+    key_mul, right = A.kind.key_mul, A.kind.product_index(dict(zip(keys, range(len(keys)))))
+    rows = {}  # (i, j) -> keys[i] |> keys[j]
+    for j, q in enumerate(keys):
+        for (k1, k2), c in A.basis_coproduct(q).items():
+            for p, i in right(k1):
+                if (left := key_mul(k1, p)) is not None and (key := key_mul(left, k2)) is not None:
+                    _accumulate(rows.setdefault((i, j), {}), ((key, c),))
+    A._prelie_table.update(((keys[i], keys[j]), row) for (i, j), row in rows.items())
+    return sorted(pair for pair, row in rows.items() if row)
 
 
 def _prelie_on_keys(A: AlgebraInstance, p, q) -> dict:
@@ -120,12 +128,19 @@ def matrix_bracket_table(p, q) -> dict:
 def matrix_bracket_closed_form(p, q) -> dict:
     """Summarised sign form of the same bracket, with half-integer conditions."""
     (i, j), (k, l) = p, q
-    # each condition puts k, l (or i, j) on either side of a half-integer: no sign is 0
-    if j == i + 1 and l != k + 1 and (i - k + _HALF) * (i - l + _HALF) < 0:
+    # (i - k + 1/2)(i - l + 1/2) < 0 scaled by 4, and so on: no factor is 0
+    if j == i + 1 and l != k + 1 and (2 * (i - k) + 1) * (2 * (i - l) + 1) < 0:
         return {q: sgn(l - k)}
-    if j != i + 1 and l == k + 1 and (k - i + _HALF) * (k - j + _HALF) < 0:
+    if j != i + 1 and l == k + 1 and (2 * (k - i) + 1) * (2 * (k - j) + 1) < 0:
         return {p: sgn(i - j)}
     return {}
+
+
+def matrix_bracket_support(keys) -> set:
+    """The pairs of ``keys`` outside which both bracket closed forms vanish:
+    those with a key E[i,i+1] in either place (j = i+1 or l = k+1)."""
+    lead = [s for s in keys if s[1] == s[0] + 1]
+    return {pair for s in lead for k in keys for pair in ((s, k), (k, s))}
 
 
 def bilinear_from_pairs(a: Element, b: Element, rule) -> Element:

@@ -33,7 +33,17 @@ and law witnesses do on theirs.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
+
+
+class _FractionType(type):
+    """Its instances are the Fractions; no Fraction exists before ``fractions`` loads."""
+
+    def __instancecheck__(cls, value):
+        return "fractions" in sys.modules and isinstance(value, sys.modules["fractions"].Fraction)
+
+
+_Fraction = _FractionType("_Fraction", (), {})
 
 
 class LambdaPoly:
@@ -68,11 +78,12 @@ class LambdaPoly:
         """``value`` as a ``LambdaPoly`` object, whatever its degree."""
         if isinstance(value, LambdaPoly):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, (int, _Fraction)):
             return LambdaPoly.const(value)
         raise TypeError(f"cannot coerce {value!r} into Q[L]")
 
     def coefficient(self, deg: int) -> Fraction:
+        from fractions import Fraction
         return Fraction(self._c.get(deg, 0))
 
     def degree(self) -> int:
@@ -138,7 +149,7 @@ class LambdaPoly:
         return f"LambdaPoly({self._c!r})"
 
 
-SCALAR_TYPES = (int, Fraction, LambdaPoly)
+SCALAR_TYPES = (int, _Fraction, LambdaPoly)
 
 
 def _canonical(c: dict):
@@ -155,7 +166,7 @@ def _coeffs(value):
     a value that is not a scalar."""
     if isinstance(value, LambdaPoly):
         return value._c
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, _Fraction)):
         return {0: _stored(value)} if value else {}
     return None
 
@@ -173,7 +184,7 @@ def _accumulate(out: dict, terms, negate=False):
             if not s:
                 del out[keys]
                 continue
-        if type(s) is Fraction and s.denominator == 1:
+        if type(s) is not int and type(s) is not LambdaPoly and s.denominator == 1:
             s = s.numerator
         out[keys] = s
 
@@ -190,7 +201,8 @@ def _stored(q):
     """A rational in its stored form: an int when integral, else a Fraction."""
     if type(q) is int:
         return q
-    if type(q) is not Fraction:
+    if not isinstance(q, _Fraction):
+        from fractions import Fraction
         q = Fraction(q)
     return q.numerator if q.denominator == 1 else q
 
@@ -202,7 +214,7 @@ def scalar(value):
         return value
     if isinstance(value, LambdaPoly):
         return _canonical(value._c)
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, _Fraction)):
         return _stored(value)
     raise TypeError(f"cannot coerce {value!r} into Q[L]")
 

@@ -23,6 +23,7 @@ from epsbialg import (
     antipode_endo,
     check_antipode_axiom,
     check_antipode_properties,
+    check_cocycle,
     check_jacobi,
     check_left_representation,
     check_prelie_identity,
@@ -35,7 +36,7 @@ from epsbialg.cli import build_algebra
 from epsbialg.core import _d_powers
 from epsbialg.prelie import _prelie_on_keys
 from epsbialg.scalars import scalar_items
-from epsbialg.verify import _failed, _passed, _triple_keys
+from epsbialg.verify import _cocycle_pairs, _failed, _passed, _triple_keys
 
 
 def random_integer_matrix(n, rng):
@@ -332,6 +333,21 @@ def dense_antipode_sweep(A, max_len, seed=0):
                 f"on a basis of {exc.basis} keys"
             )
         return _failed("antipode", detail, None, checks)
+
+
+# -- oracle for the cocycle sweep ----------------------------------------------
+# The checker on every swept pair in canonical order; knows nothing of the
+# generators or the factorizations that ``verify`` reduces the law to.
+
+
+def dense_cocycle_sweep(A, max_len):
+    count = 0
+    for p, q in _cocycle_pairs(A, max_len):
+        report = check_cocycle(A, p, q)
+        if not report:
+            return _failed("cocycle", f"failure after {count} pairs", report, count)
+        count += 1
+    return _passed("cocycle", f"{count} pairs checked", count)
 
 
 # -- oracles for the triple-law sweeps -----------------------------------------

@@ -324,10 +324,19 @@ def test_criterion_10_law_sweeps_scale():
 
 
 def test_criterion_11_antipode_suite_scales():
-    with criterion(11, "antipode laws on every basis pair of M_10, n^3 of them evaluated", 0.05):
+    with criterion(11, "antipode laws on every basis pair of M_10, decided by S = -id", 0.05):
         assert run_suite("antipode", matrix_algebra(10)).line() == "[PASS] antipode: 10400 checks"
-    with criterion(11, "antipode laws on every basis pair of M_16, n^3 of them evaluated", 0.2):
+    with criterion(11, "antipode laws on every basis pair of M_16, decided by S = -id", 0.2):
         assert run_suite("antipode", matrix_algebra(16)).line() == "[PASS] antipode: 66248 checks"
+
+
+def test_criterion_15_every_suite_on_m16():
+    # cocycle on the generator pairs, the |> table filled from coproduct terms,
+    # the bracket on its support and the antipode pairs decided by S = -id
+    with criterion(15, "every suite on M_16, no law walking all n^4 pairs", 0.5):
+        passed, outcomes = run_verify("all", matrix_algebra(16))
+        assert passed
+        assert "[PASS] cocycle: 65536 pairs checked" in [o.line() for o in outcomes]
 
 
 def test_criterion_12_construction_is_constant_and_the_algebra_suite_scales():

@@ -941,11 +941,12 @@ def test_antipode_series_within_the_term_bound_still_fails_to_truncate(capsys, e
 
 def test_outcomes_report_checked_and_evaluated():
     # evaluated on M_2
-    # (the antipode evaluates the n^2 keys and the n^3 pairs with pq != 0; its n^2
-    # involution and 200 random-matrix checks are decided by the basis sweep)
+    # (the antipode evaluates the n^2 keys; S = -id there decides its pairs, its n^2
+    # involution and 200 random-matrix checks.  Cocycle is evaluated at the pairs
+    # (x, q) of the 2(n-1) generators x, and the bracket on the 7 pairs of its support)
     term_driven = {
         "algebra": (64, 16), "prelie": (64, 2), "jacobi": (64, 4), "representation": (64, 2),
-        "antipode": (224, 12),
+        "antipode": (224, 4), "cocycle": (16, 8), "bracket-closed-form": (16, 7),
     }
     _, outcomes = run_verify("all", matrix_algebra(2))
     for o in outcomes:
@@ -971,11 +972,11 @@ def test_json_reports_checked_and_evaluated(capsys):
     words = counts("-a", "word:xy", "--max-len", "9")
     assert words["cocycle"] == (9217, 1133)
     assert words["coassoc"] == (1023, 1115)
-    # matrix instances run the sweeps they ran before: the counts are theirs
+    # on matrices the cocycle law is evaluated at the generator pairs only
     matrices = counts("-a", "matrix:2")
     _, outcomes = run_verify("all", matrix_algebra(2))
     assert matrices == {o.suite: (o.checked, o.evaluated) for o in outcomes}
-    assert matrices["cocycle"] == (16, 16)
+    assert matrices["cocycle"] == (16, 8)
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
@@ -992,6 +993,17 @@ def test_no_suite_passes_on_zero_inputs(suite):
                     run_suite(suite, A, max_len=max_len)
     with pytest.raises(ValueError, match=f"suite {suite!r} checked no input"):
         _passed(suite, "0 checks", 0)
+    # no silent counts: a pass evaluates at least one input, however many more
+    # an argument (bilinearity, a lemma) decides
+    passing = (
+        *((f"matrix:{n}", None) for n in range(1, 5)),
+        ("rmatrix:3:E[1,2] (x) E[2,3]:0", None), ("word:xy", None), ("univar", None),
+    )
+    for selector, weight in passing:
+        _, outcomes = run_verify("all", build_algebra(selector, weight))
+        for o in outcomes:
+            if suite in ("all", o.suite):
+                assert o.status != "pass" or o.evaluated >= 1, (selector, o.suite)
 
 
 SWEEP_COUNT_CASES = [

@@ -944,6 +944,19 @@ def test_antipode_suite_matches_the_dense_sweep(case):
         assert got[1].startswith(f"[FAIL] antipode: {MUTANT_TABLES[case][2]}\n")
 
 
+
+def test_antipode_pairs_are_decided_only_where_the_whole_basis_is_swept():
+    # S = -id on the swept words 1 and x, but Delta(xx) = 1 (x) 1 gives
+    # S(xx) = -xx + 1/2: the pair (x, x), whose product lies beyond the sweep
+    # of an infinite basis, is evaluated and fails, as in the dense sweep
+    def make():
+        return AlgebraInstance(WordKind("x"), 0, lambda w: {("", ""): 1} if len(w) == 2 else {})
+
+    got = verify.run_suite("antipode", make(), 1)
+    want = dense_antipode_sweep(make(), 1)
+    assert got.status == "fail" and (got.line(), got.checked) == (want.line(), want.checked)
+
+
 _M8_KEYS = [(i, j) for i in range(1, 9) for j in range(1, 9)]
 
 
@@ -983,19 +996,14 @@ def test_antipode_sweep_computes_each_value_once(monkeypatch):
         comultiplicativity, verify._comultiplicativity_difference,
     ))
     # on M_3, D = 0 and S = -id: comultiplicativity once per swept key, at its
-    # S image, and multiplicativity once per pair with pq != 0, n^3 of them
+    # S image, and no multiplicativity: S = -id on the whole basis decides every pair
     A = matrix_algebra(3)
     keys = list(A.basis_keys())
     assert verify.run_suite("antipode", A).line() == "[PASS] antipode: 299 checks"
-    assert coproducts == []
+    assert coproducts == [] and multiplicativity == []
     s = antipode_endo(A)
     assert len(comultiplicativity) == len(keys)
     assert all(args[2] is s.on_key(key).terms for args, key in zip(comultiplicativity, keys))
-    walked = [(p, q) for p in keys for q in keys if A.kind.key_mul(p, q) is not None]
-    assert len(walked) == 27
-    assert [(args[2], args[3]) for args in multiplicativity] == [
-        (s.on_key(p).terms, s.on_key(q).terms) for p, q in walked
-    ]
     # D != 0, so S is not -id and no involution runs: each walked pair has its
     # multiplicativity evaluated once, and no element is built but the unit
     B = build_algebra(RMATRIX_D8, None)
@@ -1015,10 +1023,11 @@ def test_antipode_sweep_computes_each_value_once(monkeypatch):
 
 def test_telescoping_antipode_suite_counts_every_pair():
     # D = 0 on M_n: the axiom on n^2 keys, every one of the n^4 pairs, and the
-    # involution on n^2 keys and 200 random-matrix checks, which the basis
-    # checks decide by linearity: n^2 + n^3 of them are evaluated
+    # involution on n^2 keys and 200 random-matrix checks.  S = -id on every key
+    # decides the pairs, the involution and the random matrices: only the n^2
+    # keys are evaluated
     for n, checks in ((5, 875), (16, 66248)):
         assert n * n + n ** 4 + n * n + 200 == checks
         outcome = verify.run_suite("antipode", matrix_algebra(n))
         assert outcome.line() == f"[PASS] antipode: {checks} checks"
-        assert outcome.evaluated == n * n + n ** 3
+        assert outcome.evaluated == n * n

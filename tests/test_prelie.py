@@ -366,7 +366,8 @@ def test_law_values_are_the_checkers_differences_on_random_rmatrix(terms, suite)
 
 
 @pytest.mark.parametrize(
-    "n, evaluated", [(1, (0, 0, 0)), (5, (100, 292, 100))]
+    # M_1 has no |> entry, so no path: its one triple is evaluated all the same
+    "n, evaluated", [(1, (1, 1, 1)), (5, (100, 292, 100))]
 )
 def test_evaluated_candidates_on_matrices(n, evaluated):
     for suite, count in zip(LAW_SUITES, evaluated):

@@ -301,6 +301,8 @@ sys.stdout = io.StringIO()
 codes = [
     cli.main(["coproduct", "-a", "matrix:2", "-e", "E[1,2]"]),
     cli.main(["verify", "--suite", "all", "-a", "matrix:2"]),
+    cli.main(["verify", "--suite", "all", "-a", "matrix:5"]),
+    cli.main(["verify", "--suite", "all", "-a", "word:xy", "--max-len", "9"]),
 ]
 sys.stdout = sys.__stdout__
 print(codes, sorted(set(sys.modules) & set(sys.argv[1:])))
@@ -310,18 +312,19 @@ print(codes, sorted(set(sys.modules) & set(sys.argv[1:])))
 def test_cli_start_up_imports_no_heavy_stdlib_module():
     # every CLI process pays for what it imports: dataclasses, with inspect,
     # ast, dis and tokenize behind it, was half of start-up, and argparse (with
-    # gettext and locale) and json much of the rest; -S keeps site's own
-    # imports from hiding one of these coming back
+    # gettext and locale) and json much of the rest; fractions (with decimal)
+    # loads only where a Fraction is built; -S keeps site's own imports from
+    # hiding one of these coming back
     heavy = [
-        "argparse", "ast", "dataclasses", "dis", "gettext", "inspect", "json", "locale",
-        "tokenize", "typing",
+        "argparse", "ast", "dataclasses", "decimal", "dis", "fractions", "gettext", "inspect",
+        "json", "locale", "tokenize", "typing",
     ]
     done = subprocess.run(
         [sys.executable, "-S", "-c", _STARTUP_PROBE, *heavy], capture_output=True,
         env=dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent)), timeout=60, text=True,
     )
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == "[0, 0] []\n"
+    assert done.stdout == "[0, 0, 0, 0] []\n"
 
 
 _PATH_PROBE = """\

@@ -129,6 +129,7 @@ class AlgebraInstance:
         self._memo = {}  # key -> {(k1, k2): coeff}, filled by basis_coproduct
         self._graded = {}  # key -> {(k1, k2, degree): rational}, filled by graded_coproduct
         self._prelie_table = {}  # (key, key) -> {key: coeff}, filled by prelie
+        self._prelie_entries = {}  # tuple of keys -> [(i, j)] with a nonzero row, filled by prelie
         self._antipode = None  # the LinearEndomorphism S, filled by antipode_endo
         # max_len -> relabel verdicts, filled by verify on words.  An image is read
         # from slices of the word where every generic leg is a run, else through

@@ -37,8 +37,9 @@ M_n the terms are grouped by row, since E[i,j]E[k,l] vanishes unless k = j,
 so a dense-by-dense product visits n^3 pairs rather than n^4; words and
 monomials have a single bucket.  ``left_index(terms)`` is its mirror: it
 maps a right key q to the left-hand terms (p, c) whose product pq may be
-nonzero, grouped by column on M_n.  Either index may list a term whose
-product is zero, but never leaves out one whose product is not.
+nonzero, grouped by column on M_n; ``middle_index(terms)`` maps (k1, k2) to
+the terms (p, c) with k1 p k2 maybe nonzero (on M_n, E[j,k] for E[i,j], E[k,l]).
+An index may list a term whose product is zero, never leave out one that is not.
 ``products`` walks a product through the index, and ``scalars._accumulate``
 adds a stream of terms into one sparse map (``scalars._combined`` adds two):
 sums and products of elements go through these, and so do the key-level
@@ -93,9 +94,9 @@ def UnivarMonomial(exponent: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _single_bucket(terms):
-    """The product index, right or left, of a kind whose keys never multiply to zero."""
+    """The product index, right, left or middle, of a kind whose keys never multiply to zero."""
     items = terms.items()
-    return lambda p: items
+    return lambda *_: items
 
 
 def _itself(key):
@@ -139,6 +140,10 @@ class MatrixKind:
         for p, c in terms.items():
             columns.setdefault(p[1], []).append((p, c))
         return lambda q: columns.get(q[0], ())
+
+    def middle_index(self, terms):
+        """E[i,j] p E[k,l] vanishes unless p = E[j,k]: at most one term."""
+        return lambda k1, k2: ((m, terms[m]),) if (m := (k1[1], k2[0])) in terms else ()
 
     def factor(self, key):
         """(x, rest) with key = x.rest, x a generator (see ``matrices``); None on M_1."""
@@ -210,7 +215,7 @@ class WordKind:
     # concatenation
     key_mul = staticmethod(operator.add)
 
-    product_index = left_index = staticmethod(_single_bucket)
+    product_index = left_index = middle_index = staticmethod(_single_bucket)
 
     def unit_terms(self):
         return {"": 1}
@@ -264,7 +269,7 @@ class UnivarKind:
     # exponents add
     key_mul = staticmethod(operator.add)
 
-    product_index = left_index = staticmethod(_single_bucket)
+    product_index = left_index = middle_index = staticmethod(_single_bucket)
 
     def unit_terms(self):
         return {0: 1}

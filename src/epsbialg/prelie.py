@@ -16,10 +16,9 @@ Sweedler sum sum A.element(k1) * a * A.element(k2) lives on as the test
 oracle ``sweedler_prelie_product`` in ``tests/support.py``.
 
 The table is sparse (40 of 625 pairs are nonzero on M_5): ``_prelie_entries``
-finds the nonzero entries on a set of keys from the coproduct terms, for the
-``verify`` sweeps, which compute the laws at key level along them.  The
-element-level checkers below are the sweeps' oracles, run by
-``dense_law_sweep`` and ``touch_law_sweep`` in ``tests/support.py``.
+finds its entries on a set of keys from the coproduct terms, and the ``verify``
+sweeps compute the laws along them at key level.  The checkers below are their
+oracles, run by ``dense_law_sweep`` and ``touch_law_sweep`` in ``tests/support.py``.
 
 On the telescoping matrix instance the bracket admits two closed forms on
 elementary matrices, implemented as independent code paths:
@@ -49,18 +48,21 @@ from .scalars import _accumulate
 
 
 def _prelie_entries(A: AlgebraInstance, keys) -> list:
-    """The pairs (i, j) with keys[i] |> keys[j] != 0, in order, their rows put
-    in A's table.  For a term (k1, k2) of Delta(q) only the p that the product
-    index lists for k1 give k1 p k2 != 0: O(nnz Delta) work, not n^4 calls."""
-    key_mul, right = A.kind.key_mul, A.kind.product_index(dict(zip(keys, range(len(keys)))))
-    rows = {}  # (i, j) -> keys[i] |> keys[j]
-    for j, q in enumerate(keys):
-        for (k1, k2), c in A.basis_coproduct(q).items():
-            for p, i in right(k1):
-                if (left := key_mul(k1, p)) is not None and (key := key_mul(left, k2)) is not None:
-                    _accumulate(rows.setdefault((i, j), {}), ((key, c),))
-    A._prelie_table.update(((keys[i], keys[j]), row) for (i, j), row in rows.items())
-    return sorted(pair for pair, row in rows.items() if row)
+    """The pairs (i, j) with keys[i] |> keys[j] != 0, in order, memoized on A,
+    their rows put in A's table.  A term (k1, k2) of Delta(q) meets only the p
+    that the kind's middle index lists: on M_n one, so O(nnz Delta) products."""
+    keys = tuple(keys)
+    if keys not in A._prelie_entries:
+        key_mul, middle = A.kind.key_mul, A.kind.middle_index(dict(zip(keys, range(len(keys)))))
+        rows = {}  # (i, j) -> keys[i] |> keys[j]
+        for j, q in enumerate(keys):
+            for (k1, k2), c in A.basis_coproduct(q).items():
+                for p, i in middle(k1, k2):
+                    if (left := key_mul(k1, p)) is not None and (key := key_mul(left, k2)) is not None:
+                        _accumulate(rows.setdefault((i, j), {}), ((key, c),))
+        A._prelie_table.update(((keys[i], keys[j]), row) for (i, j), row in rows.items())
+        A._prelie_entries[keys] = sorted(pair for pair, row in rows.items() if row)
+    return A._prelie_entries[keys]
 
 
 def _prelie_on_keys(A: AlgebraInstance, p, q) -> dict:
@@ -137,10 +139,12 @@ def matrix_bracket_closed_form(p, q) -> dict:
 
 
 def matrix_bracket_support(keys) -> set:
-    """The pairs of ``keys`` outside which both bracket closed forms vanish:
-    those with a key E[i,i+1] in either place (j = i+1 or l = k+1)."""
-    lead = [s for s in keys if s[1] == s[0] + 1]
-    return {pair for s in lead for k in keys for pair in ((s, k), (k, s))}
+    """The canonical indices i * len(keys) + j of the pairs (keys[i], keys[j])
+    outside which both bracket closed forms vanish: those with a key E[i,i+1]
+    in either place (j = i+1 or l = k+1)."""
+    m = len(keys)
+    lead = [s for s, (i, j) in enumerate(keys) if j == i + 1]
+    return {t for s in lead for k in range(m) for t in (s * m + k, k * m + s)}
 
 
 def bilinear_from_pairs(a: Element, b: Element, rule) -> Element:

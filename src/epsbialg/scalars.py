@@ -37,9 +37,7 @@ import sys
 
 
 class _FractionType(type):
-    """Its instances are the Fractions; no Fraction exists before ``fractions`` loads."""
-
-    def __instancecheck__(cls, value):
+    def __instancecheck__(cls, value):  # a Fraction: none exists before ``fractions`` loads
         return "fractions" in sys.modules and isinstance(value, sys.modules["fractions"].Fraction)
 
 

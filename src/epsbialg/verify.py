@@ -84,8 +84,8 @@ at key level, each value a sparse map key -> coefficient: the case table,
 the sign form, and the commutator T(p, q) - T(q, p) of the |> table; then
 the table's own antisymmetry.  All are 0 outside the closed forms' declared
 support (``prelie.matrix_bracket_support``) where T(p, q) = 0 = T(q, p), so
-only the other pairs are evaluated (184 of 625 on M_5), and the walk over
-every pair runs only to name a failure, whose witness is the one Element.
+only the other pairs are evaluated (184 of 625 on M_5), in canonical order,
+as a walk over every pair would find a failure; its witness is the one Element.
 
 Applicability is decided in one place, ``_applicable``: the antipode, the
 pre-Lie family and the bracket sweep need weight 0, and the bracket sweep
@@ -332,8 +332,7 @@ def _suite_coassoc(A, max_len):
 def _generator_cocycle(A, max_len):
     """(pairs certified, checks run) on M_n, or None if a premise or a check
     at a pair (x, q) fails (see the module docstring)."""
-    kind = A.kind
-    if not isinstance(kind, MatrixKind):
+    if not isinstance(kind := A.kind, MatrixKind):
         return None
     if max_len not in A._associative:
         run_suite("algebra", A, max_len)
@@ -516,9 +515,9 @@ def _antipode_sweep(A, max_len):
 
     Multiplicativity S(pq) = -S(p)S(q) is checked on every ordered pair of
     swept keys.  Where a finite basis is swept whole with S = -id on it
-    (telescoping M_n), no pair is evaluated: pq is 0 or a swept key, so S(pq)
-    = -pq = -S(p)S(q), and no key fails comultiplicativity, Delta(-a) = -(S (x)
-    S) Delta(a).  Elsewhere the pairs evaluated are those with pq != 0 or
+    (telescoping M_n) and every key is comultiplicative, as Delta(-a) = -(S (x)
+    S) Delta(a) says, no pair is evaluated: pq is 0 or a swept key, so S(pq) =
+    -pq = -S(p)S(q).  Elsewhere the pairs evaluated are those with pq != 0 or
     S(p)S(q) != 0, found through the product index and walked in canonical
     order, so the first failure, and the count before it, are those of a walk
     over every pair; a key whose comultiplicativity fails is reported at its
@@ -550,7 +549,7 @@ def _antipode_sweep(A, max_len):
         # S(a) + a = U(D(a)) with U = sum_t (-D)^t/(t+1)! unipotent, so D = 0 on the
         # basis iff S = -id there; then the involution holds by linearity (see above)
         minus_id = all(on_key(key).terms == {key: -1} for key in keys)
-        if not (minus_id and kind.finite_basis):  # a finite basis is swept whole
+        if not (minus_id and kind.finite_basis and all(comultiplicative.values())):
             images = {}  # v -> the indices j with v in S(keys[j])
             for j, key in enumerate(keys):
                 for v in on_key(key).terms:
@@ -685,40 +684,33 @@ def _suite_prelie(A, max_len, which):
     return _passed(which, f"{n ** 3} triples checked", n ** 3, len(evaluated))
 
 
-def _bracket_disagreement(A, p, q):
-    """(detail, law, difference) of the first comparison failing on (p, q), by
-    ``==``: sign form and commutator against the case table, then antisymmetry."""
-    table = matrix_bracket_table(p, q)
-    commutator = _combined(_prelie_on_keys(A, p, q), _prelie_on_keys(A, q, p), True)
-    for detail, law, value, want in (
-        ("sign form disagrees", "closed-vs-table", matrix_bracket_closed_form(p, q), table),
-        ("commutator disagrees", "commutator-vs-table", commutator, table),
-        ("antisymmetry broken", "antisymmetry", _combined(matrix_bracket_table(q, p), table), {}),
-    ):
-        if value != want:
-            return detail, law, _combined(value, want, True)
-    return None
-
-
 def _suite_bracket_closed_form(A, max_len):
-    """The comparisons on the pairs of the support and of the table's entries
-    (see the module docstring); on every pair in order if one fails, or on M_1."""
+    """The comparisons, of maps by ``==``, on the pairs of the support and of
+    the table's entries in canonical order (see the module docstring); on
+    M_1, which has neither, on its one pair."""
     kind = A.kind
     keys = list(A.basis_keys(max_len))
-    count = len(keys) ** 2
-    pairs = matrix_bracket_support(keys)
+    m, pairs = len(keys), matrix_bracket_support(keys)
     for i, j in _prelie_entries(A, keys):
-        pairs.update(((keys[i], keys[j]), (keys[j], keys[i])))
-    detail = f"{count} pairs checked across 3 code paths"
-    if pairs and not any(_bracket_disagreement(A, p, q) for p, q in pairs):
-        return _passed("bracket-closed-form", detail, count, len(pairs))
-    for index, (p, q) in enumerate((p, q) for p in keys for q in keys):
-        if (found := _bracket_disagreement(A, p, q)) is not None:
-            reason, law, difference = found
-            pair = (kind.key_text(p), kind.key_text(q))
-            report = LawReport.fail(f"bracket-{law}", pair, Element._make(kind, difference))
-            return _failed("bracket-closed-form", f"{reason} after {index} pairs", report, index)
-    return _passed("bracket-closed-form", detail, count)
+        pairs.update((i * m + j, j * m + i))
+    for evaluated, index in enumerate(sorted(pairs or {0}), start=1):
+        p, q = keys[index // m], keys[index % m]
+        table = matrix_bracket_table(p, q)
+        commutator = _combined(_prelie_on_keys(A, p, q), _prelie_on_keys(A, q, p), True)
+        for detail, law, value, want in (
+            ("sign form disagrees", "closed-vs-table", matrix_bracket_closed_form(p, q), table),
+            ("commutator disagrees", "commutator-vs-table", commutator, table),
+            ("antisymmetry broken", "antisymmetry", _combined(matrix_bracket_table(q, p), table), {}),
+        ):
+            if value != want:
+                pair = (kind.key_text(p), kind.key_text(q))
+                difference = Element._make(kind, _combined(value, want, True))
+                report = LawReport.fail(f"bracket-{law}", pair, difference)
+                return _failed(
+                    "bracket-closed-form", f"{detail} after {index} pairs", report, index, evaluated
+                )
+    detail = f"{m * m} pairs checked across 3 code paths"
+    return _passed("bracket-closed-form", detail, m * m, len(pairs or {0}))
 
 
 def _suite_worked_examples(_A, _max_len):

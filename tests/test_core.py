@@ -1031,3 +1031,18 @@ def test_telescoping_antipode_suite_counts_every_pair():
         outcome = verify.run_suite("antipode", matrix_algebra(n))
         assert outcome.line() == f"[PASS] antipode: {checks} checks"
         assert outcome.evaluated == n * n
+
+
+def test_a_key_failing_comultiplicativity_under_minus_id_is_reported(monkeypatch):
+    # S = -id on M_3 decides the pairs only while every key is comultiplicative:
+    # a False there (here from a faulty difference on E[2,2], index 4) still
+    # reaches the pair walk, which reports the key at its first pair
+    real = verify._comultiplicativity_difference
+
+    def wrong(A, s, sx, delta_terms):
+        return {((2, 2), (2, 2)): 1} if sx == {(2, 2): -1} else real(A, s, sx, delta_terms)
+
+    monkeypatch.setattr(verify, "_comultiplicativity_difference", wrong)
+    outcome = verify.run_suite("antipode", matrix_algebra(3))
+    assert (outcome.status, outcome.checked) == ("fail", 9 + 4 * 9)
+    assert outcome.detail == "property failure after 45 checks"

@@ -35,7 +35,7 @@ from epsbialg.prelie import (
     matrix_bracket_table,
 )
 from epsbialg.scalars import _combined
-from epsbialg.verify import _triple_keys, run_suite
+from epsbialg.verify import _triple_keys, run_suite, run_verify
 
 from support import RMATRIX_CONTROLS, dense_cocycle_sweep
 
@@ -200,7 +200,8 @@ def _outside_support(rule, n):
     """The pairs of M_n outside ``matrix_bracket_support`` where ``rule`` is nonzero."""
     keys = list(MatrixKind(n).basis_keys())
     support = matrix_bracket_support(keys)
-    return [(p, q) for p in keys for q in keys if (p, q) not in support and rule(p, q)]
+    pairs = enumerate((p, q) for p in keys for q in keys)
+    return [(p, q) for index, (p, q) in pairs if index not in support and rule(p, q)]
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -228,28 +229,40 @@ def test_bracket_is_evaluated_on_its_support(n):
         assert support == 184
 
 
+def _scanned_before(A, index):
+    """How many pairs of the support and of the table's entries the bracket
+    suite evaluates up to the canonical ``index``, that one included."""
+    keys = list(A.basis_keys())
+    m = len(keys)
+    pairs = matrix_bracket_support(keys)
+    pairs.update(t for i, j in _prelie_entries(A, keys) for t in (i * m + j, j * m + i))
+    return sum(t <= index for t in pairs)
+
+
 def test_a_failure_inside_the_support_is_the_walks():
     # T wrong only on the entry E[2,3] |> E[1,3] = E[1,3], which the commutators
     # of the pairs (E[1,3], E[2,3]) (index 23) and (E[2,3], E[1,3]) (index 47)
-    # read: the reduced check finds one of them, the walk names the first
+    # read: the scan in canonical order names the first, as the walk would
     def wrong(A, p, q):
         row = _prelie_on_keys(A, p, q)
         return {} if (p, q) == ((2, 3), (1, 3)) else row
 
+    A = matrix_algebra(3)
     with mock.patch("epsbialg.verify._prelie_on_keys", wrong):
-        outcome = run_suite("bracket-closed-form", matrix_algebra(3))
+        outcome = run_suite("bracket-closed-form", A)
     assert outcome.line() == (
         "[FAIL] bracket-closed-form: commutator disagrees after 23 pairs\n"
         "       witness inputs (E[1,3], E[2,3]): difference = E[1,3]"
     )
-    assert (outcome.checked, outcome.evaluated) == (23, 24)
+    assert (outcome.checked, outcome.evaluated) == (23, _scanned_before(A, 23))
+    assert outcome.evaluated < 24
 
 
 def test_a_table_entry_outside_the_support_is_evaluated():
     # an extra term E[1,1] (x) E[1,1] in Delta(E[3,1]) gives the entry
     # E[1,1] |> E[3,1] = E[1,1], on a pair outside the closed forms' support:
-    # the pairs of the table's entries are evaluated too, and the walk names
-    # the first failing pair, found here by a scan of every pair in order
+    # the pairs of the table's entries are evaluated too, and the suite names
+    # the first failing pair, found here by a walk over every pair in order
     A = AlgebraInstance(
         MatrixKind(3), 0, _wrong_on((3, 1), {((1, 1), (1, 1)): 1}), tags=(TELESCOPING,)
     )
@@ -261,7 +274,8 @@ def test_a_table_entry_outside_the_support_is_evaluated():
     )
     assert (keys[first // 9], keys[first % 9]) == ((1, 1), (3, 1))
     outcome = run_suite("bracket-closed-form", A)
-    assert (outcome.status, outcome.checked, outcome.evaluated) == ("fail", first, first + 1)
+    assert (outcome.status, outcome.checked) == ("fail", first)
+    assert outcome.evaluated == _scanned_before(A, first) < first + 1
     assert outcome.detail == f"commutator disagrees after {first} pairs"
 
 
@@ -291,3 +305,23 @@ def test_the_term_driven_fill_finds_every_nonzero_entry(case):
     for p in keys:
         for q in keys:
             assert _prelie_on_keys(A, p, q) == _prelie_on_keys(B, p, q)
+
+
+def test_the_fill_meets_one_middle_key_per_term_and_runs_once(monkeypatch):
+    # on M_n a term (k1, k2) of Delta(q) meets only p = E[j,k] between k1 = E[i,j]
+    # and k2 = E[k,l]: at most two products per term; ``all`` fills once
+    A = matrix_algebra(6)
+    keys = list(A.basis_keys())
+    terms = sum(len(A.basis_coproduct(q)) for q in keys)
+    products, middles = [], []
+    real_mul, real_middle = MatrixKind.key_mul, MatrixKind.middle_index
+    monkeypatch.setattr(
+        MatrixKind, "key_mul", staticmethod(lambda p, q: products.append(1) or real_mul(p, q))
+    )
+    monkeypatch.setattr(
+        MatrixKind, "middle_index", lambda kind, t: middles.append(1) or real_middle(kind, t)
+    )
+    _prelie_entries(A, keys)
+    assert 0 < len(products) <= 2 * terms
+    run_verify("all", A)
+    assert len(middles) == 1

@@ -6,8 +6,14 @@ adjoined, so every verified identity holds for all weights at once.
 The public names in ``_SOURCE`` resolve on first use (``epsbialg.matrix_algebra``
 imports ``epsbialg.matrices``), not at ``import epsbialg``: each
 ``python -m epsbialg`` process then compiles and runs only the modules its
-command needs, and a ``coproduct`` on ``matrix:N`` never loads ``verify``,
-``prelie`` or ``words``.
+command needs.  Where no bytecode cache exists (a fresh checkout, or
+``PYTHONDONTWRITEBYTECODE=1`` as the benchmark runs every call), compiling
+is most of a short call's own start-up.  So a ``coproduct``, ``multiply``,
+``antipode`` or ``bracket`` on ``matrix:N`` loads ``cli``, ``core``,
+``errors``, ``lincomb``, ``matrices``, ``parser`` and ``scalars`` (and
+``prelie`` for ``prelie`` and ``bracket``): never ``verify``, the law
+checkers of ``laws`` that only ``verify`` runs, or the word and univar kinds
+of ``words``.
 """
 
 # public name -> the module that defines it, listed by module
@@ -15,24 +21,25 @@ _SOURCE = {
     name: module
     for module, names in {
         "core": """AlgebraInstance LawReport LinearEndomorphism Witness antipode antipode_endo
-            check_antipode_axiom check_antipode_properties check_coassoc check_cocycle
             coproduct_from_r d_map""",
         "errors": """AlphabetMismatch DimensionMismatch EpsBialgError IndexOutOfRange
             KindMismatch LSquareNotZero NotNilpotentWithinCap ParseError SUITE_NAMES
             TooManyTerms UnknownAtom UnknownSuite WeightNotZero""",
-        "lincomb": """Element EMatrix MatrixKind TensorElement UnivarKind UnivarMonomial Word
-            WordKind act_left act_right bilinear_extend ensure_same_kind linear_extend tensor""",
+        "laws": """check_antipode_axiom check_antipode_properties check_coassoc
+            check_cocycle""",
+        "lincomb": """Element EMatrix MatrixKind TensorElement act_left act_right bilinear_extend
+            ensure_same_kind linear_extend tensor""",
         "matrices": """classical_comatrix_algebra classical_comatrix_coproduct classical_counit
             counit_contract_left counit_contract_right l_coproduct_instance matrix_algebra
             matrix_from_rows newtonian_coproduct sgn""",
         "parser": "emit parse_expression parse_scalar parse_tensor parse_value",
         "prelie": """bilinear_from_pairs check_jacobi check_left_representation
             check_prelie_identity commutator_bracket matrix_bracket_closed_form
-            matrix_bracket_table matrix_prelie_table prelie_product""",
+            matrix_bracket_table prelie_product""",
         "scalars": "LAMBDA MINUS_ONE ONE ZERO LambdaPoly poly_text scalar",
         "verify": "SuiteOutcome run_suite run_verify",
-        "words": """deconcat_algebra deconcat_coproduct subword univar_algebra univar_coproduct
-            weighted_word_coproduct word_algebra""",
+        "words": """UnivarKind UnivarMonomial Word WordKind deconcat_algebra deconcat_coproduct
+            subword univar_algebra univar_coproduct weighted_word_coproduct word_algebra""",
     }.items()
     for name in names.split()
 }

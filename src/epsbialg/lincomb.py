@@ -16,7 +16,12 @@ checked constructors that return these keys.  A key means nothing without
 its kind: the kind owns its text (``key_text``), its validation
 (``validate_key``), its order (``sort_key``, used by ``sorted_terms``: words
 by length, then letters; matrices and monomials in their natural tuple or
-int order) and its size.
+int order) and its size.  ``MatrixKind`` and ``EMatrix`` are defined here;
+``WordKind``, ``UnivarKind``, ``Word`` and ``UnivarMonomial`` in ``words``,
+beside the coproduct rules on them, so that a call on ``matrix:N`` never
+compiles them.  Nothing here names a word or univar kind: the parser reads a
+letter or ``x`` through the kind's ``atom_key``, and ``ensure_same_kind``
+raises the error a kind's ``mismatch`` names.
 
 An ``Element`` is a map key -> coefficient; a ``TensorElement`` is a map
 from k-tuples of keys (k >= 2, the tensor legs) to coefficients, each nonzero
@@ -58,9 +63,8 @@ The tensor square A (x) A is an (A,A)-bimodule via
 from __future__ import annotations
 
 import itertools
-import operator
 
-from .errors import AlphabetMismatch, DimensionMismatch, KindMismatch
+from .errors import DimensionMismatch, KindMismatch
 from .scalars import (
     SCALAR_TYPES, _accumulate, _combined, _monomial_text, poly_text, scalar, scalar_items,
 )
@@ -77,27 +81,9 @@ def EMatrix(i: int, j: int, n: int) -> tuple:
     return (i, j)
 
 
-def Word(letters=()) -> str:
-    """The key of a word: the str of chr(i) per 0-based letter index i, whose hash is cached."""
-    return "".join(map(chr, letters))
-
-
-def UnivarMonomial(exponent: int) -> int:
-    """The key of the monomial x^exponent: the exponent itself."""
-    if exponent < 0:
-        raise ValueError(f"negative exponent {exponent}")
-    return exponent
-
-
 # ---------------------------------------------------------------------------
 # kinds: the underlying algebras
 # ---------------------------------------------------------------------------
-
-def _single_bucket(terms):
-    """The product index, right, left or middle, of a kind whose keys never multiply to zero."""
-    items = terms.items()
-    return lambda *_: items
-
 
 def _itself(key):
     return key
@@ -121,6 +107,12 @@ class MatrixKind:
 
     def selector(self) -> str:
         return f"matrix:{self.n}"
+
+    def mismatch(self, other):
+        """The error for mixing with an unequal kind: DimensionMismatch with another M_n."""
+        if isinstance(other, MatrixKind):
+            return DimensionMismatch(f"mixed matrix dimensions {self.n} and {other.n}")
+        return None
 
     @staticmethod
     def key_mul(p, q):
@@ -183,134 +175,14 @@ class MatrixKind:
         return itertools.product(range(1, self.n + 1), repeat=2)
 
 
-class WordKind:
-    """The free algebra on a finite ordered alphabet, in the word basis."""
-
-    __slots__ = ("alphabet",)
-
-    def __init__(self, alphabet):
-        letters = tuple(alphabet)
-        if not letters:
-            raise ValueError("alphabet must be nonempty")
-        if len(set(letters)) != len(letters) or any(not s for s in letters):
-            raise ValueError(f"letter names must be distinct and nonempty: {letters!r}")
-        for s in letters:
-            if not (s.isascii() and s.isidentifier()):
-                raise ValueError(f"letter name {s!r} is not a name the expression parser reads")
-            if s.lower() in ("l", "lambda"):
-                raise ValueError(f"letter name {s!r} collides with the weight literal")
-        self.alphabet = letters
-
-    def __eq__(self, other):
-        return isinstance(other, WordKind) and self.alphabet == other.alphabet
-
-    def __hash__(self):
-        return hash(("word", self.alphabet))
-
-    def selector(self) -> str:
-        if all(len(s) == 1 for s in self.alphabet):
-            return "word:" + "".join(self.alphabet)
-        return "word:" + ",".join(self.alphabet)
-
-    # concatenation
-    key_mul = staticmethod(operator.add)
-
-    product_index = left_index = middle_index = staticmethod(_single_bucket)
-
-    def unit_terms(self):
-        return {"": 1}
-
-    def validate_key(self, key):
-        if type(key) is not str or key and ord(max(key)) >= len(self.alphabet):
-            raise KindMismatch(f"{key!r} is not a basis key of {self.selector()}")
-
-    def key_text(self, key) -> str:
-        if not key:
-            return "1"
-        return "*".join(self.alphabet[ord(a)] for a in key)
-
-    @staticmethod
-    def sort_key(key):
-        """Words sort by length, then letters: code-point order is alphabet order."""
-        return (len(key), key)
-
-    key_size_name = "word length"
-
-    key_size = staticmethod(len)
-
-    finite_basis = False
-
-    def count_keys(self, bound=6) -> int:
-        """The number of words of length <= bound."""
-        m = len(self.alphabet)
-        return bound + 1 if m == 1 else (m ** (bound + 1) - 1) // (m - 1)
-
-    def basis_keys(self, bound=6):
-        """All words of length <= bound, in length-then-lexicographic order."""
-        letters = [chr(i) for i in range(len(self.alphabet))]
-        for length in range(bound + 1):
-            yield from map("".join, itertools.product(letters, repeat=length))
-
-
-class UnivarKind:
-    """The one-variable polynomial algebra Q[L][x], in the monomial basis."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return isinstance(other, UnivarKind)
-
-    def __hash__(self):
-        return hash("univar")
-
-    def selector(self) -> str:
-        return "univar"
-
-    # exponents add
-    key_mul = staticmethod(operator.add)
-
-    product_index = left_index = middle_index = staticmethod(_single_bucket)
-
-    def unit_terms(self):
-        return {0: 1}
-
-    def validate_key(self, key):
-        if type(key) is not int or key < 0:
-            raise KindMismatch(f"{key!r} is not a basis key of univar")
-
-    def key_text(self, key) -> str:
-        if key == 0:
-            return "1"
-        if key == 1:
-            return "x"
-        return f"x^{key}"
-
-    sort_key = staticmethod(_itself)
-
-    key_size_name = "degree in x"
-
-    key_size = staticmethod(_itself)
-
-    finite_basis = False
-
-    def count_keys(self, bound=6) -> int:
-        return bound + 1
-
-    def basis_keys(self, bound=6):
-        return range(bound + 1)
-
-
 def ensure_same_kind(a, b):
-    """Raise the most specific mismatch error unless a and b share a kind."""
+    """Raise the most specific mismatch error unless a and b share a kind: the
+    one a kind's ``mismatch`` names (two dimensions, two alphabets), else KindMismatch."""
     if a.kind is b.kind or a.kind == b.kind:
         return
-    if isinstance(a.kind, MatrixKind) and isinstance(b.kind, MatrixKind):
-        raise DimensionMismatch(f"mixed matrix dimensions {a.kind.n} and {b.kind.n}")
-    if isinstance(a.kind, WordKind) and isinstance(b.kind, WordKind):
-        raise AlphabetMismatch(
-            f"mixed alphabets {a.kind.alphabet} and {b.kind.alphabet}"
-        )
-    raise KindMismatch(f"mixed algebra kinds {a.kind.selector()} and {b.kind.selector()}")
+    mismatch = getattr(a.kind, "mismatch", None)  # declared by kinds of unequal instances
+    error = mismatch(b.kind) if mismatch else None
+    raise error or KindMismatch(f"mixed algebra kinds {a.kind.selector()} and {b.kind.selector()}")
 
 
 # ---------------------------------------------------------------------------

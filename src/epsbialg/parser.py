@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 
 from .errors import DimensionMismatch, ParseError, UnknownAtom
-from .lincomb import Element, MatrixKind, TensorElement, UnivarKind, WordKind, tensor
+from .lincomb import Element, MatrixKind, TensorElement, tensor
 from .scalars import (
     LAMBDA,
     MAX_COEFF_BITS,
@@ -242,14 +242,8 @@ class _ExprParser:
         if name.lower() in ("l", "lambda"):
             return LAMBDA
         k = self.kind
-        if isinstance(k, WordKind):
-            if name in k.alphabet:
-                return Element.from_key(k, chr(k.alphabet.index(name)))
-            raise UnknownAtom(f"unknown letter {name!r} in {k.selector()}", pos)
-        if isinstance(k, UnivarKind):
-            if name == "x":
-                return Element.from_key(k, 1)
-            raise UnknownAtom(f"unknown atom {name!r} in univar", pos)
+        if k is None:
+            raise UnknownAtom(f"unknown atom {name!r}", pos)
         if isinstance(k, MatrixKind):
             if name == "E":
                 if self.at_op("["):
@@ -265,7 +259,10 @@ class _ExprParser:
                     return Element.from_key(k, (i, j))
                 return self.algebra.unit
             raise UnknownAtom(f"unknown atom {name!r} in {k.selector()}", pos)
-        raise UnknownAtom(f"unknown atom {name!r}", pos)
+        key = k.atom_key(name)  # a letter of a word kind, x of univar
+        if key is None:
+            raise UnknownAtom(f"unknown {k.atom_noun} {name!r} in {k.selector()}", pos)
+        return Element.from_key(k, key)
 
     def dense_matrix(self, pos):
         if not isinstance(self.kind, MatrixKind):

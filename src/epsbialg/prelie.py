@@ -28,10 +28,11 @@ elementary matrices, implemented as independent code paths:
   evaluated in integers, scaled by 4: (2(i - k) + 1)(2(i - l) + 1) < 0;
 * ``matrix_bracket_table`` -- the five-case table it sums up.
 
-These, and the closed form ``matrix_prelie_table`` of |>, return the sparse
-map key -> coefficient of one pair of basis keys and need no kind, as the
-|> table; ``bilinear_from_pairs`` extends such a rule to elements.  Both
-bracket forms vanish outside ``matrix_bracket_support``.
+These return the sparse map key -> coefficient of one pair of basis keys and
+need no kind, as the |> table; ``bilinear_from_pairs`` extends such a rule to
+elements.  Both bracket forms vanish outside ``matrix_bracket_support``.  The
+closed form of |> itself on M_n, which no command reads, is the test oracle
+``matrix_prelie_table`` in ``tests/support.py``.
 
 The table is the oracle and the sign form the formula under test: any
 disagreement between the paths is a finding to report, never to patch over.
@@ -96,19 +97,6 @@ def prelie_product(A: AlgebraInstance, a: Element, b: Element) -> Element:
 def commutator_bracket(A: AlgebraInstance, a: Element, b: Element) -> Element:
     """[a, b] = a |> b - b |> a."""
     return prelie_product(A, a, b) - prelie_product(A, b, a)
-
-
-def matrix_prelie_table(p, q) -> dict:
-    """Closed form of E[i,j] |> E[k,l] on the telescoping matrix instance:
-
-    E[k,l] if k < j = i+1 <= l;  -E[k,l] if l < j = i+1 <= k;  else 0.
-    """
-    (i, j), (k, l) = p, q
-    if j == i + 1 and k < j <= l:
-        return {q: 1}
-    if j == i + 1 and l < j <= k:
-        return {q: -1}
-    return {}
 
 
 def matrix_bracket_table(p, q) -> dict:

@@ -106,6 +106,21 @@ def sweedler_prelie_product(A, a, b):
     return out
 
 
+# -- closed form of the pre-Lie table on M_n -----------------------------------
+# E[i,j] |> E[k,l] on the telescoping matrix instance, from the index pattern
+# alone; knows nothing of the coproduct terms that ``prelie`` fills it from.
+
+
+def matrix_prelie_table(p, q) -> dict:
+    """E[k,l] if k < j = i+1 <= l;  -E[k,l] if l < j = i+1 <= k;  else 0."""
+    (i, j), (k, l) = p, q
+    if j == i + 1 and k < j <= l:
+        return {q: 1}
+    if j == i + 1 and l < j <= k:
+        return {q: -1}
+    return {}
+
+
 # -- termwise oracle for linear maps ---------------------------------------------
 # A linear map on v as the sum of the images of its terms, each image built
 # as a whole Element or TensorElement and scaled by its coefficient; knows
@@ -181,7 +196,7 @@ RMATRIX_CONTROLS = (
 # -- element-level oracles for the coalgebra law checkers ---------------------
 # Each side of the law built as a whole Element or TensorElement through the
 # linear coproduct, the bimodule actions and tensor subtraction; knows nothing
-# of the key-level accumulation in ``core.check_cocycle``/``check_coassoc``.
+# of the key-level accumulation in ``laws.check_cocycle``/``check_coassoc``.
 
 
 def tensor_cocycle_oracle(A, p, q):
@@ -206,7 +221,7 @@ def tensor_coassoc_oracle(A, key):
 # -- element-level oracles for the antipode checkers ---------------------------
 # Each side of the law built as a whole Element or TensorElement, adding one
 # product or tensor per Sweedler term; knows nothing of the key-level sparse
-# maps in ``core.check_antipode_axiom``/``check_antipode_properties``.  S is
+# maps in ``laws.check_antipode_axiom``/``check_antipode_properties``.  S is
 # evaluated on keys in the order of the law's terms, as there.
 
 

@@ -37,7 +37,7 @@ from epsbialg import (
     univar_algebra,
     word_algebra,
 )
-from epsbialg import core, verify
+from epsbialg import core, laws, verify
 from epsbialg.cli import build_algebra
 from epsbialg.core import LinearEndomorphism
 from epsbialg.scalars import scalar_items
@@ -692,7 +692,7 @@ def test_basis_coproduct_is_the_rules_canonical_sparse_map(case):
         assert type(m) is dict, key
         assert _typed(TensorElement(A.kind, 2, m).terms) == _typed(m), key
         assert A.coproduct(A.element(key)).terms == m, key
-        assert _typed(core._fold(A.graded_coproduct(key))) == _typed(m), key
+        assert _typed(laws._fold(A.graded_coproduct(key))) == _typed(m), key
 
 
 _KEYED_INSTANCES = {

@@ -240,19 +240,21 @@ def test_tensor_bilinear_in_each_slot(a, b, c):
 
 
 def test_kind_mismatch_dimensions():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match=r"^mixed matrix dimensions 2 and 3$"):
         e(1, 1, 2) + e(1, 1, 3)
 
 
 def test_kind_mismatch_alphabets():
     other = Element.from_key(WordKind("ab"), Word((0,)))
-    with pytest.raises(AlphabetMismatch):
+    with pytest.raises(AlphabetMismatch, match=r"^mixed alphabets \('x', 'y'\) and \('a', 'b'\)$"):
         w(0) + other
 
 
 def test_kind_mismatch_cross_family():
-    with pytest.raises(KindMismatch):
+    with pytest.raises(KindMismatch, match=r"^mixed algebra kinds word:xy and matrix:2$"):
         w(0) + e(1, 1)
+    with pytest.raises(KindMismatch, match=r"^mixed algebra kinds univar and word:xy$"):
+        Element.from_key(UnivarKind(), 1) + w(0)
 
 
 def test_leg_count_mismatch():

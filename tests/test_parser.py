@@ -116,10 +116,15 @@ def test_parse_tensor_rejects_element():
 
 
 def test_unknown_atom():
-    with pytest.raises(UnknownAtom):
-        parse_expression("z + x", W)
-    with pytest.raises(UnknownAtom):
-        parse_expression("y", U)
+    # each kind names its atoms: a word kind its letters, univar x, M_n E
+    for text, algebra, message in (
+        ("z + x", W, "unknown letter 'z' in word:xy (at position 0)"),
+        ("y", U, "unknown atom 'y' in univar (at position 0)"),
+        ("E + x", M2, "unknown atom 'x' in matrix:2 (at position 4)"),
+    ):
+        with pytest.raises(UnknownAtom) as excinfo:
+            parse_expression(text, algebra)
+        assert str(excinfo.value) == message
 
 
 # Element syntax that scalar text (a weight) does not have: the parser run

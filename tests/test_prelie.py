@@ -25,7 +25,6 @@ from epsbialg import (
     matrix_algebra,
     matrix_bracket_closed_form,
     matrix_bracket_table,
-    matrix_prelie_table,
     newtonian_coproduct,
     parse_expression,
     parse_value,
@@ -49,6 +48,7 @@ from support import (
     classical_matrix_bracket,
     dense_law_sweep,
     matrix_elements,
+    matrix_prelie_table,
     prelie_support,
     sweedler_prelie_product,
     touch_law_sweep,

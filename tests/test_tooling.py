@@ -380,15 +380,19 @@ _LAYER_MODULES = sorted(
 
 
 @pytest.mark.parametrize("argv,unloaded", [
-    (["coproduct", "-a", "matrix:2", "-e", "E[1,2]"], {"prelie", "verify", "words"}),
-    (["bracket", "-a", "matrix:2", "--lhs", "E[1,2]", "--rhs", "E[2,1]"], {"verify", "words"}),
-    (["coproduct", "-a", "word:xy", "-e", "x"], {"prelie", "verify"}),
+    (["coproduct", "-a", "matrix:2", "-e", "E[1,2]"], {"laws", "prelie", "verify", "words"}),
+    (["bracket", "-a", "matrix:2", "--lhs", "E[1,2]", "--rhs", "E[2,1]"],
+     {"laws", "verify", "words"}),
+    (["coproduct", "-a", "word:xy", "-e", "x"], {"laws", "prelie", "verify"}),
     (["verify", "--suite", "all", "-a", "matrix:2"], set()),
+    (["antipode", "-a", "matrix:3", "-e", "E[1,2]"], {"laws", "prelie", "verify", "words"}),
+    (["multiply", "-a", "univar", "--lhs", "x", "--rhs", "x"], {"laws", "prelie", "verify"}),
 ])
 def test_each_command_loads_only_the_modules_it_runs(argv, unloaded):
     # every CLI process compiles the modules it imports, with no bytecode cache
-    # on a fresh checkout; a matrix coproduct has no use for verify, prelie or
-    # words, and a bare ``import epsbialg`` loads no module at all
+    # on a fresh checkout; a computation has no use for verify or its law
+    # checkers, a matrix call none for prelie or the word and univar kinds, and
+    # a bare ``import epsbialg`` loads no module at all
     done = subprocess.run(
         [sys.executable, "-S", "-c", _LOAD_PROBE, *argv], capture_output=True,
         env=dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent)), timeout=60, text=True,
@@ -396,6 +400,43 @@ def test_each_command_loads_only_the_modules_it_runs(argv, unloaded):
     assert (done.returncode, done.stderr) == (0, "")
     loaded = sorted(set(_LAYER_MODULES) - unloaded)
     assert done.stdout == f"0 [] {loaded}\n"
+
+
+# The lines of source that ``coproduct -a matrix:2 -e E[1,2]`` compiles,
+# ``__init__`` included: a gate, as the budgets of test_acceptance.py are.
+# Tighten it when a change earns it, never loosen it.
+MATRIX_CALL_SOURCE_LINES = 2200
+
+
+def test_a_matrix_call_compiles_no_more_source_than_its_budget():
+    # with no bytecode cache, each process compiles every line it imports, and
+    # that is most of what a short call adds to the interpreter's own start-up
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _LOAD_PROBE, "coproduct", "-a", "matrix:2", "-e", "E[1,2]"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent)),
+        timeout=60, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    code, _, loaded = done.stdout.split(" ", 2)
+    modules = ["__init__", *ast.literal_eval(loaded)]
+    lines = sum(len((PACKAGE_DIR / f"{name}.py").read_text().splitlines()) for name in modules)
+    assert (code, lines <= MATRIX_CALL_SOURCE_LINES) == ("0", True), lines
+
+
+def test_core_reads_the_traced_checkers_from_laws_and_binds_none(monkeypatch):
+    # the benchmark's tracer names four checkers as ``core.*``: each resolves
+    # to the ``laws`` object, a wrapper on ``laws`` included, and reading it
+    # writes nothing into ``core``, whose attributes the tracer's test snapshots
+    from epsbialg import core, laws
+
+    names = ("check_cocycle", "check_coassoc", "check_antipode_axiom", "check_antipode_properties")
+    assert [name for name in names if getattr(core, name) is not getattr(laws, name)] == []
+    assert [name for name in names if name in vars(core)] == []
+    wrapped = object()
+    monkeypatch.setattr(laws, "check_coassoc", wrapped)
+    assert core.check_coassoc is wrapped and "check_coassoc" not in vars(core)
+    with pytest.raises(AttributeError, match="has no attribute '_fold'"):
+        core._fold
 
 
 _RANDOM_PROBE = """\
@@ -441,7 +482,7 @@ def test_lazy_namespace_resolves_every_name_to_its_definition():
     # names resolve on first use: each one is the object its defining module
     # binds, and ``__all__``, ``dir`` and star imports list the same names
     table = epsbialg._SOURCE
-    assert len(table) == 80
+    assert len(table) == 79
     for name, module_name in table.items():
         module = importlib.import_module(f"epsbialg.{module_name}")
         value = getattr(epsbialg, name)

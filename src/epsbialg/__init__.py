@@ -8,30 +8,36 @@ imports ``epsbialg.matrices``), not at ``import epsbialg``: each
 ``python -m epsbialg`` process then compiles and runs only the modules its
 command needs.  Where no bytecode cache exists (a fresh checkout, or
 ``PYTHONDONTWRITEBYTECODE=1`` as the benchmark runs every call), compiling
-is most of a short call's own start-up.  So a ``coproduct``, ``multiply``,
-``antipode`` or ``bracket`` on ``matrix:N`` loads ``cli``, ``core``,
-``errors``, ``lincomb``, ``matrices``, ``parser`` and ``scalars`` (and
-``prelie`` for ``prelie`` and ``bracket``): never ``verify``, the law
-checkers of ``laws`` that only ``verify`` runs, or the word and univar kinds
-of ``words``.
+is most of a short call's own start-up.  So a ``coproduct``, ``multiply``
+or ``antipode`` on ``matrix:N`` loads ``cli``, ``core``, ``errors``,
+``lincomb``, ``matrices``, ``parser`` and ``scalars``, and a ``prelie`` or
+``bracket`` adds ``prelie``.  None of them loads:
+
+* ``verify``, or the law checkers and ``LawReport`` of ``laws``, which only
+  ``verify`` runs;
+* ``words``, the word and univar kinds of the ``word:`` and ``univar``
+  selectors;
+* ``derived``, the derived coproducts of the ``rmatrix:`` and ``lmatrix:``
+  selectors;
+* ``usage``, the argparse parser that only ``--help`` or a malformed argv
+  reaches.
 """
 
 # public name -> the module that defines it, listed by module
 _SOURCE = {
     name: module
     for module, names in {
-        "core": """AlgebraInstance LawReport LinearEndomorphism Witness antipode antipode_endo
-            coproduct_from_r d_map""",
+        "core": "AlgebraInstance antipode d_map",
+        "derived": "coproduct_from_r l_coproduct_instance",
         "errors": """AlphabetMismatch DimensionMismatch EpsBialgError IndexOutOfRange
             KindMismatch LSquareNotZero NotNilpotentWithinCap ParseError SUITE_NAMES
             TooManyTerms UnknownAtom UnknownSuite WeightNotZero""",
-        "laws": """check_antipode_axiom check_antipode_properties check_coassoc
-            check_cocycle""",
+        "laws": """LawReport LinearEndomorphism Witness antipode_endo check_antipode_axiom
+            check_antipode_properties check_coassoc check_cocycle""",
         "lincomb": """Element EMatrix MatrixKind TensorElement act_left act_right bilinear_extend
             ensure_same_kind linear_extend tensor""",
         "matrices": """classical_comatrix_algebra classical_comatrix_coproduct classical_counit
-            counit_contract_left counit_contract_right l_coproduct_instance matrix_algebra
-            matrix_from_rows newtonian_coproduct sgn""",
+            matrix_algebra matrix_from_rows newtonian_coproduct sgn""",
         "parser": "emit parse_expression parse_scalar parse_tensor parse_value",
         "prelie": """bilinear_from_pairs check_jacobi check_left_representation
             check_prelie_identity commutator_bracket matrix_bracket_closed_form

@@ -29,26 +29,29 @@ the command, then each of its options once as ``--opt value``, ``-a value`` or
 ``--opt=value``, and --json any number of times.  It leaves anything else
 (--help, ``--``, an abbreviation, a repeat, a separate value that starts with
 ``-``, a value its converter refuses) to the argparse parser that
-``build_arg_parser`` makes from the same table, so argparse prints every help
-text and usage error.  A well-formed call imports neither argparse (with
-gettext and locale) nor json, which only --json output loads.
-"""
+``usage.build_arg_parser`` makes from the same table, so argparse prints
+every help text and usage error.  A well-formed call imports neither
+argparse (with gettext and locale) nor json, which only --json output loads.
 
-from __future__ import annotations
+This module holds what a computing call on ``matrix:N`` runs, and each other
+path imports its own module where it starts: ``usage`` for an argv that
+``_read_argv`` declines, ``derived`` for the ``rmatrix:`` and ``lmatrix:``
+selectors, ``words`` for ``word:`` and ``univar``, ``prelie`` for the
+``prelie`` and ``bracket`` commands, and ``verify`` (which prints its own
+report) for ``verify``.  With no bytecode cache each process compiles every
+line it imports, so a line here costs every call.
+"""
 
 import os
 import sys
 from math import isqrt
 from types import SimpleNamespace
 
-from .core import antipode, coproduct_from_r
+from .core import antipode
 from .errors import DEFAULT_SEED, SUITE_NAMES, EpsBialgError, NotNilpotentWithinCap
-from .matrices import TELESCOPING, l_coproduct_instance, matrix_algebra
+from .matrices import TELESCOPING, matrix_algebra
 from .parser import check_product, emit, monomials, parse_expression, parse_scalar, parse_tensor
 from .scalars import MAX_TERMS
-
-# ``prelie``, ``verify`` and ``words`` are imported by the commands and
-# selectors that use them: a process compiles only the modules its command runs.
 
 
 def _integer(text, what="value"):
@@ -145,50 +148,6 @@ def _read_argv(argv):
     return SimpleNamespace(command=argv[0], **values)
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    """The argparse parser of ``_COMMANDS``: it reads every argv that
-    ``_read_argv`` declines, and prints every help text and usage error."""
-    import argparse
-
-    def typed(convert):
-        def read(text):
-            try:
-                return convert(text)
-            except ValueError as exc:  # argparse prints an ArgumentTypeError as it is
-                raise argparse.ArgumentTypeError(str(exc)) from None
-        return read
-
-    class Store(argparse.Action):
-        # argparse drops a "--" even from an explicit ``--opt=--``, and would
-        # store the empty list of values that is left
-        def __call__(self, parser, namespace, values, option_string=None):
-            if values == []:
-                raise argparse.ArgumentError(self, "expected one argument")
-            setattr(namespace, self.dest, values)
-
-    def add(target, flags, convert, default, text):
-        if convert is bool:
-            return target.add_argument(*flags, action="store_true", help=text)
-        required = default is _REQUIRED
-        target.add_argument(*flags, action=Store, type=convert and typed(convert),
-                            required=required, default=None if required else default, help=text)
-
-    parser = argparse.ArgumentParser(
-        prog="epsbialg",
-        description="Exact checks and computations for weighted "
-                    "infinitesimal-bialgebra structures over Q[L].",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, options, exclusive) in _COMMANDS.items():
-        command = sub.add_parser(name, help=text)
-        for option in options:
-            add(command, *option)
-        group = command.add_mutually_exclusive_group() if exclusive else None
-        for option in exclusive:
-            add(group, *option)
-    return parser
-
-
 def build_algebra(selector: str, weight_text):
     if selector.startswith("matrix:"):
         _reject_weight(weight_text, "matrix")
@@ -212,6 +171,8 @@ def build_algebra(selector: str, weight_text):
             raise ValueError(f"malformed selector {selector!r}; want lmatrix:N:<expr>")
         n = _matrix_dimension(parts[1])
         base = matrix_algebra(n)
+        from .derived import l_coproduct_instance
+
         return l_coproduct_instance(n, parse_expression(parts[2], base))
     if selector.startswith("rmatrix:"):
         _reject_weight(weight_text, "rmatrix (the selector carries the weight)")
@@ -223,6 +184,8 @@ def build_algebra(selector: str, weight_text):
         n = _matrix_dimension(parts[1])
         weight = parse_scalar(parts[3])
         base = matrix_algebra(n)
+        from .derived import coproduct_from_r
+
         return coproduct_from_r(base, parse_tensor(parts[2], base), weight, selector=selector)
     raise ValueError(f"unknown algebra selector {selector!r}")
 
@@ -267,38 +230,6 @@ def _value(args, algebra):
     return prelie.bilinear_from_pairs(lhs, rhs, rule)
 
 
-def _verify(args, algebra):
-    from .verify import run_verify
-
-    passed, outcomes = run_verify(args.suite, algebra, max_len=args.max_len)
-    if args.json:
-        import json
-
-        payload = {
-            "algebra": algebra.selector,
-            "suites": [
-                {
-                    "suite": o.suite,
-                    "status": o.status,
-                    "detail": o.detail,
-                    "checked": o.checked,
-                    "evaluated": o.evaluated,
-                    "witness": str(o.failure.witness)
-                    if o.failure is not None and o.failure.witness is not None
-                    else None,
-                }
-                for o in outcomes
-            ],
-            "passed": passed,
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for outcome in outcomes:
-            print(outcome.line())
-        print("result: " + ("ok" if passed else "LAW VIOLATION"))
-    return 0 if passed else 1
-
-
 def main(argv=None) -> int:
     """Run one command; returns its exit code.  A reader that closes stdout
     early (``| head``) ends the run with exit 2 and one line on stderr."""
@@ -320,6 +251,8 @@ def _run(argv):
     argv = sys.argv[1:] if argv is None else argv
     args = _read_argv(argv)
     if args is None:
+        from .usage import build_arg_parser
+
         try:
             args = build_arg_parser().parse_args(argv)
         except SystemExit as exc:
@@ -327,7 +260,9 @@ def _run(argv):
     try:
         algebra = build_algebra(args.algebra, args.weight)
         if args.command == "verify":
-            return _verify(args, algebra)
+            from .verify import verify_command
+
+            return verify_command(args, algebra)
         print(emit(_value(args, algebra), "json" if args.json else "text", algebra))
         return 0
     except NotNilpotentWithinCap as exc:

@@ -6,79 +6,25 @@ in Q[L].  The rule maps a basis key to its coproduct as the plain sparse map
 (k1, k2) -> coefficient.  Everything downstream is generic in the instance:
 
 * linear extension (``lincomb.linear_extend``) of the coproduct and its
-  iterates, as of every linear map below: D and endomorphisms;
+  iterates, as of D;
 * D = m Delta, local nilpotency detection, and the antipode series
       S = -sum_{t>=0} (1/t!) (-D)^t
-  which truncates exactly at the least k with D^k(a) = 0;
-* the derived coproduct  Delta_r(a) = a.r - r.a - weight * (a (x) 1)
-  attached to an element r of the tensor square.
+  which truncates exactly at the least k with D^k(a) = 0.
 
-The law checkers (the weighted-derivation law, coassociativity and the
-antipode laws) live in ``laws``, which only ``verify`` imports; the
-``LawReport`` and ``Witness`` they return are defined here, as the pre-Lie
-checkers of ``prelie`` return them too.  They are plain classes with value
-``==``, not dataclasses, so that no CLI process pays for importing
-``dataclasses``.
+This module holds only what a computing command on ``matrix:N`` runs.  The
+law checkers (the weighted-derivation law, coassociativity and the antipode
+laws), the ``LawReport`` and ``Witness`` they return, and the antipode as a
+memoized ``LinearEndomorphism`` live in ``laws``, which only ``verify``
+imports; the derived coproduct Delta_r(a) = a.r - r.a - weight * (a (x) 1)
+of an element r of the tensor square lives in ``derived``, which only the
+``rmatrix:`` and ``lmatrix:`` selectors import.
 """
-
-from __future__ import annotations
 
 from itertools import count
 
 from .errors import KindMismatch, NotNilpotentWithinCap, TooManyTerms, WeightNotZero
-from .lincomb import Element, TensorElement, act_left, act_right, linear_extend, tensor
+from .lincomb import Element, TensorElement, linear_extend
 from .scalars import MAX_TERMS, _accumulate, scalar, scalar_items
-
-
-class Witness:
-    """The offending inputs (already rendered to text) and the nonzero difference, or None."""
-
-    __slots__ = ("inputs", "difference")
-
-    def __init__(self, inputs, difference):
-        self.inputs = inputs
-        self.difference = difference
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.inputs, self.difference) == (other.inputs, other.difference)
-
-    def __str__(self):
-        ins = ", ".join(self.inputs)
-        if self.difference is None:
-            return f"inputs ({ins})"
-        return f"inputs ({ins}): difference = {self.difference}"
-
-
-class LawReport:
-    """Whether one law held and, if it failed, the first failing ``Witness``.
-
-    A plain class, not a dataclass: importing ``dataclasses`` costs each CLI
-    process about 10 ms, more than a short command's own work."""
-
-    __slots__ = ("law", "passed", "witness")
-
-    def __init__(self, law, passed, witness=None):
-        self.law = law
-        self.passed = passed
-        self.witness = witness
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.law, self.passed, self.witness) == (other.law, other.passed, other.witness)
-
-    def __bool__(self):
-        return self.passed
-
-    @classmethod
-    def ok(cls, law):
-        return cls(law, True, None)
-
-    @classmethod
-    def fail(cls, law, inputs, difference):
-        return cls(law, False, Witness(tuple(str(x) for x in inputs), difference))
 
 
 class AlgebraInstance:
@@ -109,7 +55,7 @@ class AlgebraInstance:
         self._graded = {}  # key -> {(k1, k2, degree): rational}, filled by graded_coproduct
         self._prelie_table = {}  # (key, key) -> {key: coeff}, filled by prelie
         self._prelie_entries = {}  # tuple of keys -> [(i, j)] with a nonzero row, filled by prelie
-        self._antipode = None  # the LinearEndomorphism S, filled by antipode_endo
+        self._antipode = None  # the LinearEndomorphism S, filled by laws.antipode_endo
         # max_len -> relabel verdicts, filled by verify on words.  An image is read
         # from slices of the word where every generic leg is a run, else through
         # the letter map, summed where that merges terms.  Only the generic
@@ -197,34 +143,8 @@ class AlgebraInstance:
 
 
 # ---------------------------------------------------------------------------
-# linear endomorphisms, antipode
+# D and the antipode series
 # ---------------------------------------------------------------------------
-
-class LinearEndomorphism:
-    """A linear map A -> A given by a rule on basis keys, memoized.
-
-    The memo is a plain dict: the rule is pure, so concurrent evaluation can
-    at worst recompute an identical value (recomputation-tolerant).
-    """
-
-    def __init__(self, algebra: AlgebraInstance, rule, name="f"):
-        self.algebra = algebra
-        self.name = name
-        self._rule = rule
-        self._memo = {}
-
-    def on_key(self, key) -> Element:
-        e = self._memo.get(key)
-        if e is None:
-            e = self._rule(key)
-            self._memo[key] = e
-        return e
-
-    def __call__(self, v: Element) -> Element:
-        self.algebra._own(v)
-        on_key = self.on_key
-        return Element._make(v.kind, linear_extend(v.terms, lambda key: on_key(key).terms.items()))
-
 
 def d_map(A: AlgebraInstance, a: Element) -> Element:
     """D(a) = m Delta(a) = sum a_(1) a_(2)."""
@@ -301,51 +221,6 @@ def antipode(A: AlgebraInstance, a: Element) -> Element:
         coeff = scalar(Fraction(1 if t % 2 else -1, factorial))
         _accumulate(out, ((k, c * coeff) for k, c in cur.terms.items()))
     return Element._make(A.kind, out)
-
-
-def antipode_endo(A: AlgebraInstance) -> LinearEndomorphism:
-    """The antipode series as an endomorphism, one per instance.
-
-    The checkers share it, so S is evaluated once per basis key.  A key whose
-    series does not truncate raises on every call and is never memoized."""
-    if A._antipode is None:
-        A._antipode = LinearEndomorphism(A, lambda key: antipode(A, A.element(key)), "S")
-    return A._antipode
-
-
-# ---------------------------------------------------------------------------
-# coproducts derived from a tensor element
-# ---------------------------------------------------------------------------
-
-def coproduct_from_r(A: AlgebraInstance, r: TensorElement, weight, selector=None) -> AlgebraInstance:
-    """The derived coproduct Delta_r(a) = a.r - r.a - weight * (a (x) 1).
-
-    Shares A's product and unit.  Delta_r always satisfies the weighted
-    derivation law; coassociativity is NOT guaranteed and must be checked
-    per instance.
-    """
-    if not isinstance(r, TensorElement) or r.legs != 2:
-        raise KindMismatch("r must be a 2-leg tensor element")
-    if r.kind != A.kind:
-        raise KindMismatch(
-            f"r has kind {r.kind.selector()}, algebra is {A.kind.selector()}"
-        )
-    weight = scalar(weight)
-    unit = A.unit
-
-    def rule(key):
-        e = Element.from_key(A.kind, key)
-        t = act_left(e, r) - act_right(r, e)
-        if weight:
-            t = t - tensor(e, unit).scale(weight)
-        return t.terms
-
-    return AlgebraInstance(
-        A.kind,
-        weight,
-        rule,
-        selector=selector or f"{A.kind.selector()}:r-coproduct",
-    )
 
 
 # The benchmark's tracer (``bench/tracer.py``) names these four checkers as

@@ -1,10 +1,12 @@
-"""The coalgebra and antipode law checkers of an ``AlgebraInstance``.
+"""The law checkers of an ``AlgebraInstance``, and the types they return.
 
-Only ``verify`` imports this module: a command that computes one value, such
-as a ``coproduct`` or an ``antipode`` on ``matrix:N``, never compiles it.
+Only ``verify`` imports this module, and the three pre-Lie checkers of
+``prelie`` read ``LawReport`` from it inside their bodies: a command that
+computes one value, such as a ``coproduct``, an ``antipode`` or a
+``bracket`` on ``matrix:N``, never compiles it.
 
 Checkers return a ``LawReport`` rather than raising: a failing law is a
-result, not an error.  Reports carry the first failing witness so that a
+result, not an error.  Reports carry the first failing ``Witness`` so that a
 broken instance reproduces deterministically.
 
 The two coalgebra law checkers work at key level on L-graded keys: each
@@ -17,21 +19,108 @@ difference left - right taken and folded back into Q[L] (``_fold``), for the
 witness.  The element-level forms of the laws are oracles in
 ``tests/support.py``, as are convolutions.
 
-The antipode checkers work at key level too.  Each side of a law is one
-sparse map, built from the terms of its inputs, their S images and their
-coproducts by a builder that the ``verify`` sweep shares; S is evaluated on
-keys in the order of the law's terms, so a series that does not truncate is
-named by the same key as the element-level forms would name.  Those forms,
-which add whole elements and tensors term by term, are the test oracles
+The antipode checkers work at key level too.  They read S through
+``antipode_endo``, the series ``core.antipode`` as a ``LinearEndomorphism``
+memoized on the instance.  Each side of a law is one sparse map, built from
+the terms of its inputs, their S images and their coproducts by a builder
+that the ``verify`` sweep shares; S is evaluated on keys in the order of
+the law's terms, so a series that does not truncate is named by the same
+key as the element-level forms would name.  Those forms, which add whole
+elements and tensors term by term, are the test oracles
 ``element_antipode_axiom_oracle`` and ``element_antipode_properties_oracle``
 in ``tests/support.py``.
 """
 
-from __future__ import annotations
-
-from .core import AlgebraInstance, LawReport, antipode_endo
+from .core import AlgebraInstance, antipode
 from .lincomb import Element, TensorElement, linear_extend, products
 from .scalars import LambdaPoly, _accumulate, _combined, scalar
+
+
+class Witness:
+    """The offending inputs (already rendered to text) and the nonzero difference, or None."""
+
+    __slots__ = ("inputs", "difference")
+
+    def __init__(self, inputs, difference):
+        self.inputs = inputs
+        self.difference = difference
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.inputs, self.difference) == (other.inputs, other.difference)
+
+    def __str__(self):
+        ins = ", ".join(self.inputs)
+        if self.difference is None:
+            return f"inputs ({ins})"
+        return f"inputs ({ins}): difference = {self.difference}"
+
+
+class LawReport:
+    """Whether one law held and, if it failed, the first failing ``Witness``.
+
+    A plain class, not a dataclass: importing ``dataclasses`` costs each CLI
+    process about 10 ms, more than a short command's own work."""
+
+    __slots__ = ("law", "passed", "witness")
+
+    def __init__(self, law, passed, witness=None):
+        self.law = law
+        self.passed = passed
+        self.witness = witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.law, self.passed, self.witness) == (other.law, other.passed, other.witness)
+
+    def __bool__(self):
+        return self.passed
+
+    @classmethod
+    def ok(cls, law):
+        return cls(law, True, None)
+
+    @classmethod
+    def fail(cls, law, inputs, difference):
+        return cls(law, False, Witness(tuple(str(x) for x in inputs), difference))
+
+
+class LinearEndomorphism:
+    """A linear map A -> A given by a rule on basis keys, memoized.
+
+    The memo is a plain dict: the rule is pure, so concurrent evaluation can
+    at worst recompute an identical value (recomputation-tolerant).
+    """
+
+    def __init__(self, algebra: AlgebraInstance, rule, name="f"):
+        self.algebra = algebra
+        self.name = name
+        self._rule = rule
+        self._memo = {}
+
+    def on_key(self, key) -> Element:
+        e = self._memo.get(key)
+        if e is None:
+            e = self._rule(key)
+            self._memo[key] = e
+        return e
+
+    def __call__(self, v: Element) -> Element:
+        self.algebra._own(v)
+        on_key = self.on_key
+        return Element._make(v.kind, linear_extend(v.terms, lambda key: on_key(key).terms.items()))
+
+
+def antipode_endo(A: AlgebraInstance) -> LinearEndomorphism:
+    """The antipode series as an endomorphism, one per instance.
+
+    The checkers share it, so S is evaluated once per basis key.  A key whose
+    series does not truncate raises on every call and is never memoized."""
+    if A._antipode is None:
+        A._antipode = LinearEndomorphism(A, lambda key: antipode(A, A.element(key)), "S")
+    return A._antipode
 
 
 def _fold(graded: dict) -> dict:

@@ -16,9 +16,10 @@ E[i,j] (product rule E[i,j]E[k,l] = delta_jk E[i,l]):
   (``classical_comatrix_algebra``) -- it is coassociative and counital but
   is NOT a weighted derivation;
 
-* the L-coproduct Delta(M) = ML (x) L - L (x) LM for a fixed L with L^2 = 0
-  (``l_coproduct_instance``), the derived coproduct attached to r = L (x) L
-  at weight 0, computed from its closed form on each basis key.
+* the L-coproduct Delta(M) = ML (x) L - L (x) LM for a fixed L with L^2 = 0,
+  the derived coproduct attached to r = L (x) L at weight 0.  It is built,
+  as every derived coproduct is, in ``derived``, which a call on
+  ``matrix:N`` never compiles.
 
 Each coproduct rule returns the sparse map (k1, k2) -> coefficient of one
 key; only the classical rule needs n, so only it takes the kind.
@@ -28,15 +29,13 @@ M_n (n >= 2) is generated by the 2(n-1) keys E[i,i+1], E[i+1,i]:
 lower rank (|i - j|, or 2 on the diagonal): E[i,j] = E[i,i+-1]E[i+-1,j],
 E[i,i] = E[i,i+1]E[i+1,i] and E[n,n] = E[n,n-1]E[n-1,n].
 
-The counit contractions (eps (x) id) and (id (x) eps) are linear maps on the
-tensor square, extended from a rule on basis pairs by ``linear_extend``.
+The counit contractions (eps (x) id) and (id (x) eps) of the classical
+counit, which only tests apply, are in ``tests/support.py``.
 """
 
-from __future__ import annotations
-
 from .core import AlgebraInstance
-from .errors import DimensionMismatch, LSquareNotZero
-from .lincomb import Element, MatrixKind, TensorElement, linear_extend, tensor
+from .errors import DimensionMismatch
+from .lincomb import Element, MatrixKind
 from .scalars import scalar
 
 
@@ -91,41 +90,6 @@ def classical_comatrix_algebra(n: int) -> AlgebraInstance:
     return AlgebraInstance(
         kind, 0, lambda key: classical_comatrix_coproduct(key, kind), selector=f"comatrix:{n}"
     )
-
-
-def counit_contract_left(t: TensorElement, counit=classical_counit) -> Element:
-    """(eps (x) id) applied to a 2-leg tensor."""
-    return Element._make(t.kind, linear_extend(
-        t.terms, lambda keys: ((keys[1], e),) if (e := counit(keys[0])) else ()
-    ))
-
-
-def counit_contract_right(t: TensorElement, counit=classical_counit) -> Element:
-    """(id (x) eps) applied to a 2-leg tensor."""
-    return Element._make(t.kind, linear_extend(
-        t.terms, lambda keys: ((keys[0], e),) if (e := counit(keys[1])) else ()
-    ))
-
-
-def l_coproduct_instance(n: int, L: Element) -> AlgebraInstance:
-    """M_n with Delta(M) = ML (x) L - L (x) LM for a fixed L with L^2 = 0.
-
-    This is the derived coproduct M.r - r.M of r = L (x) L at weight 0, as
-    M.(L (x) L) = ML (x) L and (L (x) L).M = L (x) LM by the definition of the
-    bimodule actions.  It is computed in that closed form, key by key, never
-    through the nnz(L)^2 terms of r; construction checks only n and L^2 = 0.
-    """
-    if not isinstance(L, Element) or not isinstance(L.kind, MatrixKind) or L.kind.n != n:
-        raise DimensionMismatch(f"L must be an element of matrix:{n}")
-    if not (L * L).is_zero():
-        raise LSquareNotZero(f"L^2 != 0 for L = {L}")
-    kind = L.kind
-
-    def rule(key):
-        m = Element._make(kind, {key: 1})
-        return (tensor(m * L, L) - tensor(L, L * m)).terms
-
-    return AlgebraInstance(kind, 0, rule, selector=f"lmatrix:{n}:{L}")
 
 
 def matrix_from_rows(rows) -> Element:

@@ -29,8 +29,6 @@ included, stays within the size bounds ``MAX_KEY_SIZE``, ``MAX_TERMS`` and
 ``ParseError`` naming the limit.  ``x^N`` is computed by repeated squaring.
 """
 
-from __future__ import annotations
-
 import re
 
 from .errors import DimensionMismatch, ParseError, UnknownAtom

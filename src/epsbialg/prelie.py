@@ -40,9 +40,7 @@ Both differ from the classical commutator delta_jk E[i,l] - delta_li E[k,j]
 (the test oracle ``classical_matrix_bracket`` in ``tests/support.py``).
 """
 
-from __future__ import annotations
-
-from .core import AlgebraInstance, LawReport
+from .core import AlgebraInstance
 from .lincomb import Element, bilinear_extend, ensure_same_kind
 from .matrices import sgn
 from .scalars import _accumulate
@@ -145,11 +143,14 @@ def bilinear_from_pairs(a: Element, b: Element, rule) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# law checkers
+# law checkers: each imports ``LawReport`` as it runs, so that a ``prelie`` or
+# ``bracket`` call, which runs none, never compiles ``laws``
 # ---------------------------------------------------------------------------
 
-def check_prelie_identity(A, a: Element, b: Element, c: Element) -> LawReport:
+def check_prelie_identity(A, a: Element, b: Element, c: Element) -> "LawReport":
     """(a|>b)|>c - a|>(b|>c) == (b|>a)|>c - b|>(a|>c)."""
+    from .laws import LawReport
+
     rhd = lambda u, v: prelie_product(A, u, v)
     diff = rhd(rhd(a, b), c) - rhd(a, rhd(b, c)) - rhd(rhd(b, a), c) + rhd(b, rhd(a, c))
     if diff.is_zero():
@@ -157,8 +158,10 @@ def check_prelie_identity(A, a: Element, b: Element, c: Element) -> LawReport:
     return LawReport.fail("prelie", (str(a), str(b), str(c)), diff)
 
 
-def check_jacobi(A, a: Element, b: Element, c: Element) -> LawReport:
+def check_jacobi(A, a: Element, b: Element, c: Element) -> "LawReport":
     """[[a,b],c] + [[b,c],a] + [[c,a],b] == 0."""
+    from .laws import LawReport
+
     br = lambda u, v: commutator_bracket(A, u, v)
     total = br(br(a, b), c) + br(br(b, c), a) + br(br(c, a), b)
     if total.is_zero():
@@ -166,8 +169,10 @@ def check_jacobi(A, a: Element, b: Element, c: Element) -> LawReport:
     return LawReport.fail("jacobi", (str(a), str(b), str(c)), total)
 
 
-def check_left_representation(A, a: Element, b: Element, x: Element) -> LawReport:
+def check_left_representation(A, a: Element, b: Element, x: Element) -> "LawReport":
     """[a,b]|>x == a|>(b|>x) - b|>(a|>x)."""
+    from .laws import LawReport
+
     rhd = lambda u, v: prelie_product(A, u, v)
     diff = rhd(commutator_bracket(A, a, b), x) - rhd(a, rhd(b, x)) + rhd(b, rhd(a, x))
     if diff.is_zero():

@@ -31,8 +31,6 @@ arithmetic uses them on its map degree -> coefficient, as elements, tensors
 and law witnesses do on theirs.
 """
 
-from __future__ import annotations
-
 import sys
 
 
@@ -80,7 +78,7 @@ class LambdaPoly:
             return LambdaPoly.const(value)
         raise TypeError(f"cannot coerce {value!r} into Q[L]")
 
-    def coefficient(self, deg: int) -> Fraction:
+    def coefficient(self, deg: int) -> "Fraction":
         from fractions import Fraction
         return Fraction(self._c.get(deg, 0))
 
@@ -227,7 +225,7 @@ ZERO, ONE, MINUS_ONE = 0, 1, -1
 LAMBDA = LambdaPoly({1: 1})
 
 
-def _monomial_text(deg: int, q: Fraction) -> str:
+def _monomial_text(deg: int, q: "Fraction") -> str:
     if deg == 0:
         return str(q)
     sym = "L" if deg == 1 else f"L^{deg}"

@@ -3,7 +3,8 @@
 Each suite sweeps a deterministic, canonically ordered set of inputs and
 stops at the first failing law, so a broken instance always reproduces the
 same witness.  ``run_verify`` maps a suite name (or ``all``) to outcomes;
-the caller turns them into text and an exit status.
+``verify_command``, the CLI's ``verify``, turns them into text or JSON and
+an exit status.
 
 The ``algebra`` suite runs first under ``all`` and is never skipped: the
 other suites take the kind's product and unit on trust.  It checks 1.e = e
@@ -98,11 +99,9 @@ before it runs, with ``WeightNotZero`` or ``KindMismatch``, which the CLI
 reports as a usage error.
 """
 
-from __future__ import annotations
-
 from operator import itemgetter
 
-from .core import AlgebraInstance, LawReport, antipode_endo
+from .core import AlgebraInstance
 from .errors import (
     SUITE_NAMES,
     KindMismatch,
@@ -111,9 +110,11 @@ from .errors import (
     WeightNotZero,
 )
 from .laws import (
+    LawReport,
     _axiom_sides,
     _comultiplicativity_difference,
     _multiplicativity_difference,
+    antipode_endo,
     check_antipode_axiom,
     check_antipode_properties,
     check_coassoc,
@@ -838,3 +839,36 @@ def run_verify(suite, A, max_len=6):
         for name in _RUNNABLE
     ] if suite == "all" else [run_suite(suite, A, max_len=max_len)]
     return all(o.status != "fail" for o in outcomes), outcomes
+
+
+def verify_command(args, algebra):
+    """The ``verify`` command: run ``args.suite`` on ``algebra``, print the
+    outcomes as text or, with --json, as one JSON object, and return the exit
+    status, 1 on a law violation."""
+    passed, outcomes = run_verify(args.suite, algebra, max_len=args.max_len)
+    if args.json:
+        import json
+
+        payload = {
+            "algebra": algebra.selector,
+            "suites": [
+                {
+                    "suite": o.suite,
+                    "status": o.status,
+                    "detail": o.detail,
+                    "checked": o.checked,
+                    "evaluated": o.evaluated,
+                    "witness": str(o.failure.witness)
+                    if o.failure is not None and o.failure.witness is not None
+                    else None,
+                }
+                for o in outcomes
+            ],
+            "passed": passed,
+        }
+        print(json.dumps(payload, indent=2))
+    else:
+        for outcome in outcomes:
+            print(outcome.line())
+        print("result: " + ("ok" if passed else "LAW VIOLATION"))
+    return 0 if passed else 1

@@ -58,8 +58,6 @@ it also needs every leg of Delta(g_n) to be no longer than max_len: a
 longer leg maps to a word whose coproduct it never checks.
 """
 
-from __future__ import annotations
-
 import itertools
 import operator
 

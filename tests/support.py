@@ -27,6 +27,7 @@ from epsbialg import (
     check_jacobi,
     check_left_representation,
     check_prelie_identity,
+    classical_counit,
     d_map,
     linear_extend,
     tensor,
@@ -119,6 +120,26 @@ def matrix_prelie_table(p, q) -> dict:
     if j == i + 1 and l < j <= k:
         return {q: -1}
     return {}
+
+
+# -- counit contractions ------------------------------------------------------
+# (eps (x) id) and (id (x) eps) of the classical comatrix counit, linear maps
+# on the tensor square extended from a rule on basis pairs by
+# ``linear_extend``; no command applies them.
+
+
+def counit_contract_left(t, counit=classical_counit):
+    """(eps (x) id) applied to a 2-leg tensor."""
+    return Element._make(t.kind, linear_extend(
+        t.terms, lambda keys: ((keys[1], e),) if (e := counit(keys[0])) else ()
+    ))
+
+
+def counit_contract_right(t, counit=classical_counit):
+    """(id (x) eps) applied to a 2-leg tensor."""
+    return Element._make(t.kind, linear_extend(
+        t.terms, lambda keys: ((keys[0], e),) if (e := counit(keys[1])) else ()
+    ))
 
 
 # -- termwise oracle for linear maps ---------------------------------------------

@@ -36,8 +36,6 @@ from epsbialg import (
     classical_comatrix_coproduct,
     commutator_bracket,
     coproduct_from_r,
-    counit_contract_left,
-    counit_contract_right,
     d_map,
     deconcat_algebra,
     emit,
@@ -59,7 +57,12 @@ from epsbialg.prelie import bilinear_from_pairs
 from epsbialg.verify import run_suite, run_verify
 
 from expression_corpus import CORPUS
-from support import nilpotency_index, random_integer_matrix
+from support import (
+    counit_contract_left,
+    counit_contract_right,
+    nilpotency_index,
+    random_integer_matrix,
+)
 
 
 @contextlib.contextmanager

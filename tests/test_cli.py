@@ -26,7 +26,8 @@ from epsbialg import (
     verify,
 )
 from epsbialg import cli
-from epsbialg.cli import build_algebra, build_arg_parser, main
+from epsbialg.cli import build_algebra, main
+from epsbialg.usage import build_arg_parser
 from epsbialg.verify import (
     MAX_SWEEP,
     SUITE_NAMES,
@@ -609,7 +610,7 @@ def test_verify_antipode_names_a_product_beyond_the_sweep(capsys, monkeypatch):
         order.append(tuple(a.terms))
         return antipode(algebra, a)
 
-    monkeypatch.setattr("epsbialg.core.antipode", recording)
+    monkeypatch.setattr("epsbialg.laws.antipode", recording)
     code, out, _ = run(
         capsys, "verify", "--suite", "antipode", "-a", "univar", "--weight", "0", "--max-len", "4",
     )

@@ -39,7 +39,7 @@ from epsbialg import (
 )
 from epsbialg import core, laws, verify
 from epsbialg.cli import build_algebra
-from epsbialg.core import LinearEndomorphism
+from epsbialg.laws import LinearEndomorphism
 from epsbialg.scalars import scalar_items
 from epsbialg.verify import run_verify
 from epsbialg.words import weighted_word_coproduct
@@ -434,8 +434,6 @@ def test_antipode_endo_is_memoized_per_instance():
 
 
 def test_antipode_checkers_share_one_endomorphism(monkeypatch):
-    from epsbialg import core
-
     A = matrix_algebra(3)
     calls = []
 
@@ -443,7 +441,7 @@ def test_antipode_checkers_share_one_endomorphism(monkeypatch):
         calls.append(a)
         return antipode(algebra, a)
 
-    monkeypatch.setattr(core, "antipode", counting)
+    monkeypatch.setattr(laws, "antipode", counting)
     keys = list(A.basis_keys())
     for p in keys:
         assert check_antipode_axiom(A, A.element(p)).passed
@@ -795,7 +793,7 @@ def _antipode_outcome(check, A, *args):
 
     A._antipode = None
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "antipode", recording)
+        mp.setattr(laws, "antipode", recording)
         try:
             result = check(A, *args)
         except NotNilpotentWithinCap as exc:

@@ -15,8 +15,6 @@ from epsbialg import (
     classical_comatrix_coproduct,
     classical_counit,
     coproduct_from_r,
-    counit_contract_left,
-    counit_contract_right,
     l_coproduct_instance,
     matrix_algebra,
     matrix_from_rows,
@@ -27,7 +25,7 @@ from epsbialg import (
 )
 from epsbialg.scalars import ONE, ZERO
 
-from support import matrix_elements, termwise_oracle
+from support import counit_contract_left, counit_contract_right, matrix_elements, termwise_oracle
 
 M2 = matrix_algebra(2)
 

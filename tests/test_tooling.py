@@ -24,7 +24,8 @@ from epsbialg import (
     word_algebra,
 )
 from epsbialg import cli
-from epsbialg.cli import _read_argv, build_algebra, build_arg_parser
+from epsbialg.cli import _read_argv, build_algebra
+from epsbialg.usage import build_arg_parser
 from epsbialg.verify import run_suite
 
 from support import tensor_coassoc_oracle
@@ -314,10 +315,11 @@ def test_cli_start_up_imports_no_heavy_stdlib_module():
     # ast, dis and tokenize behind it, was half of start-up, and argparse (with
     # gettext and locale) and json much of the rest; fractions (with decimal)
     # loads only where a Fraction is built; -S keeps site's own imports from
-    # hiding one of these coming back
+    # hiding one of these coming back; no module imports __future__, whose
+    # annotations feature would cost every process a module
     heavy = [
-        "argparse", "ast", "dataclasses", "decimal", "dis", "fractions", "gettext", "inspect",
-        "json", "locale", "tokenize", "typing",
+        "__future__", "argparse", "ast", "dataclasses", "decimal", "dis", "fractions",
+        "gettext", "inspect", "json", "locale", "tokenize", "typing",
     ]
     done = subprocess.run(
         [sys.executable, "-S", "-c", _STARTUP_PROBE, *heavy], capture_output=True,
@@ -379,48 +381,81 @@ _LAYER_MODULES = sorted(
 )
 
 
-@pytest.mark.parametrize("argv,unloaded", [
-    (["coproduct", "-a", "matrix:2", "-e", "E[1,2]"], {"laws", "prelie", "verify", "words"}),
-    (["bracket", "-a", "matrix:2", "--lhs", "E[1,2]", "--rhs", "E[2,1]"],
-     {"laws", "verify", "words"}),
-    (["coproduct", "-a", "word:xy", "-e", "x"], {"laws", "prelie", "verify"}),
-    (["verify", "--suite", "all", "-a", "matrix:2"], set()),
-    (["antipode", "-a", "matrix:3", "-e", "E[1,2]"], {"laws", "prelie", "verify", "words"}),
-    (["multiply", "-a", "univar", "--lhs", "x", "--rhs", "x"], {"laws", "prelie", "verify"}),
+# what no computation on ``matrix:N`` loads: the law checkers and their
+# report types, the suites, the word and univar kinds, the derived coproducts
+# and the argparse parser of help texts and usage errors
+_OFF_A_MATRIX_CALL = {"derived", "laws", "usage", "verify", "words"}
+
+
+@pytest.mark.parametrize("argv,code,unloaded", [
+    (["coproduct", "-a", "matrix:2", "-e", "E[1,2]"], 0, _OFF_A_MATRIX_CALL | {"prelie"}),
+    (["bracket", "-a", "matrix:2", "--lhs", "E[1,2]", "--rhs", "E[2,1]"], 0, _OFF_A_MATRIX_CALL),
+    (["prelie", "-a", "matrix:3", "--lhs", "E[1,2]", "--rhs", "E[2,3]", "--json"], 0,
+     _OFF_A_MATRIX_CALL),
+    (["coproduct", "-a", "word:xy", "-e", "x"], 0, {"derived", "laws", "prelie", "usage", "verify"}),
+    (["verify", "--suite", "all", "-a", "matrix:2"], 0, {"derived", "usage"}),
+    (["antipode", "-a", "matrix:3", "-e", "E[1,2]"], 0, _OFF_A_MATRIX_CALL | {"prelie"}),
+    (["multiply", "-a", "matrix:3", "--lhs", "E[1,2]", "--rhs", "E[2,3]", "--json"], 0,
+     _OFF_A_MATRIX_CALL | {"prelie"}),
+    (["multiply", "-a", "univar", "--lhs", "x", "--rhs", "x"], 0,
+     {"derived", "laws", "prelie", "usage", "verify"}),
+    (["verify", "--suite", "coassoc", "-a", "rmatrix:2:E[1,1] (x) E[1,1]:0"], 1, {"usage"}),
+    (["coproduct", "-a", "lmatrix:3:E[1,3]", "-e", "E[1,2]"], 0,
+     {"laws", "prelie", "usage", "verify", "words"}),
+    (["coproduct", "--help"], 0, {"derived", "laws", "prelie", "verify", "words"}),
 ])
-def test_each_command_loads_only_the_modules_it_runs(argv, unloaded):
+def test_each_command_loads_only_the_modules_it_runs(argv, code, unloaded):
     # every CLI process compiles the modules it imports, with no bytecode cache
     # on a fresh checkout; a computation has no use for verify or its law
-    # checkers, a matrix call none for prelie or the word and univar kinds, and
-    # a bare ``import epsbialg`` loads no module at all
+    # checkers, a matrix call none for prelie, the word and univar kinds or
+    # the derived coproducts, only --help or a malformed argv builds the
+    # argparse parser, and a bare ``import epsbialg`` loads no module at all
     done = subprocess.run(
         [sys.executable, "-S", "-c", _LOAD_PROBE, *argv], capture_output=True,
         env=dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent)), timeout=60, text=True,
     )
     assert (done.returncode, done.stderr) == (0, "")
     loaded = sorted(set(_LAYER_MODULES) - unloaded)
-    assert done.stdout == f"0 [] {loaded}\n"
+    assert done.stdout == f"{code} [] {loaded}\n"
 
 
 # The lines of source that ``coproduct -a matrix:2 -e E[1,2]`` compiles,
-# ``__init__`` included: a gate, as the budgets of test_acceptance.py are.
-# Tighten it when a change earns it, never loosen it.
-MATRIX_CALL_SOURCE_LINES = 2200
+# ``__init__`` included, and those of each computing command on ``matrix:3``,
+# as text and as --json: gates, as the budgets of test_acceptance.py are.
+# Tighten them when a change earns it, never loosen them.
+MATRIX_CALL_SOURCE_LINES = 1974
+COMMAND_SOURCE_LINES = {
+    "coproduct": 1974, "multiply": 1974, "antipode": 1974, "prelie": 2154, "bracket": 2154,
+}
 
 
-def test_a_matrix_call_compiles_no_more_source_than_its_budget():
-    # with no bytecode cache, each process compiles every line it imports, and
-    # that is most of what a short call adds to the interpreter's own start-up
+def _compiled_lines(argv):
+    """The exit code of ``argv`` and the lines of the package's modules it loads."""
     done = subprocess.run(
-        [sys.executable, "-S", "-c", _LOAD_PROBE, "coproduct", "-a", "matrix:2", "-e", "E[1,2]"],
+        [sys.executable, "-S", "-c", _LOAD_PROBE, *argv],
         capture_output=True, env=dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent)),
         timeout=60, text=True,
     )
     assert (done.returncode, done.stderr) == (0, "")
     code, _, loaded = done.stdout.split(" ", 2)
     modules = ["__init__", *ast.literal_eval(loaded)]
-    lines = sum(len((PACKAGE_DIR / f"{name}.py").read_text().splitlines()) for name in modules)
+    return code, sum(len((PACKAGE_DIR / f"{name}.py").read_text().splitlines()) for name in modules)
+
+
+def test_a_matrix_call_compiles_no_more_source_than_its_budget():
+    # with no bytecode cache, each process compiles every line it imports, and
+    # that is most of what a short call adds to the interpreter's own start-up
+    code, lines = _compiled_lines(["coproduct", "-a", "matrix:2", "-e", "E[1,2]"])
     assert (code, lines <= MATRIX_CALL_SOURCE_LINES) == ("0", True), lines
+
+
+@pytest.mark.parametrize("output", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("command", list(COMMAND_SOURCE_LINES))
+def test_each_matrix_command_compiles_no_more_source_than_its_budget(command, output):
+    operands = ["-e", "E[1,2]"] if command in ("coproduct", "antipode") else [
+        "--lhs", "E[1,2] + E[2,1]", "--rhs", "E[2,3]"]
+    code, lines = _compiled_lines([command, "-a", "matrix:3", *operands, *output])
+    assert (code, lines <= COMMAND_SOURCE_LINES[command]) == ("0", True), lines
 
 
 def test_core_reads_the_traced_checkers_from_laws_and_binds_none(monkeypatch):
@@ -482,7 +517,7 @@ def test_lazy_namespace_resolves_every_name_to_its_definition():
     # names resolve on first use: each one is the object its defining module
     # binds, and ``__all__``, ``dir`` and star imports list the same names
     table = epsbialg._SOURCE
-    assert len(table) == 79
+    assert len(table) == 77
     for name, module_name in table.items():
         module = importlib.import_module(f"epsbialg.{module_name}")
         value = getattr(epsbialg, name)

@@ -10,17 +10,13 @@ command needs.  Where no bytecode cache exists (a fresh checkout, or
 ``PYTHONDONTWRITEBYTECODE=1`` as the benchmark runs every call), compiling
 is most of a short call's own start-up.  So a ``coproduct``, ``multiply``
 or ``antipode`` on ``matrix:N`` loads ``cli``, ``core``, ``errors``,
-``lincomb``, ``matrices``, ``parser`` and ``scalars``, and a ``prelie`` or
-``bracket`` adds ``prelie``.  None of them loads:
+``grammar``, ``lincomb``, ``matrices``, ``parser`` and ``scalars``, and a
+``prelie`` or ``bracket`` adds ``prelie``.  None of them loads:
 
-* ``verify``, or the law checkers and ``LawReport`` of ``laws``, which only
-  ``verify`` runs;
-* ``words``, the word and univar kinds of the ``word:`` and ``univar``
-  selectors;
-* ``derived``, the derived coproducts of the ``rmatrix:`` and ``lmatrix:``
-  selectors;
-* ``usage``, the argparse parser that only ``--help`` or a malformed argv
-  reaches.
+* ``verify`` with its ``relabel`` and ``sweeps``, and the checkers of ``laws``;
+* ``words``, the word and univar kinds of ``word:`` and ``univar``;
+* ``derived``, the derived coproducts of ``rmatrix:`` and ``lmatrix:``;
+* ``usage``, the argparse parser of ``--help`` and of a malformed argv.
 """
 
 # public name -> the module that defines it, listed by module

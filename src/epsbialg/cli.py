@@ -38,8 +38,10 @@ path imports its own module where it starts: ``usage`` for an argv that
 ``_read_argv`` declines, ``derived`` for the ``rmatrix:`` and ``lmatrix:``
 selectors, ``words`` for ``word:`` and ``univar``, ``prelie`` for the
 ``prelie`` and ``bracket`` commands, and ``verify`` (which prints its own
-report) for ``verify``.  With no bytecode cache each process compiles every
-line it imports, so a line here costs every call.
+report) for ``verify``.  ``parser`` stays a module-level import, though its
+grammar loads only on the first parse: the benchmark's tracer reads it from
+``sys.modules`` on every workload.  With no bytecode cache each process
+compiles every line it imports, so a line here costs every call.
 """
 
 import os

@@ -20,55 +20,10 @@ reported is the one at the least canonical index, as in a walk over every
 triple in order; ``tests/support.py::dense_associativity_oracle`` is that
 walk.
 
-The pre-Lie, representation and Jacobi sweeps read one pass.  Write P(a, b,
-c) = (a|>b)|>c - a|>(b|>c) - (b|>a)|>c + b|>(a|>c) for the pre-Lie law.  For
-any bilinear |>, expanding [a,b] = a|>b - b|>a turns the representation law
-[a,b]|>x - a|>(b|>x) + b|>(a|>x) into P(a, b, x), term for term, and the
-Jacobi sum [[a,b],c] + [[b,c],a] + [[c,a],b] is P(a,b,c) + P(b,c,a) +
-P(c,a,b).  So the pass (``_prelie_pass``) computes P alone, on the |> table
-T, once per instance and max-len.  Each term of P is T(T(x, y), z) or
-T(z, T(x, y)) over the positions of the triple, nonzero only along a path in
-the table: T(x, y) != 0, and T nonzero on some key k of it and the entry at
-z.  The pass takes every nonzero T entry on the swept keys, as the table fill
-finds them (``prelie._prelie_entries``), follows the out- or in-neighbours of
-each of its keys, and adds each step into the value of the triple it
-reaches, at key level.  A nonzero value is confirmed, and its witness built,
-by the element-level checker.  On a triple the pass did not reach, P holds
-as 0 = 0 by bilinearity, as does Jacobi where no rotation was reached; such
-a triple counts as checked.  ``evaluated`` counts the triples reached, for
-Jacobi those with a reached rotation (on M_1, none: the first triple is
-evaluated all the same).  A failing triple has a nonzero value, so it is
-always evaluated: counts, ``failure after N triples`` (N is the triple's
-canonical index) and first witnesses are those of the walk over every
-triple.  Its oracles in ``tests/support.py`` run the element-level checker
-on every triple (``dense_law_sweep``) and where some pair of entries touches
-under |> (``touch_law_sweep``).
-
-The coassoc and cocycle sweeps are letter-blind on a word instance over two
-or more letters (see the ``words`` docstring for the lemma).  They first try
-a certificate: the relabel conditions on every swept key, and in the generic
-instance G (the same rule and weight over max_len letters) coassociativity
-at each g_n, with the relabel conditions at the legs of its coproduct, and
-the cocycle law at each (g_a, s_a g_b) with a + b <= max_len, with the
-relabel conditions at s_a g_b.  At max-len 9 on word:xy that is 1,023
-relabel checks and 10 and 55 law checks, for 1,023 keys and 9,217 pairs.
-If they all hold, the lemma gives the law on every swept key and pair, and
-each counts as checked; ``evaluated`` counts the relabel and law checks the
-certificate rests on.  A rule that reads letters fails a relabel check, and
-a rule that refuses the letters of G (an r-coproduct's, bound to its own
-alphabet) gets no certificate; then, as whenever a check fails, the dense
-sweep runs, so a failure and its witness are always the dense sweep's.
-
-A relabel check compares the rule's coproduct of a word w with the image of
-Delta_G(g_|w|) under the letter map phi_w: chr(i) -> w[i].  Where every leg
-of Delta_G(g_n) is a run chr(a)...chr(a+l-1), phi_w maps it to the slice
-w[a:a+l], so the image is read from slices of w, by one ``itemgetter`` per
-length n.  Where a leg is not a run, the image goes through the letter map;
-where phi_w merges terms, their coefficients are summed, through the letter
-map too.  The swept keys are checked once, in one loop against the rule:
-their verdicts and coproducts are not memoized, as nothing reads them again.
-The generic coproducts and the verdicts in G, which both certificates read,
-are memoized on the instance, so ``all`` computes each once.
+The coassoc and cocycle sweeps first try a certificate, and walk every key
+or pair only where it fails.  On a word instance over two or more letters
+that is the letter-blind certificate of ``relabel``, which ``_letter_blind``
+imports only there.
 
 On M_n the cocycle sweep checks generators.  With K(a, b) = Delta(ab) -
 a.Delta(b) - Delta(a).b - weight * (a (x) b), an associative product gives
@@ -80,15 +35,8 @@ each factorization, checked through ``key_mul``, and the ``algebra`` suite's
 verdict, memoized on A (run if absent).  If one or a check fails, the walk
 over every pair runs.
 
-The bracket conformance sweep compares three code paths on the basis pairs
-at key level, each value a sparse map key -> coefficient: the case table,
-the sign form, and the commutator T(p, q) - T(q, p) of the |> table; then
-the table's own antisymmetry.  All are 0 outside the closed forms' declared
-support (``prelie.matrix_bracket_support``) where T(p, q) = 0 = T(q, p), so
-only the other pairs are evaluated (184 of 625 on M_5), in canonical order,
-as a walk over every pair would find a failure; its witness is the one Element.
-T is read from the rows the table fill stored for its entries; on every other
-swept pair it is 0, so no row is built for it.
+The antipode, pre-Lie, Jacobi, representation and bracket sweeps are in
+``sweeps``, which ``run_suite`` imports only when one of them runs.
 
 Applicability is decided in one place, ``_applicable``: the antipode, the
 pre-Lie family and the bracket sweep need weight 0, and the bracket sweep
@@ -99,44 +47,19 @@ before it runs, with ``WeightNotZero`` or ``KindMismatch``, which the CLI
 reports as a usage error.
 """
 
-from operator import itemgetter
-
 from .core import AlgebraInstance
-from .errors import (
-    SUITE_NAMES,
-    KindMismatch,
-    NotNilpotentWithinCap,
-    UnknownSuite,
-    WeightNotZero,
-)
-from .laws import (
-    LawReport,
-    _axiom_sides,
-    _comultiplicativity_difference,
-    _multiplicativity_difference,
-    antipode_endo,
-    check_antipode_axiom,
-    check_antipode_properties,
-    check_coassoc,
-    check_cocycle,
-)
+from .errors import SUITE_NAMES, KindMismatch, UnknownSuite, WeightNotZero
+from .laws import LawReport, check_coassoc, check_cocycle
 from .lincomb import Element, EMatrix, MatrixKind, act_left, act_right
 from .matrices import TELESCOPING, matrix_algebra, matrix_from_rows
-from .parser import parse_expression
 from .prelie import (
-    _prelie_entries,
-    _prelie_on_keys,
     bilinear_from_pairs,
-    check_jacobi,
-    check_left_representation,
-    check_prelie_identity,
     commutator_bracket,
     matrix_bracket_closed_form,
-    matrix_bracket_support,
     matrix_bracket_table,
     prelie_product,
 )
-from .scalars import _accumulate, _combined
+from .scalars import _accumulate
 from .words import Word, WordKind, subword, word_algebra
 
 _RUNNABLE = SUITE_NAMES[:-1]  # every suite but "all", which only run_verify accepts
@@ -362,135 +285,6 @@ def _suite_cocycle(A, max_len):
     return _passed("cocycle", f"{count} pairs checked", count)
 
 
-# ---------------------------------------------------------------------------
-# letter-blind certificates
-# ---------------------------------------------------------------------------
-
-def _distinct(n, start=0) -> str:
-    """The word chr(start)...chr(start + n - 1) of n distinct letters."""
-    return "".join(map(chr, range(start, start + n)))
-
-
-def _slice_template(generic):
-    """(an ``itemgetter`` of the slices w[a:a+l], the coefficients) for
-    Delta_G(g_n) = ``generic``, if each of its legs is a run
-    chr(a)...chr(a+l-1), which phi_w maps to w[a:a+l], and each coefficient
-    is nonzero; else None.  The getter lists the legs term by term."""
-    slices = []
-    for k in (k for legs in generic for k in legs):
-        a = ord(k[0]) if k else 0
-        if k != _distinct(len(k), a):
-            return None
-        slices.append(slice(a, a + len(k)))
-    if not slices or not all(generic.values()):
-        return None
-    return itemgetter(*slices), tuple(generic.values())
-
-
-class _Relabel:
-    """The relabel verdicts of one word instance A at one ``max_len``, and
-    the generic instance G: A's rule and weight over max_len letters, where
-    the distinct-letter words g_n live.  The generic coproducts and the
-    verdicts in G are memoized, so the two suites share them.
-
-    An image phi_w(Delta_G(g_n)) is read from slices of w where every leg of
-    Delta_G(g_n) is a run, else through the letter map, summed where phi_w
-    merges terms (see the module docstring).
-
-    ``keys`` is the number of swept keys of A, each checked once against A's
-    rule, with neither its verdict nor its coproduct stored.  ``rejected`` is
-    the first swept key whose relabel conditions fail, or None; ``swept``
-    says that there is none, which both certificates need.
-    """
-
-    def __init__(self, A, max_len):
-        self.max_len = max_len
-        self.G = AlgebraInstance(WordKind([f"g{i}" for i in range(max_len)]), A.weight, A._rule)
-        self._generic = {}  # n -> Delta_G(g_n), or None where a leg breaks the conditions
-        self._slices = {}  # n -> (itemgetter of leg slices, coefficients), where legs are runs
-        self._verdicts = {}  # key of G -> bool
-        self.letters = len(A.kind.alphabet)
-        self.keys = A.kind.count_keys(max_len)
-        rule, image = A._rule, self._image
-        self.rejected = next((w for w in A.basis_keys(max_len) if image(w) != rule(w)), None)
-        self.swept = self.rejected is None
-
-    def _legal(self, n):
-        """Delta_G(g_n) if the rule accepts g_n and its legs use letters of g_n
-        alone and, as phi keeps lengths, are no longer than max_len; else None."""
-        if n not in self._generic:
-            try:
-                g = self.G.basis_coproduct(_distinct(n))
-            except KindMismatch:  # a rule bound to A's alphabet refuses g_n
-                g = None
-            legal = g is not None and all(
-                len(k) <= self.max_len and (not k or ord(max(k)) < n) for legs in g for k in legs
-            )
-            self._generic[n] = g if legal else None
-            self._slices[n] = _slice_template(g) if legal else None
-        return self._generic[n]
-
-    def _image(self, w):
-        """phi_w(Delta_G(g_|w|)), phi_w being chr(i) -> w[i], or None where
-        Delta_G(g_|w|) breaks the relabel conditions."""
-        generic = self._legal(len(w))
-        if generic is None:
-            return None
-        template = self._slices[len(w)]
-        if template is not None:
-            get, coeffs = template
-            legs = iter(get(w))
-            image = dict(zip(zip(legs, legs), coeffs))
-            if len(image) == len(coeffs):
-                return image
-        phi = dict(enumerate(w))
-        image = {}  # phi may merge terms: their coefficients are summed
-        _accumulate(image, (
-            ((u.translate(phi), v.translate(phi)), c) for (u, v), c in generic.items()
-        ))
-        return image
-
-    def holds(self, w):
-        """The relabel conditions at the key ``w`` of G: Delta_G(w) is the
-        image of Delta_G(g_|w|) under chr(i) -> w[i]."""
-        verdict = self._verdicts.get(w)
-        if verdict is None:
-            image = self._image(w)
-            verdict = self._verdicts[w] = image is not None and image == self.G.basis_coproduct(w)
-        return verdict
-
-    def coassoc(self):
-        """(keys certified, checks run), or None if a check failed: per
-        length n, the relabel conditions in G at each leg of Delta_G(g_n),
-        then coassociativity at g_n."""
-        if not self.swept:
-            return None
-        G, evaluated = self.G, self.keys
-        for n in range(self.max_len + 1):
-            g = _distinct(n)
-            legs = {k for pair in G.basis_coproduct(g) for k in pair}
-            evaluated += len(legs) + 1
-            if not (all(self.holds(k) for k in legs) and check_coassoc(G, g)):
-                return None
-        return self.keys, evaluated
-
-    def cocycle(self):
-        """(pairs certified, checks run), or None if a check failed: per pair
-        of lengths a + b <= max_len, the relabel conditions in G at the
-        shifted word s_a g_b, then the cocycle law at (g_a, s_a g_b)."""
-        if not self.swept:
-            return None
-        G, evaluated, pairs = self.G, self.keys, 0
-        for a in range(self.max_len + 1):
-            for b in range(self.max_len - a + 1):
-                q = _distinct(b, a)
-                evaluated += 2
-                if not (self.holds(q) and check_cocycle(G, _distinct(a), q)):
-                    return None
-                pairs += self.letters ** (a + b)
-        return pairs, evaluated
-
-
 def _letter_blind(A, max_len):
     """The relabel verdicts of A at ``max_len``, memoized on A, when A is a
     word instance on two or more letters; else None.  On one letter each word
@@ -500,222 +294,9 @@ def _letter_blind(A, max_len):
         return None
     relabel = A._relabel.get(max_len)
     if relabel is None:
+        from .relabel import _Relabel
         relabel = A._relabel[max_len] = _Relabel(A, max_len)
     return relabel
-
-
-def _antipode_sweep(A, max_len):
-    """The antipode laws; a series that does not truncate is a failure, not an
-    error, after the checks that passed before it.
-
-    S is evaluated on the unit's keys, then on the swept keys in canonical
-    order, then on products of swept pairs beyond the sweep, so the key named
-    is the first whose series does not truncate.  Each law value is built once
-    per input, by the checkers' own builders (S(p) and Delta(p) read from
-    their memos); only a nonzero value runs the checker, for the witness.
-
-    Multiplicativity S(pq) = -S(p)S(q) is checked on every ordered pair of
-    swept keys.  Where a finite basis is swept whole with S = -id on it
-    (telescoping M_n) and every key is comultiplicative, as Delta(-a) = -(S (x)
-    S) Delta(a) says, no pair is evaluated: pq is 0 or a swept key, so S(pq) =
-    -pq = -S(p)S(q).  Elsewhere the pairs evaluated are those with pq != 0 or
-    S(p)S(q) != 0, found through the product index and walked in canonical
-    order, so the first failure, and the count before it, are those of a walk
-    over every pair; a key whose comultiplicativity fails is reported at its
-    first pair (p, keys[0]), as in that walk.
-
-    Where S = -id on every swept key, the involution S(S(a)) = a on each is
-    counted too: it holds by linearity.  On M_n so are 200 random-matrix
-    checks (the axiom, and the properties with another matrix as partner, on
-    100 matrices), drawing nothing: S is linear, the product bilinear and every
-    key swept, so the basis checks decide them."""
-    checks = evaluated = 0  # inputs counted, and inputs evaluated, before the current one
-    try:
-        s = antipode_endo(A)
-        on_key, delta, kind = s.on_key, A.basis_coproduct, A.kind
-        if s(A.unit) != -A.unit:
-            report = LawReport.fail("antipode-unit", ("unit",), s(A.unit) + A.unit)
-            return _failed("antipode", "S(unit) != -unit", report, checks)
-        keys = list(A.basis_keys(max_len))
-        comultiplicative = {}  # key -> whether comultiplicativity holds on it
-        for key in keys:
-            e = A.element(key)
-            sa, delta_a = on_key(key).terms, delta(key)
-            if any(_axiom_sides(A, s, e.terms, sa, delta_a)):
-                report = check_antipode_axiom(A, e)
-                return _failed("antipode", f"axiom failure after {checks} checks", report, checks)
-            comultiplicative[key] = not _comultiplicativity_difference(A, s, sa, delta_a)
-            checks = evaluated = checks + 1
-        m = len(keys)
-        # S(a) + a = U(D(a)) with U = sum_t (-D)^t/(t+1)! unipotent, so D = 0 on the
-        # basis iff S = -id there; then the involution holds by linearity (see above)
-        minus_id = all(on_key(key).terms == {key: -1} for key in keys)
-        if not (minus_id and kind.finite_basis and all(comultiplicative.values())):
-            images = {}  # v -> the indices j with v in S(keys[j])
-            for j, key in enumerate(keys):
-                for v in on_key(key).terms:
-                    images.setdefault(v, []).append(j)
-            meets = kind.product_index(dict(zip(keys, range(m))))
-            meets_image = kind.product_index(images)
-            for i, p in enumerate(keys):
-                sp = on_key(p).terms
-                if comultiplicative[p]:
-                    partners = {j for _, j in meets(p)}
-                    partners.update(j for u in sp for _, js in meets_image(u) for j in js)
-                else:
-                    partners = (0,)  # reported at its first pair
-                for j in sorted(partners):
-                    q, checks = keys[j], m + i * m + j
-                    s_pq = {} if (pq := kind.key_mul(p, q)) is None else on_key(pq).terms
-                    if (_multiplicativity_difference(kind, s_pq, sp, on_key(q).terms)
-                            or not comultiplicative[p]):
-                        report = check_antipode_properties(A, A.element(p), A.element(q))
-                        detail = f"property failure after {checks} checks"
-                        return _failed("antipode", detail, report, checks, evaluated + 1)
-                    evaluated += 1
-        checks = m + m * m
-        if minus_id:
-            checks += m
-        if isinstance(kind, MatrixKind):
-            checks += 200  # the random-matrix checks, decided (see above)
-        return _passed("antipode", f"{checks} checks", checks, evaluated)
-    except NotNilpotentWithinCap as exc:
-        detail = f"series of {exc.element} {exc.verdict}"
-        return _failed("antipode", detail, None, checks, evaluated + 1)
-
-
-# The pre-Lie law P(a, b, c) = (a|>b)|>c - a|>(b|>c) - (b|>a)|>c + b|>(a|>c) as
-# four terms over the triple's positions 0, 1, 2: a row (negate, x, y,
-# inner_on_left, z) is the term +-(x|>y)|>z, or +-z|>(x|>y) when the inner
-# value is not on the left.
-_PRELIE_TERMS = (
-    (False, 0, 1, True, 2),
-    (True, 1, 2, False, 0),
-    (True, 1, 0, True, 2),
-    (False, 0, 2, False, 1),
-)
-
-
-def _prelie_pass(A, keys):
-    """P on the triples of ``keys``, by the term paths of the |> table (see
-    the module docstring): a map canonical index -> nonzero value, a sparse
-    map key -> coefficient, and the set of indices some path reached.
-
-    ``neighbours(k, k_first)`` lists the indices r of swept keys with
-    k|>keys[r] != 0, or with keys[r]|>k != 0 when not ``k_first``, from the
-    entries; a key outside the sweep (a longer word) gets them on demand.
-    """
-    n = len(keys)
-    rhd = lambda p, q: _prelie_on_keys(A, p, q)
-    entries = _prelie_entries(A, keys)
-    lists = {(k, k_first): [] for k in keys for k_first in (True, False)}
-    for i, j in entries:  # in order, so each list is too
-        lists[(keys[i], True)].append(j)
-        lists[(keys[j], False)].append(i)
-
-    def neighbours(k, k_first):
-        found = lists.get((k, k_first))
-        if found is None:
-            found = lists[(k, k_first)] = [
-                r for r in range(n) if (rhd(k, keys[r]) if k_first else rhd(keys[r], k))
-            ]
-        return found
-
-    inner = [(i, j, rhd(keys[i], keys[j])) for i, j in entries]
-    values = {}  # index -> P so far, for every index reached
-    for negate, x, y, inner_on_left, z in _PRELIE_TERMS:
-        wx, wy, wz = (n ** (2 - position) for position in (x, y, z))
-        for i, j, row in inner:
-            for k, c in row.items():
-                for r in neighbours(k, inner_on_left):
-                    index = i * wx + j * wy + r * wz
-                    out = values.get(index)
-                    if out is None:
-                        out = values[index] = {}
-                    value = rhd(k, keys[r]) if inner_on_left else rhd(keys[r], k)
-                    _accumulate(out, ((key, c * d) for key, d in value.items()), negate)
-    return {t: v for t, v in values.items() if v}, set(values)
-
-
-def _law_values(A, max_len, which):
-    """The law ``which`` on the swept triples: a map canonical index ->
-    nonzero value, and the set of indices evaluated.  The pass runs once per
-    instance and max-len, memoized on A; the three laws read it."""
-    law = A._prelie_law.get(max_len)
-    if law is None:
-        law = A._prelie_law[max_len] = _prelie_pass(A, _triple_keys(A, max_len))
-    values, reached = law
-    if which != "jacobi":
-        return values, reached  # representation on (a, b, x) is P(a, b, x)
-    n = len(_triple_keys(A, max_len))
-
-    def orbit(t):
-        # (a, b, c) -> (b, c, a) maps the index t to (t mod n^2) n + t div n^2
-        u = t % (n * n) * n + t // (n * n)
-        return t, u, u % (n * n) * n + u // (n * n)
-
-    jacobi = {}
-    for t in {u for t in values for u in orbit(t)}:
-        out = {}
-        for u in orbit(t):
-            _accumulate(out, values.get(u, {}).items())
-        if out:
-            jacobi[t] = out
-    return jacobi, {u for t in reached for u in orbit(t)}
-
-
-def _suite_prelie(A, max_len, which):
-    keys = _triple_keys(A, max_len)
-    n = len(keys)
-    checker = {  # looked up when the suite runs, so that a wrapped checker is the one called
-        "prelie": check_prelie_identity,
-        "jacobi": check_jacobi,
-        "representation": check_left_representation,
-    }[which]
-    values, evaluated = _law_values(A, max_len, which)
-    if not evaluated:  # no path reached a triple: the first is checked all the same,
-        values = evaluated = {0}  # so that a pass does not rest on no evaluation
-    for index in sorted(values):
-        # the element-level checker confirms the failure and builds its witness
-        triple = (keys[index // (n * n)], keys[index // n % n], keys[index % n])
-        report = checker(A, *(A.element(key) for key in triple))
-        if not report:
-            before = sum(t <= index for t in evaluated)
-            return _failed(which, f"failure after {index} triples", report, index, before)
-    return _passed(which, f"{n ** 3} triples checked", n ** 3, len(evaluated))
-
-
-def _suite_bracket_closed_form(A, max_len):
-    """The comparisons, of maps by ``==``, on the pairs of the support and of
-    the table's entries in canonical order (see the module docstring); on
-    M_1, which has neither, on its one pair."""
-    kind = A.kind
-    keys = list(A.basis_keys(max_len))
-    m, pairs = len(keys), matrix_bracket_support(keys)
-    entries = set(_prelie_entries(A, keys))
-    for i, j in entries:
-        pairs.update((i * m + j, j * m + i))
-    # the fill stored the row of every entry, T is 0 on every other swept pair
-    rhd = lambda i, j: _prelie_on_keys(A, keys[i], keys[j]) if (i, j) in entries else {}
-    for evaluated, index in enumerate(sorted(pairs or {0}), start=1):
-        i, j = divmod(index, m)
-        p, q = keys[i], keys[j]
-        table = matrix_bracket_table(p, q)
-        commutator = _combined(rhd(i, j), rhd(j, i), True)
-        for detail, law, value, want in (
-            ("sign form disagrees", "closed-vs-table", matrix_bracket_closed_form(p, q), table),
-            ("commutator disagrees", "commutator-vs-table", commutator, table),
-            ("antisymmetry broken", "antisymmetry", _combined(matrix_bracket_table(q, p), table), {}),
-        ):
-            if value != want:
-                pair = (kind.key_text(p), kind.key_text(q))
-                difference = Element._make(kind, _combined(value, want, True))
-                report = LawReport.fail(f"bracket-{law}", pair, difference)
-                return _failed(
-                    "bracket-closed-form", f"{detail} after {index} pairs", report, index, evaluated
-                )
-    detail = f"{m * m} pairs checked across 3 code paths"
-    return _passed("bracket-closed-form", detail, m * m, len(pairs or {0}))
 
 
 def _suite_worked_examples(_A, _max_len):
@@ -724,14 +305,15 @@ def _suite_worked_examples(_A, _max_len):
     read this module's bindings then.  The expected value is the computed one's
     canonical text, or a second computation of it; a row fails when the texts
     differ.  Canonical text is as strict as the element, and cheaper: parsing
-    these texts back into elements takes about 2 ms, several times the suite."""
+    these texts back into elements takes about 2 ms, several times the suite.
+    So x*y and y*x*y are built from their keys too, and the suite parses no text."""
     m2 = matrix_algebra(2)
     m = matrix_from_rows([[1, 0], [1, 0]])  # E[1,1] + E[2,1]
     n = matrix_from_rows([[0, 1], [0, 1]])  # E[1,2] + E[2,2]
     e21, e12 = (m2.element(EMatrix(i, j, 2)) for i, j in ((2, 1), (1, 2)))
     display = act_right(m2.coproduct(m), n) + act_left(m, m2.coproduct(n))
     w = word_algebra("xy")
-    xy, yxy = (parse_expression(text, w) for text in ("x*y", "y*x*y"))
+    xy, yxy = w.element(Word((0, 1))), w.element(Word((1, 0, 1)))
     big = Word((0, 0, 1, 0, 1))  # xxyxy
     rows = (
         ("coproduct of [[1,0],[1,0]]", m2.coproduct(m), "-E[2,1] (x) E[2,1]"),
@@ -807,10 +389,13 @@ def run_suite(suite, A, max_len=6):
     if suite == "cocycle":
         return _suite_cocycle(A, max_len)
     if suite == "antipode":
+        from .sweeps import _antipode_sweep
         return _antipode_sweep(A, max_len)
     if suite in ("prelie", "jacobi", "representation"):
+        from .sweeps import _suite_prelie
         return _suite_prelie(A, max_len, suite)
     if suite == "bracket-closed-form":
+        from .sweeps import _suite_bracket_closed_form
         return _suite_bracket_closed_form(A, max_len)
     if suite == "paper-examples":
         return _suite_worked_examples(A, max_len)

@@ -291,7 +291,7 @@ def iterated_nilpotency(A, a, steps):
 # -- oracle for the antipode suite ---------------------------------------------
 # The element-level checkers run on every swept key and every ordered pair of
 # them, S and the coproducts evaluated again for every check; knows nothing of
-# the values ``verify._antipode_sweep`` shares or of the pairs it skips.  On
+# the values ``sweeps._antipode_sweep`` shares or of the pairs it skips.  On
 # M_n, 100 seeded random matrices follow, an independent cross-check of the
 # checks the suite decides by linearity.  A series that does not truncate
 # fails after the checks before it, as in that sweep.
@@ -453,7 +453,7 @@ def touch_law_sweep(A, max_len, which):
 # The relabel conditions of the ``words`` docstring on every swept word, each
 # image through the letter map chr(i) -> w[i] with its terms summed, and the
 # rule called afresh every time; knows nothing of the slice templates or the
-# memo of ``verify._Relabel``.
+# memo of ``relabel._Relabel``.
 
 
 def relabel_oracle(A, max_len):

@@ -25,7 +25,7 @@ from epsbialg import (
     matrix_bracket_table,
     verify,
 )
-from epsbialg import cli
+from epsbialg import cli, sweeps
 from epsbialg.cli import build_algebra, main
 from epsbialg.usage import build_arg_parser
 from epsbialg.verify import (
@@ -149,7 +149,7 @@ def _half_table(p, q):
 ])
 def test_bracket_closed_form_failures_are_reported(capsys, monkeypatch, patch, detail, difference):
     for name, value in patch.items():
-        monkeypatch.setattr(verify, name, value)
+        monkeypatch.setattr(sweeps, name, value)
     witness = f"inputs (E[1,2], E[1,3]): difference = {difference}"
     # of the pairs up to index 11, those of the support and of the |> table's
     # entries are evaluated: the indices 1, 5, 9, 10 and 11

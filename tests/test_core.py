@@ -37,7 +37,7 @@ from epsbialg import (
     univar_algebra,
     word_algebra,
 )
-from epsbialg import core, laws, verify
+from epsbialg import core, laws, sweeps, verify
 from epsbialg.cli import build_algebra
 from epsbialg.laws import LinearEndomorphism
 from epsbialg.scalars import scalar_items
@@ -934,7 +934,7 @@ def test_antipode_suite_matches_the_dense_sweep(case):
     # status, text with witness, report, checked and S evaluation order are
     # those of the sweep that runs the checkers on every pair
     make, max_len = ANTIPODE_SUITE_CASES[case]
-    fast, slow = _suite_with(verify._antipode_sweep), _suite_with(dense_antipode_sweep)
+    fast, slow = _suite_with(sweeps._antipode_sweep), _suite_with(dense_antipode_sweep)
     got, order = _antipode_outcome(fast, make(), max_len)
     want, want_order = _antipode_outcome(slow, make(), max_len)
     assert (got[:4], order) == (want[:4], want_order)
@@ -968,7 +968,7 @@ def test_antipode_suite_matches_the_dense_sweep_on_random_m8_tables(entries):
     for key, k1, k2, c in entries:
         row = table.setdefault(key, {})
         row[(k1, k2)] = row.get((k1, k2), 0) + c
-    fast, slow = _suite_with(verify._antipode_sweep), _suite_with(dense_antipode_sweep)
+    fast, slow = _suite_with(sweeps._antipode_sweep), _suite_with(dense_antipode_sweep)
     got, _ = _antipode_outcome(fast, _table_algebra(table, 8), 6)
     want, _ = _antipode_outcome(slow, _table_algebra(table, 8), 6)
     assert (got[0], got[1], got[3]) == (want[0], want[1], want[3])
@@ -987,11 +987,11 @@ def test_antipode_sweep_computes_each_value_once(monkeypatch):
 
     monkeypatch.setattr(LinearEndomorphism, "__call__", recording(images, LinearEndomorphism.__call__))
     monkeypatch.setattr(AlgebraInstance, "coproduct", recording(coproducts, AlgebraInstance.coproduct))
-    monkeypatch.setattr(verify, "_multiplicativity_difference", recording(
-        multiplicativity, verify._multiplicativity_difference,
+    monkeypatch.setattr(sweeps, "_multiplicativity_difference", recording(
+        multiplicativity, sweeps._multiplicativity_difference,
     ))
-    monkeypatch.setattr(verify, "_comultiplicativity_difference", recording(
-        comultiplicativity, verify._comultiplicativity_difference,
+    monkeypatch.setattr(sweeps, "_comultiplicativity_difference", recording(
+        comultiplicativity, sweeps._comultiplicativity_difference,
     ))
     # on M_3, D = 0 and S = -id: comultiplicativity once per swept key, at its
     # S image, and no multiplicativity: S = -id on the whole basis decides every pair
@@ -1035,12 +1035,12 @@ def test_a_key_failing_comultiplicativity_under_minus_id_is_reported(monkeypatch
     # S = -id on M_3 decides the pairs only while every key is comultiplicative:
     # a False there (here from a faulty difference on E[2,2], index 4) still
     # reaches the pair walk, which reports the key at its first pair
-    real = verify._comultiplicativity_difference
+    real = sweeps._comultiplicativity_difference
 
     def wrong(A, s, sx, delta_terms):
         return {((2, 2), (2, 2)): 1} if sx == {(2, 2): -1} else real(A, s, sx, delta_terms)
 
-    monkeypatch.setattr(verify, "_comultiplicativity_difference", wrong)
+    monkeypatch.setattr(sweeps, "_comultiplicativity_difference", wrong)
     outcome = verify.run_suite("antipode", matrix_algebra(3))
     assert (outcome.status, outcome.checked) == ("fail", 9 + 4 * 9)
     assert outcome.detail == "property failure after 45 checks"

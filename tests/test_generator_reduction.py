@@ -248,7 +248,7 @@ def test_a_failure_inside_the_support_is_the_walks():
         return {} if (p, q) == ((2, 3), (1, 3)) else row
 
     A = matrix_algebra(3)
-    with mock.patch("epsbialg.verify._prelie_on_keys", wrong):
+    with mock.patch("epsbialg.sweeps._prelie_on_keys", wrong):
         outcome = run_suite("bracket-closed-form", A)
     assert outcome.line() == (
         "[FAIL] bracket-closed-form: commutator disagrees after 23 pairs\n"

@@ -29,7 +29,8 @@ from epsbialg import (
     weighted_word_coproduct,
     word_algebra,
 )
-from epsbialg.verify import _distinct, _letter_blind, _Relabel, run_suite, run_verify
+from epsbialg.relabel import _distinct, _Relabel
+from epsbialg.verify import _letter_blind, run_suite, run_verify
 
 from support import lambda_polys, nonzero_polys, relabel_oracle
 

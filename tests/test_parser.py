@@ -15,6 +15,7 @@ from epsbialg import (
     ParseError,
     TensorElement,
     UnknownAtom,
+    Word,
     emit,
     matrix_algebra,
     parse_expression,
@@ -55,6 +56,14 @@ def test_parse_worked_matrix_sum():
 def test_parse_word_concatenation():
     got = parse_expression("x*y*y*x*y", W)
     assert [len(k) for k in got.terms] == [5]
+
+
+def test_paper_examples_words_are_the_parsed_texts():
+    # the paper-examples suite builds x*y and y*x*y from their keys, so that a
+    # verify run parses no text; read back, each text is that element
+    for text, letters in (("x*y", (0, 1)), ("y*x*y", (1, 0, 1))):
+        built = W.element(Word(letters))
+        assert (parse_expression(text, W), str(built)) == (built, text)
 
 
 def test_parse_scalar_coefficient():

@@ -32,16 +32,11 @@ from epsbialg import (
     univar_algebra,
     word_algebra,
 )
-from epsbialg import prelie, verify
+from epsbialg import prelie, sweeps
 from epsbialg.cli import build_algebra
 from epsbialg.matrices import TELESCOPING
-from epsbialg.verify import (
-    _applicable,
-    _law_values,
-    _triple_keys,
-    run_suite,
-    run_verify,
-)
+from epsbialg.sweeps import _law_values
+from epsbialg.verify import _applicable, _triple_keys, run_suite, run_verify
 
 from support import (
     RMATRIX_CONTROLS,
@@ -380,7 +375,7 @@ def test_one_pass_serves_the_three_laws(monkeypatch):
     # the pre-Lie pass runs once per instance and max-len, whatever the suites
     A = matrix_algebra(3)
     passes = []
-    monkeypatch.setattr(verify, "_prelie_pass", lambda *args: passes.append(args) or ({}, set()))
+    monkeypatch.setattr(sweeps, "_prelie_pass", lambda *args: passes.append(args) or ({}, set()))
     run_verify("all", A)
     for suite in LAW_SUITES:
         run_suite(suite, A)

@@ -59,20 +59,24 @@ def _is_re_compile(node):
     )
 
 
-def test_one_parser():
-    # parser.py holds the only tokenizer and recursive descent; scalar text
-    # is read by the same parser run without an algebra
-    modules = sorted(PACKAGE_DIR.rglob("*.py"))
-    assert PACKAGE_DIR / "parser.py" in modules
-    found = sorted(
-        f"{path.relative_to(PACKAGE_DIR)}:{node.lineno}"
-        for path in modules if path.name != "parser.py"
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if _is_re_compile(node)
-        or (isinstance(node, ast.ClassDef)
-            and any(isinstance(f, ast.FunctionDef) and f.name == "expr" for f in node.body))
+def _is_descent(node):
+    # a class with an ``expr`` method: a recursive descent over the grammar
+    return isinstance(node, ast.ClassDef) and any(
+        isinstance(f, ast.FunctionDef) and f.name == "expr" for f in node.body
     )
-    assert found == []
+
+
+def test_one_parser():
+    # grammar.py, behind the entry points of parser.py, holds the only
+    # tokenizer and recursive descent; scalar text is read by the same parser
+    # run without an algebra
+    found = sorted(
+        (path.name, "re.compile" if _is_re_compile(node) else "descent")
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _is_re_compile(node) or _is_descent(node)
+    )
+    assert found == [("grammar.py", "descent"), ("grammar.py", "re.compile")]
 
 
 def _rebinds_to_a_sum_of_itself(node):
@@ -300,13 +304,16 @@ import io, sys
 import epsbialg.cli as cli
 sys.stdout = io.StringIO()
 codes = [
-    cli.main(["coproduct", "-a", "matrix:2", "-e", "E[1,2]"]),
-    cli.main(["verify", "--suite", "all", "-a", "matrix:2"]),
     cli.main(["verify", "--suite", "all", "-a", "matrix:5"]),
     cli.main(["verify", "--suite", "all", "-a", "word:xy", "--max-len", "9"]),
 ]
+unparsed = sorted(set(sys.modules) & {"re"})
+codes += [
+    cli.main(["coproduct", "-a", "matrix:2", "-e", "E[1,2]"]),
+    cli.main(["verify", "--suite", "all", "-a", "matrix:2"]),
+]
 sys.stdout = sys.__stdout__
-print(codes, sorted(set(sys.modules) & set(sys.argv[1:])))
+print(codes, unparsed, sorted(set(sys.modules) & set(sys.argv[1:])))
 """
 
 
@@ -316,7 +323,8 @@ def test_cli_start_up_imports_no_heavy_stdlib_module():
     # gettext and locale) and json much of the rest; fractions (with decimal)
     # loads only where a Fraction is built; -S keeps site's own imports from
     # hiding one of these coming back; no module imports __future__, whose
-    # annotations feature would cost every process a module
+    # annotations feature would cost every process a module.  A verify run
+    # that reads no text loads no re, which only the grammar's tokenizer needs
     heavy = [
         "__future__", "argparse", "ast", "dataclasses", "decimal", "dis", "fractions",
         "gettext", "inspect", "json", "locale", "tokenize", "typing",
@@ -326,7 +334,7 @@ def test_cli_start_up_imports_no_heavy_stdlib_module():
         env=dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent)), timeout=60, text=True,
     )
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == "[0, 0, 0, 0] []\n"
+    assert done.stdout == "[0, 0, 0, 0] [] []\n"
 
 
 _PATH_PROBE = """\
@@ -382,9 +390,12 @@ _LAYER_MODULES = sorted(
 
 
 # what no computation on ``matrix:N`` loads: the law checkers and their
-# report types, the suites, the word and univar kinds, the derived coproducts
-# and the argparse parser of help texts and usage errors
-_OFF_A_MATRIX_CALL = {"derived", "laws", "usage", "verify", "words"}
+# report types, the suites with the letter-blind certificate and the weight-0
+# sweeps, the word and univar kinds, the derived coproducts and the argparse
+# parser of help texts and usage errors
+_OFF_A_MATRIX_CALL = {"derived", "laws", "relabel", "sweeps", "usage", "verify", "words"}
+# what no computation on a word or univar instance loads
+_OFF_A_WORD_CALL = {"derived", "laws", "prelie", "relabel", "sweeps", "usage", "verify"}
 
 
 @pytest.mark.parametrize("argv,code,unloaded", [
@@ -392,24 +403,31 @@ _OFF_A_MATRIX_CALL = {"derived", "laws", "usage", "verify", "words"}
     (["bracket", "-a", "matrix:2", "--lhs", "E[1,2]", "--rhs", "E[2,1]"], 0, _OFF_A_MATRIX_CALL),
     (["prelie", "-a", "matrix:3", "--lhs", "E[1,2]", "--rhs", "E[2,3]", "--json"], 0,
      _OFF_A_MATRIX_CALL),
-    (["coproduct", "-a", "word:xy", "-e", "x"], 0, {"derived", "laws", "prelie", "usage", "verify"}),
-    (["verify", "--suite", "all", "-a", "matrix:2"], 0, {"derived", "usage"}),
+    (["coproduct", "-a", "word:xy", "-e", "x"], 0, _OFF_A_WORD_CALL),
+    (["verify", "--suite", "all", "-a", "matrix:2"], 0, {"derived", "grammar", "relabel", "usage"}),
+    (["verify", "--suite", "all", "-a", "word:xy", "--max-len", "9"], 0,
+     {"derived", "grammar", "sweeps", "usage"}),
     (["antipode", "-a", "matrix:3", "-e", "E[1,2]"], 0, _OFF_A_MATRIX_CALL | {"prelie"}),
     (["multiply", "-a", "matrix:3", "--lhs", "E[1,2]", "--rhs", "E[2,3]", "--json"], 0,
      _OFF_A_MATRIX_CALL | {"prelie"}),
-    (["multiply", "-a", "univar", "--lhs", "x", "--rhs", "x"], 0,
-     {"derived", "laws", "prelie", "usage", "verify"}),
-    (["verify", "--suite", "coassoc", "-a", "rmatrix:2:E[1,1] (x) E[1,1]:0"], 1, {"usage"}),
+    (["multiply", "-a", "univar", "--lhs", "x", "--rhs", "x"], 0, _OFF_A_WORD_CALL),
+    (["verify", "--suite", "coassoc", "-a", "rmatrix:2:E[1,1] (x) E[1,1]:0"], 1,
+     {"relabel", "sweeps", "usage"}),
+    (["verify", "--suite", "jacobi", "-a", "rmatrix:3:E[1,1] (x) E[2,2]:0"], 1,
+     {"relabel", "usage"}),
     (["coproduct", "-a", "lmatrix:3:E[1,3]", "-e", "E[1,2]"], 0,
-     {"laws", "prelie", "usage", "verify", "words"}),
-    (["coproduct", "--help"], 0, {"derived", "laws", "prelie", "verify", "words"}),
+     {"laws", "prelie", "relabel", "sweeps", "usage", "verify", "words"}),
+    (["coproduct", "--help"], 0,
+     {"derived", "grammar", "laws", "prelie", "relabel", "sweeps", "verify", "words"}),
 ])
 def test_each_command_loads_only_the_modules_it_runs(argv, code, unloaded):
     # every CLI process compiles the modules it imports, with no bytecode cache
     # on a fresh checkout; a computation has no use for verify or its law
     # checkers, a matrix call none for prelie, the word and univar kinds or
     # the derived coproducts, only --help or a malformed argv builds the
-    # argparse parser, and a bare ``import epsbialg`` loads no module at all
+    # argparse parser, and a bare ``import epsbialg`` loads no module at all.
+    # verify loads the grammar only to read text, the letter-blind certificate
+    # only on words, and the weight-0 sweeps only where one of them runs
     done = subprocess.run(
         [sys.executable, "-S", "-c", _LOAD_PROBE, *argv], capture_output=True,
         env=dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent)), timeout=60, text=True,
@@ -427,6 +445,10 @@ MATRIX_CALL_SOURCE_LINES = 1974
 COMMAND_SOURCE_LINES = {
     "coproduct": 1974, "multiply": 1974, "antipode": 1974, "prelie": 2154, "bracket": 2154,
 }
+# The same for ``verify --suite all`` on the benchmark's two sweep instances:
+# neither loads the grammar, matrix:5 the letter-blind certificate, nor
+# word:xy at weight L the weight-0 sweeps.
+VERIFY_SOURCE_LINES = {"matrix:5": 3092, "word:xy": 2977}
 
 
 def _compiled_lines(argv):
@@ -456,6 +478,42 @@ def test_each_matrix_command_compiles_no_more_source_than_its_budget(command, ou
         "--lhs", "E[1,2] + E[2,1]", "--rhs", "E[2,3]"]
     code, lines = _compiled_lines([command, "-a", "matrix:3", *operands, *output])
     assert (code, lines <= COMMAND_SOURCE_LINES[command]) == ("0", True), lines
+
+
+@pytest.mark.parametrize("selector", list(VERIFY_SOURCE_LINES))
+def test_a_verify_run_compiles_no_more_source_than_its_budget(selector):
+    code, lines = _compiled_lines(["verify", "--suite", "all", "-a", selector, "--max-len", "9"])
+    assert (code, lines <= VERIFY_SOURCE_LINES[selector]) == ("0", True), lines
+
+
+_LAYER_PROBE = """\
+import io, sys
+import epsbialg.cli as cli
+import epsbialg.verify
+sys.stdout = io.StringIO()
+code = cli.main(sys.argv[2:]) if sys.argv[2:] else 0
+sys.stdout = sys.__stdout__
+print(code, [layer for layer in sys.argv[1].split(",") if f"epsbialg.{layer}" not in sys.modules])
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["verify", "--suite", "all", "-a", "matrix:5"],
+    ["verify", "--suite", "all", "-a", "word:xy", "--max-len", "9"],
+], ids=["import", "matrix-laws", "word-coalgebra"])
+def test_verify_loads_every_layer_the_benchmark_traces(argv):
+    # the benchmark's tracer reads each of its ``LAYERS`` modules from
+    # sys.modules, after a sweep workload's one call in process, and in its own
+    # test after importing cli and verify alone: a layer left unloaded ends
+    # either in a KeyError.  So words stays a module-level import of verify
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _LAYER_PROBE, ",".join(_tracer_layers()), *argv],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent)),
+        timeout=60, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "0 []\n"
 
 
 def test_core_reads_the_traced_checkers_from_laws_and_binds_none(monkeypatch):

@@ -289,9 +289,8 @@ class _ExprParser:
             return bounded_poly(value, pos)
         check_bound("term count", monomials(value), MAX_TERMS, pos)
         kind = self.kind
-        single = isinstance(value, Element)
         for keys, c in value.terms.items():
-            for key in (keys,) if single else keys:
+            for key in value.leg_keys(keys):
                 check_bound(kind.key_size_name, kind.key_size(key), MAX_KEY_SIZE, pos)
             bounded_poly(c, pos)
         return value

@@ -23,11 +23,16 @@ compiles them.  Nothing here names a word or univar kind: the parser reads a
 letter or ``x`` through the kind's ``atom_key``, and ``ensure_same_kind``
 raises the error a kind's ``mismatch`` names.
 
-An ``Element`` is a map key -> coefficient; a ``TensorElement`` is a map
-from k-tuples of keys (k >= 2, the tensor legs) to coefficients, each nonzero
-and in the canonical form of ``scalars``.  Both are immutable by convention:
-nothing in this package mutates them after construction, so they can be
-shared freely between tasks.
+An ``Element`` (one leg) and a ``TensorElement`` (k >= 2 legs) are both a
+map from keys to coefficients, each nonzero and in the canonical form of
+``scalars``; an element's key is a basis key, a tensor's the k-tuple of the
+basis keys on its legs.  One private base holds all they share (validation,
+equality, negation, scaling, order and text); it reads a key through the
+class's leg view ``leg_keys``, ``(key,)`` on one leg and the key itself on k,
+so no caller branches on the class to walk the legs.  Each class keeps its
+own constructor and arithmetic entry points.  Both are immutable by
+convention: nothing in this package mutates them after construction, so they
+can be shared freely between tasks.
 
 A ``Kind`` value identifies the owning algebra (dimension, alphabet, ...)
 and carries its product rule, its unit and the size of a key (word length,
@@ -223,27 +228,107 @@ def products(kind, left: dict, right: dict):
                 yield key, cp * cq
 
 
-class Element:
+def _one_leg(key):
+    return (key,)
+
+
+class _Combination:
+    """What a linear combination does whatever its leg count: the canonical
+    form of its terms, equality, negation, scaling and text.  A subclass sets
+    ``legs`` and ``leg_keys``, the tuple of the keys on the legs of one of its
+    keys."""
+
+    __slots__ = ("kind", "legs", "terms")
+
+    def _clean(self, terms):
+        # validate each key leg by leg; put each coefficient in canonical form, dropping zeros
+        kind, legs, clean = self.kind, self.legs, {}
+        for key, c in (terms or {}).items():
+            keys = self.leg_keys(key)
+            if len(keys) != legs:
+                raise KindMismatch(f"tuple {key!r} does not have {legs} legs")
+            for k in keys:
+                kind.validate_key(k)
+            c = scalar(c)
+            if c:
+                clean[key if legs == 1 else tuple(keys)] = c
+        self.terms = clean
+
+    def _like(self, terms):
+        # a value of this class, kind and leg count on terms in canonical form
+        out = object.__new__(type(self))
+        out.kind, out.legs, out.terms = self.kind, self.legs, terms
+        return out
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        if not isinstance(other, _Combination):
+            return NotImplemented
+        return self.kind == other.kind and self.legs == other.legs and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.kind, self.legs, frozenset(self.terms.items())))
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        c = scalar(c)
+        if not c:
+            return self._like({})
+        return self._like({k: scalar(v * c) for k, v in self.terms.items()})
+
+    def __rmul__(self, other):
+        if isinstance(other, SCALAR_TYPES):
+            return self.scale(other)
+        return NotImplemented
+
+    def sorted_terms(self):
+        sort_key, leg_keys = self.kind.sort_key, self.leg_keys
+        return sorted(self.terms.items(), key=lambda kv: tuple(map(sort_key, leg_keys(kv[0]))))
+
+    def __str__(self):
+        parts, key_text = [], self.kind.key_text
+        for key, c in self.sorted_terms():
+            body = " (x) ".join(map(key_text, self.leg_keys(key)))
+            sign, prefix = _coeff_prefix(c)
+            if prefix:
+                body = f"{prefix} * {body}"
+            if not parts:
+                parts.append(body if sign == "+" else f"-{body}")
+            else:
+                parts.append(f" + {body}" if sign == "+" else f" - {body}")
+        return "".join(parts) if parts else "0"
+
+    def __repr__(self):
+        legs = f" legs={self.legs}" if self.legs > 1 else ""
+        return f"<{type(self).__name__} {self.kind.selector()}{legs}: {self}>"
+
+
+class Element(_Combination):
     """A finitely supported linear combination of basis keys over Q[L]."""
 
-    __slots__ = ("kind", "terms")
+    __slots__ = ()
+
+    leg_keys = staticmethod(_one_leg)
 
     def __init__(self, kind, terms=None):
-        self.kind = kind
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                kind.validate_key(key)
-                c = scalar(c)
-                if c:
-                    clean[key] = c
-        self.terms = clean
+        self.kind, self.legs = kind, 1
+        self._clean(terms)
 
     @classmethod
     def _make(cls, kind, terms):
         # internal: terms already normalized and validated
         out = cls.__new__(cls)
         out.kind = kind
+        out.legs = 1
         out.terms = terms
         return out
 
@@ -257,36 +342,14 @@ class Element:
         coeff = scalar(coeff)
         return cls._make(kind, {key: coeff} if coeff else {})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.kind == other.kind and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.kind, frozenset(self.terms.items())))
-
     def __add__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
         ensure_same_kind(self, other)
         return Element._make(self.kind, _combined(self.terms, other.terms))
 
-    def __sub__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return Element._make(self.kind, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, c) -> "Element":
-        c = scalar(c)
-        if not c:
-            return Element.zero(self.kind)
-        return Element._make(self.kind, {k: scalar(v * c) for k, v in self.terms.items()})
+    # its own entry, so that wrapping Element.scale leaves TensorElement.scale alone
+    scale = _Combination.scale
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -298,43 +361,19 @@ class Element:
             return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, SCALAR_TYPES):
-            return self.scale(other)
-        return NotImplemented
 
-    def sorted_terms(self):
-        sort_key = self.kind.sort_key
-        return sorted(self.terms.items(), key=lambda kv: sort_key(kv[0]))
-
-    def __str__(self):
-        return _combo_text(self.kind, self.sorted_terms(), single_leg=True)
-
-    def __repr__(self):
-        return f"<Element {self.kind.selector()}: {self}>"
-
-
-class TensorElement:
+class TensorElement(_Combination):
     """A linear combination of k-tuples of basis keys (k >= 2 tensor legs)."""
 
-    __slots__ = ("kind", "legs", "terms")
+    __slots__ = ()
+
+    leg_keys = staticmethod(_itself)
 
     def __init__(self, kind, legs, terms=None):
         if legs < 2:
             raise KindMismatch(f"tensor must have at least 2 legs, got {legs}")
-        self.kind = kind
-        self.legs = legs
-        clean = {}
-        if terms:
-            for keys, c in terms.items():
-                if len(keys) != legs:
-                    raise KindMismatch(f"tuple {keys!r} does not have {legs} legs")
-                for key in keys:
-                    kind.validate_key(key)
-                c = scalar(c)
-                if c:
-                    clean[tuple(keys)] = c
-        self.terms = clean
+        self.kind, self.legs = kind, legs
+        self._clean(terms)
 
     @classmethod
     def _make(cls, kind, legs, terms):
@@ -348,86 +387,30 @@ class TensorElement:
     def zero(cls, kind, legs=2):
         return cls._make(kind, legs, {})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.legs == other.legs
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.legs, frozenset(self.terms.items())))
-
-    def _check_compatible(self, other):
-        ensure_same_kind(self, other)
-        if self.legs != other.legs:
-            raise KindMismatch(f"mixed leg counts {self.legs} and {other.legs}")
-
     def __add__(self, other):
         if not isinstance(other, TensorElement):
             return NotImplemented
-        self._check_compatible(other)
+        ensure_same_kind(self, other)
+        if self.legs != other.legs:
+            raise KindMismatch(f"mixed leg counts {self.legs} and {other.legs}")
         return TensorElement._make(self.kind, self.legs, _combined(self.terms, other.terms))
 
-    def __sub__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorElement._make(
-            self.kind, self.legs, {k: -c for k, c in self.terms.items()}
-        )
-
-    def scale(self, c) -> "TensorElement":
-        c = scalar(c)
-        if not c:
-            return TensorElement.zero(self.kind, self.legs)
-        terms = {k: scalar(v * c) for k, v in self.terms.items()}
-        return TensorElement._make(self.kind, self.legs, terms)
-
-    def __mul__(self, other):
-        if isinstance(other, SCALAR_TYPES):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def sorted_terms(self):
-        sort_key = self.kind.sort_key
-        return sorted(self.terms.items(), key=lambda kv: tuple(map(sort_key, kv[0])))
-
-    def __str__(self):
-        return _combo_text(self.kind, self.sorted_terms(), single_leg=False)
-
-    def __repr__(self):
-        return f"<TensorElement {self.kind.selector()} legs={self.legs}: {self}>"
+    __mul__ = _Combination.__rmul__
 
 
 # ---------------------------------------------------------------------------
 # tensor product and bimodule actions
 # ---------------------------------------------------------------------------
 
-def _as_tuples(v):
-    """View an Element or TensorElement as (legs, {key-tuple: coeff})."""
-    if isinstance(v, Element):
-        return 1, {(k,): c for k, c in v.terms.items()}
-    return v.legs, v.terms
-
-
 def tensor(u, v) -> TensorElement:
     """Bilinear tensor product; legs concatenate."""
     ensure_same_kind(u, v)
-    lu, tu = _as_tuples(u)
-    lv, tv = _as_tuples(v)
+    lu, lv = u.leg_keys, v.leg_keys
     # Q[L] has no zero divisors, so no product of stored coefficients is zero
-    terms = {ku + kv: scalar(cu * cv) for ku, cu in tu.items() for kv, cv in tv.items()}
-    return TensorElement._make(u.kind, lu + lv, terms)
+    terms = {
+        lu(ku) + lv(kv): scalar(cu * cv) for ku, cu in u.terms.items() for kv, cv in v.terms.items()
+    }
+    return TensorElement._make(u.kind, u.legs + v.legs, terms)
 
 
 def act_left(a: Element, t: TensorElement) -> TensorElement:
@@ -466,20 +449,3 @@ def _coeff_prefix(c):
         text = "" if (deg, abs(q)) == (0, 1) else _monomial_text(deg, abs(q))
         return ("-" if q < 0 else "+"), text
     return "+", f"({poly_text(c)})"
-
-
-def _combo_text(kind, sorted_terms, single_leg):
-    parts = []
-    for key, c in sorted_terms:
-        if single_leg:
-            body = kind.key_text(key)
-        else:
-            body = " (x) ".join(kind.key_text(k) for k in key)
-        sign, prefix = _coeff_prefix(c)
-        if prefix:
-            body = f"{prefix} * {body}"
-        if not parts:
-            parts.append(body if sign == "+" else f"-{body}")
-        else:
-            parts.append(f" + {body}" if sign == "+" else f" - {body}")
-    return "".join(parts) if parts else "0"

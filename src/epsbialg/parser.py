@@ -67,16 +67,10 @@ def parse_tensor(text: str, algebra) -> TensorElement:
 
 def _value_json(value, algebra=None):
     kind = value.kind
-    if isinstance(value, Element):
-        rows = [
-            {"coeff": poly_json(c), "legs": [kind.key_text(key)]}
-            for key, c in value.sorted_terms()
-        ]
-    else:
-        rows = [
-            {"coeff": poly_json(c), "legs": [kind.key_text(k) for k in keys]}
-            for keys, c in value.sorted_terms()
-        ]
+    rows = [
+        {"coeff": poly_json(c), "legs": [kind.key_text(k) for k in value.leg_keys(key)]}
+        for key, c in value.sorted_terms()
+    ]
     return {
         "algebra": algebra.selector if algebra is not None else kind.selector(),
         "weight": poly_text(algebra.weight) if algebra is not None else None,

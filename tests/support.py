@@ -7,6 +7,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from epsbialg import (
+    AlgebraInstance,
     Element,
     KindMismatch,
     LambdaPoly,
@@ -14,6 +15,7 @@ from epsbialg import (
     LinearEndomorphism,
     MatrixKind,
     NotNilpotentWithinCap,
+    TensorElement,
     UnivarKind,
     Word,
     WordKind,
@@ -204,6 +206,15 @@ def convolution_power_vanishes(A, f, a, n):
         return prod.terms.items()
 
     return not linear_extend(A.iterated_coproduct(a, n).terms, rule)
+
+
+def table_algebra(table, n=2):
+    """M_n at weight 0 with the coproduct table {key: {(k1, k2): coeff}}."""
+    kind = MatrixKind(n)
+    return AlgebraInstance(
+        kind, 0, lambda key: TensorElement(kind, 2, table.get(key, {})).terms,
+        selector="table",
+    )
 
 
 # derived r-coproducts at weight 0 that break a law early (negative controls)

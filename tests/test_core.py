@@ -59,6 +59,7 @@ from support import (
     matrix_elements,
     nilpotency_index,
     random_integer_matrix,
+    table_algebra,
     tensor_coassoc_oracle,
     tensor_cocycle_oracle,
     termwise_oracle,
@@ -735,22 +736,13 @@ def _e(i, j, n=2):
     return EMatrix(i, j, n)
 
 
-def _table_algebra(table, n=2):
-    """M_n at weight 0 with the coproduct table {key: {(k1, k2): coeff}}."""
-    kind = MatrixKind(n)
-    return AlgebraInstance(
-        kind, 0, lambda key: TensorElement(kind, 2, table.get(key, {})).terms,
-        selector="table",
-    )
-
-
 def _coproduct_table_algebra():
     """M_2 at weight 0 with an arbitrary coproduct table, not a derivation.
 
     D is nilpotent on it, and the antipode axiom (right side), multiplicativity
     and comultiplicativity fail on basis keys, so every witness path is reached.
     """
-    return _table_algebra({
+    return table_algebra({
         _e(1, 1): {(_e(2, 1), _e(1, 1)): -1, (_e(1, 2), _e(1, 1)): -1},
         _e(2, 2): {(_e(1, 2), _e(2, 2)): -1},
     })
@@ -914,7 +906,7 @@ ANTIPODE_SUITE_CASES = {
     "univar-0:6": (lambda: univar_algebra(0), 6),
     "word:xy-0": (lambda: word_algebra("xy", 0), 6),
     **{
-        name: (lambda n=n, t=t: _table_algebra(t, n), 6)
+        name: (lambda n=n, t=t: table_algebra(t, n), 6)
         for name, (n, t, _) in MUTANT_TABLES.items()
     },
 }
@@ -969,8 +961,8 @@ def test_antipode_suite_matches_the_dense_sweep_on_random_m8_tables(entries):
         row = table.setdefault(key, {})
         row[(k1, k2)] = row.get((k1, k2), 0) + c
     fast, slow = _suite_with(sweeps._antipode_sweep), _suite_with(dense_antipode_sweep)
-    got, _ = _antipode_outcome(fast, _table_algebra(table, 8), 6)
-    want, _ = _antipode_outcome(slow, _table_algebra(table, 8), 6)
+    got, _ = _antipode_outcome(fast, table_algebra(table, 8), 6)
+    want, _ = _antipode_outcome(slow, table_algebra(table, 8), 6)
     assert (got[0], got[1], got[3]) == (want[0], want[1], want[3])
 
 

@@ -26,7 +26,12 @@ from epsbialg import (
     act_right,
     bilinear_extend,
     linear_extend,
+    matrix_algebra,
+    parse_expression,
+    parse_tensor,
     tensor,
+    univar_algebra,
+    word_algebra,
 )
 from epsbialg.scalars import LambdaPoly
 
@@ -358,6 +363,47 @@ def test_text_forms():
     assert str(Element.zero(M2)) == "0"
     assert str(w(0, 1)) == "x*y"
     assert str(Element(WXY, WXY.unit_terms())) == "1"
+
+
+
+# -- what Element and TensorElement share, on every kind ----------------------
+
+_SHARED_CASES = {
+    "matrix:2": (matrix_algebra(2), matrix_elements(2)),
+    "word:xy": (word_algebra("xy"), word_elements()),
+    "univar": (univar_algebra(), univar_elements()),
+}
+
+
+def _combinations(elements, legs):
+    """Elements, or 2-leg tensors a (x) b + c (x) d of them."""
+    if legs == 1:
+        return elements
+    return st.tuples(elements, elements, elements, elements).map(
+        lambda t: tensor(t[0], t[1]) + tensor(t[2], t[3])
+    )
+
+
+@pytest.mark.parametrize("legs", [1, 2])
+@pytest.mark.parametrize("case", sorted(_SHARED_CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_shared_behaviour_of_elements_and_tensors(case, legs, data):
+    A, elements = _SHARED_CASES[case]
+    a = data.draw(_combinations(elements, legs), label="a")
+    b = data.draw(_combinations(elements, legs), label="b")
+    # equal values, built in another term order or another way, hash equal
+    terms = dict(reversed(a.terms.items()))
+    rebuilt = Element(A.kind, terms) if legs == 1 else TensorElement(A.kind, legs, terms)
+    for same in (rebuilt, a + b - b, -(-a)):
+        assert (same, hash(same)) == (a, hash(a))
+    assert a - b == a + (-b)
+    zero = a.scale(0)
+    assert (type(zero), zero.legs, zero.is_zero()) == (type(a), legs, True)
+    name, legs_text = ("Element", "") if legs == 1 else ("TensorElement", " legs=2")
+    assert repr(a) == f"<{name} {A.selector}{legs_text}: {a}>"
+    parse = parse_expression if legs == 1 else parse_tensor
+    assert parse(str(a), A) == a
 
 
 def test_word_alphabet_rejects_reserved_names():
